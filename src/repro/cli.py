@@ -121,16 +121,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_kernels(args: argparse.Namespace) -> None:
-    """Select the kernel mode process-wide (worker processes inherit it
-    through fork) before any engine or executor is built."""
-    if getattr(args, "kernels", None):
-        from .kernels import set_kernel_mode
-        set_kernel_mode(args.kernels)
-
-
 def _cmd_partition(args: argparse.Namespace) -> int:
-    _apply_kernels(args)
     hg = _read_netlist(args.file)
     algorithm = build_algorithm(args.algorithm, k=args.k, ratio=args.ratio,
                                 threshold=args.threshold,
@@ -378,7 +369,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     engine = ServiceEngine(jobs=args.jobs,
                            result_entries=args.cache_size,
                            spool_dir=args.spool_dir,
-                           kernels=args.kernels,
                            default_deadline_ms=args.deadline_ms,
                            max_queued=args.max_queued,
                            breaker_failures=args.breaker_failures,
@@ -508,14 +498,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="LSMC descent count")
     p_part.add_argument("--vcycles", type=int, default=0,
                         help="extra restricted V-cycles after ML (k=2, "
-                             "mlc/mlf only)")
+                             "mlc/mlf/mlb only)")
     p_part.add_argument("--seed", type=int, default=0)
-    from .kernels import KERNEL_MODES
-    p_part.add_argument("--kernels", choices=KERNEL_MODES, default=None,
-                        help="kernel implementation family (default: "
-                             "csr; 'numpy' vectorizes the hot path and "
-                             "may break refinement ties differently — "
-                             "see DESIGN.md)")
     p_part.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes for the runs (same cuts "
                              "at any worker count)")
@@ -682,11 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="graceful-shutdown budget: wait this long "
                             "for the in-flight portfolio on "
                             "SIGTERM/SIGINT (default 30)")
-    p_srv.add_argument("--kernels", choices=KERNEL_MODES, default=None,
-                       help="kernel mode the daemon executes under "
-                            "(default: csr; result-cache keys carry the "
-                            "mode's cut class, so answers never leak "
-                            "across modes that could disagree)")
     p_srv.add_argument("--deadline-ms", type=int, default=300_000,
                        metavar="MS",
                        help="default per-request deadline when the "

@@ -19,7 +19,6 @@ from typing import Dict, List, Tuple
 
 from ..errors import ClusteringError
 from ..hypergraph import Hypergraph
-from ..kernels import csr_enabled, numpy_enabled
 from .clustering import Clustering
 
 __all__ = ["induce"]
@@ -142,8 +141,14 @@ def _induce_numpy(hg: Hypergraph, cluster_of, k: int,
 
 
 def induce(hg: Hypergraph, clustering: Clustering,
-           merge_parallel: bool = True) -> Hypergraph:
-    """Build the coarser netlist induced by ``clustering`` on ``hg``."""
+           merge_parallel: bool = True,
+           vectorized: bool = False) -> Hypergraph:
+    """Build the coarser netlist induced by ``clustering`` on ``hg``.
+
+    ``vectorized`` selects :func:`_induce_numpy`, which returns the
+    identical netlist in flat CSR form (the ``mlb`` algorithm's
+    coarsening; DESIGN.md §13).
+    """
     if clustering.num_modules != hg.num_modules:
         raise ClusteringError(
             f"clustering covers {clustering.num_modules} modules, "
@@ -151,68 +156,38 @@ def induce(hg: Hypergraph, clustering: Clustering,
     cluster_of = clustering.cluster_of
     k = clustering.num_clusters
 
-    if numpy_enabled() and hg.num_modules >= _NP_INDUCE_MIN_MODULES:
+    if vectorized and hg.num_modules >= _NP_INDUCE_MIN_MODULES:
         return _induce_numpy(hg, cluster_of, k, merge_parallel)
 
-    use_csr = csr_enabled()
-    if use_csr:
-        view = hg.csr
-        module_areas = view.areas_list
-        net_pins = view.net_pins
-        net_weights = view.weights_list
+    view = hg.csr
+    module_areas = view.areas_list
+    net_pins = view.net_pins
+    net_weights = view.weights_list
     areas = [0.0] * k
-    if use_csr:
-        for v, c in enumerate(cluster_of):
-            areas[c] += module_areas[v]
-    else:
-        for v in hg.modules():
-            areas[cluster_of[v]] += hg.area(v)
+    for v, c in enumerate(cluster_of):
+        areas[c] += module_areas[v]
 
     nets: List[Tuple[int, ...]] = []
     weights: List[int] = []
     merged: Dict[Tuple[int, ...], int] = {}
-    if use_csr:
-        # Same merge loop over the flat views: per-net tuple fetch and
-        # weight indexing instead of accessor calls, with the pin ->
-        # cluster mapping and dedup running in C (map + set).
-        cluster_at = cluster_of.__getitem__
-        for e in range(hg.num_nets):
-            coarse = set(map(cluster_at, net_pins[e]))
-            if len(coarse) < 2:
-                continue  # net absorbed inside one cluster
-            key = tuple(sorted(coarse))
-            w = net_weights[e]
-            if merge_parallel:
-                slot = merged.get(key)
-                if slot is None:
-                    merged[key] = len(nets)
-                    nets.append(key)
-                    weights.append(w)
-                else:
-                    weights[slot] += w
-            else:
+    # Per-net tuple fetch and weight indexing over the flat views, with
+    # the pin -> cluster mapping and dedup running in C (map + set).
+    cluster_at = cluster_of.__getitem__
+    for e in range(hg.num_nets):
+        coarse = set(map(cluster_at, net_pins[e]))
+        if len(coarse) < 2:
+            continue  # net absorbed inside one cluster
+        key = tuple(sorted(coarse))
+        w = net_weights[e]
+        if merge_parallel:
+            slot = merged.get(key)
+            if slot is None:
+                merged[key] = len(nets)
                 nets.append(key)
                 weights.append(w)
-        return Hypergraph._trusted(nets, areas, weights, name=hg.name)
-    else:
-        for e in hg.all_nets():
-            coarse = sorted({cluster_of[v] for v in hg.pins(e)})
-            if len(coarse) < 2:
-                continue  # net absorbed inside one cluster
-            key = tuple(coarse)
-            w = hg.net_weight(e)
-            if merge_parallel:
-                slot = merged.get(key)
-                if slot is None:
-                    merged[key] = len(nets)
-                    nets.append(key)
-                    weights.append(w)
-                else:
-                    weights[slot] += w
             else:
-                nets.append(key)
-                weights.append(w)
-
-    return Hypergraph(nets, num_modules=k, areas=areas,
-                      net_weights=weights,
-                      name=hg.name)
+                weights[slot] += w
+        else:
+            nets.append(key)
+            weights.append(w)
+    return Hypergraph._trusted(nets, areas, weights, name=hg.name)

@@ -28,7 +28,6 @@ from typing import Dict, List, Optional
 
 from ..errors import ClusteringError, ConfigError
 from ..hypergraph import Hypergraph
-from ..kernels import csr_enabled, numpy_enabled
 from ..rng import SeedLike, make_rng, random_permutation
 from .clustering import Clustering
 
@@ -59,33 +58,22 @@ def _neighbour_scores(hg: Hypergraph, v: int, matched: List[bool],
     This is the ``Conn`` array + neighbour set ``S`` of Section III-A,
     realised as a dict so reinitialisation is free.
     """
+    # The scan is the coarsening hot path (one call per matched
+    # module), so bind the flat views locally and use dict.get directly.
     scores: Dict[int, float] = {}
-    if csr_enabled():
-        # Flat-view kernel: the scan is the coarsening hot path (one
-        # call per matched module), so bind the materialised vectors
-        # locally and use dict.get directly.
-        view = hg.csr
-        net_sizes = view.sizes_list
-        net_weights = view.weights_list
-        net_pins = view.net_pins
-        get = scores.get
-        for e in view.module_nets[v]:
-            size = net_sizes[e]
-            if size > max_net_size:
-                continue
-            contribution = net_weights[e] / (size - 1)
-            for w in net_pins[e]:
-                if w != v and not matched[w]:
-                    scores[w] = get(w, 0.0) + contribution
-        return scores
-    for e in hg.nets(v):
-        size = hg.net_size(e)
+    view = hg.csr
+    net_sizes = view.sizes_list
+    net_weights = view.weights_list
+    net_pins = view.net_pins
+    get = scores.get
+    for e in view.module_nets[v]:
+        size = net_sizes[e]
         if size > max_net_size:
             continue
-        contribution = hg.net_weight(e) / (size - 1)
-        for w in hg.pins(e):
+        contribution = net_weights[e] / (size - 1)
+        for w in net_pins[e]:
             if w != v and not matched[w]:
-                scores[w] = scores.get(w, 0.0) + contribution
+                scores[w] = get(w, 0.0) + contribution
     return scores
 
 
@@ -185,7 +173,8 @@ def match(hg: Hypergraph,
           max_conn_net_size: int = DEFAULT_MAX_CONN_NET_SIZE,
           seed: SeedLike = None,
           rng: Optional[random.Random] = None,
-          restrict: Optional[List[int]] = None) -> Clustering:
+          restrict: Optional[List[int]] = None,
+          vectorized: bool = False) -> Clustering:
     """The ``Match`` procedure (Figure 3).
 
     Parameters
@@ -202,6 +191,12 @@ def match(hg: Hypergraph,
         when their labels are equal.  This is the restricted coarsening
         that V-cycle iteration (hMETIS-style) uses to keep an existing
         partition representable at every coarse level.
+    vectorized:
+        Precompute every pair score in one NumPy sweep
+        (:func:`_pair_table`) instead of scoring each visited module's
+        neighbourhood.  The matching is identical either way; the
+        ``mlb`` algorithm selects it because its array-native levels
+        feed array-based refinement (DESIGN.md §13).
     """
     if not 0 < ratio <= 1:
         raise ClusteringError(f"matching ratio must be in (0, 1], got {ratio}")
@@ -221,18 +216,18 @@ def match(hg: Hypergraph,
     rec_on = rec.enabled
 
     n = hg.num_modules
-    areas = hg.csr.areas_list if csr_enabled() else None
+    areas = hg.csr.areas_list
     perm = random_permutation(n, rng)
     matched = [False] * n
     cluster_of = [-1] * n
     num_clusters = 0
     n_match = 0
 
-    # numpy kernels: all pair scores are precomputed in one vectorized
-    # sweep; the visit loop below then only filters and tie-breaks.
-    # Scores, candidate order, and therefore the whole matching are
+    # Vectorized: all pair scores are precomputed in one sweep; the
+    # visit loop below then only filters and tie-breaks.  Scores,
+    # candidate order, and therefore the whole matching are
     # bit-identical to the scalar scorer (see _pair_table).
-    use_table = numpy_enabled() and n >= _NP_MATCH_MIN_MODULES
+    use_table = vectorized and n >= _NP_MATCH_MIN_MODULES
     if use_table:
         xrow, nbr, nbr_score = _pair_table(hg, max_conn_net_size, scheme)
 
@@ -285,13 +280,12 @@ def match(hg: Hypergraph,
                 if scheme == "random":
                     best = rng.choice(sorted(scores))
                 else:
-                    area_v = areas[v] if areas is not None else hg.area(v)
+                    area_v = areas[v]
                     best_score = 0.0
                     for w in sorted(scores):
                         s = scores[w]
                         if scheme == "conn":
-                            s /= area_v * (areas[w] if areas is not None
-                                           else hg.area(w))
+                            s /= area_v * areas[w]
                         if s > best_score:
                             best_score = s
                             best = w

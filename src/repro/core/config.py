@@ -8,8 +8,11 @@ from ..clustering.matching import MATCHING_SCHEMES
 from ..errors import ConfigError
 from ..fm.config import FMConfig
 
-__all__ = ["MLConfig", "DEFAULT_COARSENING_THRESHOLD",
+__all__ = ["MLConfig", "ML_ENGINES", "DEFAULT_COARSENING_THRESHOLD",
            "DEFAULT_QUAD_THRESHOLD"]
+
+#: Refinement engines of the multilevel algorithm.
+ML_ENGINES = ("fm", "clip", "batch")
 
 #: Paper: "For all experiments, the coarsening threshold was set to
 #: T = 35 modules" (Section IV).
@@ -32,7 +35,10 @@ class MLConfig:
         ``R`` of Figure 3, in ``(0, 1]``; smaller values coarsen more
         slowly, producing more hierarchy levels (Section III-A).
     engine:
-        ``"fm"`` for ML_F or ``"clip"`` for ML_C (Section IV).
+        ``"fm"`` for ML_F or ``"clip"`` for ML_C (Section IV), or
+        ``"batch"`` for the ``mlb`` algorithm: vectorized coarsening
+        and the batched refinement of :mod:`repro.fm.npengine` on
+        levels of at least 128 modules, CLIP below (DESIGN.md §13).
     matching_scheme:
         Coarsening matcher: the paper's ``"conn"``, or the ``"heavy"`` /
         ``"random"`` ablation schemes.
@@ -67,9 +73,9 @@ class MLConfig:
             raise ConfigError(
                 f"matching_ratio must be in (0, 1], got "
                 f"{self.matching_ratio}")
-        if self.engine not in ("fm", "clip"):
+        if self.engine not in ML_ENGINES:
             raise ConfigError(
-                f"engine must be 'fm' or 'clip', got {self.engine!r}")
+                f"engine must be one of {ML_ENGINES}, got {self.engine!r}")
         if self.matching_scheme not in MATCHING_SCHEMES:
             raise ConfigError(
                 f"matching_scheme must be one of {MATCHING_SCHEMES}, got "
@@ -83,5 +89,9 @@ class MLConfig:
                 f"{self.coarsest_starts}")
 
     def engine_config(self) -> FMConfig:
-        """The FM configuration with the engine's CLIP flag applied."""
-        return replace(self.fm, clip=self.engine == "clip")
+        """The FM configuration with the engine's CLIP flag applied.
+
+        The batch engine hands levels below its size floor to the
+        exact engine, which then runs CLIP.
+        """
+        return replace(self.fm, clip=self.engine != "fm")

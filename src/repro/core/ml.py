@@ -24,10 +24,12 @@ from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng, spawn
 from ..fm.clip import clip_bipartition  # noqa: F401  (re-export convenience)
 from ..fm.engine import fm_bipartition
+from ..fm.npengine import batch_bipartition
 from ..clustering.project import project
 from .config import MLConfig
 
-__all__ = ["MLResult", "ml_bipartition", "build_hierarchy", "Hierarchy"]
+__all__ = ["MLResult", "ml_bipartition", "build_hierarchy", "Hierarchy",
+           "coarsen_step", "refiner"]
 
 
 @dataclass
@@ -67,6 +69,31 @@ class MLResult:
     total_passes: int = 0
 
 
+def coarsen_step(current: Hypergraph, config: MLConfig,
+                 rng: random.Random,
+                 restrict: Optional[List[int]] = None
+                 ) -> Tuple[Clustering, Optional[Hypergraph]]:
+    """One Match + Induce step under ``config``.
+
+    Returns the clustering and the induced netlist, or ``None`` in
+    place of the netlist when the matching made no progress (every
+    module stayed a singleton).
+    """
+    vectorized = config.engine == "batch"
+    clustering = match(current, ratio=config.matching_ratio,
+                       scheme=config.matching_scheme, rng=rng,
+                       restrict=restrict, vectorized=vectorized)
+    if clustering.num_clusters >= current.num_modules:
+        return clustering, None
+    return clustering, induce(current, clustering, vectorized=vectorized)
+
+
+def refiner(config: MLConfig):
+    """The ``FMPartition`` call of ``config.engine``: the batch engine
+    for ``"batch"``, the exact FM/CLIP engine otherwise."""
+    return batch_bipartition if config.engine == "batch" else fm_bipartition
+
+
 def build_hierarchy(hg: Hypergraph, config: Optional[MLConfig] = None,
                     seed: SeedLike = None,
                     rng: Optional[random.Random] = None) -> Hierarchy:
@@ -99,11 +126,10 @@ def build_hierarchy(hg: Hypergraph, config: Optional[MLConfig] = None,
            and len(clusterings) < config.max_levels):
         current = netlists[-1]
         t_level = tr.now() if tr.enabled else 0
-        clustering = match(current, ratio=config.matching_ratio,
-                           scheme=config.matching_scheme, rng=rng)
-        if clustering.num_clusters >= current.num_modules:
+        clustering, coarse = coarsen_step(current, config, rng)
+        if coarse is None:
             break  # no progress: all modules became singletons
-        netlists.append(induce(current, clustering))
+        netlists.append(coarse)
         clusterings.append(clustering)
         if rec.enabled:
             # Confirms the preceding run of merge events as a kept
@@ -162,6 +188,7 @@ def ml_bipartition(hg: Hypergraph,
     if hg.num_modules < 2:
         raise ClusteringError("cannot bipartition fewer than two modules")
     fm_config = config.engine_config()
+    refine = refiner(config)
     tr = tracer()
     mx = metrics()
     rec = recorder()
@@ -183,12 +210,12 @@ def ml_bipartition(hg: Hypergraph,
     m_phase = time.perf_counter() if mx.enabled else 0.0
     if rec.enabled:
         rec.level = hierarchy.levels
-    result = fm_bipartition(hierarchy.coarsest, initial=None,
-                            config=fm_config, rng=rng)
+    result = refine(hierarchy.coarsest, initial=None,
+                    config=fm_config, rng=rng)
     total_passes = result.passes
     for _ in range(config.coarsest_starts - 1):
-        attempt = fm_bipartition(hierarchy.coarsest, initial=None,
-                                 config=fm_config, rng=rng)
+        attempt = refine(hierarchy.coarsest, initial=None,
+                         config=fm_config, rng=rng)
         total_passes += attempt.passes
         if attempt.cut < result.cut:
             result = attempt
@@ -212,8 +239,8 @@ def ml_bipartition(hg: Hypergraph,
         projected = project(solution, hierarchy.clusterings[i])
         if rec.enabled:
             rec.level = i
-        result = fm_bipartition(hierarchy.netlists[i], initial=projected,
-                                config=fm_config, rng=rng)
+        result = refine(hierarchy.netlists[i], initial=projected,
+                        config=fm_config, rng=rng)
         solution = result.partition
         level_cuts.append(result.cut)
         total_passes += result.passes

@@ -14,16 +14,15 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..clustering import Clustering, induce, match
+from ..clustering import Clustering
 from ..clustering.project import project
 from ..errors import ClusteringError, ConfigError
 from ..hypergraph import Hypergraph
 from ..obs import recorder, tracer
 from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng
-from ..fm.engine import fm_bipartition
 from .config import MLConfig
-from .ml import ml_bipartition
+from .ml import coarsen_step, ml_bipartition, refiner
 
 __all__ = ["VCycleResult", "ml_vcycle"]
 
@@ -42,6 +41,7 @@ def _restricted_cycle(hg: Hypergraph, solution: Partition,
                       config: MLConfig, rng: random.Random) -> Partition:
     """One V-cycle: restricted coarsening, seeded uncoarsening."""
     fm_config = config.engine_config()
+    refine = refiner(config)
     rec = recorder()
 
     netlists = [hg]
@@ -50,12 +50,11 @@ def _restricted_cycle(hg: Hypergraph, solution: Partition,
     while (netlists[-1].num_modules > config.coarsening_threshold
            and len(clusterings) < config.max_levels):
         current = netlists[-1]
-        clustering = match(current, ratio=config.matching_ratio,
-                           scheme=config.matching_scheme, rng=rng,
-                           restrict=labels)
-        if clustering.num_clusters >= current.num_modules:
+        clustering, coarse = coarsen_step(current, config, rng,
+                                          restrict=labels)
+        if coarse is None:
             break
-        netlists.append(induce(current, clustering))
+        netlists.append(coarse)
         # Every cluster is pure by construction; carry the labels up.
         new_labels = [0] * clustering.num_clusters
         for v, c in enumerate(clustering.cluster_of):
@@ -70,16 +69,15 @@ def _restricted_cycle(hg: Hypergraph, solution: Partition,
 
     if rec.enabled:
         rec.level = len(clusterings)
-    refined = fm_bipartition(netlists[-1],
-                             initial=Partition(labels, solution.k),
-                             config=fm_config, rng=rng)
+    refined = refine(netlists[-1], initial=Partition(labels, solution.k),
+                     config=fm_config, rng=rng)
     current_solution = refined.partition
     for i in range(len(clusterings) - 1, -1, -1):
         projected = project(current_solution, clusterings[i])
         if rec.enabled:
             rec.level = i
-        refined = fm_bipartition(netlists[i], initial=projected,
-                                 config=fm_config, rng=rng)
+        refined = refine(netlists[i], initial=projected,
+                         config=fm_config, rng=rng)
         current_solution = refined.partition
     if rec.enabled:
         rec.level = -1

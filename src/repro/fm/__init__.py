@@ -1,5 +1,6 @@
 """Iterative-improvement engines: FM, CLIP, and multi-way FM, with the
-LIFO/FIFO/RANDOM gain-bucket disciplines of Section II."""
+LIFO/FIFO/RANDOM gain-bucket disciplines of Section II, plus the
+batched refinement engine of the ``mlb`` algorithm."""
 
 from .buckets import (BUCKET_POLICIES, GainBuckets, LinkedListBuckets,
                       RandomBuckets, make_buckets)
@@ -7,12 +8,14 @@ from .clip import clip_bipartition, clip_config
 from .config import DEFAULT_MAX_NET_SIZE, FMConfig
 from .engine import FMResult, fm_bipartition
 from .kway import KWAY_OBJECTIVES, KWayResult, kway_partition
+from .npengine import batch_bipartition
 
 __all__ = [
     "FMConfig",
     "DEFAULT_MAX_NET_SIZE",
     "FMResult",
     "fm_bipartition",
+    "batch_bipartition",
     "clip_bipartition",
     "clip_config",
     "KWayResult",

@@ -16,17 +16,12 @@ back to the best prefix of the pass.  Passes repeat until one fails to
 improve the cut.
 
 Every hot kernel — initial gains, boundary scan, the two-phase gain
-update loop of a pass — exists in families selected by
-:mod:`repro.kernels`: the default CSR family binds the flat incidence
-layer (``hg.csr``) into locals and inlines the per-pin gain bumps; the
-``_reference`` family preserves the original accessor-walking code as
-the correctness oracle and benchmark baseline.  Those two run the same
-arithmetic in the same order (identical move sequences, identical RNG
-draws), which the golden-cut tests pin.  The ``numpy`` mode keeps the
-same sequential pass on small netlists but replaces it with the
-batched vectorized loop of :mod:`repro.fm.npengine` above
-``NP_ENGINE_MIN_MODULES`` modules (its own golden cuts; DESIGN.md
-§13).
+update loop of a pass — binds the flat incidence layer (``hg.csr``)
+into locals and inlines the per-pin gain bumps.  The common
+configuration (LIFO linked-list buckets, no boundary mode, no
+lookahead, recorder off) runs the fully inlined
+:func:`_move_loop_csr_ll`; every other one runs :func:`_move_loop_csr`,
+which makes the same moves in the same order.
 """
 
 from __future__ import annotations
@@ -38,7 +33,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
-from ..kernels import csr_enabled, kernel_mode, numpy_enabled
 from ..obs import metrics, recorder, tracer
 from ..partition import (BalanceConstraint, Partition, PartitionState, cut,
                          random_partition)
@@ -46,7 +40,6 @@ from ..partition.rebalance import rebalance_random
 from ..rng import SeedLike, make_rng
 from .buckets import _NIL, LinkedListBuckets, make_buckets
 from .config import FMConfig
-from .npengine import NP_ENGINE_MIN_MODULES, batch_refine, repair_balance
 
 __all__ = ["FMResult", "fm_bipartition"]
 
@@ -70,29 +63,11 @@ class FMResult:
 
 def _active_nets(hg: Hypergraph, max_net_size: int) -> Sequence[int]:
     """Nets small enough to refine; cached on the CSR layer."""
-    if csr_enabled():
-        return hg.csr.active_nets(max_net_size)
-    return [e for e in hg.all_nets() if hg.net_size(e) <= max_net_size]
-
-
-def _max_weighted_degree(hg: Hypergraph, active: List[bool]) -> int:
-    """Reference gain bound over an arbitrary active-flag vector."""
-    best = 0
-    for v in hg.modules():
-        d = sum(hg.net_weight(e) for e in hg.nets(v) if active[e])
-        if d > best:
-            best = d
-    return best
+    return hg.csr.active_nets(max_net_size)
 
 
 def _module_gain(state: PartitionState, v: int) -> int:
     """Weighted FM gain of moving module ``v`` to the other side."""
-    if csr_enabled():
-        return _module_gain_csr(state, v)
-    return _module_gain_reference(state, v)
-
-
-def _module_gain_csr(state: PartitionState, v: int) -> int:
     view = state.hg.csr
     net_weights = view.weights_list
     src = state.part_of[v]
@@ -110,45 +85,8 @@ def _module_gain_csr(state: PartitionState, v: int) -> int:
     return g
 
 
-def _module_gain_reference(state: PartitionState, v: int) -> int:
-    hg = state.hg
-    src = state.part_of[v]
-    dst = 1 - src
-    counts_src = state.counts[src]
-    counts_dst = state.counts[dst]
-    active = state.active
-    g = 0
-    for e in hg.nets(v):
-        if not active[e]:
-            continue
-        w = hg.net_weight(e)
-        if counts_src[e] == 1:
-            g += w
-        if counts_dst[e] == 0:
-            g -= w
-    return g
-
-
 def _initial_gains(state: PartitionState) -> List[int]:
     """Weighted FM gain of moving each module to the other side."""
-    if not csr_enabled():
-        return [_module_gain_reference(state, v)
-                for v in state.hg.modules()]
-    if numpy_enabled() and state.k == 2:
-        # Vectorized twin: one pin-parallel contribution sweep plus a
-        # bincount reduction.  Integer adds commute, so the vector is
-        # elementwise identical to both scalar kernels.
-        import numpy as np
-        npv = state.hg.csr.np
-        part = np.asarray(state.part_of, dtype=np.int8)
-        c0, c1 = npv.counts2(part)
-        if len(state._active_nets) == npv.num_nets:
-            pin_w = npv.pin_weights(None)
-        else:
-            mask = np.zeros(npv.num_nets, dtype=bool)
-            mask[np.asarray(state._active_nets, dtype=np.int64)] = True
-            pin_w = np.where(mask, npv.net_weights, 0)[npv.net_ids]
-        return npv.initial_gains2(part, c0, c1, pin_w).tolist()
     # Single flat sweep: no per-module function call, no per-pin
     # accessor dispatch.  When every net is active (the usual case)
     # the per-visit flag test disappears as well.
@@ -209,24 +147,13 @@ def _initial_gains(state: PartitionState) -> List[int]:
 
 def _boundary_modules(state: PartitionState) -> List[int]:
     """Modules incident to at least one cut active net."""
-    if csr_enabled():
-        view = state.hg.csr
-        module_nets = view.module_nets
-        spans = state.spans
-        active = state.active
-        out = []
-        for v in range(view.num_modules):
-            for e in module_nets[v]:
-                if active[e] and spans[e] > 1:
-                    out.append(v)
-                    break
-        return out
-    hg = state.hg
+    module_nets = state.hg.csr.module_nets
     spans = state.spans
+    active = state.active
     out = []
-    for v in hg.modules():
-        for e in hg.nets(v):
-            if state.active[e] and spans[e] > 1:
+    for v, nets_v in enumerate(module_nets):
+        for e in nets_v:
+            if active[e] and spans[e] > 1:
                 out.append(v)
                 break
     return out
@@ -270,10 +197,13 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                    ) -> Tuple[List[Tuple[int, int]], int]:
     """One FM pass's select/move/update loop over the CSR layer.
 
-    Mirrors :func:`_move_loop_reference` move for move; the speed comes
-    from local bindings of the flat views, inlined gain bumps (the
-    reference closure call per touched pin becomes two index ops), and
-    the buckets' O(1) relink ``update``.  The common configuration —
+    Selection takes the highest-gain balance-feasible module (with
+    lookahead, the best level-2..r gain vector among the feasible
+    members of the best bucket; first seen wins ties).  Gain updates
+    run in two phases around the move — phase A off the pre-move
+    counts, phase B off the post-move counts — with the flat views
+    bound locally and the buckets' O(1) relink ``update``.  The common
+    configuration —
     linked-list buckets, no boundary mode, no lookahead — takes the
     fully inlined :func:`_move_loop_csr_ll` below.
 
@@ -320,7 +250,11 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                 gains[u] += delta
                 update(u, gains[u])
             else:
-                # Newly on the boundary; see _move_loop_reference.
+                # Newly on the boundary.  Its full gain is computed
+                # once, from the post-move counts, after both update
+                # phases finish — applying per-net deltas here would
+                # double-count nets the fresh computation already
+                # sees.
                 pending.add(u)
 
     while len(buckets):
@@ -441,7 +375,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
 
         if pending:
             for u in pending:
-                gains[u] = _module_gain_csr(state, u)
+                gains[u] = _module_gain(state, u)
                 buckets.insert(u, gains[u])
             pending.clear()
 
@@ -813,143 +747,64 @@ def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
     state.soed_weight = soed_w
 
 
-def _move_loop_reference(state: PartitionState, buckets, gains: List[int],
-                         locked: List[bool], locked_counts,
-                         config: FMConfig, areas, lower: float, upper: float
-                         ) -> Tuple[List[Tuple[int, int]], int]:
-    """The original accessor-walking pass loop, preserved verbatim."""
-    hg = state.hg
-    part_of = state.part_of
-    counts = state.counts
-    active = state.active
-    rec = recorder()
-    rec_on = rec.enabled
-    cut_prev = state.cut_weight
+def report_run(engine: str, hg: Hypergraph, config: FMConfig, tr,
+               t_run: int, mx, wall0: float, passes: int, moves: int,
+               initial_cut: int, final_cut: int) -> None:
+    """Close one refinement call's ``fm.run`` span and metrics.
 
-    moves: List[Tuple[int, int]] = []
-    best_cut = state.cut_weight
-    best_index = 0
-    stall = 0
+    Shared by the exact engine (``engine="fm"``) and the batch engine
+    of :mod:`repro.fm.npengine` (``engine="batch"``).
+    """
+    if tr.enabled:
+        tr.end("fm.run", t_run, {
+            "modules": hg.num_modules, "engine": engine,
+            "clip": config.clip, "passes": passes,
+            "moves": moves, "initial_cut": initial_cut,
+            "cut": final_cut,
+        })
+    if mx.enabled:
+        mx.counter("repro_fm_runs_total",
+                   "FM engine invocations", engine=engine).inc()
+        mx.counter("repro_fm_passes_total",
+                   "FM passes executed", engine=engine).inc(passes)
+        mx.counter("repro_fm_moves_total",
+                   "FM moves attempted", engine=engine).inc(moves)
+        mx.histogram("repro_fm_run_seconds",
+                     "Wall time of one FM invocation",
+                     engine=engine).observe(time.perf_counter() - wall0)
 
-    pending: set = set()
-    if config.boundary:
-        def bump(u, delta):
-            if buckets.contains(u):
-                gains[u] += delta
-                buckets.update(u, gains[u])
-            else:
-                # Newly on the boundary.  Its full gain is computed
-                # once, from the post-move counts, after both update
-                # phases finish — applying per-net deltas here would
-                # double-count nets the fresh computation already
-                # sees.
-                pending.add(u)
-    else:
-        def bump(u, delta):
-            gains[u] += delta
-            buckets.update(u, gains[u])
 
-    while len(buckets):
-        chosen = -1
-        if locked_counts is None:
-            for v in buckets.iter_desc():
-                src = part_of[v]
-                a = areas[v]
-                if (state.part_area[src] - a >= lower
-                        and state.part_area[1 - src] + a <= upper):
-                    chosen = v
-                    break
+def prepare_start(hg: Hypergraph, initial: Optional[Partition],
+                  config: FMConfig, balance: Optional[BalanceConstraint],
+                  rng: random.Random, fixed: Optional[List[bool]],
+                  repair=None) -> Tuple[BalanceConstraint, Partition]:
+    """The balance constraint and the validated, feasible starting
+    bipartition of one refinement call.
+
+    ``initial=None`` draws a random start.  An infeasible start is
+    rebalanced by random moves (Section III-B), unless ``repair`` —
+    called as ``repair(initial, balance)`` — returns a feasible one
+    first.
+    """
+    if balance is None:
+        balance = BalanceConstraint.from_tolerance(hg, config.tolerance, k=2)
+    if initial is None:
+        initial = random_partition(hg, k=2, rng=rng)
+    elif initial.k != 2:
+        raise PartitionError(
+            f"bipartition refinement requires k=2, got k={initial.k}")
+    if fixed is not None and len(fixed) != hg.num_modules:
+        raise PartitionError(
+            f"fixed has length {len(fixed)}, expected {hg.num_modules}")
+    if not balance.is_feasible(initial.part_areas(hg)):
+        repaired = repair(initial, balance) if repair is not None else None
+        if repaired is not None:
+            initial = repaired
         else:
-            # Lookahead: among the feasible members of the best
-            # bucket (all tied on level-1 gain), pick the largest
-            # level-2..r gain vector; first-seen (LIFO) wins ties.
-            best_vec = None
-            chosen_gain = 0
-            for v in buckets.iter_desc():
-                if chosen >= 0 and gains[v] != chosen_gain:
-                    break
-                src = part_of[v]
-                a = areas[v]
-                if not (state.part_area[src] - a >= lower
-                        and state.part_area[1 - src] + a <= upper):
-                    continue
-                vec = _lookahead_vector(state, locked_counts, v,
-                                        config.lookahead)
-                if chosen < 0 or vec > best_vec:
-                    chosen = v
-                    best_vec = vec
-                    chosen_gain = gains[v]
-        if chosen < 0:
-            break  # no feasible move remains
-        buckets.remove(chosen)
-        locked[chosen] = True
-        src = part_of[chosen]
-        dst = 1 - src
-
-        # Gain updates, phase A: inspect pre-move counts.
-        for e in hg.nets(chosen):
-            if not active[e]:
-                continue
-            w = hg.net_weight(e)
-            cd = counts[dst][e]
-            if cd == 0:
-                for u in hg.pins(e):
-                    if not locked[u]:
-                        bump(u, w)
-            elif cd == 1:
-                for u in hg.pins(e):
-                    if not locked[u] and part_of[u] == dst:
-                        bump(u, -w)
-                        break
-
-        state.move(chosen, dst)
-        moves.append((chosen, src))
-        if rec_on:
-            cut_rec = state.cut_weight
-            rec.emit({"t": "mv", "i": len(moves) - 1, "m": chosen,
-                      "s": src, "g": cut_prev - cut_rec,
-                      "bg": gains[chosen], "c": cut_rec,
-                      "a0": state.part_area[0]})
-            cut_prev = cut_rec
-        if locked_counts is not None:
-            bumped = locked_counts[dst]
-            for e in hg.nets(chosen):
-                if active[e]:
-                    bumped[e] += 1
-
-        # Gain updates, phase B: inspect post-move counts.
-        for e in hg.nets(chosen):
-            if not active[e]:
-                continue
-            w = hg.net_weight(e)
-            cs = counts[src][e]
-            if cs == 0:
-                for u in hg.pins(e):
-                    if not locked[u]:
-                        bump(u, -w)
-            elif cs == 1:
-                for u in hg.pins(e):
-                    if not locked[u] and part_of[u] == src:
-                        bump(u, w)
-                        break
-
-        if pending:
-            for u in pending:
-                gains[u] = _module_gain_reference(state, u)
-                buckets.insert(u, gains[u])
-            pending.clear()
-
-        if state.cut_weight < best_cut:
-            best_cut = state.cut_weight
-            best_index = len(moves)
-            stall = 0
-        else:
-            stall += 1
-            if (config.early_exit_stall is not None
-                    and stall >= config.early_exit_stall):
-                break
-
-    return moves, best_index
+            movable = [not f for f in fixed] if fixed is not None else None
+            initial = rebalance_random(hg, initial, balance, rng=rng,
+                                       movable=movable)
+    return balance, initial
 
 
 def fm_bipartition(hg: Hypergraph,
@@ -979,75 +834,9 @@ def fm_bipartition(hg: Hypergraph,
     rec_on = rec.enabled
     t_run = tr.begin() if trace_on else 0
     wall0 = time.perf_counter() if mx.enabled else 0.0
-    if balance is None:
-        balance = BalanceConstraint.from_tolerance(hg, config.tolerance, k=2)
+    balance, initial = prepare_start(hg, initial, config, balance, rng,
+                                     fixed)
 
-    if initial is None:
-        initial = random_partition(hg, k=2, rng=rng)
-    elif initial.k != 2:
-        raise PartitionError(
-            f"fm_bipartition requires k=2, got k={initial.k}")
-    if fixed is not None and len(fixed) != hg.num_modules:
-        raise PartitionError(
-            f"fixed has length {len(fixed)}, expected {hg.num_modules}")
-    np_batch = (numpy_enabled() and config.lookahead == 1
-                and hg.num_modules >= NP_ENGINE_MIN_MODULES)
-    if not balance.is_feasible(initial.part_areas(hg)):
-        repaired = (repair_balance(hg, initial, config, balance, fixed)
-                    if np_batch else None)
-        if repaired is not None:
-            if rec_on:
-                rec.emit({"t": "repair", "n": sum(
-                    1 for a, b in zip(initial.assignment,
-                                      repaired.assignment) if a != b)})
-            initial = repaired
-        else:
-            movable = [not f for f in fixed] if fixed is not None else None
-            initial = rebalance_random(hg, initial, balance, rng=rng,
-                                       movable=movable)
-
-    if np_batch:
-        # Batched vectorized pass loop (see npengine): no buckets, no
-        # PartitionState — the whole pass runs on ndarray snapshots.
-        # Small netlists and lookahead configurations stay on the
-        # sequential CSR pass below.
-        initial_cut = cut(hg, initial)
-        if rec_on:
-            rec.emit({"t": "fm", "l": rec.level, "n": hg.num_modules,
-                      "mns": config.max_net_size, "np": 1,
-                      "clip": int(config.clip),
-                      "init": "".join(map(str, initial.assignment))})
-        assignment, internal_cut, passes, total_moves, pass_cuts = \
-            batch_refine(hg, initial, config, balance, fixed, tr)
-        final = Partition(assignment, 2)
-        final_cut = cut(hg, final)
-        if trace_on:
-            tr.end("fm.run", t_run, {
-                "modules": hg.num_modules, "mode": kernel_mode(),
-                "clip": config.clip, "passes": passes,
-                "moves": total_moves, "initial_cut": initial_cut,
-                "cut": final_cut,
-            })
-        if mx.enabled:
-            mode = kernel_mode()
-            mx.counter("repro_fm_runs_total",
-                       "FM engine invocations", mode=mode).inc()
-            mx.counter("repro_fm_passes_total",
-                       "FM passes executed", mode=mode).inc(passes)
-            mx.counter("repro_fm_moves_total",
-                       "FM moves attempted", mode=mode).inc(total_moves)
-            mx.histogram("repro_fm_run_seconds",
-                         "Wall time of one FM invocation",
-                         mode=mode).observe(time.perf_counter() - wall0)
-        return FMResult(partition=final,
-                        cut=final_cut,
-                        internal_cut=internal_cut,
-                        initial_cut=initial_cut,
-                        passes=passes,
-                        total_moves=total_moves,
-                        pass_cuts=pass_cuts)
-
-    use_csr = csr_enabled()
     active_list = _active_nets(hg, config.max_net_size)
     state = PartitionState(hg, initial, active_nets=active_list)
     if rec_on:
@@ -1055,10 +844,7 @@ def fm_bipartition(hg: Hypergraph,
                   "mns": config.max_net_size, "np": 0,
                   "clip": int(config.clip), "c": state.cut_weight,
                   "init": "".join(map(str, initial.assignment))})
-    if use_csr:
-        max_gain = hg.csr.max_weighted_degree(config.max_net_size)
-    else:
-        max_gain = _max_weighted_degree(hg, state.active)
+    max_gain = hg.csr.max_weighted_degree(config.max_net_size)
     bucket_range = 2 * max_gain if config.clip else max_gain
 
     initial_cut = cut(hg, initial)
@@ -1068,14 +854,12 @@ def fm_bipartition(hg: Hypergraph,
     pass_cuts: List[int] = []
     max_passes = config.max_passes or 1000
 
-    areas = hg.csr.areas_list if use_csr else hg.areas()
+    areas = hg.csr.areas_list
     part_of = state.part_of
     active = state.active
     lower, upper = balance.lower, balance.upper
-    move_loop = _move_loop_csr if use_csr else _move_loop_reference
-
-    def is_movable(v: int) -> bool:
-        return fixed is None or not fixed[v]
+    candidates = range(hg.num_modules) if fixed is None \
+        else [v for v in range(hg.num_modules) if not fixed[v]]
 
     while passes < max_passes:
         passes += 1
@@ -1089,22 +873,12 @@ def fm_bipartition(hg: Hypergraph,
             # LIFO insertion (at head) ascending order leaves the best
             # gain at the head; with FIFO (at tail) descending does.
             gains = _initial_gains(state)
-            if use_csr:
-                candidates = range(hg.num_modules) if fixed is None \
-                    else [v for v in range(hg.num_modules) if not fixed[v]]
-                order = sorted(candidates, key=gains.__getitem__)
-                if config.bucket_policy == "fifo":
-                    order.reverse()
-                if type(buckets) is LinkedListBuckets:
-                    buckets.fill_uniform(order, 0)
-                else:
-                    for v in order:
-                        buckets.insert(v, 0)
+            order = sorted(candidates, key=gains.__getitem__)
+            if config.bucket_policy == "fifo":
+                order.reverse()
+            if type(buckets) is LinkedListBuckets:
+                buckets.fill_uniform(order, 0)
             else:
-                order = sorted((v for v in hg.modules() if is_movable(v)),
-                               key=lambda v: gains[v])
-                if config.bucket_policy == "fifo":
-                    order.reverse()
                 for v in order:
                     buckets.insert(v, 0)
             gains = [0] * hg.num_modules
@@ -1115,19 +889,16 @@ def fm_bipartition(hg: Hypergraph,
             # boundary.
             gains = [0] * hg.num_modules
             for v in _boundary_modules(state):
-                if is_movable(v):
+                if fixed is None or not fixed[v]:
                     gains[v] = _module_gain(state, v)
                     buckets.insert(v, gains[v])
         else:
             gains = _initial_gains(state)
-            if use_csr and type(buckets) is LinkedListBuckets:
-                candidates = range(hg.num_modules) if fixed is None \
-                    else [v for v in range(hg.num_modules) if not fixed[v]]
+            if type(buckets) is LinkedListBuckets:
                 buckets.fill(candidates, gains)
             else:
-                for v in hg.modules():
-                    if is_movable(v):
-                        buckets.insert(v, gains[v])
+                for v in candidates:
+                    buckets.insert(v, gains[v])
 
         locked = [bool(f) for f in fixed] if fixed is not None \
             else [False] * hg.num_modules
@@ -1147,27 +918,23 @@ def fm_bipartition(hg: Hypergraph,
             bucket_inserts = len(buckets)
             cut_before = state.cut_weight
 
-        moves, best_index = move_loop(state, buckets, gains, locked,
-                                      locked_counts, config, areas,
-                                      lower, upper)
+        moves, best_index = _move_loop_csr(state, buckets, gains, locked,
+                                           locked_counts, config,
+                                           areas, lower, upper)
         total_moves += len(moves)
 
         # Roll back to the best prefix of the pass.
-        if use_csr:
-            _rollback_csr(state, moves, best_index,
-                          hg.csr.active_incidence(config.max_net_size))
-        else:
-            for v, original in reversed(moves[best_index:]):
-                state.move(v, original)
+        _rollback_csr(state, moves, best_index,
+                      hg.csr.active_incidence(config.max_net_size))
         pass_cuts.append(state.cut_weight)
         if rec_on:
             rec.emit({"t": "pass", "p": passes, "k": best_index,
                       "mv": len(moves), "c": state.cut_weight})
 
         if trace_on:
-            # Every counter here is a pure function of the (identical)
-            # move sequence, so the per-pass telemetry is bit-equal
-            # between the reference and CSR kernel families.
+            # Every counter here is a pure function of the move
+            # sequence, so the per-pass telemetry agrees with the
+            # recorder's ``pass`` events.
             tr.complete("fm.pass", t_pass, {
                 "pass": passes,
                 "moves_attempted": len(moves),
@@ -1186,24 +953,8 @@ def fm_bipartition(hg: Hypergraph,
 
     final = state.to_partition()
     final_cut = cut(hg, final)
-    if trace_on:
-        tr.end("fm.run", t_run, {
-            "modules": hg.num_modules, "mode": kernel_mode(),
-            "clip": config.clip, "passes": passes,
-            "moves": total_moves, "initial_cut": initial_cut,
-            "cut": final_cut,
-        })
-    if mx.enabled:
-        mode = kernel_mode()
-        mx.counter("repro_fm_runs_total",
-                   "FM engine invocations", mode=mode).inc()
-        mx.counter("repro_fm_passes_total",
-                   "FM passes executed", mode=mode).inc(passes)
-        mx.counter("repro_fm_moves_total",
-                   "FM moves attempted", mode=mode).inc(total_moves)
-        mx.histogram("repro_fm_run_seconds",
-                     "Wall time of one FM invocation",
-                     mode=mode).observe(time.perf_counter() - wall0)
+    report_run("fm", hg, config, tr, t_run, mx, wall0, passes,
+               total_moves, initial_cut, final_cut)
     return FMResult(partition=final,
                     cut=final_cut,
                     internal_cut=state.cut_weight,

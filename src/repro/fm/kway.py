@@ -23,7 +23,6 @@ from typing import List, Optional, Tuple
 
 from ..errors import ConfigError, PartitionError
 from ..hypergraph import Hypergraph
-from ..kernels import csr_enabled
 from ..partition import (BalanceConstraint, Partition, PartitionState, cut,
                          random_partition, soed)
 from ..partition.rebalance import rebalance_random
@@ -77,15 +76,7 @@ def _move_gain(state: PartitionState, module: int, dst: int,
 
 
 def _gain_bound(hg: Hypergraph, max_net_size: int, objective: str) -> int:
-    if csr_enabled():
-        best = hg.csr.max_weighted_degree(max_net_size)
-    else:
-        active = [hg.net_size(e) <= max_net_size for e in hg.all_nets()]
-        best = 0
-        for v in hg.modules():
-            d = sum(hg.net_weight(e) for e in hg.nets(v) if active[e])
-            if d > best:
-                best = d
+    best = hg.csr.max_weighted_degree(max_net_size)
     return 2 * best if objective == "soed" else best
 
 
@@ -142,7 +133,7 @@ def kway_partition(hg: Hypergraph,
     pass_values: List[int] = []
     max_passes = config.max_passes or 1000
 
-    areas = hg.csr.areas_list if csr_enabled() else hg.areas()
+    areas = hg.csr.areas_list
     part_of = state.part_of
     lower, upper = balance.lower, balance.upper
     num_items = hg.num_modules * k

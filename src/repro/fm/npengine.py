@@ -1,25 +1,25 @@
-"""Batched (vectorized) FM-style refinement for the ``numpy`` kernels.
+"""Batched (vectorized) FM-style refinement: the ``mlb`` engine.
 
 The sequential FM pass is inherently serial — each move's gain update
 feeds the next selection — so it cannot be vectorized move by move
-without losing exactly the property that makes it fast.  The ``numpy``
-kernel mode therefore swaps the *pass interior* for a batched
-gain-descent in the style of label-propagation / Jet-like refiners
-used by parallel multilevel partitioners (Mt-KaHyPar's LP refinement,
-arXiv:1511.03137 lineage): each *round* computes the full gain vector
-with one :meth:`~repro.hypergraph.npview.NumpyIncidence.initial_gains2`
-sweep, takes the positive-gain candidates sorted by ``(-gain, id)``,
-trims each direction's prefix to the balance window with a cumulative
-area ``searchsorted``, applies the whole batch with one scatter-add
-over incident nets, and keeps it iff the recomputed internal cut
-improved — otherwise the larger side's prefix is halved and retried
-(a single positive-gain move always improves, so a round either
-commits or proves no feasible positive candidate remains).  Moved
-modules lock for the rest of the pass, passes repeat until one fails
-to improve, exactly the outer FM discipline.
+without losing exactly the property that makes it fast.  The batch
+engine (``MLConfig.engine="batch"``, the ``mlb`` algorithm) therefore
+swaps the *pass interior* for a batched gain-descent in the style of
+label-propagation / Jet-like refiners used by parallel multilevel
+partitioners (Mt-KaHyPar's LP refinement, arXiv:1511.03137 lineage):
+each *round* computes the full gain vector with one
+:meth:`~repro.hypergraph.npview.NumpyIncidence.initial_gains2` sweep,
+takes the positive-gain candidates sorted by ``(-gain, id)``, trims
+each direction's prefix to the balance window with a cumulative area
+``searchsorted``, applies the whole batch with one scatter-add over
+incident nets, and keeps it iff the recomputed internal cut improved —
+otherwise the larger side's prefix is halved and retried (a single
+positive-gain move always improves, so a round either commits or
+proves no feasible positive candidate remains).  Moved modules lock
+for the rest of the pass, passes repeat until one fails to improve,
+exactly the outer FM discipline.
 
-Divergences from the sequential engines (documented in DESIGN.md §13;
-``numpy`` mode pins its own golden cuts):
+It is a different algorithm from the exact engines (DESIGN.md §13):
 
 * moves commit in batches without intra-batch gain updates, so the
   move sequence — and hence tie-breaking — differs from bucket FM;
@@ -28,33 +28,39 @@ Divergences from the sequential engines (documented in DESIGN.md §13;
 * CLIP preprocessing, bucket disciplines (LIFO/FIFO/random), boundary
   mode, and ``early_exit_stall`` are bucket-structure concepts with no
   batched analogue — the batched pass treats those configurations
-  identically (their RNG draws are simply not made; per-mode
-  determinism is unaffected);
+  identically (their RNG draws are simply not made);
 * balance trimming drops the *lowest-gain suffix* of an infeasible
   direction, where sequential FM would skip an oversized module and
-  still take smaller lower-gain ones.
+  still take smaller lower-gain ones;
+* an infeasible starting solution is repaired cut-aware
+  (:func:`repair_balance`) before falling back to random moves.
 
 Everything else — the active-net threshold, balance window, ``fixed``
 modules, ``max_passes``, pass/cut accounting — matches the sequential
 engines.  Netlists below :data:`NP_ENGINE_MIN_MODULES` (and any
-``lookahead > 1`` configuration) keep the sequential CSR pass, whose
-arithmetic ``numpy`` mode shares bit for bit: at the coarsest levels
+``lookahead > 1`` configuration) run the exact sequential engine
+(:func:`~repro.fm.engine.fm_bipartition`): at the coarsest levels
 quality hinges on the exact hill-climbing pass and the arrays are too
 small to amortise dispatch.
 """
 
 from __future__ import annotations
 
+import random
+import time
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..hypergraph import Hypergraph
-from ..obs import recorder
+from ..obs import metrics, recorder, tracer
 from ..partition import BalanceConstraint, Partition
+from ..rng import SeedLike, make_rng
 from .config import FMConfig
+from .engine import FMResult, fm_bipartition, prepare_start, report_run
 
-__all__ = ["NP_ENGINE_MIN_MODULES", "batch_refine", "repair_balance"]
+__all__ = ["NP_ENGINE_MIN_MODULES", "batch_bipartition", "batch_refine",
+           "repair_balance"]
 
 # Below this module count the sequential CSR pass wins on both time
 # (fixed ndarray-dispatch overhead per round) and quality (exact
@@ -435,3 +441,59 @@ def batch_refine(hg: Hypergraph, initial: Partition, config: FMConfig,
         best_overall = cut_internal
 
     return (part.tolist(), cut_internal, passes, total_moves, pass_cuts)
+
+
+def batch_bipartition(hg: Hypergraph,
+                      initial: Optional[Partition] = None,
+                      config: Optional[FMConfig] = None,
+                      balance: Optional[BalanceConstraint] = None,
+                      seed: SeedLike = None,
+                      rng: Optional[random.Random] = None,
+                      fixed: Optional[List[bool]] = None) -> FMResult:
+    """Refine (or create) a bipartitioning of ``hg`` with the batch
+    engine; same signature and result shape as
+    :func:`~repro.fm.engine.fm_bipartition`, which it delegates to
+    below :data:`NP_ENGINE_MIN_MODULES` modules or with lookahead."""
+    config = config or FMConfig()
+    if config.lookahead > 1 or hg.num_modules < NP_ENGINE_MIN_MODULES:
+        return fm_bipartition(hg, initial, config, balance, seed=seed,
+                              rng=rng, fixed=fixed)
+    rng = rng if rng is not None else make_rng(seed)
+    tr = tracer()
+    mx = metrics()
+    rec = recorder()
+    t_run = tr.begin() if tr.enabled else 0
+    wall0 = time.perf_counter() if mx.enabled else 0.0
+
+    def repair(start: Partition, window: BalanceConstraint):
+        repaired = repair_balance(hg, start, config, window, fixed)
+        if repaired is not None and rec.enabled:
+            rec.emit({"t": "repair", "n": sum(
+                1 for a, b in zip(start.assignment, repaired.assignment)
+                if a != b)})
+        return repaired
+
+    balance, initial = prepare_start(hg, initial, config, balance, rng,
+                                     fixed, repair)
+
+    # Cuts are measured on the full netlist (large nets re-included),
+    # vectorized like everything else this engine does.
+    view = hg.csr.np
+    initial_cut = view.cut2(np.asarray(initial.assignment, dtype=np.int8))
+    if rec.enabled:
+        rec.emit({"t": "fm", "l": rec.level, "n": hg.num_modules,
+                  "mns": config.max_net_size, "np": 1,
+                  "clip": int(config.clip),
+                  "init": "".join(map(str, initial.assignment))})
+    assignment, internal_cut, passes, total_moves, pass_cuts = \
+        batch_refine(hg, initial, config, balance, fixed, tr)
+    final_cut = view.cut2(np.asarray(assignment, dtype=np.int8))
+    report_run("batch", hg, config, tr, t_run, mx, wall0, passes,
+               total_moves, initial_cut, final_cut)
+    return FMResult(partition=Partition(assignment, 2),
+                    cut=final_cut,
+                    internal_cut=internal_cut,
+                    initial_cut=initial_cut,
+                    passes=passes,
+                    total_moves=total_moves,
+                    pass_cuts=pass_cuts)

@@ -107,7 +107,7 @@ def ml_algorithm(engine: str = "clip", ratio: float = 1.0,
     """ML_F / ML_C with matching ratio ``R`` and threshold ``T``."""
     config = MLConfig(engine=engine, matching_ratio=ratio,
                       coarsening_threshold=threshold, **kwargs)
-    label = name or f"ML{'C' if engine == 'clip' else 'F'}(R={ratio:g})"
+    label = name or f"ML{engine[0].upper()}(R={ratio:g})"
     return Algorithm(label,
                      lambda hg, s: ml_bipartition(hg, config=config, seed=s))
 

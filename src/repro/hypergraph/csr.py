@@ -65,7 +65,7 @@ class CSRIncidence:
 
         # Kernel twins share the hypergraph's own (immutable) lists and
         # tuples — no copy, and list indexing returns existing objects.
-        # Flat-built netlists (the numpy-mode coarsening path) defer
+        # Flat-built netlists (the vectorized coarsening path) defer
         # the tuple twins: they materialise through the hypergraph's
         # lazy properties only if a scalar kernel actually asks.
         self.weights_list = hg._net_weights

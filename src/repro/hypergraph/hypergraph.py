@@ -159,13 +159,12 @@ class Hypergraph:
                    name: str = "") -> "Hypergraph":
         """Construct from pre-validated flat pin arrays (ndarrays).
 
-        The ``numpy`` kernel path of :func:`repro.clustering.induce`
-        produces coarse netlists directly in CSR form (net ``e``'s pins
-        are ``pins_flat[xpins[e]:xpins[e+1]]``, sorted and distinct).
-        The tuple incidence structures — which only the scalar kernels
-        read — are materialised lazily on first access, so a multilevel
-        run under the ``numpy`` kernels never pays for building them on
-        the large levels.  Same invariants as :meth:`_trusted`.
+        The vectorized path of :func:`repro.clustering.induce` produces
+        coarse netlists directly in CSR form (net ``e``'s pins are
+        ``pins_flat[xpins[e]:xpins[e+1]]``, sorted and distinct).  The
+        tuple incidence structures — which only the scalar kernels
+        read — are materialised lazily on first access, so an ``mlb``
+        run never pays for building them on the large levels.  Same invariants as :meth:`_trusted`.
         """
         self = cls.__new__(cls)
         self.name = name

@@ -21,13 +21,16 @@ vector — net weights with inactive nets zeroed, so kernels never test
 an ``active[e]`` flag) are cached per ``max_net_size`` exactly like
 ``CSRIncidence.active_nets``.
 
-Arithmetic contract (DESIGN.md §13): the kernels implemented here are
-pure integer counting, so their results are bit-identical to the
-scalar modes regardless of reduction order.  Float accumulations that
-must match the scalar modes bit-for-bit (matching scores, cluster
-areas) are *not* hosted here — they live with their call sites and use
+Its users are the ``mlb`` algorithm's batch engine
+(:mod:`repro.fm.npengine`) and the vectorized coarsening that feeds it
+(``match``/``induce`` with ``vectorized=True``).  Arithmetic contract
+(DESIGN.md §13): the kernels implemented here are pure integer
+counting, so their results are bit-identical to the scalar kernels
+regardless of reduction order.  Float accumulations that must match
+the scalar kernels bit-for-bit (matching scores, cluster areas) are
+*not* hosted here — they live with their call sites and use
 ``np.add.at``/``np.bincount``, whose element-order C loops reproduce
-the reference accumulation order (``np.sum``/``reduceat`` pairwise
+the scalar accumulation order (``np.sum``/``reduceat`` pairwise
 summation would not).
 """
 
@@ -76,11 +79,11 @@ class NumpyIncidence:
                    pins_flat: np.ndarray) -> "NumpyIncidence":
         """Build from a flat-constructed hypergraph's own pin arrays.
 
-        The numpy-mode coarsening path (``induce``) emits coarse
-        netlists directly as ``(xpins, pins_flat)`` ndarrays; reusing
-        them here skips the tuple twins entirely, so a multilevel run
-        under the numpy kernels never materialises per-net tuples on
-        the large levels.
+        The vectorized coarsening path (``induce(..., vectorized=True)``)
+        emits coarse netlists directly as ``(xpins, pins_flat)``
+        ndarrays; reusing them here skips the tuple twins entirely, so
+        an ``mlb`` run never materialises per-net tuples on the large
+        levels.
         """
         self = object.__new__(cls)
         self.num_modules = csr.num_modules
@@ -187,7 +190,7 @@ class NumpyIncidence:
 
     # ------------------------------------------------------------------
     # Vectorized kernels (k == 2).  Pure integer counting: bit-identical
-    # to the scalar modes by commutativity of integer addition.
+    # to the scalar kernels by commutativity of integer addition.
     # ------------------------------------------------------------------
 
     def counts2(self, part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,8 @@ module reduces a trace to those shapes:
   argument).
 
 All counters are pure functions of the move sequence, so the tables
-are identical under the reference and CSR kernel modes and stable for
-a fixed seed — golden-testable, and safe to diff across commits.
+are stable for a fixed seed — golden-testable, and safe to diff
+across commits.
 
 The *decision* recordings of :mod:`repro.obs.recorder` enable a finer
 pair of views (``repro report --record``):

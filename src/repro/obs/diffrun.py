@@ -1,7 +1,7 @@
 """``repro diff-run``: align two recordings, explain the divergence.
 
-Given two decision recordings of the *same circuit* — csr vs numpy
-kernels, seed vs seed, or before/after a code change — this module
+Given two decision recordings of the *same circuit* — mlc vs mlb,
+seed vs seed, or before/after a code change — this module
 answers the question the hand-pinned golden cuts cannot: **which
 decision diverged first, and in what context?**
 
@@ -20,7 +20,7 @@ Alignment rules (DESIGN.md §16 is normative):
    decision key agree: ``(v, w)`` for a merge, ``(m, s, c)`` for a
    move, ``(mods, c)`` for a batch/polish commit.  Consequence fields
    with float arithmetic (``a0``) are excluded — reassociated sums may
-   differ harmlessly across kernel families.
+   differ harmlessly across refinement engines.
 4. The first mismatching ordinal is *the* divergence; everything after
    it is cascade.  Its report carries the local context of both
    streams: the enclosing level / refinement block / pass, and a

@@ -25,11 +25,12 @@ One JSON object per line.  Stable identity fields: ``schema``,
 ``kind``, ``algorithm``, ``circuit``, ``runs``, ``jobs``, ``seed``,
 ``fingerprint`` (SHA-256 of :meth:`PortfolioResult.fingerprint`, the
 scheduling-independent outcome digest), ``config_hash``, ``git_sha``,
-``kernel_mode``, ``numpy_version`` (``None`` when numpy is absent —
-the vectorized kernels' results depend on it the way scalar results
-depend on the Python version), ``statuses``,
-``cuts``/``min_cut``/``median_cut``.  Readers treat every field as
-optional, so entries written before a field existed stay readable.
+``numpy_version`` (``None`` when numpy is absent — the ``mlb``
+algorithm's results depend on it the way scalar results depend on the
+Python version), ``statuses``, ``cuts``/``min_cut``/``median_cut``.
+Readers treat every field as optional, so entries written before a
+field existed stay readable, and so do entries that carry a field no
+longer written (e.g. the old kernel-mode stamp).
 Volatile fields (excluded by :func:`stable_view`, the
 "byte-stable modulo timestamps" contract): ``ts``, ``wall_seconds``,
 ``cpu_seconds``, ``run_wall``, ``run_cpu``, ``phases``.
@@ -124,7 +125,7 @@ def git_sha(cwd: Union[str, Path, None] = None) -> Optional[str]:
 
 def _numpy_version() -> Optional[str]:
     """Installed numpy version, or ``None`` — stamped into every entry
-    so numpy-mode fingerprints can be audited against the library that
+    so ``mlb`` fingerprints can be audited against the library that
     produced them."""
     try:
         import numpy
@@ -180,7 +181,6 @@ def build_entry(result, portfolio, jobs: int = 1,
     ``portfolio`` the :class:`~repro.runtime.Portfolio` that produced
     it.  Pure construction — nothing is written.
     """
-    from ..kernels import kernel_mode
     from ..runtime.records import fingerprint_digest
     cuts = result.cuts
     statuses: Dict[str, int] = {}
@@ -199,7 +199,6 @@ def build_entry(result, portfolio, jobs: int = 1,
         "fingerprint": fingerprint,
         "config_hash": _config_hash(portfolio, jobs),
         "git_sha": git_sha(),
-        "kernel_mode": kernel_mode(),
         "numpy_version": _numpy_version(),
         "statuses": statuses,
         "cuts": list(cuts),

@@ -32,8 +32,10 @@ Design constraints, in priority order:
 
 Event vocabulary (schema version 1; DESIGN.md §16 is normative):
 
-``{"t":"start","i":..,"seed":..,"mode":..,"alg":..}``
-    Header of one portfolio start.  ``mode`` is the kernel mode.
+``{"t":"start","i":..,"seed":..,"alg":..}``
+    Header of one portfolio start; ``alg`` names the algorithm.
+    Recordings written while a process-global kernel mode existed also
+    carry a ``mode`` field, which readers ignore.
 ``{"t":"merge","v":..,"w":..}``
     The matcher opened a cluster seeded by module ``v`` and merged
     module ``w`` into it (``w = -1``: ``v`` stayed a singleton by
@@ -77,7 +79,9 @@ Event vocabulary (schema version 1; DESIGN.md §16 is normative):
     order), leaving internal cut ``c``.
 ``{"t":"result","i":..,"cut":..,"assign":"0101..."}``
     Footer of one start: the full-netlist cut and final assignment the
-    portfolio recorded — the replay engine's bit-identity target.
+    portfolio recorded — the replay engine's bit-identity target.  A
+    k-way result adds ``"k"``; its ``assign`` is one digit per module
+    for ``k <= 10`` and a list of part ids beyond.
 
 Reading uses the same tolerant JSONL discipline as the run ledger and
 the access log: corrupt or truncated lines are skipped with a warning,

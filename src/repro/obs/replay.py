@@ -24,10 +24,10 @@ against fresh structures built from the *finest netlist only*:
   assignments (the portfolio keeps the best candidate, so *which*
   block is not recorded — membership is the contract).
 
-Because every engine family writes the same vocabulary, replaying a
-``numpy``-mode recording audits the batched kernels with the scalar
-state arithmetic and vice versa — an executable cross-check of all
-three gain implementations.
+Because both refinement engines write the same vocabulary, replaying
+an ``mlb`` recording audits the batch engine's vectorized cuts with
+the scalar state arithmetic, and replaying an exact-engine recording
+audits its incremental bookkeeping the same way.
 
 Netlist registry: rebuilt coarse netlists are keyed by module count
 (coarsening strictly shrinks the count, and v-cycle chains re-register
@@ -268,12 +268,14 @@ class _StartReplay:
         assign = ev.get("assign")
         if assign is None:
             return
-        assignment = [1 if ch == "1" else 0 for ch in assign]
+        k = ev.get("k", 2)
+        assignment = ([int(ch) for ch in assign] if isinstance(assign, str)
+                      else list(assign))
         if len(assignment) != self.root.num_modules:
             self._fail(f"result: assignment length {len(assignment)} != "
                        f"{self.root.num_modules} modules")
             return
-        measured = cut(self.root, Partition(assignment, 2))
+        measured = cut(self.root, Partition(assignment, k))
         if measured != ev["cut"]:
             self._fail(f"result: re-measured cut {measured} != recorded "
                        f"{ev['cut']}")

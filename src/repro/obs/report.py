@@ -4,7 +4,7 @@ Turns the append-only ledger (and optionally a trace file) into the
 report a human actually reads after a sweep:
 
 * **Latest runs** — the newest ledger entry per (circuit, algorithm)
-  key: runs, min/median cut, wall time, kernel mode, git SHA;
+  key: runs, min/median cut, wall time, git SHA;
 * **Trends** — where a key has more than one recorded generation, the
   latest entry is compared against the previous one with the
   statistical comparator (median + sign test), and the verdict is
@@ -61,7 +61,7 @@ def _runs_tables(entries: List[Dict[str, object]]) -> List[Table]:
         latest_rows.append([
             key, latest.get("runs"), ok, latest.get("min_cut"),
             latest.get("median_cut"), latest.get("wall_seconds"),
-            latest.get("kernel_mode"), latest.get("git_sha"),
+            latest.get("git_sha"),
             latest.get("ts"),
         ])
         if len(history) >= 2:
@@ -86,7 +86,7 @@ def _runs_tables(entries: List[Dict[str, object]]) -> List[Table]:
     tables: List[Table] = [(
         "Latest runs",
         ["circuit/algorithm", "runs", "ok", "min cut", "median cut",
-         "wall s", "kernels", "git", "when"],
+         "wall s", "git", "when"],
         latest_rows)]
     if trend_rows:
         tables.append((

@@ -13,7 +13,6 @@ from typing import Sequence
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
-from ..kernels import csr_enabled, numpy_enabled
 from .solution import Partition
 
 __all__ = ["cut", "soed", "spans"]
@@ -40,40 +39,17 @@ def cut(hg: Hypergraph, partition: Partition) -> int:
     """
     _check(hg, partition)
     assignment = partition.assignment
+    # Final-quality measurement runs once per engine call but over
+    # *all* nets (large ones re-included), so it shows up in multilevel
+    # profiles; one sweep over the flat views.
+    view = hg.csr
+    net_weights = view.weights_list
     total = 0
-    if numpy_enabled():
-        # A net is cut iff its pins' parts are not all equal; per-net
-        # segment min/max over the flat pin array answers that for any
-        # k.  Integer comparisons only, so the result is exact and
-        # identical to the scalar sweeps.
-        import numpy as np
-        view = hg.csr.np
-        if view.num_nets == 0:
-            return 0
-        pin_parts = np.asarray(assignment, dtype=np.int64)[view.pins_flat]
-        starts = view.xpins[:-1]
-        lo = np.minimum.reduceat(pin_parts, starts)
-        hi = np.maximum.reduceat(pin_parts, starts)
-        return int(view.net_weights[lo != hi].sum())
-    if csr_enabled():
-        # Final-quality measurement runs once per engine call but over
-        # *all* nets (large ones re-included), so it shows up in
-        # multilevel profiles; same sweep over the flat views.
-        view = hg.csr
-        net_weights = view.weights_list
-        for e, pins in enumerate(view.net_pins):
-            first = assignment[pins[0]]
-            for v in pins:
-                if assignment[v] != first:
-                    total += net_weights[e]
-                    break
-        return total
-    for e in hg.all_nets():
-        pins = hg.pins(e)
+    for e, pins in enumerate(view.net_pins):
         first = assignment[pins[0]]
         for v in pins:
             if assignment[v] != first:
-                total += hg.net_weight(e)
+                total += net_weights[e]
                 break
     return total
 

@@ -67,14 +67,6 @@ class Partition:
             raise PartitionError(
                 f"partition covers {len(self.assignment)} modules but "
                 f"hypergraph has {hg.num_modules}")
-        from ..kernels import numpy_enabled
-        if numpy_enabled() and len(self.assignment) >= 1024:
-            # Weighted bincount accumulates in ascending module order —
-            # the same order as the scalar loop, so bit-identical.
-            import numpy as np
-            return np.bincount(np.asarray(self.assignment),
-                               weights=hg.csr.np.areas,
-                               minlength=self.k).tolist()
         areas = [0.0] * self.k
         for v, p in enumerate(self.assignment):
             areas[p] += hg.area(v)

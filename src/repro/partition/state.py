@@ -14,15 +14,9 @@ LSMC descents) share.  A state may be restricted to a subset of
 (200 in the paper) and measure final quality on the full netlist via
 :mod:`repro.partition.objectives`.
 
-Three kernel families implement the O(pins) construction sweep (see
-:mod:`repro.kernels`): the default binds the flat CSR incidence layer
-(``hg.csr``) locally and performs only index operations per pin; the
-numpy family computes the k==2 tallies as whole-netlist ``bincount``
-reductions over ``hg.csr.np``; the reference family preserves the
-original per-call accessor walk (``hg.pins(e)`` / ``hg.net_weight(e)``)
-as the correctness oracle and benchmark baseline.  All construction
-sweeps are integer sums, so every cached quantity — and every
-downstream RNG draw — is bit-identical across the three.
+The O(pins) construction sweep and every move bind the flat CSR
+incidence layer (``hg.csr``) locally and perform only index operations
+per pin.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
-from ..kernels import csr_enabled, numpy_enabled
 from .solution import Partition
 
 __all__ = ["PartitionState"]
@@ -67,25 +60,19 @@ class PartitionState:
         self.k = partition.k
         self.part_of: List[int] = list(partition.assignment)
 
-        # Kernel family is sampled once per state; `move` dispatches on
-        # the cached view so the choice costs nothing per pin.
-        self._view = hg.csr if csr_enabled() else None
+        self._view = hg.csr
         # Objective values at the best prefix of the latest inlined FM
         # pass (set by the engine's pass loop, consumed by rollback).
         self._pass_best: Optional[Tuple[int, int]] = None
 
         self.part_area = [0.0] * self.k
-        areas = self._view.areas_list if self._view is not None \
-            else hg._areas
+        areas = self._view.areas_list
         for v, p in enumerate(self.part_of):
             self.part_area[p] += areas[v]
 
         if active_nets is None:
             self.active = [True] * hg.num_nets
-            if self._view is not None:
-                self._active_nets = self._view.all_nets()
-            else:
-                self._active_nets = tuple(hg.all_nets())
+            self._active_nets = self._view.all_nets()
         else:
             self.active = [False] * hg.num_nets
             for e in active_nets:
@@ -97,35 +84,9 @@ class PartitionState:
         self.spans: List[int] = [0] * hg.num_nets
         self.cut_weight = 0
         self.soed_weight = 0
-        if self._view is not None and self.k == 2 and numpy_enabled():
-            self._init_counts_numpy()
-        elif self._view is not None:
-            self._init_counts_csr()
-        else:
-            self._init_counts_reference()
+        self._init_counts()
 
-    def _init_counts_numpy(self) -> None:
-        """Vectorized k==2 construction sweep (bit-identical: the
-        tallies, spans, and objectives are integer sums, which commute
-        regardless of reduction order)."""
-        import numpy as np
-        view = self._view.np
-        part = np.asarray(self.part_of, dtype=np.int8)
-        c0, c1 = view.counts2(part)
-        if len(self._active_nets) != view.num_nets:
-            mask = np.zeros(view.num_nets, dtype=bool)
-            mask[np.asarray(self._active_nets, dtype=np.int64)] = True
-            c0 = np.where(mask, c0, 0)
-            c1 = np.where(mask, c1, 0)
-        spans = (c0 > 0).astype(np.int64) + (c1 > 0)
-        cut_nets = spans > 1
-        weights = view.net_weights
-        self.cut_weight = int(weights[cut_nets].sum())
-        self.soed_weight = int((weights * spans)[cut_nets].sum())
-        self.counts = [c0.tolist(), c1.tolist()]
-        self.spans = spans.tolist()
-
-    def _init_counts_csr(self) -> None:
+    def _init_counts(self) -> None:
         """Construction sweep over the flat incidence layer."""
         view = self._view
         net_pins = view.net_pins
@@ -172,22 +133,6 @@ class PartitionState:
         self.cut_weight = cut_w
         self.soed_weight = soed_w
 
-    def _init_counts_reference(self) -> None:
-        """The original accessor-walking construction sweep."""
-        hg = self.hg
-        for e in self._active_nets:
-            present = 0
-            for v in hg.pins(e):
-                p = self.part_of[v]
-                if self.counts[p][e] == 0:
-                    present += 1
-                self.counts[p][e] += 1
-            self.spans[e] = present
-            if present > 1:
-                w = hg.net_weight(e)
-                self.cut_weight += w
-                self.soed_weight += w * present
-
     # ------------------------------------------------------------------
 
     def active_nets(self) -> Tuple[int, ...]:
@@ -208,45 +153,7 @@ class PartitionState:
         if src == dst:
             return
         view = self._view
-        if view is not None:
-            area = view.areas_list[module]
-            self.part_of[module] = dst
-            self.part_area[src] -= area
-            self.part_area[dst] += area
-
-            counts_src = self.counts[src]
-            counts_dst = self.counts[dst]
-            active = self.active
-            spans = self.spans
-            net_weights = view.weights_list
-            cut_w = self.cut_weight
-            soed_w = self.soed_weight
-            for e in view.module_nets[module]:
-                if not active[e]:
-                    continue
-                w = net_weights[e]
-                s = spans[e]
-                c = counts_src[e] - 1
-                counts_src[e] = c
-                if c == 0:
-                    s -= 1
-                    soed_w -= w if s > 1 else (2 * w if s == 1 else 0)
-                    if s == 1:
-                        cut_w -= w
-                c = counts_dst[e] + 1
-                counts_dst[e] = c
-                if c == 1:
-                    s += 1
-                    soed_w += w if s > 2 else (2 * w if s == 2 else 0)
-                    if s == 2:
-                        cut_w += w
-                spans[e] = s
-            self.cut_weight = cut_w
-            self.soed_weight = soed_w
-            return
-
-        hg = self.hg
-        area = hg.area(module)
+        area = view.areas_list[module]
         self.part_of[module] = dst
         self.part_area[src] -= area
         self.part_area[dst] += area
@@ -255,24 +162,31 @@ class PartitionState:
         counts_dst = self.counts[dst]
         active = self.active
         spans = self.spans
-        for e in hg.nets(module):
+        net_weights = view.weights_list
+        cut_w = self.cut_weight
+        soed_w = self.soed_weight
+        for e in view.module_nets[module]:
             if not active[e]:
                 continue
-            w = hg.net_weight(e)
+            w = net_weights[e]
             s = spans[e]
-            counts_src[e] -= 1
-            if counts_src[e] == 0:
+            c = counts_src[e] - 1
+            counts_src[e] = c
+            if c == 0:
                 s -= 1
-                self.soed_weight -= w if s > 1 else (2 * w if s == 1 else 0)
+                soed_w -= w if s > 1 else (2 * w if s == 1 else 0)
                 if s == 1:
-                    self.cut_weight -= w
-            counts_dst[e] += 1
-            if counts_dst[e] == 1:
+                    cut_w -= w
+            c = counts_dst[e] + 1
+            counts_dst[e] = c
+            if c == 1:
                 s += 1
-                self.soed_weight += w if s > 2 else (2 * w if s == 2 else 0)
+                soed_w += w if s > 2 else (2 * w if s == 2 else 0)
                 if s == 2:
-                    self.cut_weight += w
+                    cut_w += w
             spans[e] = s
+        self.cut_weight = cut_w
+        self.soed_weight = soed_w
 
     # ------------------------------------------------------------------
 

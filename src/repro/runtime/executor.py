@@ -82,20 +82,18 @@ Completed = Optional[Dict[int, RunRecord]]
 def _verify_result(portfolio: Portfolio, result: object) -> Optional[str]:
     """Trust-but-verify: recompute the solution's objectives from scratch.
 
-    Uses the *reference* kernels (never the CSR twins), so with the CSR
-    kernels active this doubles as a cross-mode oracle: any divergence
-    between the two implementations surfaces as an ``invalid`` record.
+    The cut is re-measured over the full netlist from the partition
+    alone, so a result whose reported cut or assignment was corrupted
+    after the engine finished surfaces as an ``invalid`` record.
     Returns an error message, or ``None`` when the result checks out.
     """
     partition = getattr(result, "partition", None)
     if partition is None:
         return "verify: result exposes no partition to check"
-    from ..kernels import use_kernels
     from ..partition.balance import BalanceConstraint
-    from ..partition.objectives import cut as reference_cut
+    from ..partition.objectives import cut
     try:
-        with use_kernels("reference"):
-            recomputed = reference_cut(portfolio.hg, partition)
+        recomputed = cut(portfolio.hg, partition)
         reported = getattr(result, "cut", None)
         if recomputed != reported:
             return (f"verify: reported cut {reported} != recomputed cut "
@@ -153,9 +151,8 @@ def _execute_start(portfolio: Portfolio, index: int, seed: int,
         parent_recorder = set_recorder(rec_buffer)
         rc = rec_buffer
     if rc.enabled:
-        from ..kernels import kernel_mode
         rc.emit({"t": "start", "i": index, "seed": seed,
-                 "mode": kernel_mode(), "alg": portfolio.name})
+                 "alg": portfolio.name})
     # Request-scoped correlation: every event below (this function's
     # spans and everything portfolio.fn emits) carries the portfolio's
     # trace_id.  Entered by hand because the exits interleave with the
@@ -191,10 +188,13 @@ def _execute_start(portfolio: Portfolio, index: int, seed: int,
             # injected corruption, which is a downstream fault, not a
             # decision.  The replay engine re-measures this cut and
             # matches the assignment bit for bit.
-            rc.emit({"t": "result", "i": index, "cut": result.cut,
-                     "assign": "".join(
-                         "1" if side else "0"
-                         for side in partition.assignment)})
+            footer = {"t": "result", "i": index, "cut": result.cut,
+                      "assign": "".join(map(str, partition.assignment))}
+            if partition.k != 2:
+                footer["k"] = partition.k
+                if partition.k > 10:
+                    footer["assign"] = list(partition.assignment)
+            rc.emit(footer)
         if corrupting is not None:
             result = injector.corrupt(corrupting, index, attempt,
                                       portfolio.hg, result)

@@ -45,8 +45,8 @@ def ml_reuse_algorithm(config: Optional[MLConfig] = None,
     modes.
     """
     config = config or MLConfig()
-    label = name or ("ML{}(R={:g})".format(
-        "C" if config.engine == "clip" else "F", config.matching_ratio))
+    label = name or "ML{}(R={:g})".format(
+        config.engine[0].upper(), config.matching_ratio)
 
     def run(hg: Hypergraph, seed: int):
         return ml_bipartition(hg, config=config, seed=seed,

@@ -300,7 +300,6 @@ class ServiceEngine:
     def __init__(self, jobs: int = 1, result_entries: int = 256,
                  netlist_entries: int = 32, hierarchy_entries: int = 8,
                  spool_dir: Optional[str] = None,
-                 kernels: Optional[str] = None,
                  default_deadline_ms: Optional[int] = 300_000,
                  max_queued: Optional[int] = 32,
                  breaker_failures: int = 3,
@@ -308,13 +307,6 @@ class ServiceEngine:
                  retries: int = 0,
                  faults=None):
         self.jobs = jobs
-        # Kernel mode is process-global and fork-inherited, so it must
-        # be pinned before the first executor pool spawns workers; the
-        # lane re-asserts it per batch in case anything else flipped it.
-        self.kernels = kernels
-        if kernels is not None:
-            from ..kernels import set_kernel_mode
-            set_kernel_mode(kernels)
         if default_deadline_ms is not None and default_deadline_ms < 1:
             raise ProtocolError(
                 f"default_deadline_ms must be >= 1, "
@@ -548,9 +540,6 @@ class ServiceEngine:
         health after, so a netlist that keeps crashing or timing out
         stops occupying the lane with full portfolios.
         """
-        if self.kernels is not None:
-            from ..kernels import set_kernel_mode
-            set_kernel_mode(self.kernels)
         request0 = batch[0].request
         netlist_key = canonical_json(request0.netlist.key)
         plan = self.breaker.plan(netlist_key)
@@ -656,19 +645,10 @@ class ServiceEngine:
         return self._payload(run, result, hg)
 
     def _run_degraded(self, run: PendingRun, hg) -> dict:
-        """Breaker-open fallback: one start of the cheapest kernel in
-        the *same cut class* instead of the request's full portfolio.
-
-        Kernel mode is process-global and the event loop computes
-        request keys (which embed the cut class) concurrently with this
-        thread, so the fallback must never cross cut classes:
-        ``reference`` drops to ``csr`` (bit-identical results, cheaper
-        inner loops), ``numpy`` stays ``numpy``.
-        """
-        from ..kernels import cut_class, kernel_mode, set_kernel_mode
+        """Breaker-open fallback: one start of the request's own
+        algorithm and seed instead of its full portfolio, run inline
+        on the lane thread."""
         request = run.request
-        previous = kernel_mode()
-        cheap = "numpy" if cut_class(previous) == "numpy" else "csr"
         algorithm = self._algorithm_for(request, hg)
         portfolio = Portfolio(algorithm=algorithm, hg=hg,
                               runs=1, seed=request.seed,
@@ -676,11 +656,7 @@ class ServiceEngine:
                               record=run.record_path,
                               deadline_seconds=self._deadline_seconds([run]),
                               trace_id=run.effective_trace_id)
-        set_kernel_mode(cheap)
-        try:
-            result = execute(portfolio, jobs=1)
-        finally:
-            set_kernel_mode(previous)
+        result = execute(portfolio, jobs=1)
         self._count("executed_portfolios")
         self._count("executed_starts", result.runs)
         self._count("degraded_served")

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ReproError
 from ..hypergraph import Hypergraph, load_circuit, read_hmetis, read_json
-from ..solvers import ALGORITHMS
+from ..solvers import ALGORITHMS, ML_ENGINE_OF
 
 __all__ = ["SCHEMA_VERSION", "MAX_DEADLINE_MS", "HEADER_REQUEST_ID",
            "HEADER_TRACE_ID", "ProtocolError", "NetlistSpec",
@@ -319,30 +319,23 @@ class PartitionRequest:
             _require(request.deadline_ms <= MAX_DEADLINE_MS,
                      f"deadline_ms must be <= {MAX_DEADLINE_MS}")
         if request.mode == "ml-reuse":
-            _require(request.algorithm in ("mlc", "mlf"),
+            _require(request.algorithm in ML_ENGINE_OF,
                      "mode 'ml-reuse' requires a multilevel algorithm "
-                     "(mlc/mlf)")
+                     "(mlc/mlf/mlb)")
             _require(request.k == 2 and request.vcycles == 0,
                      "mode 'ml-reuse' supports k=2 without vcycles")
         return request
 
     def config_key(self) -> Dict[str, object]:
         """The outcome-shaping knobs *minus* seed and runs — the level
-        at which same-netlist requests are batchable.
-
-        ``kernels`` is the *cut class* of the process's current kernel
-        mode, not the mode itself: ``csr`` and ``reference`` are
-        bit-identical so their cached results must keep deduplicating,
-        while ``numpy``'s batched refinement can break ties differently
-        and so must never be served a scalar-mode answer (or vice
-        versa).
+        at which same-netlist requests are batchable.  Every knob here
+        is a request field, so equal keys mean equal answers.
         """
-        from ..kernels import cut_class
         key = {
             "algorithm": self.algorithm, "k": self.k, "ratio": self.ratio,
             "threshold": self.threshold, "tolerance": self.tolerance,
             "vcycles": self.vcycles, "descents": self.descents,
-            "mode": self.mode, "kernels": cut_class(),
+            "mode": self.mode,
         }
         if self.mode == "ml-reuse":
             key["hierarchy_seed"] = self.hierarchy_seed

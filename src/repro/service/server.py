@@ -301,14 +301,18 @@ class PartitionServer:
         drain gracefully."""
         assert self._shutdown_event is not None, "call start() first"
         if install_signals:
-            loop = asyncio.get_running_loop()
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    loop.add_signal_handler(signum, self.request_shutdown)
-                except (NotImplementedError, RuntimeError, ValueError):
-                    pass  # e.g. non-main thread; rely on KeyboardInterrupt
+            self.install_signal_handlers()
         await self._shutdown_event.wait()
         await self.shutdown()
+
+    def install_signal_handlers(self) -> None:
+        """Route SIGTERM/SIGINT to a graceful drain."""
+        loop = asyncio.get_running_loop()
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                loop.add_signal_handler(signum, self.request_shutdown)
+            except (NotImplementedError, RuntimeError, ValueError):
+                pass  # e.g. non-main thread; rely on KeyboardInterrupt
 
     def request_shutdown(self) -> None:
         if self._shutdown_event is not None:
@@ -355,14 +359,20 @@ class PartitionServer:
         _log.info("shutdown complete")
 
     async def run(self) -> None:
-        """``start()`` + readiness line + ``serve_forever()`` — the
-        ``repro serve`` entry point."""
+        """``start()`` + signal handlers + readiness line +
+        ``serve_forever()`` — the ``repro serve`` entry point.
+
+        The handlers go in before the readiness line: a supervisor may
+        send SIGTERM the moment it reads that line, and the signal must
+        find the graceful drain, not the default (fatal) disposition.
+        """
         await self.start()
+        self.install_signal_handlers()
         # The readiness line is machine-read (tests, benchmarks, CI
         # smoke): keep the format stable.
         print(f"repro-serve listening on http://{self.host}:{self.port}",
               flush=True)
-        await self.serve_forever()
+        await self.serve_forever(install_signals=False)
 
     # -- connection handling -------------------------------------------
 

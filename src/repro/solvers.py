@@ -24,10 +24,15 @@ from .fm.engine import fm_bipartition
 from .harness.runner import Algorithm
 from .hypergraph import Hypergraph
 
-__all__ = ["ALGORITHMS", "single_run", "build_algorithm", "ml_config_for"]
+__all__ = ["ALGORITHMS", "ML_ENGINE_OF", "single_run", "build_algorithm", "ml_config_for"]
 
 #: Algorithm names accepted by the CLI and the service protocol.
-ALGORITHMS = ("mlc", "mlf", "fm", "clip", "lsmc", "spectral")
+ALGORITHMS = ("mlc", "mlf", "mlb", "fm", "clip", "lsmc", "spectral")
+
+#: The multilevel algorithms and their ``MLConfig.engine``: ML_C and
+#: ML_F are the paper's; ``mlb`` refines with the batch engine
+#: (DESIGN.md §13).
+ML_ENGINE_OF = {"mlc": "clip", "mlf": "fm", "mlb": "batch"}
 
 
 def ml_config_for(algorithm: str, ratio: float = 0.5, threshold: int = 35,
@@ -38,7 +43,7 @@ def ml_config_for(algorithm: str, ratio: float = 0.5, threshold: int = 35,
     bottom out with at least k clusters); bipartitioning passes no k
     and keeps the threshold untouched.
     """
-    return MLConfig(engine="clip" if algorithm == "mlc" else "fm",
+    return MLConfig(engine=ML_ENGINE_OF.get(algorithm, "fm"),
                     matching_ratio=ratio,
                     coarsening_threshold=max(threshold, k),
                     fm=FMConfig(tolerance=tolerance))
@@ -56,13 +61,17 @@ def single_run(algorithm: str, hg: Hypergraph, k: int = 2,
     """
     fm_config = FMConfig(tolerance=tolerance)
     if k != 2:
+        if algorithm == "mlb":
+            raise ReproError(
+                f"k={k}: mlb's batch engine refines bipartitions only; "
+                f"use mlc/mlf for k-way")
         if algorithm not in ("mlc", "mlf"):
             raise ReproError(
                 f"k={k} requires a multilevel algorithm (mlc/mlf), "
                 f"got {algorithm!r}")
         config = ml_config_for(algorithm, ratio, threshold, tolerance, k=k)
         return ml_kway(hg, k=k, config=config, seed=seed)
-    if algorithm in ("mlc", "mlf"):
+    if algorithm in ML_ENGINE_OF:
         config = ml_config_for(algorithm, ratio, threshold, tolerance)
         if vcycles > 0:
             return ml_vcycle(hg, cycles=vcycles, config=config, seed=seed)

@@ -4,8 +4,8 @@ The contracts pinned here:
 
 * span nesting in a traced ML run matches the hierarchy depth
   (per-level coarsen/refine spans, one per level, correctly contained);
-* per-pass FM telemetry is identical under the reference and CSR
-  kernel modes (the counters are pure functions of the move sequence);
+* per-pass FM telemetry agrees with the decision recorder's ``pass``
+  events (both are pure functions of the move sequence);
 * the multiprocess trace merge is deterministic for a fixed seed and
   carries worker-pid-tagged spans;
 * tracing/metrics never change results (same cuts with them on/off);
@@ -21,10 +21,10 @@ from repro.core import ml_bipartition
 from repro.fm import fm_bipartition
 from repro.harness import Algorithm, run_cell
 from repro.hypergraph import hierarchical_circuit
-from repro.kernels import use_kernels
-from repro.obs import (BufferTracer, MetricsRegistry, collecting_metrics,
-                       configure_logging, get_logger, metrics, read_trace,
-                       set_tracer, summarize_trace, tracer, tracing)
+from repro.obs import (BufferRecorder, BufferTracer, MetricsRegistry,
+                       collecting_metrics, configure_logging, get_logger,
+                       metrics, read_trace, set_recorder, set_tracer,
+                       summarize_trace, tracer, tracing)
 from repro.runtime import Portfolio, execute
 
 
@@ -120,23 +120,41 @@ class TestSpanNesting:
 
 
 class TestCrossModeTelemetry:
-    """fm.pass counters are identical under both kernel modes."""
+    """fm.pass counters are identical across the two move loops.
+
+    A traced run with the recorder off takes the inlined linked-list
+    loop; a recorded run takes the generic loop. Their per-pass span
+    counters, pass cuts and final assignments must agree, and the
+    recorded run's spans must agree with its own ``pass`` events.
+    """
 
     @pytest.mark.parametrize("engine_seed", [2, 11])
     def test_pass_counters_identical(self, medium_hg, engine_seed):
-        captured = {}
-        for mode in ("reference", "csr"):
-            buffer = BufferTracer()
-            with use_kernels(mode), tracing(buffer):
-                result = fm_bipartition(medium_hg, seed=engine_seed)
-            captured[mode] = (result.cut,
-                              [e["args"] for e in
-                               _events_named(buffer.events, "fm.pass")])
-        ref_cut, ref_passes = captured["reference"]
-        csr_cut, csr_passes = captured["csr"]
-        assert ref_cut == csr_cut
+        inlined = BufferTracer()
+        with tracing(inlined):
+            bare = fm_bipartition(medium_hg, seed=engine_seed)
+        generic = BufferTracer()
+        taped = BufferRecorder()
+        previous = set_recorder(taped)
+        try:
+            with tracing(generic):
+                traced = fm_bipartition(medium_hg, seed=engine_seed)
+        finally:
+            set_recorder(previous)
+        bare_passes = [e["args"] for e in
+                       _events_named(inlined.events, "fm.pass")]
+        ref_passes = [e["args"] for e in
+                      _events_named(generic.events, "fm.pass")]
         assert len(ref_passes) >= 1
-        assert ref_passes == csr_passes
+        assert bare_passes == ref_passes
+        assert bare.cut == traced.cut
+        assert bare.pass_cuts == traced.pass_cuts
+        assert bare.partition.assignment == traced.partition.assignment
+        recorded = [e for e in taped.drain() if e["t"] == "pass"]
+        assert [(a["pass"], a["moves_attempted"], a["moves_committed"],
+                 a["cut_after"]) for a in ref_passes] == \
+            [(e["p"], e["mv"], e["k"], e["c"]) for e in recorded]
+        assert [a["cut_after"] for a in ref_passes] == traced.pass_cuts
         for args in ref_passes:
             assert args["moves_attempted"] >= args["moves_committed"]
             assert args["rollback_depth"] == (args["moves_attempted"]
@@ -219,7 +237,7 @@ class TestMetrics:
         text = registry.render_prometheus()
         assert "# TYPE repro_fm_runs_total counter" in text
         assert "# TYPE repro_fm_run_seconds histogram" in text
-        assert 'repro_fm_runs_total{mode="' in text
+        assert 'repro_fm_runs_total{engine="fm"}' in text
         assert "repro_fm_run_seconds_bucket" in text
         assert text.endswith("\n")
 

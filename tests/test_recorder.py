@@ -3,13 +3,16 @@
 Covers the observability acceptance criteria end to end:
 
 * the recorder is a true no-op by default and never perturbs results
-  in any kernel mode;
+  of either refinement engine;
 * replaying a recording reproduces the exact final cut and assignment
-  (bit-identical) in all three kernel modes, serially and from the
-  process pool;
-* ``diff-run`` reports the exact first diverging decision between a
-  csr and a numpy recording of the same seeded run (golden-pinned on
-  hier300), and reports csr vs reference as decision-identical;
+  (bit-identical) for the exact engine and the batch engine, serially
+  and from the process pool, and ``--verify-states`` audits every
+  pinned exact configuration;
+* ``diff-run`` reports the exact first diverging decision between an
+  mlc and an mlb recording of the same seeded run (golden-pinned on
+  hier300);
+* recordings written while a kernel mode existed (``start`` events
+  carrying ``mode``) still replay;
 * the CLI round-trip (``partition --record`` → ``replay`` →
   ``diff-run``) and the service surface (``"record": true`` →
   ``GET /record/<id>``) ship a replayable stream.
@@ -22,9 +25,11 @@ import pytest
 
 from repro.core import ml_bipartition
 from repro.core.config import MLConfig
+from repro.core.quadrisection import ml_kway
+from repro.core.vcycle import ml_vcycle
+from repro.fm import FMConfig, fm_bipartition
 from repro.harness import Algorithm
 from repro.hypergraph import hierarchical_circuit, write_json
-from repro.kernels import KERNEL_MODES, use_kernels
 from repro.obs import (BufferRecorder, diff_events, diff_recordings,
                        group_starts, read_record, recorder, recording,
                        replay_recording)
@@ -33,34 +38,56 @@ from repro.runtime import Portfolio, execute
 
 pytestmark = pytest.mark.recorder
 
-try:
-    import numpy  # noqa: F401
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - numpy is a hard dependency
-    _HAVE_NUMPY = False
-
-
-def _modes():
-    return [m for m in KERNEL_MODES if m != "numpy" or _HAVE_NUMPY]
+#: ML engines keyed by the incidence layer their refinement runs on:
+#: the exact CLIP engine (ML_C) over the CSR lists, the batch engine
+#: (``mlb``) over the NumPy arrays.
+ENGINES = {"csr": "clip", "numpy": "batch"}
 
 
 @pytest.fixture(scope="module")
 def hier300():
     # The divergence workhorse: hierarchical structure deep enough for
     # several coarsening levels, with refinement blocks both above and
-    # below the numpy engine's 128-module activation floor.
+    # below the batch engine's 128-module activation floor.
     return hierarchical_circuit(300, 360, seed=2024, name="hier300")
 
 
-def _clip_algorithm():
-    config = MLConfig(engine="clip")
+def _ml_algorithm(engine="clip"):
+    config = MLConfig(engine=engine)
     return Algorithm("mlc", lambda h, s: ml_bipartition(h, config, seed=s))
 
 
-def _record_portfolio(hg, path, runs=3, seed=7, jobs=1):
-    result = execute(Portfolio(_clip_algorithm(), hg, runs=runs,
+def _record_portfolio(hg, path, runs=3, seed=7, jobs=1, engine="clip"):
+    result = execute(Portfolio(_ml_algorithm(engine), hg, runs=runs,
                                seed=seed, record=str(path)), jobs=jobs)
     return result
+
+
+#: Exact-engine configurations whose recordings are audited move by move.
+AUDITED = {
+    "fm-lifo": lambda h, s: fm_bipartition(h, seed=s),
+    "fm-fifo": lambda h, s: fm_bipartition(
+        h, config=FMConfig(bucket_policy="fifo"), seed=s),
+    "fm-random": lambda h, s: fm_bipartition(
+        h, config=FMConfig(bucket_policy="random"), seed=s),
+    "clip-lifo": lambda h, s: fm_bipartition(
+        h, config=FMConfig(clip=True), seed=s),
+    "clip-fifo": lambda h, s: fm_bipartition(
+        h, config=FMConfig(clip=True, bucket_policy="fifo"), seed=s),
+    "clip-random": lambda h, s: fm_bipartition(
+        h, config=FMConfig(clip=True, bucket_policy="random"), seed=s),
+    "fm-boundary": lambda h, s: fm_bipartition(
+        h, config=FMConfig(boundary=True), seed=s),
+    "fm-lookahead2": lambda h, s: fm_bipartition(
+        h, config=FMConfig(lookahead=2), seed=s),
+    "mlf": lambda h, s: ml_bipartition(h, MLConfig(engine="fm"), seed=s),
+    "mlc": lambda h, s: ml_bipartition(h, MLConfig(engine="clip"), seed=s),
+    "vcycle": lambda h, s: ml_vcycle(
+        h, cycles=2, config=MLConfig(engine="clip"), seed=s),
+    "kway4": lambda h, s: ml_kway(
+        h, k=4, config=MLConfig(engine="fm", coarsening_threshold=100),
+        seed=s),
+}
 
 
 class TestRecorderPlumbing:
@@ -110,13 +137,12 @@ class TestNonPerturbation:
     """Recording must never change the outcome: same seeds, same RNG
     stream, bit-identical partition with the recorder on or off."""
 
-    @pytest.mark.parametrize("mode", _modes())
+    @pytest.mark.parametrize("mode", list(ENGINES))
     def test_recording_does_not_perturb(self, mode, hier300, tmp_path):
-        config = MLConfig(engine="clip")
-        with use_kernels(mode):
-            bare = ml_bipartition(hier300, config, seed=11)
-            with recording(str(tmp_path / f"{mode}.jsonl")):
-                taped = ml_bipartition(hier300, config, seed=11)
+        config = MLConfig(engine=ENGINES[mode])
+        bare = ml_bipartition(hier300, config, seed=11)
+        with recording(str(tmp_path / f"{mode}.jsonl")):
+            taped = ml_bipartition(hier300, config, seed=11)
         assert taped.cut == bare.cut
         assert taped.partition.assignment == bare.partition.assignment
 
@@ -126,12 +152,11 @@ class TestReplay:
     cluster, audits every move's cut bookkeeping, and verifies the
     final partitions bit-for-bit."""
 
-    @pytest.mark.parametrize("mode", _modes())
+    @pytest.mark.parametrize("mode", list(ENGINES))
     def test_replay_reproduces_exact_result(self, mode, hier300,
                                             tmp_path):
         path = tmp_path / f"run-{mode}.jsonl"
-        with use_kernels(mode):
-            result = _record_portfolio(hier300, path)
+        result = _record_portfolio(hier300, path, engine=ENGINES[mode])
         report = replay_recording(path, hier300)
         assert report.ok, report.render()
         assert report.starts == 3
@@ -144,17 +169,51 @@ class TestReplay:
 
     def test_replay_with_state_audit(self, hier300, tmp_path):
         path = tmp_path / "audit.jsonl"
-        with use_kernels("csr"):
-            _record_portfolio(hier300, path, runs=1, seed=5)
+        _record_portfolio(hier300, path, runs=1, seed=5)
         report = replay_recording(path, hier300, verify_states=True)
         assert report.ok, report.render()
         assert report.moves > 0 and report.merges > 0
         assert "bookkeeping audit clean" in report.render()
 
+    @pytest.mark.parametrize("name", sorted(AUDITED))
+    def test_state_audit_every_pinned_config(self, name, hier300,
+                                             tmp_path):
+        # The standing oracle for the exact engines' incremental
+        # bookkeeping: every recorded move of every configuration
+        # pinned in tests/test_kernels.py re-verified against a fresh
+        # state (k-way refinement records no moves; its result footer
+        # is still re-measured).
+        path = tmp_path / "audit.jsonl"
+        result = execute(Portfolio(Algorithm(name, AUDITED[name]), hier300,
+                                   runs=2, seed=3, record=str(path)),
+                         jobs=1)
+        report = replay_recording(path, hier300, verify_states=True)
+        assert report.ok, report.render()
+        assert report.results_verified == 2
+        cuts = sorted(e["cut"] for e in read_record(path)
+                      if e["t"] == "result")
+        assert cuts == sorted(r.cut for r in result.records)
+
+    def test_replay_reads_start_events_with_mode(self, hier300, tmp_path):
+        # Recordings from before the kernel mode was removed carry a
+        # ``mode`` field in every start header; readers ignore it.
+        path = tmp_path / "new.jsonl"
+        _record_portfolio(hier300, path, runs=2, seed=5)
+        events = list(read_record(path))
+        for ev in events:
+            if ev["t"] == "start":
+                assert "mode" not in ev
+                ev["mode"] = "csr"
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_text("".join(
+            json.dumps(e, separators=(",", ":")) + "\n" for e in events))
+        report = replay_recording(legacy, hier300, verify_states=True)
+        assert report.ok and report.results_verified == 2
+        assert diff_recordings(path, legacy).identical
+
     def test_replay_flags_tampered_cut(self, hier300, tmp_path):
         path = tmp_path / "tampered.jsonl"
-        with use_kernels("csr"):
-            _record_portfolio(hier300, path, runs=1, seed=5)
+        _record_portfolio(hier300, path, runs=1, seed=5)
         events = list(read_record(path))
         victim = next(e for e in events if e["t"] == "mv")
         victim["c"] += 1  # falsify the post-move cut
@@ -169,9 +228,8 @@ class TestReplay:
     def test_pool_recording_matches_serial(self, hier300, tmp_path):
         serial = tmp_path / "serial.jsonl"
         pooled = tmp_path / "pooled.jsonl"
-        with use_kernels("csr"):
-            rs = _record_portfolio(hier300, serial, jobs=1)
-            rp = _record_portfolio(hier300, pooled, jobs=2)
+        rs = _record_portfolio(hier300, serial, jobs=1)
+        rp = _record_portfolio(hier300, pooled, jobs=2)
         assert [r.cut for r in rs.records] == [r.cut for r in rp.records]
         # Pool workers ship their events back through BufferRecorder;
         # the merged stream must be decision-identical to serial.
@@ -183,41 +241,28 @@ class TestReplay:
 
 
 class TestDiffRun:
-    def test_csr_vs_reference_identical(self, hier300, tmp_path):
-        paths = {}
-        for mode in ("csr", "reference"):
-            paths[mode] = tmp_path / f"{mode}.jsonl"
-            config = MLConfig(engine="clip")
-            with use_kernels(mode), recording(str(paths[mode])):
-                ml_bipartition(hier300, config, seed=3)
-        report = diff_recordings(paths["csr"], paths["reference"])
-        assert report.identical, report.render()
-        assert report.decisions_compared > 1000
+    def test_golden_first_divergence_mlc_vs_mlb(self, hier300, tmp_path):
+        """Golden pin of the exact first mlc-vs-mlb fork on hier300.
 
-    @pytest.mark.skipif(not _HAVE_NUMPY, reason="numpy unavailable")
-    def test_golden_first_divergence_csr_vs_numpy(self, hier300,
-                                                  tmp_path):
-        """Golden pin of the exact first csr-vs-numpy fork on hier300.
-
-        The numpy engine refines blocks of >= 128 modules with batched
+        The batch engine refines blocks of >= 128 modules with batched
         gain sweeps, so the first divergence is the first refinement
         block above that floor walking coarsest-to-finest: the l=1,
-        n=169 block, where csr emits a sequential ``mv`` and numpy a
-        ``batch`` from the *same* recorded initial state.  If kernel or
+        n=169 block, where mlc emits a sequential ``mv`` and mlb a
+        ``batch`` from the *same* recorded initial state.  If engine or
         recorder changes legitimately move this point, re-pin from a
         fresh `repro diff-run` — silently passing on different values
         would hide a seed-stability break.
         """
-        config = MLConfig(engine="clip")
         cuts = {}
-        paths = {"csr": tmp_path / "csr.jsonl",
-                 "numpy": tmp_path / "numpy.jsonl"}
-        for mode, path in paths.items():
-            with use_kernels(mode), recording(str(path)):
-                cuts[mode] = ml_bipartition(hier300, config, seed=3).cut
-        assert cuts == {"csr": 21, "numpy": 26}
+        paths = {"mlc": tmp_path / "mlc.jsonl",
+                 "mlb": tmp_path / "mlb.jsonl"}
+        for name, engine in (("mlc", "clip"), ("mlb", "batch")):
+            with recording(str(paths[name])):
+                cuts[name] = ml_bipartition(
+                    hier300, MLConfig(engine=engine), seed=3).cut
+        assert cuts == {"mlc": 21, "mlb": 26}
 
-        report = diff_recordings(paths["csr"], paths["numpy"])
+        report = diff_recordings(paths["mlc"], paths["mlb"])
         assert not report.identical
         first = report.first()
         assert first.ordinal == 783
@@ -279,10 +324,9 @@ class TestCLIRoundTrip:
         assert main(["diff-run", str(rec_csr), str(rec_csr)]) == 0
         assert "identical" in capsys.readouterr().out
 
-        if not _HAVE_NUMPY:
-            return
-        assert self._partition(netlist_file, rec_np,
-                               extra=("--kernels", "numpy")) == 0
+        assert main(["partition", netlist_file, "--algorithm", "mlb",
+                     "--runs", "2", "--seed", "5",
+                     "--record", str(rec_np)]) == 0
         capsys.readouterr()
         # Divergence → diff(1)-style exit code 1, with the fork shown.
         assert main(["diff-run", str(rec_csr), str(rec_np)]) == 1

@@ -130,36 +130,26 @@ class TestEndpoints:
         assert entries[1]["fingerprint"] == served["fingerprint"]
         assert entries[0]["cuts"] == entries[1]["cuts"] == served["cuts"]
 
-    def test_served_fingerprint_matches_cli_run_numpy_mode(
+    def test_served_fingerprint_matches_cli_run_mlb(
             self, tmp_path, monkeypatch):
-        # `repro serve --kernels numpy` pins the mode in the engine;
-        # the same netlist/config/seed through `repro partition
-        # --kernels numpy` must land on the same fingerprint — the
-        # served answer is the standalone answer, per mode.  A
-        # 300-module circuit so the numpy batch engine actually
-        # engages (>=128-module gate) instead of degenerating to the
-        # scalar path.
+        # The served mlb answer is the standalone `repro partition
+        # --algorithm mlb` answer.  A 300-module circuit so the batch
+        # engine actually engages (>=128-module gate) instead of
+        # handing every level to the exact engine.
         from repro.hypergraph import hierarchical_circuit
-        from repro.kernels import kernel_mode, set_kernel_mode
         hg = hierarchical_circuit(300, 360, seed=2024, name="hier300")
         netlist = tmp_path / "hier300.json"
         write_json(hg, str(netlist))
         ledger = tmp_path / "ledger.jsonl"
         monkeypatch.setenv("REPRO_LEDGER", str(ledger))
-        prior = kernel_mode()
-        try:
-            with _ServerThread(kernels="numpy") as srv, \
-                    srv.client() as client:
-                served = client.partition(_body(hg))
-            assert main(["partition", str(netlist), "--algorithm", "fm",
-                         "--runs", "2", "--seed", "5",
-                         "--kernels", "numpy"]) == 0
-        finally:
-            set_kernel_mode(prior)
+        with _ServerThread() as srv, srv.client() as client:
+            served = client.partition(_body(hg, algorithm="mlb"))
+        assert main(["partition", str(netlist), "--algorithm", "mlb",
+                     "--runs", "2", "--seed", "5"]) == 0
         entries = [json.loads(line)
                    for line in ledger.read_text().splitlines()]
         assert len(entries) == 2  # one served, one CLI
-        assert all(e["kernel_mode"] == "numpy" for e in entries)
+        assert all(e["algorithm"] == "mlb" for e in entries)
         assert entries[0]["fingerprint"] == served["fingerprint"]
         assert entries[1]["fingerprint"] == served["fingerprint"]
         assert entries[0]["cuts"] == entries[1]["cuts"] == served["cuts"]
@@ -248,6 +238,40 @@ class TestGracefulShutdown:
         assert "listening on" in line, f"no readiness line: {line!r}"
         port = int(line.rstrip().rsplit(":", 1)[1])
         return proc, port
+
+    def test_signal_handlers_installed_before_readiness_line(
+            self, monkeypatch):
+        # A supervisor may SIGTERM the moment it reads the readiness
+        # line; by then the signal must already route to the drain.
+        import io
+        server = PartitionServer(ServiceEngine(jobs=1), host="127.0.0.1",
+                                 port=0, drain_seconds=5.0)
+        seen = []
+
+        class Probe(io.StringIO):
+            def write(self, text):
+                if "listening on" in text:
+                    seen.append(signal.getsignal(signal.SIGTERM))
+                    server.request_shutdown()
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Probe())
+        asyncio.run(server.run())
+        assert len(seen) == 1
+        assert seen[0] is not signal.SIG_DFL
+
+    def test_sigterm_right_after_readiness_exits_clean(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        for _ in range(3):
+            proc, _port = self._spawn(tmp_path, ledger)
+            try:
+                proc.send_signal(signal.SIGTERM)
+                proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+            assert proc.returncode == 0, proc.stderr.read()
 
     def test_sigterm_drains_and_leaves_no_truncated_ledger(
             self, tiny_hg, tmp_path):
