@@ -1,24 +1,31 @@
-"""Observability: tracing, metrics, and logging for the pipeline.
+"""Observability: tracing, decision recording, metrics, and logging.
 
-Three independent, individually-activated layers with one shared
-contract — **zero overhead when disabled**:
+Individually-activated layers with one shared contract — **zero
+overhead when disabled**:
 
-* :mod:`repro.obs.trace` — a span tracer writing Chrome trace-event /
+* :mod:`repro.obs.events` — the one event pipeline both telemetry
+  streams below run through: the sink family (no-op, in-memory,
+  JSONL file), per-thread installation over a process-wide default,
+  the pool-worker capture/absorb transport, and the tolerant JSONL
+  reader every file in this package is read back with;
+* :mod:`repro.obs.trace` — spans: Chrome trace-event /
   Perfetto-compatible files.  ``with tracing("out.jsonl"): ...``
   captures per-level coarsening spans, per-pass FM telemetry, and
-  per-start portfolio spans (merged across worker processes).
+  per-start portfolio spans (merged across worker processes);
+* :mod:`repro.obs.recorder` — decisions: the flight recorder's compact
+  JSONL stream of every coarsening merge, FM/CLIP/batched move, and
+  pass/level boundary (``--record``, ``GET /record``);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms rendered in
-  the Prometheus text format.  ``with collecting_metrics() as reg:``.
+  the Prometheus text format.  ``with collecting_metrics() as reg:``;
 * :mod:`repro.obs.log` — the quiet-by-default ``repro.*`` stdlib
   logging hierarchy (``-v``/``--log-level`` on the CLI).
 
-Instrumented hot paths sample the module singletons once per coarse
-operation and guard event construction behind their ``enabled`` flags;
-with both layers off the cost is a handful of attribute reads per FM
+Instrumented hot paths sample their channel's sink once per coarse
+operation and guard event construction behind its ``enabled`` flag;
+with every layer off the cost is a handful of attribute reads per FM
 call, asserted end-to-end by ``benchmarks/bench_obs_overhead.py``.
 
-On top of the emitting layers sit the *consuming* layers, which give
-the telemetry a memory across runs:
+On top of the emitting layers sit the *consuming* layers:
 
 * :mod:`repro.obs.ledger` — the append-only JSONL run ledger every
   portfolio execution records into (opt-out ``REPRO_LEDGER=off``);
@@ -27,13 +34,7 @@ the telemetry a memory across runs:
 * :mod:`repro.obs.convergence` — cut-vs-pass and per-level
   refinement-attribution analytics from the per-pass FM telemetry;
 * :mod:`repro.obs.report` — the markdown / HTML report
-  (``repro report``).
-
-PR 10 adds the *decision* plane next to the timing plane:
-
-* :mod:`repro.obs.recorder` — the flight recorder: a compact JSONL
-  stream of every coarsening merge, FM/CLIP/batched move, and
-  pass/level boundary (``--record``, ``GET /record``);
+  (``repro report``);
 * :mod:`repro.obs.replay` — re-applies a recording against a fresh
   ``PartitionState``, auditing the engines' incremental bookkeeping
   and the final partition bit for bit;
@@ -50,15 +51,14 @@ from .profile import (SamplingProfiler, enable_memory_profiling,
 from .summary import (ServiceTraceSummary, TraceSummary,
                       summarize_service_trace, summarize_trace)
 from .console import render_status, run_top
-from .trace import (BufferTracer, JsonlTraceWriter, NoopTracer, Tracer,
-                    read_trace, set_tracer, set_trace_context,
-                    trace_context, trace_scope, tracer, tracing)
+from .events import (BufferSink, JsonlSink, NullSink, Sink, read_jsonl,
+                     set_trace_context, trace_context, trace_scope)
+from .trace import read_trace, set_tracer, tracer, tracing
 from .ledger import (LEDGER_ENV, LEDGER_VERSION, append_entry, git_sha,
-                     ledger_enabled, ledger_path, read_jsonl_objects,
-                     read_ledger, record_result, stable_view)
-from .recorder import (BufferRecorder, JsonlRecordWriter, NoopRecorder,
-                       Recorder, group_starts, read_record, recorder,
-                       recording, set_recorder)
+                     ledger_enabled, ledger_path, read_ledger,
+                     record_result, stable_view)
+from .recorder import (group_starts, read_record, recorder, recording,
+                       set_recorder)
 from .replay import (ReplayError, ReplayReport, clustering_from_merges,
                      replay_events, replay_recording)
 from .diffrun import (DiffReport, Divergence, diff_events,
@@ -71,8 +71,8 @@ from .convergence import (ConvergenceReport, DecisionReport,
 from .report import build_report
 
 __all__ = [
-    "tracer", "set_tracer", "tracing", "Tracer", "NoopTracer",
-    "BufferTracer", "JsonlTraceWriter", "read_trace",
+    "Sink", "NullSink", "BufferSink", "JsonlSink", "read_jsonl",
+    "tracer", "set_tracer", "tracing", "read_trace",
     "trace_context", "set_trace_context", "trace_scope",
     "metrics", "set_metrics", "collecting_metrics", "MetricsRegistry",
     "NoopMetrics", "write_prometheus", "lint_prometheus",
@@ -83,15 +83,14 @@ __all__ = [
     "summarize_service_trace", "ServiceTraceSummary",
     "render_status", "run_top",
     "LEDGER_ENV", "LEDGER_VERSION", "ledger_path", "ledger_enabled",
-    "append_entry", "read_ledger", "read_jsonl_objects", "record_result",
+    "append_entry", "read_ledger", "record_result",
     "stable_view", "git_sha",
     "Comparison", "sign_test", "bootstrap_delta_ci", "compare_samples",
     "compare_sample_sets", "load_samples",
     "ConvergenceReport", "convergence_from_events", "convergence_report",
     "DecisionReport", "decision_from_events", "decision_report",
     "build_report",
-    "recorder", "set_recorder", "recording", "Recorder", "NoopRecorder",
-    "BufferRecorder", "JsonlRecordWriter", "read_record", "group_starts",
+    "recorder", "set_recorder", "recording", "read_record", "group_starts",
     "ReplayError", "ReplayReport", "clustering_from_merges",
     "replay_events", "replay_recording",
     "DiffReport", "Divergence", "diff_events", "diff_recordings",

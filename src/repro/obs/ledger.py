@@ -40,11 +40,11 @@ is present only when the run was traced to a file; the ledger never
 enables tracing on its own (recording must not perturb what it
 records).
 
-Reading is tolerant the way :mod:`repro.runtime.checkpoint` is
-tolerant of kill -9, but looser — a ledger is shared, append-only, and
-possibly written by concurrent processes, so *any* corrupt or
-truncated line is skipped with a warning instead of poisoning every
-future read.
+Reading uses the lenient rule of the shared reader
+(:func:`repro.obs.events.read_jsonl`), looser than the checkpoint's —
+a ledger is shared, append-only, and possibly written by concurrent
+processes, so *any* corrupt or truncated line is skipped with a
+warning instead of poisoning every future read.
 """
 
 from __future__ import annotations
@@ -56,16 +56,17 @@ import subprocess
 import time
 from pathlib import Path
 from statistics import median
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 
+from .events import read_jsonl
 from .log import get_logger
 
 _log = get_logger("obs.ledger")
 
 __all__ = ["LEDGER_ENV", "LEDGER_VERSION", "DEFAULT_LEDGER_PATH",
            "VOLATILE_FIELDS", "ledger_path", "ledger_enabled",
-           "append_entry", "read_ledger", "read_jsonl_objects",
-           "record_result", "stable_view", "git_sha"]
+           "append_entry", "read_ledger", "record_result", "stable_view",
+           "git_sha"]
 
 #: Environment variable controlling the ledger (path, or an off value).
 LEDGER_ENV = "REPRO_LEDGER"
@@ -264,37 +265,6 @@ def record_result(result, portfolio, jobs: int = 1,
         return None
 
 
-def read_jsonl_objects(path: Union[str, Path], kind: str = "jsonl"
-                       ) -> Iterator[Dict[str, object]]:
-    """Tolerantly yield JSON objects from an append-only JSONL file.
-
-    The shared reading discipline for every append-only stream this
-    package writes (the run ledger, the service's access log): corrupt
-    or truncated lines — including a final line cut short by a killed
-    writer — and non-object lines are skipped with a warning instead of
-    poisoning every future read.  ``kind`` labels the warnings.
-    """
-    path = Path(path)
-    if not path.exists():
-        return
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                _log.warning("%s: skipping corrupt %s line %d",
-                             path, kind, lineno)
-                continue
-            if not isinstance(entry, dict):
-                _log.warning("%s: skipping non-object %s line %d",
-                             path, kind, lineno)
-                continue
-            yield entry
-
-
 def read_ledger(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
     """Yield entries from a ledger file, oldest first.
 
@@ -304,7 +274,7 @@ def read_ledger(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
     same way instead of being misinterpreted.
     """
     path = Path(path)
-    for entry in read_jsonl_objects(path, kind="ledger"):
+    for entry in read_jsonl(path, kind="ledger"):
         schema = entry.get("schema")
         if not isinstance(schema, int) or schema > LEDGER_VERSION:
             _log.warning("%s: skipping ledger entry with unsupported "

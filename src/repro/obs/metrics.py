@@ -10,7 +10,7 @@ A registry renders to the Prometheus text exposition format
 (:meth:`MetricsRegistry.render_prometheus`) — the ``--metrics-out``
 CLI flag writes exactly that.  Worker processes of the parallel
 runtime collect into their own registry, ship a :meth:`snapshot` back
-on the result record, and the parent :meth:`merge`\\ s it: counters and
+on the result record, and the parent :meth:`absorb`\\ s it: counters and
 histograms add, gauges keep the latest observation.
 """
 
@@ -20,8 +20,11 @@ import math
 import re
 from typing import Dict, List, Optional, Tuple, Union
 
+from .events import Channel
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "NoopMetrics", "metrics", "set_metrics", "collecting_metrics",
+           "NoopMetrics", "METRICS", "metrics", "set_metrics",
+           "collecting_metrics",
            "write_prometheus", "lint_prometheus", "DEFAULT_BUCKETS",
            "SERVICE_BUCKETS"]
 
@@ -189,7 +192,7 @@ class NoopMetrics:
     def snapshot(self) -> Dict[str, object]:
         return {}
 
-    def merge(self, snapshot: Optional[Dict[str, object]]) -> None:
+    def absorb(self, snapshot: Optional[Dict[str, object]]) -> None:
         pass
 
     def render_prometheus(self) -> str:
@@ -284,7 +287,7 @@ class MetricsRegistry:
                          "series": series}
         return out
 
-    def merge(self, snapshot: Optional[Dict[str, object]]) -> None:
+    def absorb(self, snapshot: Optional[Dict[str, object]]) -> None:
         """Fold a worker's snapshot in: add counters/histograms,
         overwrite gauges."""
         if not snapshot:
@@ -517,42 +520,24 @@ def lint_prometheus(text: str) -> List[str]:
     return problems
 
 
-# -- the module-level singleton ----------------------------------------
+# -- the metrics channel ------------------------------------------------
 
-_NOOP = NoopMetrics()
-_active: Union[NoopMetrics, MetricsRegistry] = _NOOP
+#: Metrics ride the shared event pipeline's installation and worker
+#: transport: a pool worker captures into a fresh registry and ships
+#: its snapshot back for the parent to absorb.
+METRICS = Channel("metrics", NoopMetrics(), MetricsRegistry,
+                  MetricsRegistry.snapshot)
 
-
-def metrics() -> Union[NoopMetrics, MetricsRegistry]:
-    """The active registry; a no-op singleton unless collection is on."""
-    return _active
-
-
-def set_metrics(registry: Optional[Union[NoopMetrics, MetricsRegistry]]
-                ) -> Union[NoopMetrics, MetricsRegistry]:
-    """Install ``registry`` (``None`` disables); returns the previous."""
-    global _active
-    previous = _active
-    _active = registry if registry is not None else _NOOP
-    return previous
+#: The active registry; a no-op unless collection is on.
+metrics = METRICS.current
+#: Install a registry process-wide (``None`` disables); returns the
+#: previous one.
+set_metrics = METRICS.set_default
 
 
-class collecting_metrics:
-    """Context manager: collect metrics inside into a fresh registry.
-
-    Yields the registry (so the caller can render it after the block);
-    restores the previous singleton on exit.
-    """
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None \
-            else MetricsRegistry()
-        self._previous: Optional[object] = None
-
-    def __enter__(self) -> MetricsRegistry:
-        self._previous = set_metrics(self.registry)
-        return self.registry
-
-    def __exit__(self, *exc) -> bool:
-        set_metrics(self._previous)
-        return False
+def collecting_metrics(registry: Optional[MetricsRegistry] = None):
+    """Context manager: collect the calling thread's metrics — and its
+    pool workers' — into ``registry`` (a fresh one by default), which
+    it yields so the caller can render it after the block."""
+    return METRICS.scoped(MetricsRegistry() if registry is None
+                          else registry)

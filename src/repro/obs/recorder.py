@@ -12,10 +12,10 @@ first decision where they diverged (:mod:`repro.obs.diffrun`).
 
 Design constraints, in priority order:
 
-1. **Zero overhead when disabled.**  The module singleton defaults to
-   :class:`NoopRecorder` with ``enabled = False``; every emit site in
-   the kernels samples the singleton once per call and guards each
-   event behind ``rec.enabled``.  The inlined linked-list FM loop is
+1. **Zero overhead when disabled.**  :func:`recorder` returns the
+   no-op sink (``enabled = False``) unless recording is on; every emit
+   site in the kernels samples it once per call and guards each event
+   behind ``rec.enabled``.  The inlined linked-list FM loop is
    not instrumented at all — when recording is live the engine routes
    through the generic loop (which replays the identical operation
    sequence), so the hot path gains not a single instruction.
@@ -83,179 +83,49 @@ Event vocabulary (schema version 1; DESIGN.md §16 is normative):
     k-way result adds ``"k"``; its ``assign`` is one digit per module
     for ``k <= 10`` and a list of part ids beyond.
 
-Reading uses the same tolerant JSONL discipline as the run ledger and
-the access log: corrupt or truncated lines are skipped with a warning,
-never raised.
+Recordings are the decision channel of the shared event pipeline
+(:mod:`repro.obs.events`): the same sinks, the same execution-scoped
+installation and worker transport as traces.  Reading uses the
+lenient rule of the shared reader, like the run ledger and the access
+log: corrupt or truncated lines are skipped with a warning, never
+raised.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Union
 
-from .ledger import read_jsonl_objects
+from .events import Channel, Event, read_jsonl
 
-__all__ = ["NoopRecorder", "Recorder", "BufferRecorder",
-           "JsonlRecordWriter", "recorder", "set_recorder", "recording",
+__all__ = ["DECISIONS", "recorder", "set_recorder", "recording",
            "read_record", "group_starts"]
 
 #: Event types that *are* decisions (the diff alignment set); the rest
 #: are structural markers and verification anchors.
 DECISION_EVENTS = ("merge", "mv", "batch", "polish")
 
+#: The decision channel.
+DECISIONS = Channel("record")
 
-class NoopRecorder:
-    """The disabled recorder: every operation is a no-op.
-
-    ``enabled`` is a class attribute so emit sites pay one attribute
-    load to skip instrumentation entirely.
-    """
-
-    __slots__ = ()
-    enabled = False
-    #: Hierarchy level stamped by the ML driver (see :class:`Recorder`).
-    level = -1
-
-    def emit(self, event: Dict[str, object]) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
+#: The calling thread's recorder (the no-op sink unless recording is
+#: on).  Emit sites sample this once per call.
+recorder = DECISIONS.current
+#: Install a recorder process-wide (``None`` restores the no-op);
+#: returns the previous one.
+set_recorder = DECISIONS.set_default
+#: Context manager: record the calling thread's decisions — and those
+#: of the pool workers of the portfolios it executes — to a path or an
+#: existing sink; ``None`` is a pass-through.
+recording = DECISIONS.scoped
 
 
-class Recorder(NoopRecorder):
-    """Base of the live recorders.
-
-    ``level`` is mutable shared context: the multilevel driver stamps
-    the current hierarchy level before each refinement call so the
-    engine can tag its ``fm`` event without threading an argument
-    through every signature.
-    """
-
-    __slots__ = ("level",)
-    enabled = True
-
-    def __init__(self) -> None:
-        self.level = -1
-
-    def emit(self, event: Dict[str, object]) -> None:
-        raise NotImplementedError
-
-
-class BufferRecorder(Recorder):
-    """Collect events in memory — the per-start recorder a parallel
-    worker installs so a start's decisions travel back to the parent
-    as one contiguous block (mirroring ``BufferTracer``)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: List[Dict[str, object]] = []
-
-    def emit(self, event: Dict[str, object]) -> None:
-        self.events.append(event)
-
-    def drain(self) -> List[Dict[str, object]]:
-        """Return and clear the buffered events."""
-        out = self.events
-        self.events = []
-        return out
-
-
-class JsonlRecordWriter(Recorder):
-    """Stream events to a JSONL file, one compact object per line.
-
-    Thread-safe: the service absorbs worker buffers from executor
-    threads.  Unlike the trace writer there is no timestamp column —
-    decision streams are ordered by position, not time.
-    """
-
-    __slots__ = ("path", "_file", "_lock")
-
-    def __init__(self, path: Union[str, Path]) -> None:
-        super().__init__()
-        self.path = str(path)
-        self._file = open(self.path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
-
-    def emit(self, event: Dict[str, object]) -> None:
-        line = json.dumps(event, separators=(",", ":"))
-        with self._lock:
-            if not self._file.closed:
-                self._file.write(line + "\n")
-
-    def emit_block(self, events: List[Dict[str, object]]) -> None:
-        """Append a drained start block atomically (no interleaving
-        with blocks absorbed from other worker threads)."""
-        text = "".join(json.dumps(e, separators=(",", ":")) + "\n"
-                       for e in events)
-        with self._lock:
-            if not self._file.closed:
-                self._file.write(text)
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-                self._file.close()
-
-
-_NOOP = NoopRecorder()
-_ACTIVE: NoopRecorder = _NOOP
-
-
-def recorder() -> NoopRecorder:
-    """The process's active recorder (the no-op singleton when
-    recording is off).  Emit sites sample this once per call."""
-    return _ACTIVE
-
-
-def set_recorder(rec: Optional[NoopRecorder]) -> NoopRecorder:
-    """Install ``rec`` (``None`` restores the no-op) and return the
-    previously active recorder."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = rec if rec is not None else _NOOP
-    return previous
-
-
-@contextmanager
-def recording(target: Union[None, str, Path, NoopRecorder]):
-    """Activate decision recording for the dynamic extent.
-
-    ``target`` may be a path (a :class:`JsonlRecordWriter` is created,
-    and closed on exit), an existing recorder instance (not closed —
-    the caller owns it), or ``None`` (no-op, so call sites need no
-    conditional).  Restores the previously active recorder on exit.
-    """
-    if target is None:
-        yield _ACTIVE
-        return
-    if isinstance(target, NoopRecorder):
-        rec = target
-        owns = False
-    else:
-        rec = JsonlRecordWriter(target)
-        owns = True
-    previous = set_recorder(rec)
-    try:
-        yield rec
-    finally:
-        set_recorder(previous)
-        if owns:
-            rec.close()
-
-
-def read_record(path: Union[str, Path]) -> Iterator[Dict[str, object]]:
+def read_record(path: Union[str, Path]) -> Iterator[Event]:
     """Tolerantly yield the events of a recording file, in file order."""
-    return read_jsonl_objects(path, kind="record")
+    return read_jsonl(path, kind="record")
 
 
-def group_starts(events) -> Dict[int, List[Dict[str, object]]]:
+def group_starts(events) -> Dict[int, List[Event]]:
     """Group a recording's events into per-start blocks keyed by start
     index.
 
@@ -264,7 +134,7 @@ def group_starts(events) -> Dict[int, List[Dict[str, object]]]:
     before the first ``start`` header (there are none in well-formed
     recordings) land under index ``-1``.
     """
-    blocks: Dict[int, List[Dict[str, object]]] = {}
+    blocks: Dict[int, List[Event]] = {}
     current = -1
     for event in events:
         if event.get("t") == "start":
@@ -272,3 +142,5 @@ def group_starts(events) -> Dict[int, List[Dict[str, object]]]:
             current = idx if isinstance(idx, int) else -1
         blocks.setdefault(current, []).append(event)
     return blocks
+
+

@@ -1,8 +1,8 @@
 """Aggregate a trace file into a per-phase time/cut breakdown.
 
 Backs the ``repro trace-summary`` CLI subcommand: reads a trace
-written by :class:`~repro.obs.trace.JsonlTraceWriter` (possibly merged
-from many worker processes) and reduces it to the questions the
+written by :func:`repro.obs.tracing` (possibly merged from many
+worker processes) and reduces it to the questions the
 paper's tables ask — where did the wall clock go, phase by phase, and
 how did the cut evolve level by level.
 """

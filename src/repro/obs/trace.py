@@ -3,424 +3,68 @@
 The tracer records *spans* (named durations with arguments), *instant*
 events, and *counter* samples, and serialises them in the Chrome
 trace-event format that ``chrome://tracing`` and Perfetto load
-directly.  Design constraints, in order:
+directly.  It is the span channel of the shared event pipeline
+(:mod:`repro.obs.events`); design constraints, in order:
 
-1. **Zero overhead when disabled.**  The module-level singleton
-   (:func:`tracer`) is a :class:`NoopTracer` until someone installs a
-   real one; instrumented hot paths sample it once per call and guard
-   every event construction behind its ``enabled`` flag, so the cost
-   of shipped-but-dormant instrumentation is one attribute read per
-   coarse operation (an FM call, a coarsening level — never per move
-   or per pin).
-2. **Multiprocess merge.**  Events carry *raw* monotonic microsecond
+1. **Zero overhead when disabled.**  :func:`tracer` returns the
+   no-op sink until someone installs a real one; instrumented hot
+   paths sample it once per call and guard every event construction
+   behind its ``enabled`` flag, so the cost of shipped-but-dormant
+   instrumentation is one attribute read per coarse operation (an FM
+   call, a coarsening level — never per move or per pin).
+2. **Execution-scoped installation.**  :func:`set_tracer` installs a
+   process-wide tracer (the daemon's ``--trace``); :func:`tracing`
+   installs one for the calling thread only, and that is what
+   ``execute()`` uses for ``Portfolio(trace=path)``.  A traced
+   request's file therefore holds its own execution and nothing the
+   event loop emits for other requests meanwhile.
+3. **Multiprocess merge.**  Events carry *raw* monotonic microsecond
    timestamps (``time.perf_counter_ns``), which on Linux come from the
    machine-wide ``CLOCK_MONOTONIC`` and are therefore directly
    comparable between a fork parent and its workers.  Workers collect
-   into an in-memory :class:`BufferTracer`, ship the events back on
-   the result record, and the parent's :class:`JsonlTraceWriter`
-   normalises everything against one trace epoch at write time — so
-   the merged file is a single coherent timeline across processes.
-3. **Crash-tolerant output.**  The file is written incrementally, one
+   into an in-memory sink, ship the events back on the result record,
+   and the parent's timeline file normalises everything against one
+   trace epoch at write time — so the merged file is a single coherent
+   timeline across processes.
+4. **Crash-tolerant output.**  The file is written incrementally, one
    event per line.  The trace-event spec explicitly allows the
    trailing ``]`` to be missing, so a trace cut short by a crash still
    loads.
 
 File format: line 1 is ``[``; every following line is one complete
 JSON event object followed by a comma.  :func:`read_trace` (used by
-``repro trace-summary``) accepts that form, a closed JSON array, and
-plain one-object-per-line JSONL.
+``repro trace-summary``) accepts that form, a closed array, and plain
+one-object-per-line JSONL.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
-import time
-from typing import Dict, Iterator, List, Optional, Union
+from pathlib import Path
+from typing import Iterator, Union
 
-__all__ = ["Tracer", "NoopTracer", "BufferTracer", "JsonlTraceWriter",
-           "tracer", "set_tracer", "tracing", "read_trace", "Event",
-           "trace_context", "set_trace_context", "trace_scope"]
+from .events import Channel, Event, read_jsonl
 
-Event = Dict[str, object]
+__all__ = ["SPANS", "tracer", "set_tracer", "tracing", "read_trace"]
 
+#: The span channel.
+SPANS = Channel("trace", timeline=True)
 
-# -- request-scoped trace context ---------------------------------------
-#
-# A small mapping of correlation IDs (request_id, trace_id, exec_id)
-# stamped into the args of every span and instant a thread emits while
-# a scope is installed — that is what lets a merged multi-process trace
-# be regrouped into one tree per request.  Storage is thread-local
-# because the service daemon emits from two threads concurrently (the
-# asyncio event loop writes request spans while the execution lane's
-# worker thread runs portfolios); a forked worker re-installs its
-# context explicitly from the Portfolio it executes (see
-# runtime.executor), so no fork-inheritance subtleties are involved.
+#: The calling thread's tracer (the no-op sink unless tracing is on).
+tracer = SPANS.current
+#: Install a tracer process-wide (``None`` disables); returns the
+#: previous one.
+set_tracer = SPANS.set_default
+#: Context manager: trace the calling thread — and the pool workers of
+#: the portfolios it executes — to a path or an existing sink.
+tracing = SPANS.scoped
 
-class _TraceContext(threading.local):
-    def __init__(self) -> None:
-        self.ids: Dict[str, str] = {}
 
-
-_CONTEXT = _TraceContext()
-
-
-def trace_context() -> Dict[str, str]:
-    """The calling thread's active correlation IDs (possibly empty)."""
-    return dict(_CONTEXT.ids)
-
-
-def set_trace_context(ids: Optional[Dict[str, str]]) -> Dict[str, str]:
-    """Replace the calling thread's context; returns the previous one."""
-    previous = _CONTEXT.ids
-    _CONTEXT.ids = {k: str(v) for k, v in (ids or {}).items()
-                    if v is not None}
-    return previous
-
-
-class trace_scope:
-    """Context manager: merge correlation IDs into the thread context.
-
-    Nested scopes accumulate (an execution scope inside a request scope
-    carries both IDs); ``None`` values are dropped so call sites can
-    pass optional IDs unconditionally.  The previous context is
-    restored on exit.
-    """
-
-    __slots__ = ("_ids", "_previous")
-
-    def __init__(self, **ids):
-        self._ids = ids
-        self._previous: Optional[Dict[str, str]] = None
-
-    def __enter__(self) -> Dict[str, str]:
-        merged = dict(_CONTEXT.ids)
-        merged.update((k, str(v)) for k, v in self._ids.items()
-                      if v is not None)
-        self._previous = _CONTEXT.ids
-        _CONTEXT.ids = merged
-        return merged
-
-    def __exit__(self, *exc) -> bool:
-        _CONTEXT.ids = self._previous or {}
-        return False
-
-
-def _now_us() -> int:
-    """Monotonic microseconds; comparable across forked processes."""
-    return time.perf_counter_ns() // 1000
-
-
-class _NullSpan:
-    """Reusable context manager for disabled spans."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> Dict[str, object]:
-        return {}
-
-    def __exit__(self, *exc) -> bool:
-        return False
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NoopTracer:
-    """The disabled tracer: every operation is a no-op.
-
-    ``enabled`` is the flag hot paths test; everything else exists so
-    instrumentation sites never need an ``is None`` check.
-    """
-
-    enabled = False
-
-    def now(self) -> int:
-        return 0
-
-    def begin(self) -> int:
-        return 0
-
-    def end(self, name: str, start_us: int,
-            args: Optional[Dict[str, object]] = None) -> None:
-        pass
-
-    def span(self, name: str, **args) -> _NullSpan:
-        return _NULL_SPAN
-
-    def complete(self, name: str, start_us: int,
-                 args: Optional[Dict[str, object]] = None,
-                 depth: Optional[int] = None) -> None:
-        pass
-
-    def instant(self, name: str,
-                args: Optional[Dict[str, object]] = None) -> None:
-        pass
-
-    def counter(self, name: str, values: Dict[str, float]) -> None:
-        pass
-
-    def emit(self, event: Event) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class _Span:
-    """Context manager produced by :meth:`Tracer.span`.
-
-    Enters by stamping the start time and pushing the nesting depth;
-    exits by emitting one complete event.  The yielded ``args`` dict is
-    live — callers add result fields (cut, counters) before exit.
-    """
-
-    __slots__ = ("_tracer", "_name", "args", "_start")
-
-    def __init__(self, tracer: "Tracer", name: str, args: Dict[str, object]):
-        self._tracer = tracer
-        self._name = name
-        self.args = args
-        self._start = 0
-
-    def __enter__(self) -> Dict[str, object]:
-        self._start = self._tracer.begin()
-        return self.args
-
-    def __exit__(self, *exc) -> bool:
-        self._tracer.end(self._name, self._start, self.args)
-        return False
-
-
-class Tracer:
-    """Base for enabled tracers: builds events, tracks span depth.
-
-    Subclasses implement :meth:`emit` (and :meth:`close`).  All
-    timestamps in emitted events are raw monotonic microseconds; the
-    serialising writer owns the epoch.
-    """
-
-    enabled = True
-
-    def __init__(self) -> None:
-        self._depth = 0
-
-    now = staticmethod(_now_us)
-
-    # -- span lifecycle ------------------------------------------------
-
-    def begin(self) -> int:
-        """Open a span by hand; pair with :meth:`end`."""
-        self._depth += 1
-        return _now_us()
-
-    def end(self, name: str, start_us: int,
-            args: Optional[Dict[str, object]] = None) -> None:
-        self._depth -= 1
-        self.complete(name, start_us, args, depth=self._depth)
-
-    def span(self, name: str, **args) -> _Span:
-        return _Span(self, name, args)
-
-    # -- event constructors --------------------------------------------
-
-    def complete(self, name: str, start_us: int,
-                 args: Optional[Dict[str, object]] = None,
-                 depth: Optional[int] = None) -> None:
-        """Emit a complete ("X") duration event started at ``start_us``."""
-        event: Event = {
-            "name": name, "ph": "X", "ts": start_us,
-            "dur": _now_us() - start_us,
-            "pid": os.getpid(), "tid": threading.get_native_id(),
-        }
-        a = dict(_CONTEXT.ids)
-        if args:
-            a.update(args)
-        a["depth"] = self._depth if depth is None else depth
-        event["args"] = a
-        self.emit(event)
-
-    def instant(self, name: str,
-                args: Optional[Dict[str, object]] = None) -> None:
-        event: Event = {
-            "name": name, "ph": "i", "s": "p", "ts": _now_us(),
-            "pid": os.getpid(), "tid": threading.get_native_id(),
-        }
-        a = dict(_CONTEXT.ids)
-        if args:
-            a.update(args)
-        if a:
-            event["args"] = a
-        self.emit(event)
-
-    def counter(self, name: str, values: Dict[str, float]) -> None:
-        self.emit({
-            "name": name, "ph": "C", "ts": _now_us(),
-            "pid": os.getpid(), "tid": threading.get_native_id(),
-            "args": dict(values),
-        })
-
-    # -- sink ----------------------------------------------------------
-
-    def emit(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class BufferTracer(Tracer):
-    """Collects events in memory; the worker-side collection sink."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.events: List[Event] = []
-
-    def emit(self, event: Event) -> None:
-        self.events.append(event)
-
-    def drain(self) -> List[Event]:
-        events, self.events = self.events, []
-        return events
-
-
-class JsonlTraceWriter(Tracer):
-    """Streams events to a trace file, one JSON object per line.
-
-    Timestamps are normalised against the writer's epoch (taken at
-    construction, or inherited via ``epoch_us`` so several writers can
-    share one timeline).  Merged worker events pass through the same
-    :meth:`emit`, so one normalisation rule covers every process.
-    """
-
-    def __init__(self, path, epoch_us: Optional[int] = None):
-        super().__init__()
-        self.path = str(path)
-        self.epoch_us = _now_us() if epoch_us is None else epoch_us
-        self._file = open(self.path, "w", encoding="utf-8")
-        self._lock = threading.Lock()
-        self._file.write("[\n")
-        self.emit({"name": "process_name", "ph": "M", "ts": self.epoch_us,
-                   "pid": os.getpid(), "tid": threading.get_native_id(),
-                   "args": {"name": "repro"}})
-
-    def emit(self, event: Event) -> None:
-        event = dict(event)
-        event["ts"] = int(event.get("ts", self.epoch_us)) - self.epoch_us
-        line = json.dumps(event, separators=(",", ":"), default=str)
-        with self._lock:
-            if not self._file.closed:
-                self._file.write(line + ",\n")
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._file.closed:
-                self._file.flush()
-                self._file.close()
-
-
-# -- the module-level singleton ----------------------------------------
-
-_NOOP = NoopTracer()
-_active: Union[NoopTracer, Tracer] = _NOOP
-
-
-def tracer() -> Union[NoopTracer, Tracer]:
-    """The active tracer; a no-op singleton unless tracing is on."""
-    return _active
-
-
-def set_tracer(t: Optional[Union[NoopTracer, Tracer]]
-               ) -> Union[NoopTracer, Tracer]:
-    """Install ``t`` (``None`` disables); returns the previous tracer."""
-    global _active
-    previous = _active
-    _active = t if t is not None else _NOOP
-    return previous
-
-
-class tracing:
-    """Context manager: trace everything inside to ``target``.
-
-    ``target`` is a filesystem path (a :class:`JsonlTraceWriter` is
-    opened and closed around the block) or an existing tracer (left
-    open for the caller).  The previous tracer is restored on exit.
-    """
-
-    def __init__(self, target):
-        if isinstance(target, (NoopTracer, Tracer)):
-            self.tracer = target
-            self._owns = False
-        else:
-            self.tracer = JsonlTraceWriter(target)
-            self._owns = True
-        self._previous: Optional[Union[NoopTracer, Tracer]] = None
-
-    def __enter__(self) -> Union[NoopTracer, Tracer]:
-        self._previous = set_tracer(self.tracer)
-        return self.tracer
-
-    def __exit__(self, *exc) -> bool:
-        set_tracer(self._previous)
-        if self._owns:
-            self.tracer.close()
-        return False
-
-
-# -- reading traces back -----------------------------------------------
-
-def _parse_lines(lines) -> Iterator[Event]:
-    """Parse stripped JSON lines with the checkpoint tolerance rules:
-    a truncated *final* line (the signature of a crash or an in-flight
-    writer) is dropped; corruption anywhere else raises a clean
-    :class:`~repro.errors.ReproError`."""
-    from ..errors import ReproError
-    pending = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        try:
-            pending.append((lineno, json.loads(line)))
-        except json.JSONDecodeError:
-            pending.append((lineno, None))
-        if len(pending) > 1:
-            held_lineno, event = pending.pop(0)
-            if event is None:
-                raise ReproError(
-                    f"corrupt trace event at line {held_lineno}; "
-                    "only a truncated final line is tolerated")
-            yield event
-    if pending and pending[0][1] is not None:
-        yield pending[0][1]
-
-
-def read_trace(path) -> Iterator[Event]:
+def read_trace(path: Union[str, Path]) -> Iterator[Event]:
     """Yield events from a trace file written by this module.
 
-    Accepts the incremental array form this module writes (``[`` line,
-    then ``{...},`` lines, optionally unterminated), a closed JSON
-    array, and plain JSONL.  An empty file yields nothing; a truncated
-    final line — a crashed or still-running writer — is dropped, the
-    same tolerance rule :mod:`repro.runtime.checkpoint` applies.
+    An empty file yields nothing; a truncated final line — a crashed
+    or still-running writer — is dropped, and corruption anywhere else
+    raises (the checkpoint tolerance rule, :func:`repro.obs.events.
+    read_jsonl` with ``strict=True``).
     """
-    with open(path, "r", encoding="utf-8") as f:
-        first = f.read(1)
-        if first == "":
-            return
-        if first != "[":
-            # Plain JSONL: one complete object per line.
-            f.seek(0)
-            yield from _parse_lines(line.strip().rstrip(",") for line in f)
-            return
-        rest = f.read().lstrip("\n")
-    try:
-        # A properly closed array parses in one go.
-        for event in json.loads("[" + rest):
-            yield event
-        return
-    except json.JSONDecodeError:
-        pass
-    yield from _parse_lines(
-        line.strip().rstrip(",").rstrip("]").rstrip(",")
-        for line in rest.splitlines())
+    return read_jsonl(path, strict=True, kind="trace")

@@ -29,7 +29,8 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ReproError
+from ..obs.events import read_jsonl
 from .records import RunRecord
 
 __all__ = ["MatrixCheckpoint"]
@@ -60,23 +61,17 @@ class MatrixCheckpoint:
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        entries = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            try:
-                entries.append((lineno, json.loads(line)))
-            except json.JSONDecodeError:
-                if lineno == len(lines):
-                    # Killed mid-write: the partial trailing record was
-                    # never acknowledged, so dropping it is safe.
-                    break
-                raise CheckpointError(
-                    f"{self.path}: corrupt checkpoint line {lineno}")
+        # Strict reading: a partial trailing record (killed mid-write)
+        # was never acknowledged, so dropping it is safe; corruption
+        # anywhere else is refused.
+        try:
+            entries = list(read_jsonl(self.path, strict=True,
+                                      kind="checkpoint"))
+        except ReproError as exc:
+            raise CheckpointError(str(exc)) from None
         if not entries:
             raise CheckpointError(f"{self.path}: checkpoint has no header")
-        _, header = entries[0]
+        header = entries[0]
         if header.get("kind") != "header":
             raise CheckpointError(
                 f"{self.path}: first line is not a checkpoint header")
@@ -86,11 +81,11 @@ class MatrixCheckpoint:
                     f"{self.path}: checkpoint {key} {header.get(key)!r} "
                     f"does not match this sweep's {self._header[key]!r}; "
                     "refusing to resume")
-        for lineno, entry in entries[1:]:
+        for number, entry in enumerate(entries[1:], start=2):
             if entry.get("kind") != "record":
                 raise CheckpointError(
                     f"{self.path}: unexpected entry kind "
-                    f"{entry.get('kind')!r} at line {lineno}")
+                    f"{entry.get('kind')!r} in entry {number}")
             record = RunRecord.from_json_dict(entry["record"])
             cell = self._done.setdefault(
                 (entry["circuit"], entry["algorithm"]), {})

@@ -47,14 +47,13 @@ import os
 import time
 import traceback
 import warnings
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..errors import ConfigError, ReproError
 from ..faults import FaultInjector
-from ..obs import (BufferRecorder, BufferTracer, MetricsRegistry,
-                   get_logger, metrics, record_result, recorder,
-                   recording, set_metrics, set_recorder, set_tracer,
-                   tracer, trace_scope, tracing)
+from ..obs import (get_logger, metrics, record_result, recorder,
+                   recording, tracer, trace_scope, tracing)
+from ..obs.events import absorb, capture, enabled_channels
 from ..obs.profile import memory_peak
 from .job import Job, Portfolio
 from .records import (PortfolioResult, RunRecord,
@@ -120,43 +119,19 @@ def _execute_start(portfolio: Portfolio, index: int, seed: int,
     Backoff for retries is slept here — before the timed section, in
     whichever process runs the start — so the schedule is identical
     under both executors (under the pool it does, however, count
-    toward the parent's collection deadline).
-
-    When called ``in_worker`` with an enabled ambient tracer/metrics
-    registry (both inherited through the fork), the singletons are
-    swapped for in-memory collectors for the duration of the start and
-    the collected telemetry is shipped back on the record — the only
-    path events take out of a worker, since the real writer's file
-    handle must not be shared across the fork.
+    toward the parent's collection deadline).  In a pool worker the
+    sinks sampled here are the per-start collectors :func:`_pool_run`
+    installs.
     """
     tr = tracer()
     mx = metrics()
     rc = recorder()
-    buffer = parent_tracer = None
-    registry = parent_metrics = None
-    rec_buffer = parent_recorder = None
-    if in_worker and tr.enabled:
-        buffer = BufferTracer()
-        parent_tracer = set_tracer(buffer)
-        tr = buffer
-    if in_worker and mx.enabled:
-        registry = MetricsRegistry()
-        parent_metrics = set_metrics(registry)
-        mx = registry
-    if in_worker and rc.enabled:
-        # Decisions buffer per start like trace events do: the real
-        # writer's file handle must not be shared across the fork, and
-        # buffering keeps each start's block contiguous in the file.
-        rec_buffer = BufferRecorder()
-        parent_recorder = set_recorder(rec_buffer)
-        rc = rec_buffer
     if rc.enabled:
         rc.emit({"t": "start", "i": index, "seed": seed,
                  "alg": portfolio.name})
     # Request-scoped correlation: every event below (this function's
     # spans and everything portfolio.fn emits) carries the portfolio's
-    # trace_id.  Entered by hand because the exits interleave with the
-    # singleton restores at the bottom.
+    # trace_id.  Entered by hand to avoid indenting the whole body.
     scope = trace_scope(trace_id=portfolio.trace_id)
     scope.__enter__()
     if attempt > 1:
@@ -240,15 +215,6 @@ def _execute_start(portfolio: Portfolio, index: int, seed: int,
                      "Peak tracemalloc bytes of the most recently "
                      "profiled start.").set(mem.peak_bytes)
     scope.__exit__()
-    if buffer is not None:
-        set_tracer(parent_tracer)
-        record.trace_events = buffer.drain()
-    if registry is not None:
-        set_metrics(parent_metrics)
-        record.metrics_snapshot = registry.snapshot()
-    if rec_buffer is not None:
-        set_recorder(parent_recorder)
-        record.record_events = rec_buffer.drain()
     return record
 
 
@@ -380,13 +346,20 @@ def _pool_worker_init() -> None:
             pass
 
 
-def _pool_run(task: Tuple[int, int, int]) -> RunRecord:
+def _pool_run(task: Tuple[int, int, int],
+              channels: FrozenSet[str]) -> RunRecord:
+    """Run one start in a pool worker, capturing telemetry on exactly
+    the ``channels`` the parent has live; the payloads ride back on
+    the record — the only path events take out of a worker."""
     index, seed, attempt = task
     assert _ACTIVE is not None, "worker forked without an active portfolio"
     if _NOTICES is not None:
         _NOTICES.put((index, attempt, os.getpid()))
-    return _execute_start(_ACTIVE, index, seed, attempt,
-                          worker=f"pid:{os.getpid()}", in_worker=True)
+    with capture(channels) as telemetry:
+        record = _execute_start(_ACTIVE, index, seed, attempt,
+                                worker=f"pid:{os.getpid()}", in_worker=True)
+    record.telemetry = telemetry or None
+    return record
 
 
 class ProcessExecutor:
@@ -427,14 +400,15 @@ class ProcessExecutor:
             context = multiprocessing.get_context("fork")
             _ACTIVE = portfolio
             _NOTICES = context.SimpleQueue()
+            channels = enabled_channels()
             started: Dict[Tuple[int, int], int] = {}
             timed_out = False
             try:
                 with context.Pool(processes=self.jobs,
                                   initializer=_pool_worker_init) as pool:
                     while pending:
-                        inflight = [(task,
-                                     pool.apply_async(_pool_run, (task,)))
+                        inflight = [(task, pool.apply_async(
+                                        _pool_run, (task, channels)))
                                     for task in pending]
                         pending = []
                         for task, handle in inflight:
@@ -442,7 +416,10 @@ class ProcessExecutor:
                             record = self._collect(portfolio, handle, index,
                                                    seed, attempt, started,
                                                    deadline_at)
-                            self._absorb(record)
+                            # Every collected attempt's telemetry —
+                            # a retried attempt's failed span included.
+                            absorb(record.telemetry)
+                            record.telemetry = None
                             timed_out |= record.status == STATUS_TIMEOUT
                             if (record.retryable
                                     and attempt <= portfolio.retries
@@ -469,40 +446,6 @@ class ProcessExecutor:
             algorithm=portfolio.name, circuit=portfolio.hg.name,
             records=ordered, wall_seconds=time.perf_counter() - wall0,
             jobs=self.jobs)
-
-    @staticmethod
-    def _absorb(record: RunRecord) -> None:
-        """Merge telemetry shipped back from a worker into the parent's
-        sinks, then clear the transport fields.
-
-        Runs for *every* collected record — including retried attempts,
-        whose outcome record is discarded but whose telemetry (the
-        failed span, the fault instant) belongs in the trace.  Events
-        carry raw machine-wide monotonic timestamps, so re-emitting
-        them through the parent's writer lands them at the correct
-        offsets in the merged timeline.
-        """
-        if record.trace_events:
-            tr = tracer()
-            if tr.enabled:
-                for event in record.trace_events:
-                    tr.emit(event)
-        record.trace_events = None
-        if record.metrics_snapshot:
-            mx = metrics()
-            if mx.enabled:
-                mx.merge(record.metrics_snapshot)
-        record.metrics_snapshot = None
-        if record.record_events:
-            rc = recorder()
-            if rc.enabled:
-                emit_block = getattr(rc, "emit_block", None)
-                if emit_block is not None:
-                    emit_block(record.record_events)
-                else:
-                    for event in record.record_events:
-                        rc.emit(event)
-        record.record_events = None
 
     @staticmethod
     def _drain_notices(started: Dict[Tuple[int, int], int]) -> None:
@@ -634,8 +577,10 @@ def execute(portfolio: Portfolio, jobs: int = 1, executor=None,
     checkpoint streaming hook.
 
     When ``portfolio.trace`` is a path, the whole run — worker events
-    included — is written there as a Chrome trace-event stream and the
-    previous ambient tracer is restored afterwards.  ``portfolio.record``
+    included — is written there as a Chrome trace-event stream.  The
+    file's tracer is installed for the calling thread and this
+    portfolio's pool workers only, so other threads (the daemon's
+    event loop) keep emitting to their own tracer.  ``portfolio.record``
     behaves the same way for the decision recording
     (:mod:`repro.obs.recorder`).
 
@@ -643,16 +588,11 @@ def execute(portfolio: Portfolio, jobs: int = 1, executor=None,
     (:mod:`repro.obs.ledger`) unless ``REPRO_LEDGER=off``; when a trace
     file was written, its per-phase rollup rides along in the entry.
     """
-    from contextlib import ExitStack
     runner = get_executor(jobs, executor)
     trace_path = portfolio.trace if isinstance(portfolio.trace, str) else None
     record_path = (portfolio.record
                    if isinstance(portfolio.record, str) else None)
-    with ExitStack() as sinks:
-        if trace_path is not None:
-            sinks.enter_context(tracing(trace_path))
-        if record_path is not None:
-            sinks.enter_context(recording(record_path))
+    with tracing(trace_path), recording(record_path):
         result = runner.run(portfolio, completed=completed,
                             on_record=on_record)
     # After the tracing context closes, so phase rollups read a

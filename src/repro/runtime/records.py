@@ -92,18 +92,13 @@ class RunRecord:
     error: Optional[str] = None
     attempts: int = 1
     result: Optional[object] = None
-    #: Trace events collected in a worker process, shipped back over
-    #: the result channel for the parent to merge into its trace; the
-    #: parent clears the field after absorbing them.  Never persisted
-    #: to checkpoints (a checkpoint stores outcomes, not telemetry).
-    trace_events: Optional[List[Dict[str, object]]] = None
-    #: Same transport for a worker's metrics-registry snapshot.
-    metrics_snapshot: Optional[Dict[str, object]] = None
-    #: Same transport for a worker's decision recording: the start's
-    #: buffered recorder events, re-emitted by the parent as one
-    #: contiguous block so recordings stay seed-stable modulo
-    #: start-block order.
-    record_events: Optional[List[Dict[str, object]]] = None
+    #: Telemetry a pool worker captured for this start, keyed by
+    #: channel (``trace`` events, ``record`` events, a ``metrics``
+    #: snapshot), shipped back over the result channel; the parent
+    #: clears it after absorbing it into its own sinks.  Never
+    #: persisted to checkpoints (a checkpoint stores outcomes, not
+    #: telemetry).
+    telemetry: Optional[Dict[str, object]] = None
     #: Peak tracemalloc bytes over this start, captured only when
     #: memory profiling is enabled (``repro serve --profile-dir`` or
     #: :func:`repro.obs.profile.enable_memory_profiling`).  Not part of

@@ -279,20 +279,19 @@ class ServiceClient:
                     f"{timeout:g}s")
             time.sleep(poll_seconds)
 
-    def trace(self, run_id: str) -> bytes:
-        response = self._request("GET", f"/trace/{run_id}")
+    def _download(self, path: str) -> bytes:
+        response = self._request("GET", path)
         raw = response.read()
         if response.status >= 400:
-            raise ServiceError(f"/trace/{run_id}: HTTP {response.status}",
+            raise ServiceError(f"{path}: HTTP {response.status}",
                                status=response.status)
         return raw
+
+    def trace(self, run_id: str) -> bytes:
+        """Download a request's trace (``"trace": true``)."""
+        return self._download(f"/trace/{run_id}")
 
     def record(self, run_id: str) -> bytes:
         """Download a request's decision recording
         (``"record": true`` in the partition body)."""
-        response = self._request("GET", f"/record/{run_id}")
-        raw = response.read()
-        if response.status >= 400:
-            raise ServiceError(f"/record/{run_id}: HTTP {response.status}",
-                               status=response.status)
-        return raw
+        return self._download(f"/record/{run_id}")

@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import median
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs import get_logger, metrics, record_result, trace_scope, tracer
 from ..obs.metrics import SERVICE_BUCKETS
@@ -98,11 +98,11 @@ class PendingRun:
     #: Requests sharing a batch key may merge; ``None`` opts out
     #: (traced requests need their own portfolio).
     batch_key: Optional[str] = None
-    trace_path: Optional[str] = None
-    #: Spool path of the request's decision recording (``GET
-    #: /record/<id>``); like ``trace_path``, set only for runs that
-    #: bypass cache/batching so the file covers a real execution.
-    record_path: Optional[str] = None
+    #: Spool files of the request's own trace and decision recording
+    #: (``GET /trace/<id>``, ``GET /record/<id>``), keyed by channel;
+    #: set only for runs that bypass cache/batching so the files cover
+    #: a real execution.
+    spool: Dict[str, str] = field(default_factory=dict)
     queued_at: float = field(default_factory=time.monotonic)
     #: Absolute monotonic instant past which this request's answer is
     #: worthless; ``None`` means no deadline.
@@ -326,8 +326,8 @@ class ServiceEngine:
                                       cooldown_seconds=breaker_cooldown)
         self.started_at = time.time()
         self._spool_dir = spool_dir
-        self._traces: Dict[str, str] = {}
-        self._records: Dict[str, str] = {}
+        #: ``(channel, run id)`` -> spooled trace/recording file.
+        self._spooled: Dict[Tuple[str, str], str] = {}
         self._ids = itertools.count(1)
         self._counters = {name: 0 for name in _COUNTERS}
         self._counter_lock = threading.Lock()
@@ -471,10 +471,10 @@ class ServiceEngine:
             id=run_id, request=request, key=key,
             future=asyncio.get_running_loop().create_future(),
             batch_key=None if traced else request.batch_key(),
-            trace_path=(self._trace_path(run_id)
-                        if traced and request.trace else None),
-            record_path=(self._record_path(run_id)
-                         if traced and request.record else None),
+            spool={channel: self._spool_path(channel, run_id)
+                   for channel, wanted in (("trace", request.trace),
+                                           ("record", request.record))
+                   if traced and wanted},
             deadline_at=deadline_at,
             request_id=request_id, trace_id=trace_id)
         return await self.lane.submit(run)
@@ -630,18 +630,16 @@ class ServiceEngine:
         request = run.request
         portfolio = Portfolio(algorithm=algorithm, hg=hg,
                               runs=request.runs, seed=request.seed,
-                              keep_results=True, trace=run.trace_path,
-                              record=run.record_path,
+                              keep_results=True,
+                              trace=run.spool.get("trace"),
+                              record=run.spool.get("record"),
                               retries=self.retries, faults=self.faults,
                               deadline_seconds=self._deadline_seconds([run]),
                               trace_id=run.effective_trace_id)
         result = execute(portfolio, jobs=self.jobs)
         self._count("executed_portfolios")
         self._count("executed_starts", result.runs)
-        if run.trace_path is not None:
-            self._traces[run.id] = run.trace_path
-        if run.record_path is not None:
-            self._records[run.id] = run.record_path
+        self._keep_spooled(run)
         return self._payload(run, result, hg)
 
     def _run_degraded(self, run: PendingRun, hg) -> dict:
@@ -652,18 +650,16 @@ class ServiceEngine:
         algorithm = self._algorithm_for(request, hg)
         portfolio = Portfolio(algorithm=algorithm, hg=hg,
                               runs=1, seed=request.seed,
-                              keep_results=True, trace=run.trace_path,
-                              record=run.record_path,
+                              keep_results=True,
+                              trace=run.spool.get("trace"),
+                              record=run.spool.get("record"),
                               deadline_seconds=self._deadline_seconds([run]),
                               trace_id=run.effective_trace_id)
         result = execute(portfolio, jobs=1)
         self._count("executed_portfolios")
         self._count("executed_starts", result.runs)
         self._count("degraded_served")
-        if run.trace_path is not None:
-            self._traces[run.id] = run.trace_path
-        if run.record_path is not None:
-            self._records[run.id] = run.record_path
+        self._keep_spooled(run)
         payload = self._payload(run, result, hg)
         payload["degraded"] = True
         payload["degraded_reason"] = "breaker_open"
@@ -782,38 +778,29 @@ class ServiceEngine:
             payload["part_areas"] = [round(a, 6) for a in areas]
             payload["balanced"] = constraint.is_feasible(areas)
             payload["assignment"] = list(partition.assignment)
-        if run.trace_path is not None:
-            payload["trace"] = f"/trace/{run.id}"
-        if run.record_path is not None:
-            payload["record"] = f"/record/{run.id}"
+        for channel in run.spool:
+            payload[channel] = f"/{channel}/{run.id}"
         return payload
 
     # -- traces and recordings -----------------------------------------
 
-    def _trace_path(self, run_id: str) -> str:
+    def _spool_path(self, channel: str, run_id: str) -> str:
         if self._spool_dir is None:
             self._spool_dir = tempfile.mkdtemp(prefix="repro-serve-")
         else:
             os.makedirs(self._spool_dir, exist_ok=True)
-        return os.path.join(self._spool_dir, f"{run_id}.trace.jsonl")
+        return os.path.join(self._spool_dir, f"{run_id}.{channel}.jsonl")
 
-    def trace_file(self, run_id: str) -> Path:
-        path = self._traces.get(run_id)
+    def _keep_spooled(self, run: PendingRun) -> None:
+        """Publish an executed run's trace/recording for download."""
+        for channel, path in run.spool.items():
+            self._spooled[channel, run.id] = path
+
+    def spooled_file(self, channel: str, run_id: str) -> Path:
+        """The ``trace`` or ``record`` file of run ``run_id``."""
+        path = self._spooled.get((channel, run_id))
         if path is None or not os.path.exists(path):
-            raise ProtocolError(f"no trace for run {run_id!r}", status=404)
-        return Path(path)
-
-    def _record_path(self, run_id: str) -> str:
-        if self._spool_dir is None:
-            self._spool_dir = tempfile.mkdtemp(prefix="repro-serve-")
-        else:
-            os.makedirs(self._spool_dir, exist_ok=True)
-        return os.path.join(self._spool_dir, f"{run_id}.record.jsonl")
-
-    def record_file(self, run_id: str) -> Path:
-        path = self._records.get(run_id)
-        if path is None or not os.path.exists(path):
-            raise ProtocolError(f"no recording for run {run_id!r}",
+            raise ProtocolError(f"no {channel} for run {run_id!r}",
                                 status=404)
         return Path(path)
 

@@ -53,8 +53,8 @@ import socket
 import time
 from typing import Dict, Iterator, Optional, Tuple
 
-from ..obs import (JsonlTraceWriter, MetricsRegistry, SamplingProfiler,
-                   enable_memory_profiling, get_logger, read_jsonl_objects,
+from ..obs import (JsonlSink, MetricsRegistry, SamplingProfiler,
+                   enable_memory_profiling, get_logger, read_jsonl,
                    set_metrics, set_tracer, tracer)
 from ..obs.metrics import SERVICE_BUCKETS
 from .engine import ServiceEngine
@@ -205,7 +205,7 @@ def read_access_log(path) -> Iterator[Dict[str, object]]:
     reading discipline as the run ledger (corrupt or truncated lines,
     including a final line cut short by ``kill -9``, are skipped with
     a warning)."""
-    yield from read_jsonl_objects(path, kind="access log")
+    yield from read_jsonl(path, kind="access log")
 
 
 class PartitionServer:
@@ -252,7 +252,7 @@ class PartitionServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._previous_metrics = None
         self._shutdown_event: Optional[asyncio.Event] = None
-        self._tracer: Optional[JsonlTraceWriter] = None
+        self._tracer: Optional[JsonlSink] = None
         self._previous_tracer = None
         self._access_file = None
         self._request_seq = itertools.count(1)
@@ -270,7 +270,7 @@ class PartitionServer:
         """
         self._previous_metrics = set_metrics(self.registry)
         if self.trace_path is not None:
-            self._tracer = JsonlTraceWriter(self.trace_path)
+            self._tracer = JsonlSink(self.trace_path, timeline=True)
             self._previous_tracer = set_tracer(self._tracer)
         if self.access_log_path is not None:
             parent = os.path.dirname(str(self.access_log_path))
@@ -550,15 +550,10 @@ class PartitionServer:
             return await self._sweep(body, request_id, trace_id)
         if path.startswith("/jobs/"):
             return await self._jobs_endpoint(method, path)
-        if path.startswith("/trace/"):
+        channel, _, run_id = path[1:].partition("/")
+        if channel in ("trace", "record") and run_id:
             self._expect(method, "GET")
-            run_id = path[len("/trace/"):]
-            data = self.engine.trace_file(run_id).read_bytes()
-            return 200, data, "application/jsonl"
-        if path.startswith("/record/"):
-            self._expect(method, "GET")
-            run_id = path[len("/record/"):]
-            data = self.engine.record_file(run_id).read_bytes()
+            data = self.engine.spooled_file(channel, run_id).read_bytes()
             return 200, data, "application/jsonl"
         raise ProtocolError(f"no such endpoint {path!r}", status=404)
 

@@ -14,6 +14,7 @@ The contracts pinned here:
 
 import json
 import logging
+import threading
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.core import ml_bipartition
 from repro.fm import fm_bipartition
 from repro.harness import Algorithm, run_cell
 from repro.hypergraph import hierarchical_circuit
-from repro.obs import (BufferRecorder, BufferTracer, MetricsRegistry,
+from repro.obs import (BufferSink, MetricsRegistry,
                        collecting_metrics, configure_logging, get_logger,
                        metrics, read_trace, set_recorder, set_tracer,
                        summarize_trace, tracer, tracing)
@@ -47,22 +48,48 @@ class TestTracerBasics:
         tr = tracer()
         assert not tr.enabled
         # Every operation is a harmless no-op.
-        with tr.span("x") as args:
-            assert args == {}
         tr.instant("x")
         tr.end("x", tr.begin())
 
     def test_tracing_restores_previous(self):
-        buffer = BufferTracer()
+        buffer = BufferSink()
         before = tracer()
         with tracing(buffer) as active:
             assert active is buffer
             assert tracer() is buffer
         assert tracer() is before
 
+    def test_tracing_is_scoped_to_the_installing_thread(self):
+        # A portfolio's trace file must not collect what other threads
+        # emit meanwhile (the daemon's event loop serving other
+        # requests): tracing() installs for the calling thread only,
+        # while set_tracer() stays process-wide.
+        default, scoped = BufferSink(), BufferSink()
+        installed, sampled = threading.Event(), threading.Event()
+        seen = {}
+
+        def other_thread():
+            installed.wait(5)
+            seen["tracer"] = tracer()
+            sampled.set()
+
+        previous = set_tracer(default)
+        try:
+            thread = threading.Thread(target=other_thread)
+            thread.start()
+            with tracing(scoped):
+                installed.set()
+                assert sampled.wait(5)
+                assert tracer() is scoped
+            thread.join(5)
+        finally:
+            set_tracer(previous)
+        assert not thread.is_alive()
+        assert seen["tracer"] is default
+
     def test_results_identical_with_tracing(self, medium_hg):
         baseline = ml_bipartition(medium_hg, seed=5)
-        with tracing(BufferTracer()):
+        with tracing(BufferSink()):
             traced = ml_bipartition(medium_hg, seed=5)
         assert traced.cut == baseline.cut
         assert traced.partition.assignment == baseline.partition.assignment
@@ -73,7 +100,7 @@ class TestSpanNesting:
 
     @pytest.fixture
     def run(self, medium_hg):
-        buffer = BufferTracer()
+        buffer = BufferSink()
         with tracing(buffer):
             result = ml_bipartition(medium_hg, seed=3)
         return result, buffer.events
@@ -130,11 +157,11 @@ class TestCrossModeTelemetry:
 
     @pytest.mark.parametrize("engine_seed", [2, 11])
     def test_pass_counters_identical(self, medium_hg, engine_seed):
-        inlined = BufferTracer()
+        inlined = BufferSink()
         with tracing(inlined):
             bare = fm_bipartition(medium_hg, seed=engine_seed)
-        generic = BufferTracer()
-        taped = BufferRecorder()
+        generic = BufferSink()
+        taped = BufferSink()
         previous = set_recorder(taped)
         try:
             with tracing(generic):
@@ -211,7 +238,7 @@ class TestMultiprocessMerge:
 
 class TestRetryTelemetry:
     def test_failed_attempts_traced_with_backoff(self, medium_hg):
-        buffer = BufferTracer()
+        buffer = BufferSink()
         portfolio = Portfolio(_always_failing(), medium_hg, runs=1, seed=0,
                               retries=1, backoff_seconds=0.001, trace=True)
         with tracing(buffer):
@@ -246,7 +273,7 @@ class TestMetrics:
         a.counter("c_total", "h", k="v").inc(2)
         b.counter("c_total", "h", k="v").inc(3)
         b.histogram("h_seconds", "h").observe(0.5)
-        a.merge(b.snapshot())
+        a.absorb(b.snapshot())
         assert a.counter("c_total", "h", k="v").value == 5
         assert a.histogram("h_seconds", "h").count == 1
 

@@ -20,6 +20,8 @@ Covers the observability acceptance criteria end to end:
 
 import asyncio
 import json
+import sys
+import threading
 
 import pytest
 
@@ -27,13 +29,13 @@ from repro.core import ml_bipartition
 from repro.core.config import MLConfig
 from repro.core.quadrisection import ml_kway
 from repro.core.vcycle import ml_vcycle
+from repro.faults import FAULT_EXIT, FaultPlan
 from repro.fm import FMConfig, fm_bipartition
 from repro.harness import Algorithm
 from repro.hypergraph import hierarchical_circuit, write_json
-from repro.obs import (BufferRecorder, diff_events, diff_recordings,
-                       group_starts, read_record, recorder, recording,
-                       replay_recording)
-from repro.obs.recorder import NoopRecorder
+from repro.obs import (BufferSink, diff_events, diff_recordings,
+                       group_starts, read_record, read_trace, recorder,
+                       recording, replay_recording, set_recorder)
 from repro.runtime import Portfolio, execute
 
 pytestmark = pytest.mark.recorder
@@ -93,7 +95,6 @@ AUDITED = {
 class TestRecorderPlumbing:
     def test_default_recorder_is_noop(self):
         rc = recorder()
-        assert isinstance(rc, NoopRecorder)
         assert rc.enabled is False
         # Emitting into the noop is legal and does nothing.
         rc.emit({"t": "mv"})
@@ -105,7 +106,7 @@ class TestRecorderPlumbing:
             recorder().emit({"t": "start", "i": 0})
             recorder().emit({"t": "result", "i": 0, "cut": 3,
                              "assign": "0110"})
-        assert isinstance(recorder(), NoopRecorder)
+        assert recorder().enabled is False
         events = list(read_record(path))
         assert [e["t"] for e in events] == ["start", "result"]
 
@@ -114,7 +115,7 @@ class TestRecorderPlumbing:
             assert recorder().enabled is False
 
     def test_buffer_recorder_drains_in_order(self):
-        buf = BufferRecorder()
+        buf = BufferSink()
         for i in range(5):
             buf.emit({"t": "mv", "i": i})
         drained = buf.drain()
@@ -131,6 +132,53 @@ class TestRecorderPlumbing:
         assert sorted(groups) == [-1, 0, 1]
         assert groups[-1][0]["t"] == "cycle"
         assert len(groups[0]) == 2 and len(groups[1]) == 2
+
+
+    def test_concurrent_recordings_stay_isolated(self):
+        # More threads than cores, each recording into its own sink
+        # under a tiny switch interval: no decision may reach another
+        # thread's sink or the process-wide default.
+        default = BufferSink()
+        sinks = [BufferSink() for _ in range(8)]
+        barrier = threading.Barrier(len(sinks))
+
+        def emit_into(i):
+            with recording(sinks[i]):
+                barrier.wait(10)
+                for n in range(200):
+                    recorder().emit({"t": "mv", "i": i, "n": n})
+
+        interval = sys.getswitchinterval()
+        previous = set_recorder(default)
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=emit_into, args=(i,))
+                       for i in range(len(sinks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+            set_recorder(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert default.events == []
+        for i, sink in enumerate(sinks):
+            assert [(e["i"], e["n"]) for e in sink.events] == \
+                [(i, n) for n in range(200)]
+
+    def test_read_record_skips_damaged_lines(self, tmp_path, caplog):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text('{"t":"start","i":0,"seed":1,"alg":"fm"}\n'
+                        '{"t":"mv","i":0,"m":3,bad\n'
+                        '{"t":"result","i":0,"cut":2,"assign":"01"}\n'
+                        '{"t":"start","i":1,"se')
+        with caplog.at_level("WARNING"):
+            events = list(read_record(path))
+        assert [e["t"] for e in events] == ["start", "result"]
+        messages = "\n".join(r.getMessage() for r in caplog.records)
+        assert "corrupt record line 2" in messages
+        assert "corrupt record line 4" in messages
 
 
 class TestNonPerturbation:
@@ -231,13 +279,36 @@ class TestReplay:
         rs = _record_portfolio(hier300, serial, jobs=1)
         rp = _record_portfolio(hier300, pooled, jobs=2)
         assert [r.cut for r in rs.records] == [r.cut for r in rp.records]
-        # Pool workers ship their events back through BufferRecorder;
+        # Pool workers ship their events back on RunRecord.telemetry;
         # the merged stream must be decision-identical to serial.
         report = diff_recordings(serial, pooled)
         assert report.identical, report.render()
         # And the pooled stream replays clean on its own.
         replay = replay_recording(pooled, hier300)
         assert replay.ok and replay.results_verified == 3
+
+
+    @pytest.mark.parallel
+    def test_telemetry_survives_respawned_workers(self, hier300, tmp_path):
+        # Start 1's first attempt kills its worker; the pool forks a
+        # replacement from its handler thread, which never saw the
+        # parent's sinks.  The channels handed to the pool must still
+        # bring every final start's span and decision block home.
+        trace, record = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+        result = execute(Portfolio(
+            _ml_algorithm(), hier300, runs=6, seed=7, retries=1,
+            faults=FaultPlan(targeted={(1, 1): FAULT_EXIT}),
+            trace=str(trace), record=str(record)), jobs=2)
+        assert [r.status for r in result.records] == ["ok"] * 6
+        assert result.records[1].attempts == 2
+        spans = {(e["args"]["index"], e["args"]["attempt"])
+                 for e in read_trace(trace)
+                 if e.get("name") == "portfolio.start"
+                 and e["args"]["status"] == "ok"}
+        assert {(r.index, r.attempts) for r in result.records} <= spans
+        report = replay_recording(record, hier300)
+        assert report.ok, report.render()
+        assert report.results_verified == len(result.records)
 
 
 class TestDiffRun:
@@ -391,7 +462,7 @@ class TestServiceRecording:
         engine, payloads = self._serve([self._body(record=True)])
         payload = payloads[0]
         assert payload["record"] == f"/record/{payload['id']}"
-        path = engine.record_file(payload["id"])
+        path = engine.spooled_file("record", payload["id"])
         events = list(read_record(path))
         kinds = {e["t"] for e in events}
         assert {"start", "mv", "result"} <= kinds
@@ -411,5 +482,5 @@ class TestServiceRecording:
         from repro.service.protocol import ProtocolError
         engine = ServiceEngine(jobs=1)
         with pytest.raises(ProtocolError) as excinfo:
-            engine.record_file("nope")
+            engine.spooled_file("record", "nope")
         assert excinfo.value.status == 404

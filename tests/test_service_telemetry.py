@@ -8,6 +8,8 @@ The contracts pinned here:
 * a coalesced burst of identical requests produces exactly one
   execution tree whose ``exec_id`` every request-scoped root span
   references;
+* a traced request's own trace holds its execution only: root spans
+  of requests served meanwhile stay in the daemon trace;
 * ``/status`` and ``/profile`` serve the ops surfaces;
 * the access log records one tolerant-readable JSONL line per request;
 * the scraped latency histogram agrees with client-side stopwatches
@@ -20,6 +22,7 @@ import time
 
 import pytest
 
+from repro.faults import FAULT_HANG, FaultPlan
 from repro.obs import read_trace, summarize_service_trace
 from repro.obs.ledger import read_ledger
 from repro.obs.metrics import lint_prometheus
@@ -128,6 +131,57 @@ class TestCoalescedBurstTrace:
         summary = summarize_service_trace(trace)
         assert summary.is_service_trace
         assert len(summary.executions[exec_id].requests) == width
+
+
+class TestPerRequestTraceScope:
+    def test_concurrent_hits_stay_out_of_a_traced_request(self, tiny_hg,
+                                                           tmp_path):
+        daemon_trace = tmp_path / "daemon.trace.jsonl"
+        hit = _body(tiny_hg, runs=1, seed=5)
+        # Start 1 of the traced request hangs inside its execution, so
+        # the cache hits below are served while it runs.
+        plan = FaultPlan(hang_seconds=1.0, targeted={(1, 1): FAULT_HANG})
+        traced = {}
+        with _ServerThread(server_kw={"trace_path": str(daemon_trace)},
+                           faults=plan) as srv:
+            with srv.client() as client:
+                client.partition(hit, request_id="warm")
+            done = threading.Event()
+
+            def run_traced():
+                with srv.client() as client:
+                    traced["payload"] = client.partition(
+                        _body(tiny_hg, runs=2, seed=5, trace=True),
+                        request_id="traced")
+                    traced["trace"] = client.trace(traced["payload"]["id"])
+                done.set()
+
+            thread = threading.Thread(target=run_traced)
+            thread.start()
+            hit_ids = []
+            with srv.client() as client:
+                while not done.is_set():
+                    request_id = f"hit-{len(hit_ids)}"
+                    assert client.partition(hit, request_id=request_id
+                                            )["cached"] is True
+                    hit_ids.append(request_id)
+                    time.sleep(0.01)
+            thread.join(30)
+        assert not thread.is_alive()
+        assert len(hit_ids) >= 5, "no hits overlapped the traced request"
+
+        own = tmp_path / "own.trace.jsonl"
+        own.write_bytes(traced["trace"])
+        own_events = list(read_trace(own))
+        assert len([e for e in own_events
+                    if e.get("name") == "portfolio.start"]) == 2
+        foreign = [e["args"]["request_id"] for e in own_events
+                   if e.get("name") == "service.request"
+                   and e["args"].get("request_id") != "traced"]
+        assert foreign == []
+        roots = {e["args"]["request_id"] for e in read_trace(daemon_trace)
+                 if e.get("name") == "service.request"}
+        assert set(hit_ids) <= roots
 
 
 class TestStatusEndpoint:

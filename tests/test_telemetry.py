@@ -14,14 +14,13 @@ import time
 
 import pytest
 
-from repro.obs import (read_jsonl_objects, render_status, set_tracer,
+from repro.obs import (BufferSink, read_jsonl, render_status, set_tracer,
                        summarize_service_trace, trace_context,
                        trace_scope)
 from repro.obs.metrics import (Histogram, MetricsRegistry,
                                SERVICE_BUCKETS, lint_prometheus)
 from repro.obs.profile import (SamplingProfiler, enable_memory_profiling,
                                memory_peak, memory_profiling_enabled)
-from repro.obs.trace import BufferTracer
 
 
 class TestTraceContext:
@@ -42,7 +41,7 @@ class TestTraceContext:
             assert trace_context() == {"exec_id": "e1"}
 
     def test_context_stamped_into_span_args(self):
-        tracer = BufferTracer()
+        tracer = BufferSink()
         previous = set_tracer(tracer)
         try:
             with trace_scope(trace_id="t-9"):
@@ -60,7 +59,7 @@ class TestTraceContext:
         assert "trace_id" not in by_name["outside"]["args"]
 
     def test_explicit_args_override_context(self):
-        tracer = BufferTracer()
+        tracer = BufferSink()
         previous = set_tracer(tracer)
         try:
             with trace_scope(trace_id="ambient"):
@@ -334,8 +333,8 @@ class TestTolerantJsonlReader:
                         '[1, 2]\n'
                         '{"b": 2}\n'
                         '{"trunc')
-        rows = list(read_jsonl_objects(path))
+        rows = list(read_jsonl(path))
         assert rows == [{"a": 1}, {"b": 2}]
 
     def test_missing_file_yields_nothing(self, tmp_path):
-        assert list(read_jsonl_objects(tmp_path / "absent.jsonl")) == []
+        assert list(read_jsonl(tmp_path / "absent.jsonl")) == []
