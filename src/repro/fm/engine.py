@@ -20,8 +20,13 @@ update loop of a pass — binds the flat incidence layer (``hg.csr``)
 into locals and inlines the per-pin gain bumps.  The common
 configuration (LIFO linked-list buckets, no boundary mode, no
 lookahead, recorder off) runs the fully inlined
-:func:`_move_loop_csr_ll`; every other one runs :func:`_move_loop_csr`,
-which makes the same moves in the same order.
+:func:`_move_loop_csr_ll`, which handles two-pin nets (most nets of a
+circuit) with one relink per move; every other one runs
+:func:`_move_loop_csr`, which makes the same moves in the same order.
+Both record the objectives at the best prefix, and
+:func:`_rollback_csr` restores the pass's best state from whichever
+side of that prefix is shorter: undoing the discarded tail, or
+replaying the committed prefix from copies taken at pass start.
 """
 
 from __future__ import annotations
@@ -202,26 +207,20 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     members of the best bucket; first seen wins ties).  Gain updates
     run in two phases around the move — phase A off the pre-move
     counts, phase B off the post-move counts — with the flat views
-    bound locally and the buckets' O(1) relink ``update``.  The common
-    configuration —
-    linked-list buckets, no boundary mode, no lookahead — takes the
-    fully inlined :func:`_move_loop_csr_ll` below.
+    bound locally and the buckets' O(1) relink ``update``.  On exit
+    ``state._pass_best`` holds the (cut, SOED) pair at the best prefix.
 
-    With decision recording live, the inlined loop is bypassed: it
-    replays exactly this loop's operation sequence (that is its
-    docstring contract), so routing through here records the identical
-    decisions while the hot path stays free of instrumentation.
+    :func:`fm_bipartition` runs the common configuration — LIFO
+    linked-list buckets, no boundary mode, no lookahead — through the
+    fully inlined :func:`_move_loop_csr_ll` instead, unless decision
+    recording is live: the inlined loop makes exactly this loop's
+    moves in this loop's bucket order (that is its docstring
+    contract), so routing through here records the identical decisions
+    while the hot path stays free of instrumentation.
     """
     rec = recorder()
-    if (not rec.enabled and locked_counts is None and not config.boundary
-            and type(buckets) is LinkedListBuckets and buckets._lifo
-            and state._active_nets
-            is state.hg.csr.active_nets(config.max_net_size)):
-        return _move_loop_csr_ll(state, buckets, gains, locked, config,
-                                 areas, lower, upper)
     rec_on = rec.enabled
     cut_prev = state.cut_weight
-    state._pass_best = None
     hg = state.hg
     view = hg.csr
     module_nets = view.module_nets
@@ -238,6 +237,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
 
     moves: List[Tuple[int, int]] = []
     best_cut = state.cut_weight
+    best_soed = state.soed_weight
     best_index = 0
     stall = 0
 
@@ -382,6 +382,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
         cut_now = state.cut_weight
         if cut_now < best_cut:
             best_cut = cut_now
+            best_soed = state.soed_weight
             best_index = len(moves)
             stall = 0
         else:
@@ -389,6 +390,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
             if early_stall is not None and stall >= early_stall:
                 break
 
+    state._pass_best = (best_cut, best_soed)
     return moves, best_index
 
 
@@ -398,18 +400,17 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
                       ) -> Tuple[List[Tuple[int, int]], int]:
     """Fully inlined pass loop: CSR views + raw LIFO linked-list buckets.
 
-    Replays exactly the operation sequence of the generic loop —
-    selection scan, unlink of the chosen module, phase-A bumps, the
-    move's count/span/objective bookkeeping, phase-B bumps — but with
-    every bucket relink and every state update written out over the
-    underlying arrays, so one module move costs only index arithmetic.
-    Several local transformations keep the arithmetic identical while
-    dropping per-visit work:
+    Makes exactly the moves of the generic loop, leaving every bucket
+    in the same order after every move — selection scan, unlink of the
+    chosen module, phase-A bumps, the move's count/span/objective
+    bookkeeping, phase-B bumps — but with every bucket relink and every
+    state update written out over the underlying arrays, so one module
+    move costs only index arithmetic.  Several local transformations
+    keep the decisions identical while dropping per-visit work:
 
     * net sweeps iterate the pre-filtered ``active_incidence`` (no
-      ``active[e]`` test per visit — the dispatch above guarantees the
-      state's active set is exactly
-      ``active_nets(config.max_net_size)``);
+      ``active[e]`` test per visit — :func:`fm_bipartition` builds the
+      state on exactly ``active_nets(config.max_net_size)``);
     * bucket positions live in index space (``gain + max_gain``), so
       the ``gains`` argument's per-bump mirror writes disappear;
     * the loop is LIFO-only (the dispatch checks ``buckets._lifo``):
@@ -423,16 +424,28 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
       count, so the bucket-operation order matches a separate sweep);
     * a ``+w`` bump can only raise the max-gain cursor and a ``-w``
       bump can only settle it, so each bump site keeps just its half
-      of the cursor maintenance.
+      of the cursor maintenance;
+    * two-pin nets skip phase A.  The other pin ``u`` of a two-pin net
+      always gets a phase-A and a phase-B bump of the same sign, so
+      the sweep relinks it once by ``±2w`` at its phase-B position and
+      writes the net's counts, span and objective change from
+      ``part_of[u]`` alone.  A LIFO bucket's order depends only on each
+      module's final bucket and the time of its last relink, and the
+      dropped phase-A relink is never ``u``'s last, so every bucket
+      ends the move in the same order.  The net's share of ``u``'s
+      gain still moves within ``[-w, w]`` (straight from one end to
+      the other), so every index ``u`` passes through stays inside the
+      bucket range whenever the generic loop's does.
 
     The loop *consumes* ``buckets``: on exit only the state structures
     (``part_of``/``counts``/``spans``/``part_area`` mutated in place,
-    ``cut_weight``/``soed_weight`` written back) and ``locked`` are
-    valid; the bucket object and the ``gains`` list are stale, and the
-    caller rebuilds both for every pass.
+    ``cut_weight``/``soed_weight`` written back, ``_pass_best`` set)
+    and ``locked`` are valid; the bucket object and the ``gains`` list
+    are stale, and the caller rebuilds both for every pass.
     """
     view = state.hg.csr
     incident_of = view.active_incidence(config.max_net_size)
+    sizes = view.sizes_list
     net_pins = view.net_pins
     net_weights = view.weights_list
     part_of = state.part_of
@@ -514,8 +527,11 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
         counts_dst = counts[dst]
         incident = incident_of[chosen]
 
-        # --- gain updates, phase A: inspect pre-move counts.
+        # --- gain updates, phase A: inspect pre-move counts.  Two-pin
+        # nets are left to the sweep below.
         for e in incident:
+            if sizes[e] == 2:
+                continue
             cd = counts_dst[e]
             if cd == 0:
                 w = net_weights[e]
@@ -581,6 +597,71 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
         part_area[dst] += area
         for e in incident:
             w = net_weights[e]
+            if sizes[e] == 2:
+                # Two-pin net: its state follows from the other pin's
+                # side, and that pin's phase-A and phase-B bumps (same
+                # sign) become one relink by 2w at the phase-B position.
+                u, other = net_pins[e]
+                if u == chosen:
+                    u = other
+                if part_of[u] == src:
+                    counts_src[e] = 1
+                    counts_dst[e] = 1
+                    spans[e] = 2
+                    cut_w += w
+                    soed_w += w + w
+                    if not locked[u]:
+                        oidx = idx_of[u]
+                        nidx = oidx + w + w
+                        if nidx >= width:
+                            raise PartitionError(
+                                f"gain {nidx - max_g} outside bucket range")
+                        u_n = nxt[u]
+                        if head[oidx] == u:
+                            head[oidx] = u_n
+                        else:
+                            u_p = prv[u]
+                            nxt[u_p] = u_n
+                            if u_n != _NIL:
+                                prv[u_n] = u_p
+                        old = head[nidx]
+                        nxt[u] = old
+                        head[nidx] = u
+                        if old != _NIL:
+                            prv[old] = u
+                        idx_of[u] = nidx
+                        if nidx > top:
+                            top = nidx
+                else:
+                    counts_src[e] = 0
+                    counts_dst[e] = 2
+                    spans[e] = 1
+                    cut_w -= w
+                    soed_w -= w + w
+                    if not locked[u]:
+                        oidx = idx_of[u]
+                        nidx = oidx - w - w
+                        if nidx < 0:
+                            raise PartitionError(
+                                f"gain {nidx - max_g} outside bucket range")
+                        u_n = nxt[u]
+                        if head[oidx] == u:
+                            head[oidx] = u_n
+                        else:
+                            u_p = prv[u]
+                            nxt[u_p] = u_n
+                            if u_n != _NIL:
+                                prv[u_n] = u_p
+                        old = head[nidx]
+                        nxt[u] = old
+                        head[nidx] = u
+                        if old != _NIL:
+                            prv[old] = u
+                        idx_of[u] = nidx
+                        if oidx == top and head[oidx] == _NIL:
+                            while top >= 0 and head[top] == _NIL:
+                                top -= 1
+                continue
             s = spans[e]
             cs = counts_src[e] - 1
             counts_src[e] = cs
@@ -666,85 +747,79 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
     return moves, best_index
 
 
-def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
-                  best_index: int, incident_of) -> None:
-    """Undo ``moves[best_index:]`` with the view locals bound once.
+def _checkpoint(state: PartitionState):
+    """Pass-start copies of ``part_of``, both count rows and ``spans``
+    (C-level slice copies), for :func:`_replay_prefix`."""
+    c0, c1 = state.counts
+    return state.part_of[:], c0[:], c1[:], state.spans[:]
 
-    Identical arithmetic to calling ``state.move(v, original)`` per
-    undone move (every undone module really changes side, so the
-    same-part early-out never fires), without 10k+ method calls per
-    pass on large circuits.  ``incident_of`` is the active-filtered
-    incidence matching the state's active set.
 
-    When the pass loop has recorded the objective values at the best
-    prefix (``state._pass_best``, set by the inlined LIFO loop), the
-    per-net cut/SOED arithmetic is skipped entirely — counts and spans
-    are still restored net by net, but the objectives are simply reset
-    to the recorded pair, which is what the replay would reproduce.
-    """
-    tail_moves = moves[best_index:]
-    final = state._pass_best
-    if not tail_moves:
-        if final is not None:
-            state.cut_weight, state.soed_weight = final
-        return
-    view = state.hg.csr
-    net_weights = view.weights_list
-    areas = view.areas_list
+def _shift(state: PartitionState, steps, incident_of) -> None:
+    """Move each ``(module, side)`` of ``steps`` to ``side``, updating
+    ``part_of``, ``counts`` and ``spans`` only (every step really
+    changes the module's side)."""
     part_of = state.part_of
     counts = state.counts
-    part_area = state.part_area
     spans = state.spans
-    if final is not None:
-        for v, original in reversed(tail_moves):
-            src = part_of[v]
-            area = areas[v]
-            part_of[v] = original
-            part_area[src] -= area
-            part_area[original] += area
-            counts_src = counts[src]
-            counts_dst = counts[original]
-            for e in incident_of[v]:
-                c = counts_src[e] - 1
-                counts_src[e] = c
-                if c == 0:
-                    spans[e] -= 1
-                c = counts_dst[e] + 1
-                counts_dst[e] = c
-                if c == 1:
-                    spans[e] += 1
-        state.cut_weight, state.soed_weight = final
-        return
-    cut_w = state.cut_weight
-    soed_w = state.soed_weight
-    for v, original in reversed(tail_moves):
-        src = part_of[v]
-        area = areas[v]
-        part_of[v] = original
-        part_area[src] -= area
-        part_area[original] += area
-        counts_src = counts[src]
-        counts_dst = counts[original]
+    for v, dst in steps:
+        part_of[v] = dst
+        counts_src = counts[1 - dst]
+        counts_dst = counts[dst]
         for e in incident_of[v]:
-            w = net_weights[e]
-            s = spans[e]
             c = counts_src[e] - 1
             counts_src[e] = c
             if c == 0:
-                s -= 1
-                soed_w -= w if s > 1 else (2 * w if s == 1 else 0)
-                if s == 1:
-                    cut_w -= w
+                spans[e] -= 1
             c = counts_dst[e] + 1
             counts_dst[e] = c
             if c == 1:
-                s += 1
-                soed_w += w if s > 2 else (2 * w if s == 2 else 0)
-                if s == 2:
-                    cut_w += w
-            spans[e] = s
-    state.cut_weight = cut_w
-    state.soed_weight = soed_w
+                spans[e] += 1
+
+
+def _replay_prefix(state: PartitionState, moves: List[Tuple[int, int]],
+                   best_index: int, incident_of, saved) -> None:
+    """Restore ``part_of``/``counts``/``spans`` at ``best_index`` from
+    the pass-start copies ``saved`` (:func:`_checkpoint`) and replay
+    ``moves[:best_index]`` forward."""
+    part_of, c0, c1, spans = saved
+    state.part_of[:] = part_of
+    state.counts[0][:] = c0
+    state.counts[1][:] = c1
+    state.spans[:] = spans
+    _shift(state, [(v, 1 - src) for v, src in moves[:best_index]],
+           incident_of)
+
+
+def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
+                  best_index: int, incident_of, saved) -> None:
+    """Roll the state back to the best prefix ``moves[:best_index]``.
+
+    Counts, spans and ``part_of`` are restored from the shorter side:
+    when the committed prefix is shorter than the discarded tail, the
+    pass-start copies ``saved`` are put back and the prefix replayed
+    (:func:`_replay_prefix`); otherwise the tail is undone last move
+    first.  Both give identical integer state.
+    ``part_area`` always takes the tail's float updates in reverse, so
+    it is bit-equal to undoing each move with ``state.move`` even for
+    fractional areas, and the objectives are reset to the pair the pass
+    loop recorded at its best prefix (``state._pass_best``).
+    ``incident_of`` is the active-filtered incidence matching the
+    state's active set.
+    """
+    state.cut_weight, state.soed_weight = state._pass_best
+    tail = moves[best_index:]
+    if not tail:
+        return
+    areas = state.hg.csr.areas_list
+    part_area = state.part_area
+    for v, original in reversed(tail):
+        area = areas[v]
+        part_area[1 - original] -= area
+        part_area[original] += area
+    if best_index < len(tail):
+        _replay_prefix(state, moves, best_index, incident_of, saved)
+    else:
+        _shift(state, reversed(tail), incident_of)
 
 
 def report_run(engine: str, hg: Hypergraph, config: FMConfig, tr,
@@ -918,14 +993,21 @@ def fm_bipartition(hg: Hypergraph,
             bucket_inserts = len(buckets)
             cut_before = state.cut_weight
 
-        moves, best_index = _move_loop_csr(state, buckets, gains, locked,
-                                           locked_counts, config,
-                                           areas, lower, upper)
+        saved = _checkpoint(state)
+        if (not rec_on and locked_counts is None and not config.boundary
+                and type(buckets) is LinkedListBuckets and buckets._lifo):
+            moves, best_index = _move_loop_csr_ll(state, buckets, gains,
+                                                  locked, config, areas,
+                                                  lower, upper)
+        else:
+            moves, best_index = _move_loop_csr(state, buckets, gains,
+                                               locked, locked_counts,
+                                               config, areas, lower, upper)
         total_moves += len(moves)
 
         # Roll back to the best prefix of the pass.
         _rollback_csr(state, moves, best_index,
-                      hg.csr.active_incidence(config.max_net_size))
+                      hg.csr.active_incidence(config.max_net_size), saved)
         pass_cuts.append(state.cut_weight)
         if rec_on:
             rec.emit({"t": "pass", "p": passes, "k": best_index,

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PartitionError, ReproError
 from repro.fm import FMConfig, clip_bipartition, fm_bipartition, kway_partition
+from repro.fm import engine
+from repro.fm.buckets import LinkedListBuckets
 from repro.hypergraph import Hypergraph, hierarchical_circuit
-from repro.partition import (BalanceConstraint, Partition, cut,
-                             random_partition)
+from repro.partition import (BalanceConstraint, Partition, PartitionState,
+                             cut, random_partition)
 from repro.rng import child_seeds
+
+from . import oracle
 
 
 class TestDegenerateInstances:
@@ -56,6 +60,88 @@ class TestDegenerateInstances:
         result = fm_bipartition(hg, seed=2)
         # separating 0 and 1 costs 5; the engine must prefer cutting {1,2}
         assert result.cut == 1
+
+
+class TestExactPassDegenerate:
+    """Degenerate inputs for the exact (inlined LIFO) pass: each run
+    either succeeds with the state matching :mod:`tests.oracle` after
+    every pass, or raises a named :class:`ReproError`."""
+
+    @staticmethod
+    def _run(monkeypatch, hg, initial=None, fixed=None):
+        rollback = engine._rollback_csr
+        passes = []
+
+        def checked(state, moves, best_index, incident_of, saved):
+            rollback(state, moves, best_index, incident_of, saved)
+            passes.append(len(moves))
+            want = oracle.state_view(hg, state.part_of, 2,
+                                     state.active_nets())
+            assert state.part_area == pytest.approx(want.pop("part_area"))
+            assert {"counts": state.counts, "spans": state.spans,
+                    "cut": state.cut_weight,
+                    "soed": state.soed_weight} == want
+
+        monkeypatch.setattr(engine, "_rollback_csr", checked)
+        results = []
+        for clip in (False, True):
+            result = fm_bipartition(hg, initial=initial, seed=0,
+                                    config=FMConfig(clip=clip),
+                                    fixed=fixed)
+            assert result.cut == oracle.cut(hg, result.partition.assignment)
+            results.append(result)
+        assert len(passes) == sum(r.passes for r in results)
+        return results
+
+    def test_all_modules_fixed_is_an_empty_pass(self, monkeypatch):
+        hg = Hypergraph([[0, 1], [1, 2], [2, 3], [0, 3]], num_modules=4)
+        start = Partition([0, 1, 1, 0], 2)
+        for result in self._run(monkeypatch, hg, start, fixed=[True] * 4):
+            assert (result.passes, result.total_moves) == (1, 0)
+            assert result.partition.assignment == start.assignment
+
+    def test_all_modules_fixed_infeasible_start_is_named(self, monkeypatch):
+        hg = Hypergraph([[0, 1], [2, 3]], num_modules=4)
+        with pytest.raises(ReproError):
+            self._run(monkeypatch, hg, Partition([0, 0, 0, 0], 2),
+                      fixed=[True] * 4)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_single_two_pin_net(self, monkeypatch, n):
+        hg = Hypergraph([[n - 1, 0]], num_modules=n,
+                        areas=[0.5 + 0.25 * v for v in range(n)],
+                        net_weights=[7])
+        for result in self._run(monkeypatch, hg):
+            assert result.cut in (0, 7)
+
+    def test_no_nets(self, monkeypatch):
+        hg = Hypergraph([], num_modules=5, areas=[0.3, 1.1, 0.7, 2.0, 0.9])
+        for result in self._run(monkeypatch, hg,
+                                fixed=[False, True, False, False, True]):
+            assert result.cut == 0
+
+    def test_two_pin_bumps_reach_the_bucket_bound(self, monkeypatch):
+        # Both modules start on one side, so each has gain -9 (the
+        # bucket bound, weighted degree 9).  The first move lifts the
+        # other module by 2w on each parallel net, to +9: the top
+        # bucket for FM, and the top of CLIP's doubled range too.
+        hg = Hypergraph([[0, 1]] * 3, num_modules=2, net_weights=[2, 3, 4])
+        for result in self._run(monkeypatch, hg, Partition([0, 0], 2)):
+            assert result.total_moves == 2 and result.cut == 0
+
+    @pytest.mark.parametrize("start,gain", [([0, 0], 3), ([0, 1], -3)])
+    def test_inconsistent_gains_trip_the_range_check(self, start, gain):
+        # Gains that disagree with the state push a two-pin relink past
+        # the bucket range; the loop names the fault instead of writing
+        # outside the bucket arrays.
+        hg = Hypergraph([[0, 1]], num_modules=2, net_weights=[3])
+        state = PartitionState(hg, Partition(start, 2))
+        buckets = LinkedListBuckets(2, 3, "lifo")
+        buckets.fill(range(2), [gain, gain])
+        with pytest.raises(PartitionError, match="outside bucket range"):
+            engine._move_loop_csr_ll(state, buckets, [gain, gain],
+                                     [False, False], FMConfig(), [1.0, 1.0],
+                                     0.0, 2.0)
 
 
 class TestExtremeBalance:

@@ -20,6 +20,11 @@ Four contracts from DESIGN.md's kernel-layer sections (§8, §13):
 4. **Batch floor** — ``mlb`` must stay a multiple faster than ``mlc``
    end to end on a large netlist, or carrying a second refinement
    algorithm buys nothing.
+5. **Exact pass** — the inlined LIFO pass loop (two-pin fast path
+   included) and the generic loop make the same moves with the same
+   best prefix, and both rollback directions (undo the tail, replay
+   the prefix from the pass-start copies) restore the same state as
+   undoing each move with ``PartitionState.move``.
 """
 
 import hashlib
@@ -34,9 +39,10 @@ from repro.core.quadrisection import ml_kway
 from repro.core.vcycle import ml_vcycle
 from repro.fm import (FMConfig, batch_bipartition, clip_bipartition,
                       fm_bipartition, kway_partition)
+from repro.fm import engine
 from repro.fm.engine import _initial_gains
-from repro.hypergraph import (hierarchical_circuit, load_circuit,
-                              random_hypergraph)
+from repro.hypergraph import (Hypergraph, grid_circuit, hierarchical_circuit,
+                              load_circuit, random_hypergraph)
 from repro.partition import PartitionState, random_partition
 from repro.solvers import single_run
 
@@ -523,3 +529,156 @@ def test_mlb_at_least_3x_faster_than_mlc():
     assert t_mlb * 3.0 <= t_mlc, (
         f"mlb below the 3x floor: {t_mlb:.3f}s vs "
         f"mlc {t_mlc:.3f}s ({t_mlc / t_mlb:.2f}x)")
+
+
+# ---------------------------------------------------------------------------
+# 5. Exact pass: inlined vs generic loop, and both rollback directions.
+# ---------------------------------------------------------------------------
+
+
+def _dressed(hg, seed):
+    """``hg`` with net weights 1..5 and fractional module areas."""
+    rng = random.Random(seed)
+    return Hypergraph(
+        [hg.pins(e) for e in range(hg.num_nets)],
+        num_modules=hg.num_modules,
+        areas=[rng.choice((0.1, 0.3, 0.7, 1.25, 2.2))
+               for _ in range(hg.num_modules)],
+        net_weights=[rng.randint(1, 5) for _ in range(hg.num_nets)],
+        name=hg.name)
+
+
+def _exact_pass_cases():
+    """(hypergraph, config, fixed) over all-two-pin, no-two-pin and
+    mixed netlists; weighted nets, fractional areas, nets above
+    ``max_net_size`` and fixed modules all appear."""
+    grid = grid_circuit(9, 11, seed=4)
+    wide = random_hypergraph(90, 80, min_net_size=3, max_net_size=7,
+                             seed=8, name="wide")
+    mixed = random_hypergraph(120, 150, max_net_size=6, seed=9,
+                              name="mixed")
+    hier = hierarchical_circuit(200, 240, seed=31, name="hier200")
+    cases = []
+    for i, hg in enumerate((grid, wide, mixed, hier)):
+        for dressed in (False, True):
+            g = _dressed(hg, i) if dressed else hg
+            rng = random.Random(i)
+            fixed = [rng.random() < 0.1 for _ in range(g.num_modules)]
+            for clip in (False, True):
+                cases.append((g, FMConfig(clip=clip), None))
+                cases.append((g, FMConfig(clip=clip, max_net_size=4),
+                              fixed))
+    return cases
+
+
+def _clone(state):
+    twin = PartitionState.__new__(PartitionState)
+    for name in PartitionState.__slots__:
+        setattr(twin, name, getattr(state, name))
+    twin.part_of = list(state.part_of)
+    twin.part_area = list(state.part_area)
+    twin.counts = [list(c) for c in state.counts]
+    twin.spans = list(state.spans)
+    return twin
+
+
+def _exact_view(state):
+    """Everything rollback restores, with ``part_area`` bit for bit."""
+    return dict(_state_view(state), part_of=list(state.part_of),
+                part_area=[a.hex() for a in state.part_area])
+
+
+INTEGER_STATE = ("part_of", "counts", "spans")
+
+
+def _check_oracle(state, active):
+    hg = state.hg
+    want = oracle.state_view(hg, state.part_of, 2, active)
+    assert state.part_area == pytest.approx(want.pop("part_area"))
+    assert {"counts": state.counts, "spans": state.spans,
+            "cut": state.cut_weight, "soed": state.soed_weight} == want
+
+
+def _traced_passes(monkeypatch, hg, config, fixed, generic):
+    """Run FM once, recording per pass (moves, best_index, state after
+    rollback); ``generic`` routes the inlined loop's calls through
+    :func:`repro.fm.engine._move_loop_csr`."""
+    inlined = engine._move_loop_csr_ll
+    rollback = engine._rollback_csr
+    passes = []
+    calls = []
+
+    def loop(state, buckets, gains, locked, config, areas, lower, upper):
+        calls.append(generic)
+        if generic:
+            return engine._move_loop_csr(state, buckets, gains, locked,
+                                         None, config, areas, lower, upper)
+        return inlined(state, buckets, gains, locked, config, areas,
+                       lower, upper)
+
+    def traced_rollback(state, moves, best_index, incident_of, saved):
+        rollback(state, moves, best_index, incident_of, saved)
+        passes.append((list(moves), best_index, _exact_view(state)))
+        _check_oracle(state, state.active_nets())
+
+    monkeypatch.setattr(engine, "_move_loop_csr_ll", loop)
+    monkeypatch.setattr(engine, "_rollback_csr", traced_rollback)
+    initial = random_partition(hg, seed=hg.num_modules)
+    result = fm_bipartition(hg, initial=initial, config=config, seed=3,
+                            fixed=fixed)
+    monkeypatch.undo()
+    assert calls and len(calls) == len(passes)
+    return passes, result
+
+
+def test_inlined_and_generic_loops_agree(monkeypatch):
+    for hg, config, fixed in _exact_pass_cases():
+        fast, r_fast = _traced_passes(monkeypatch, hg, config, fixed,
+                                      generic=False)
+        slow, r_slow = _traced_passes(monkeypatch, hg, config, fixed,
+                                      generic=True)
+        assert fast == slow, (hg.name, config)
+        assert (r_fast.cut, r_fast.partition.assignment) == \
+            (r_slow.cut, r_slow.partition.assignment)
+        assert any(moves for moves, _, _ in fast), hg.name
+
+
+def test_rollback_directions_agree(monkeypatch):
+    rollback = engine._rollback_csr
+    checked = set()
+
+    def checking_rollback(state, moves, best_index, incident_of, saved):
+        n = len(moves)
+        for k in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1))):
+            # Reference: undo the tail move by move with
+            # PartitionState.move (float area updates in reverse).
+            ref = _clone(state)
+            for v, original in reversed(moves[k:]):
+                ref.move(v, original)
+            _check_oracle(ref, state.active_nets())
+            want = _exact_view(ref)
+            for restore in ("undo", "replay"):
+                twin = _clone(state)
+                if restore == "undo":
+                    engine._shift(twin, reversed(moves[k:]), incident_of)
+                else:
+                    engine._replay_prefix(twin, moves, k, incident_of,
+                                          saved)
+                got = _exact_view(twin)
+                assert [got[f] for f in INTEGER_STATE] == \
+                    [want[f] for f in INTEGER_STATE], (restore, k, n)
+            twin = _clone(state)
+            twin._pass_best = (ref.cut_weight, ref.soed_weight)
+            rollback(twin, moves, k, incident_of, saved)
+            assert _exact_view(twin) == want, (k, n)
+            checked.add((k < n - k, k in (0, n)))
+        rollback(state, moves, best_index, incident_of, saved)
+
+    monkeypatch.setattr(engine, "_rollback_csr", checking_rollback)
+    for hg, config, fixed in _exact_pass_cases():
+        initial = random_partition(hg, seed=hg.num_modules)
+        fm_bipartition(hg, initial=initial, config=config, seed=3,
+                       fixed=fixed)
+    # Both directions ran, at the ends of a pass and inside it.
+    assert checked == {(True, True), (True, False), (False, True),
+                       (False, False)}
