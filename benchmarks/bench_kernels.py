@@ -7,7 +7,12 @@ Two tables over the Table I-calibrated synthetic suite:
   :mod:`repro.fm.npengine`, vectorized coarsening), each as mean cut,
   min cut, mean wall per run and peak RSS over ``SEEDS`` seeds.  The
   two are *different algorithms*: the row is a quality/time trade-off,
-  never a speedup.
+  never a speedup.  A third side, ``mlb_scalar``, is ``mlb`` refining
+  the hierarchy of the scalar coarsening, substituted through
+  ``ml_bipartition(..., hierarchy=build_hierarchy(hg,
+  MLConfig(engine="clip"), seed=s))``; its cuts must equal ``mlb``'s
+  (asserted per cell), so ``mlb`` against ``mlb_scalar`` *is* a
+  like-for-like cost of the two coarsening paths inside ``mlb``.
 * ``coarsen`` — :func:`~repro.core.ml.build_hierarchy` with the scalar
   Match/Induce (``MLConfig(engine="clip")``) against their vectorized
   twins (``engine="batch"``): wall and peak RSS.  The two build the
@@ -16,7 +21,7 @@ Two tables over the Table I-calibrated synthetic suite:
   batch engine instead of to netlist size (DESIGN.md §13).
 
 Every cell runs in a fresh subprocess, so peak RSS (``ru_maxrss``)
-belongs to that cell alone; repeats of the two sides of a pair run
+belongs to that cell alone; repeats of a row's sides run
 interleaved, and the report keeps the median wall.  Script runs
 (``python benchmarks/bench_kernels.py``) write ``BENCH_kernels.json``
 at the repo root, committed from a ``REPRO_BENCH_SCALE=0.3`` run;
@@ -54,10 +59,12 @@ OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 CELLS = {
     ("ml_end_to_end", "mlc"): "clip",
     ("ml_end_to_end", "mlb"): "batch",
+    ("ml_end_to_end", "mlb_scalar"): "batch",
     ("coarsen", "scalar"): "clip",
     ("coarsen", "vectorized"): "batch",
 }
-PAIRS = {"ml_end_to_end": ("mlc", "mlb"), "coarsen": ("scalar", "vectorized")}
+SIDES = {"ml_end_to_end": ("mlc", "mlb", "mlb_scalar"),
+         "coarsen": ("scalar", "vectorized")}
 
 
 def _circuit_names():
@@ -86,7 +93,12 @@ def run_cell(kernel: str, side: str, circuit: str, scale: float) -> dict:
     cuts = []
     start = time.perf_counter()
     for seed in range(SEEDS):
-        cuts.append(ml_bipartition(hg, config=config, seed=seed).cut)
+        hierarchy = None
+        if side == "mlb_scalar":
+            hierarchy = build_hierarchy(hg, MLConfig(engine="clip"),
+                                        seed=seed)
+        cuts.append(ml_bipartition(hg, config=config, seed=seed,
+                                   hierarchy=hierarchy).cut)
     wall = time.perf_counter() - start
     return {"wall_s": wall / SEEDS, "peak_rss_mb": _peak_rss_mb(),
             "cuts": cuts}
@@ -120,7 +132,7 @@ def run_bench() -> dict:
         hg = load_circuit(name, scale=SCALE, seed=0)
         circuits[name] = {"modules": hg.num_modules, "nets": hg.num_nets,
                           "pins": hg.num_pins}
-        for kernel, sides in PAIRS.items():
+        for kernel, sides in SIDES.items():
             runs = {side: [] for side in sides}
             for _ in range(REPEATS):
                 for side in sides:  # interleaved pairs
@@ -133,6 +145,10 @@ def run_bench() -> dict:
                 a, b = sides
                 assert runs[a][0]["shape"] == runs[b][0]["shape"], (
                     f"{name}: scalar and vectorized hierarchies differ")
+            else:
+                assert (runs["mlb_scalar"][0]["cuts"]
+                        == runs["mlb"][0]["cuts"]), (
+                    f"{name}: mlb cuts depend on the coarsening path")
             row = {"circuit": name, "kernel": kernel}
             for side in sides:
                 for field, value in _summarise(runs[side]).items():
@@ -157,7 +173,9 @@ def run_bench() -> dict:
             "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
             "note": ("mlc and mlb are different algorithms: compare them "
                      "as cut vs time, not as a speedup. Scalar and "
-                     "vectorized coarsening build identical hierarchies."),
+                     "vectorized coarsening build identical hierarchies, "
+                     "so mlb_scalar (mlb over the scalar coarsening) "
+                     "gives mlb's cuts."),
         },
         "circuits": circuits,
         "results": rows,
@@ -167,6 +185,8 @@ def run_bench() -> dict:
                 ml["mlb_wall_s"] / ml["mlc_wall_s"], 3),
             "mlb_minus_mlc_mean_cut": round(
                 ml["mlb_mean_cut"] - ml["mlc_mean_cut"], 3),
+            "mlb_scalar_coarsen_wall_fraction": round(
+                ml["mlb_scalar_wall_s"] / ml["mlb_wall_s"], 3),
             "vectorized_coarsen_wall_fraction": round(
                 co["vectorized_wall_s"] / co["scalar_wall_s"], 3),
             "vectorized_coarsen_rss_delta_mb": round(
@@ -181,7 +201,7 @@ def print_report(report: dict) -> None:
           f"median of {meta['repeats']})")
     print(f"{'circuit':>10} {'mlc mean':>9} {'min':>5} {'wall s':>8} "
           f"{'MiB':>6} | {'mlb mean':>9} {'min':>5} {'wall s':>8} "
-          f"{'MiB':>6}")
+          f"{'MiB':>6} | {'scalar-coarsened s':>18} {'MiB':>6}")
     for r in report["results"]:
         if r["kernel"] != "ml_end_to_end":
             continue
@@ -189,7 +209,9 @@ def print_report(report: dict) -> None:
               f" {r['mlc_mean_cut']:9.1f} {r['mlc_min_cut']:5d}"
               f" {r['mlc_wall_s']:8.3f} {r['mlc_peak_rss_mb']:6.1f} |"
               f" {r['mlb_mean_cut']:9.1f} {r['mlb_min_cut']:5d}"
-              f" {r['mlb_wall_s']:8.3f} {r['mlb_peak_rss_mb']:6.1f}")
+              f" {r['mlb_wall_s']:8.3f} {r['mlb_peak_rss_mb']:6.1f} |"
+              f" {r['mlb_scalar_wall_s']:18.3f}"
+              f" {r['mlb_scalar_peak_rss_mb']:6.1f}")
     print("\ncoarsening, scalar vs vectorized (identical hierarchies)")
     print(f"{'circuit':>10} {'levels':>6} {'scalar s':>9} {'MiB':>6} | "
           f"{'vector s':>9} {'MiB':>6}")
@@ -203,7 +225,9 @@ def print_report(report: dict) -> None:
     s = report["summary"]
     print(f"\nlargest circuit {s['largest_circuit']}: mlb takes "
           f"{s['mlb_wall_fraction_of_mlc']:.3f} of mlc's wall at "
-          f"{s['mlb_minus_mlc_mean_cut']:+.1f} mean cut; vectorized "
+          f"{s['mlb_minus_mlc_mean_cut']:+.1f} mean cut; over the scalar "
+          f"coarsening mlb takes {s['mlb_scalar_coarsen_wall_fraction']:.3f}"
+          f" of its own wall; vectorized "
           f"coarsening takes {s['vectorized_coarsen_wall_fraction']:.3f} "
           f"of scalar's wall at {s['vectorized_coarsen_rss_delta_mb']:+.1f}"
           f" MiB peak RSS")

@@ -35,7 +35,7 @@ from ..partition import (BalanceConstraint, Partition, PartitionState, cut,
 from ..partition.rebalance import rebalance_random
 from ..rng import SeedLike, make_rng
 from ..fm.config import FMConfig
-from ..fm.engine import FMResult, _active_nets
+from ..fm.engine import FMResult
 
 __all__ = ["prop_bipartition", "INITIAL_MOVE_PROBABILITY"]
 
@@ -89,7 +89,7 @@ def prop_bipartition(hg: Hypergraph,
         initial = rebalance_random(hg, initial, balance, rng=rng)
 
     state = PartitionState(hg, initial,
-                           active_nets=_active_nets(hg, config.max_net_size))
+                           active_nets=hg.active_nets(config.max_net_size))
     initial_cut = cut(hg, initial)
     best_overall = state.cut_weight
     passes = 0

@@ -47,7 +47,7 @@ def _induce_numpy(hg: Hypergraph, cluster_of, k: int,
     structures are never built unless a scalar kernel asks.
     """
     import numpy as np
-    view = hg.csr.np
+    view = hg.np
     cl = np.asarray(cluster_of, dtype=np.int64)
     areas = np.bincount(cl, weights=view.areas, minlength=k).tolist()
 
@@ -159,10 +159,9 @@ def induce(hg: Hypergraph, clustering: Clustering,
     if vectorized and hg.num_modules >= _NP_INDUCE_MIN_MODULES:
         return _induce_numpy(hg, cluster_of, k, merge_parallel)
 
-    view = hg.csr
-    module_areas = view.areas_list
-    net_pins = view.net_pins
-    net_weights = view.weights_list
+    module_areas = hg.areas_list
+    net_pins = hg.net_pins
+    net_weights = hg.weights_list
     areas = [0.0] * k
     for v, c in enumerate(cluster_of):
         areas[c] += module_areas[v]
@@ -170,7 +169,7 @@ def induce(hg: Hypergraph, clustering: Clustering,
     nets: List[Tuple[int, ...]] = []
     weights: List[int] = []
     merged: Dict[Tuple[int, ...], int] = {}
-    # Per-net tuple fetch and weight indexing over the flat views, with
+    # Per-net tuple fetch and weight indexing over the kernel lists, with
     # the pin -> cluster mapping and dedup running in C (map + set).
     cluster_at = cluster_of.__getitem__
     for e in range(hg.num_nets):

@@ -59,14 +59,13 @@ def _neighbour_scores(hg: Hypergraph, v: int, matched: List[bool],
     realised as a dict so reinitialisation is free.
     """
     # The scan is the coarsening hot path (one call per matched
-    # module), so bind the flat views locally and use dict.get directly.
+    # module), so bind the kernel lists locally and use dict.get directly.
     scores: Dict[int, float] = {}
-    view = hg.csr
-    net_sizes = view.sizes_list
-    net_weights = view.weights_list
-    net_pins = view.net_pins
+    net_sizes = hg.sizes_list
+    net_weights = hg.weights_list
+    net_pins = hg.net_pins
     get = scores.get
-    for e in view.module_nets[v]:
+    for e in hg.module_nets[v]:
         size = net_sizes[e]
         if size > max_net_size:
             continue
@@ -102,7 +101,7 @@ def _pair_table(hg: Hypergraph, max_net_size: int, scheme: str):
     time just like the scalar path.
     """
     import numpy as np
-    view = hg.csr.np
+    view = hg.np
     sizes = view.net_sizes
     eligible = (sizes <= max_net_size) & (sizes >= 2)
     pair_v = []
@@ -216,7 +215,7 @@ def match(hg: Hypergraph,
     rec_on = rec.enabled
 
     n = hg.num_modules
-    areas = hg.csr.areas_list
+    areas = hg.areas_list
     perm = random_permutation(n, rng)
     matched = [False] * n
     cluster_of = [-1] * n

@@ -16,9 +16,10 @@ back to the best prefix of the pass.  Passes repeat until one fails to
 improve the cut.
 
 Every hot kernel — initial gains, boundary scan, the two-phase gain
-update loop of a pass — binds the flat incidence layer (``hg.csr``)
-into locals and inlines the per-pin gain bumps.  The common
-configuration (LIFO linked-list buckets, no boundary mode, no
+update loop of a pass — binds the hypergraph's kernel lists
+(``net_pins``, ``module_nets``, ``weights_list``, ``sizes_list``,
+``areas_list``) into locals and inlines the per-pin gain bumps.  The
+common configuration (LIFO linked-list buckets, no boundary mode, no
 lookahead, recorder off) runs the fully inlined
 :func:`_move_loop_csr_ll`, which handles two-pin nets (most nets of a
 circuit) with one relink per move; every other one runs
@@ -34,7 +35,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
@@ -66,21 +67,16 @@ class FMResult:
     pass_cuts: List[int] = field(default_factory=list)
 
 
-def _active_nets(hg: Hypergraph, max_net_size: int) -> Sequence[int]:
-    """Nets small enough to refine; cached on the CSR layer."""
-    return hg.csr.active_nets(max_net_size)
-
-
 def _module_gain(state: PartitionState, v: int) -> int:
     """Weighted FM gain of moving module ``v`` to the other side."""
-    view = state.hg.csr
-    net_weights = view.weights_list
+    hg = state.hg
+    net_weights = hg.weights_list
     src = state.part_of[v]
     counts_src = state.counts[src]
     counts_dst = state.counts[1 - src]
     active = state.active
     g = 0
-    for e in view.module_nets[v]:
+    for e in hg.module_nets[v]:
         if active[e]:
             w = net_weights[e]
             if counts_src[e] == 1:
@@ -95,19 +91,19 @@ def _initial_gains(state: PartitionState) -> List[int]:
     # Single flat sweep: no per-module function call, no per-pin
     # accessor dispatch.  When every net is active (the usual case)
     # the per-visit flag test disappears as well.
-    view = state.hg.csr
-    module_nets = view.module_nets
-    net_weights = view.weights_list
+    hg = state.hg
+    module_nets = hg.module_nets
+    net_weights = hg.weights_list
     part_of = state.part_of
     c0, c1 = state.counts[0], state.counts[1]
-    gains = [0] * view.num_modules
-    if len(state._active_nets) == view.num_nets:
+    gains = [0] * hg.num_modules
+    if len(state._active_nets) == hg.num_nets:
         # Net-centric sweep: a net contributes to a pin's gain only
         # when one of its sides holds 0 or 1 pins, so split nets (the
         # common case) are skipped after two count lookups without
         # touching their pins.  Integer adds commute, so the vector is
         # identical to the module-centric accumulation.
-        net_pins = view.net_pins
+        net_pins = hg.net_pins
         for e, w in enumerate(net_weights):
             a = c0[e]
             b = c1[e]
@@ -152,7 +148,7 @@ def _initial_gains(state: PartitionState) -> List[int]:
 
 def _boundary_modules(state: PartitionState) -> List[int]:
     """Modules incident to at least one cut active net."""
-    module_nets = state.hg.csr.module_nets
+    module_nets = state.hg.module_nets
     spans = state.spans
     active = state.active
     out = []
@@ -200,13 +196,13 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                    locked: List[bool], locked_counts, config: FMConfig,
                    areas, lower: float, upper: float
                    ) -> Tuple[List[Tuple[int, int]], int]:
-    """One FM pass's select/move/update loop over the CSR layer.
+    """One FM pass's select/move/update loop over the kernel lists.
 
     Selection takes the highest-gain balance-feasible module (with
     lookahead, the best level-2..r gain vector among the feasible
     members of the best bucket; first seen wins ties).  Gain updates
     run in two phases around the move — phase A off the pre-move
-    counts, phase B off the post-move counts — with the flat views
+    counts, phase B off the post-move counts — with the kernel lists
     bound locally and the buckets' O(1) relink ``update``.  On exit
     ``state._pass_best`` holds the (cut, SOED) pair at the best prefix.
 
@@ -222,10 +218,9 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     rec_on = rec.enabled
     cut_prev = state.cut_weight
     hg = state.hg
-    view = hg.csr
-    module_nets = view.module_nets
-    net_pins = view.net_pins
-    net_weights = view.weights_list
+    module_nets = hg.module_nets
+    net_pins = hg.net_pins
+    net_weights = hg.weights_list
     part_of = state.part_of
     counts = state.counts
     active = state.active
@@ -398,7 +393,7 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
                       gains: List[int], locked: List[bool],
                       config: FMConfig, areas, lower: float, upper: float
                       ) -> Tuple[List[Tuple[int, int]], int]:
-    """Fully inlined pass loop: CSR views + raw LIFO linked-list buckets.
+    """Fully inlined pass loop: kernel lists + raw LIFO linked-list buckets.
 
     Makes exactly the moves of the generic loop, leaving every bucket
     in the same order after every move — selection scan, unlink of the
@@ -443,11 +438,11 @@ def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
     and ``locked`` are valid; the bucket object and the ``gains`` list
     are stale, and the caller rebuilds both for every pass.
     """
-    view = state.hg.csr
-    incident_of = view.active_incidence(config.max_net_size)
-    sizes = view.sizes_list
-    net_pins = view.net_pins
-    net_weights = view.weights_list
+    hg = state.hg
+    incident_of = hg.active_incidence(config.max_net_size)
+    sizes = hg.sizes_list
+    net_pins = hg.net_pins
+    net_weights = hg.weights_list
     part_of = state.part_of
     counts = state.counts
     part_area = state.part_area
@@ -810,7 +805,7 @@ def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
     tail = moves[best_index:]
     if not tail:
         return
-    areas = state.hg.csr.areas_list
+    areas = state.hg.areas_list
     part_area = state.part_area
     for v, original in reversed(tail):
         area = areas[v]
@@ -912,14 +907,14 @@ def fm_bipartition(hg: Hypergraph,
     balance, initial = prepare_start(hg, initial, config, balance, rng,
                                      fixed)
 
-    active_list = _active_nets(hg, config.max_net_size)
+    active_list = hg.active_nets(config.max_net_size)
     state = PartitionState(hg, initial, active_nets=active_list)
     if rec_on:
         rec.emit({"t": "fm", "l": rec.level, "n": hg.num_modules,
                   "mns": config.max_net_size, "np": 0,
                   "clip": int(config.clip), "c": state.cut_weight,
                   "init": "".join(map(str, initial.assignment))})
-    max_gain = hg.csr.max_weighted_degree(config.max_net_size)
+    max_gain = hg.max_weighted_degree(config.max_net_size)
     bucket_range = 2 * max_gain if config.clip else max_gain
 
     initial_cut = cut(hg, initial)
@@ -929,7 +924,7 @@ def fm_bipartition(hg: Hypergraph,
     pass_cuts: List[int] = []
     max_passes = config.max_passes or 1000
 
-    areas = hg.csr.areas_list
+    areas = hg.areas_list
     part_of = state.part_of
     active = state.active
     lower, upper = balance.lower, balance.upper
@@ -1007,7 +1002,7 @@ def fm_bipartition(hg: Hypergraph,
 
         # Roll back to the best prefix of the pass.
         _rollback_csr(state, moves, best_index,
-                      hg.csr.active_incidence(config.max_net_size), saved)
+                      hg.active_incidence(config.max_net_size), saved)
         pass_cuts.append(state.cut_weight)
         if rec_on:
             rec.emit({"t": "pass", "p": passes, "k": best_index,

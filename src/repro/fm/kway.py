@@ -29,7 +29,6 @@ from ..partition.rebalance import rebalance_random
 from ..rng import SeedLike, make_rng
 from .buckets import make_buckets
 from .config import FMConfig
-from .engine import _active_nets
 
 __all__ = ["KWayResult", "kway_partition", "KWAY_OBJECTIVES"]
 
@@ -76,7 +75,7 @@ def _move_gain(state: PartitionState, module: int, dst: int,
 
 
 def _gain_bound(hg: Hypergraph, max_net_size: int, objective: str) -> int:
-    best = hg.csr.max_weighted_degree(max_net_size)
+    best = hg.max_weighted_degree(max_net_size)
     return 2 * best if objective == "soed" else best
 
 
@@ -118,7 +117,7 @@ def kway_partition(hg: Hypergraph,
         initial = rebalance_random(hg, initial, balance, rng=rng,
                                    movable=[not f for f in fixed])
 
-    active_list = _active_nets(hg, config.max_net_size)
+    active_list = hg.active_nets(config.max_net_size)
     state = PartitionState(hg, initial, active_nets=active_list)
     max_gain = _gain_bound(hg, config.max_net_size, objective)
     bucket_range = 2 * max_gain if config.clip else max_gain
@@ -133,7 +132,7 @@ def kway_partition(hg: Hypergraph,
     pass_values: List[int] = []
     max_passes = config.max_passes or 1000
 
-    areas = hg.csr.areas_list
+    areas = hg.areas_list
     part_of = state.part_of
     lower, upper = balance.lower, balance.upper
     num_items = hg.num_modules * k

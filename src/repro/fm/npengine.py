@@ -62,7 +62,7 @@ from .engine import FMResult, fm_bipartition, prepare_start, report_run
 __all__ = ["NP_ENGINE_MIN_MODULES", "batch_bipartition", "batch_refine",
            "repair_balance"]
 
-# Below this module count the sequential CSR pass wins on both time
+# Below this module count the sequential exact pass wins on both time
 # (fixed ndarray-dispatch overhead per round) and quality (exact
 # hill-climbing matters most on coarse netlists).
 NP_ENGINE_MIN_MODULES = 128
@@ -85,7 +85,7 @@ def repair_balance(hg: Hypergraph, initial: Partition, config: FMConfig,
     ``cumsum`` + ``searchsorted``.  Returns ``None`` when no movable
     prefix reaches feasibility (caller falls back to random moves).
     """
-    view = hg.csr.np
+    view = hg.np
     areas = view.areas
     part = np.asarray(initial.assignment, dtype=np.int8)
     total = float(areas.sum())
@@ -288,7 +288,7 @@ def batch_refine(hg: Hypergraph, initial: Partition, config: FMConfig,
     trace_on = tr.enabled
     rec = recorder()
     rec_on = rec.enabled
-    view = hg.csr.np
+    view = hg.np
     threshold = config.max_net_size
     w_eff = view.effective_weights(threshold)
     w_pin = view.pin_weights(threshold)
@@ -478,7 +478,7 @@ def batch_bipartition(hg: Hypergraph,
 
     # Cuts are measured on the full netlist (large nets re-included),
     # vectorized like everything else this engine does.
-    view = hg.csr.np
+    view = hg.np
     initial_cut = view.cut2(np.asarray(initial.assignment, dtype=np.int8))
     if rec.enabled:
         rec.emit({"t": "fm", "l": rec.level, "n": hg.num_modules,

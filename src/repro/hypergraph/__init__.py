@@ -2,7 +2,6 @@
 synthetic benchmark generators, and the Table I suite registry."""
 
 from .builder import HypergraphBuilder
-from .csr import CSRIncidence
 from .generators import (grid_circuit, hierarchical_circuit,
                          random_hypergraph)
 from .hypergraph import Hypergraph
@@ -17,7 +16,6 @@ from .validate import assert_same_structure, check_consistency
 
 __all__ = [
     "Hypergraph",
-    "CSRIncidence",
     "HypergraphBuilder",
     "hierarchical_circuit",
     "grid_circuit",

@@ -12,16 +12,20 @@ The representation is a static bidirectional incidence structure:
 * ``pins(e)``   — tuple of modules on net ``e``
 * ``nets(v)``   — tuple of nets incident to module ``v``
 
-Both directions are materialised once at construction; the hypergraph is
-immutable afterwards, which lets partitioning state share it safely.
+The hypergraph is immutable, which lets partitioning state share it
+safely and lets everything derived from the incidence be built once, on
+first access, and cached.  It is also the one object the hot kernels
+(Match, Induce, FM/CLIP state, gains and move loop) read: the kernel
+layout ``net_pins`` / ``module_nets`` / ``weights_list`` /
+``areas_list`` / ``sizes_list``, the per-threshold caches the
+refinement engines share, and the lazy NumPy view ``np``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import HypergraphError
-from .csr import CSRIncidence
 
 __all__ = ["Hypergraph"]
 
@@ -47,9 +51,10 @@ class Hypergraph:
         Optional circuit name used in reports.
     """
 
-    __slots__ = ("name", "_net_pins_s", "_module_nets_s", "_flat",
-                 "_areas", "_net_weights", "_num_pins", "_total_area",
-                 "_max_area", "_csr")
+    __slots__ = ("name", "areas_list", "weights_list", "_net_pins_s",
+                 "_module_nets_s", "_sizes_s", "_flat", "_num_pins",
+                 "_total_area", "_max_area", "_active_cache",
+                 "_incidence_cache", "_maxdeg_cache", "_np_view")
 
     def __init__(self,
                  nets: Iterable[Iterable[int]],
@@ -108,21 +113,35 @@ class Hypergraph:
                     raise HypergraphError(
                         f"net {e} has non-positive weight {w}")
 
-        module_nets: List[List[int]] = [[] for _ in range(num_modules)]
-        for e, pins in enumerate(net_pins):
-            for v in pins:
-                module_nets[v].append(e)
+        self._assemble(net_pins, None, area_list, weight_list, name)
 
+    def _assemble(self, net_pins: Optional[List[Tuple[int, ...]]], flat,
+                  areas: List[float], net_weights: List[int],
+                  name: str) -> None:
+        """The one constructor body, shared by every construction path.
+
+        Exactly one of ``net_pins`` (per-net pin tuples) and ``flat``
+        (an ``(xpins, pins_flat)`` ndarray pair) is given.  Everything
+        derived from the incidence — the per-module net tuples, the
+        pin counts, the NumPy view and the per-threshold caches — is
+        built on first access, so a flat build never materialises its
+        tuples unless a scalar kernel asks.
+        """
         self.name = name
         self._net_pins_s = net_pins
-        self._module_nets_s = [tuple(ns) for ns in module_nets]
-        self._flat = None
-        self._areas = area_list
-        self._net_weights = weight_list
-        self._num_pins = sum(len(p) for p in net_pins)
-        self._total_area = sum(area_list)
-        self._max_area = max(area_list) if area_list else 0.0
-        self._csr: Optional[CSRIncidence] = None
+        self._module_nets_s = None
+        self._sizes_s = None
+        self._flat = flat
+        self.areas_list = areas
+        self.weights_list = net_weights
+        self._num_pins = (len(flat[1]) if net_pins is None
+                          else sum(map(len, net_pins)))
+        self._total_area = sum(areas)
+        self._max_area = max(areas) if areas else 0.0
+        self._active_cache: Dict[Optional[int], Tuple[int, ...]] = {}
+        self._incidence_cache: Dict[Optional[int], list] = {}
+        self._maxdeg_cache: Dict[Optional[int], int] = {}
+        self._np_view = None
 
     @classmethod
     def _trusted(cls, net_pins: List[Tuple[int, ...]],
@@ -137,20 +156,7 @@ class Hypergraph:
         multilevel hierarchy would otherwise show up in profiles.
         """
         self = cls.__new__(cls)
-        module_nets: List[List[int]] = [[] for _ in range(len(areas))]
-        for e, pins in enumerate(net_pins):
-            for v in pins:
-                module_nets[v].append(e)
-        self.name = name
-        self._net_pins_s = net_pins
-        self._module_nets_s = [tuple(ns) for ns in module_nets]
-        self._flat = None
-        self._areas = areas
-        self._net_weights = net_weights
-        self._num_pins = sum(len(p) for p in net_pins)
-        self._total_area = sum(areas)
-        self._max_area = max(areas) if areas else 0.0
-        self._csr = None
+        self._assemble(net_pins, None, areas, net_weights, name)
         return self
 
     @classmethod
@@ -160,32 +166,25 @@ class Hypergraph:
         """Construct from pre-validated flat pin arrays (ndarrays).
 
         The vectorized path of :func:`repro.clustering.induce` produces
-        coarse netlists directly in CSR form (net ``e``'s pins are
-        ``pins_flat[xpins[e]:xpins[e+1]]``, sorted and distinct).  The
-        tuple incidence structures — which only the scalar kernels
-        read — are materialised lazily on first access, so an ``mlb``
-        run never pays for building them on the large levels.  Same invariants as :meth:`_trusted`.
+        coarse netlists directly in flat form (net ``e``'s pins are
+        ``pins_flat[xpins[e]:xpins[e+1]]``, sorted and distinct), which
+        the NumPy view reads as they are; an ``mlb`` run never builds
+        the tuple layout on the large levels.  Same invariants as
+        :meth:`_trusted`.
         """
         self = cls.__new__(cls)
-        self.name = name
-        self._net_pins_s = None
-        self._module_nets_s = None
-        self._flat = (xpins, pins_flat)
-        self._areas = areas
-        self._net_weights = net_weights
-        self._num_pins = len(pins_flat)
-        self._total_area = sum(areas)
-        self._max_area = max(areas) if areas else 0.0
-        self._csr = None
+        self._assemble(None, (xpins, pins_flat), areas, net_weights, name)
         return self
 
     # ------------------------------------------------------------------
-    # Lazy tuple incidence (scalar-kernel layout).
+    # Kernel layout.  The hot kernels bind these lists into locals:
+    # list indexing returns existing objects, where an ``array`` read
+    # re-boxes every integer (~1.6x slower, DESIGN.md §8).
     # ------------------------------------------------------------------
 
     @property
-    def _net_pins(self) -> List[Tuple[int, ...]]:
-        """Per-net pin tuples, materialised on demand for flat builds."""
+    def net_pins(self) -> List[Tuple[int, ...]]:
+        """Per-net pin tuples; a flat build materialises them on demand."""
         pins = self._net_pins_s
         if pins is None:
             xpins, pins_flat = self._flat
@@ -196,17 +195,104 @@ class Hypergraph:
         return pins
 
     @property
-    def _module_nets(self) -> List[Tuple[int, ...]]:
-        """Per-module net tuples, materialised on demand for flat builds."""
+    def module_nets(self) -> List[Tuple[int, ...]]:
+        """Per-module incident-net tuples, ascending by net."""
         nets = self._module_nets_s
         if nets is None:
-            module_nets: List[List[int]] = [[] for _ in self._areas]
-            for e, pins in enumerate(self._net_pins):
+            module_nets: List[List[int]] = [[] for _ in self.areas_list]
+            for e, pins in enumerate(self.net_pins):
                 for v in pins:
                     module_nets[v].append(e)
             nets = [tuple(ns) for ns in module_nets]
             self._module_nets_s = nets
         return nets
+
+    @property
+    def sizes_list(self) -> List[int]:
+        """Per-net pin counts."""
+        sizes = self._sizes_s
+        if sizes is None:
+            if self._flat is not None:
+                xpins = self._flat[0]
+                sizes = (xpins[1:] - xpins[:-1]).tolist()
+            else:
+                sizes = [len(p) for p in self._net_pins_s]
+            self._sizes_s = sizes
+        return sizes
+
+    @property
+    def np(self):
+        """NumPy view of this netlist (lazy, cached; see ``npview``)."""
+        view = self._np_view
+        if view is None:
+            from .npview import NumpyIncidence
+            view = NumpyIncidence(self)
+            self._np_view = view
+        return view
+
+    # ------------------------------------------------------------------
+    # Per-threshold caches shared by the refinement engines.  Each is a
+    # pure function of the immutable netlist, so repeated FM calls on
+    # one level (CLIP restarts, portfolio starts over a reused
+    # hierarchy) pay each O(pins) scan once.
+    # ------------------------------------------------------------------
+
+    def active_nets(self, max_net_size: Optional[int]) -> Tuple[int, ...]:
+        """Nets no larger than ``max_net_size`` (all nets for ``None``).
+
+        This is the FM engines' active set (nets above the threshold
+        are excluded from refinement, Section III-B), as one shared
+        tuple per threshold.
+        """
+        cached = self._active_cache.get(max_net_size)
+        if cached is None:
+            if max_net_size is None:
+                cached = tuple(range(self.num_nets))
+            else:
+                sizes = self.sizes_list
+                cached = tuple(e for e in range(self.num_nets)
+                               if sizes[e] <= max_net_size)
+            self._active_cache[max_net_size] = cached
+        return cached
+
+    def active_incidence(self, max_net_size: Optional[int]) -> list:
+        """Per-module incident nets restricted to the active set.
+
+        When every net is active (the common case — the paper's 200-pin
+        threshold rarely excludes anything on these netlists) this is
+        :attr:`module_nets` itself, so the hot loops iterate the
+        filtered incidence directly and never test an ``active[e]``
+        flag per visit.
+        """
+        cached = self._incidence_cache.get(max_net_size)
+        if cached is None:
+            active = self.active_nets(max_net_size)
+            if len(active) == self.num_nets:
+                cached = self.module_nets
+            else:
+                flags = [False] * self.num_nets
+                for e in active:
+                    flags[e] = True
+                cached = [tuple(e for e in nets if flags[e])
+                          for nets in self.module_nets]
+            self._incidence_cache[max_net_size] = cached
+        return cached
+
+    def max_weighted_degree(self, max_net_size: Optional[int] = None) -> int:
+        """Largest per-module sum of active-net weights (the gain bound)."""
+        cached = self._maxdeg_cache.get(max_net_size)
+        if cached is None:
+            weights = self.weights_list
+            best = 0
+            for nets in self.active_incidence(max_net_size):
+                d = 0
+                for e in nets:
+                    d += weights[e]
+                if d > best:
+                    best = d
+            cached = best
+            self._maxdeg_cache[max_net_size] = cached
+        return cached
 
     # ------------------------------------------------------------------
     # Size characteristics (Table I columns).
@@ -215,12 +301,12 @@ class Hypergraph:
     @property
     def num_modules(self) -> int:
         """Number of modules ``|V|``."""
-        return len(self._areas)
+        return len(self.areas_list)
 
     @property
     def num_nets(self) -> int:
         """Number of nets ``|E|``."""
-        return len(self._net_weights)
+        return len(self.weights_list)
 
     @property
     def num_pins(self) -> int:
@@ -240,30 +326,7 @@ class Hypergraph:
     @property
     def total_net_weight(self) -> int:
         """Sum of net weights (equals ``num_nets`` for unweighted input)."""
-        return sum(self._net_weights)
-
-    @property
-    def csr(self) -> CSRIncidence:
-        """The flat-array (CSR) incidence view of this netlist.
-
-        Built on first access and cached — the hypergraph is immutable,
-        so the view stays valid for its whole lifetime.  All hot
-        kernels (state bookkeeping, FM gain maintenance, matching)
-        consume this layer; the tuple accessors below remain the
-        stable public API.
-        """
-        view = self._csr
-        if view is None:
-            from ..obs import tracer
-            tr = tracer()
-            t0 = tr.now() if tr.enabled else 0
-            view = CSRIncidence(self)
-            self._csr = view
-            if tr.enabled:
-                tr.complete("csr.build", t0, {
-                    "modules": view.num_modules, "nets": view.num_nets,
-                    "pins": view.num_pins})
-        return view
+        return sum(self.weights_list)
 
     # ------------------------------------------------------------------
     # Incidence accessors.
@@ -271,39 +334,39 @@ class Hypergraph:
 
     def pins(self, net: int) -> Tuple[int, ...]:
         """Modules on ``net``."""
-        return self._net_pins[net]
+        return self.net_pins[net]
 
     def nets(self, module: int) -> Tuple[int, ...]:
         """Nets incident to ``module``."""
-        return self._module_nets[module]
+        return self.module_nets[module]
 
     def net_size(self, net: int) -> int:
         """Number of modules on ``net``."""
-        return len(self._net_pins[net])
+        return len(self.net_pins[net])
 
     def net_weight(self, net: int) -> int:
         """Weight of ``net``."""
-        return self._net_weights[net]
+        return self.weights_list[net]
 
     def degree(self, module: int) -> int:
         """Number of nets incident to ``module``."""
-        return len(self._module_nets[module])
+        return len(self.module_nets[module])
 
     def area(self, module: int) -> float:
         """Area ``A(module)``."""
-        return self._areas[module]
+        return self.areas_list[module]
 
     def areas(self) -> List[float]:
         """Copy of the per-module area vector."""
-        return list(self._areas)
+        return list(self.areas_list)
 
     def net_weights(self) -> List[int]:
         """Copy of the per-net weight vector."""
-        return list(self._net_weights)
+        return list(self.weights_list)
 
     def area_of(self, modules: Iterable[int]) -> float:
         """``A(S)`` for a subset ``S`` of modules."""
-        areas = self._areas
+        areas = self.areas_list
         return sum(areas[v] for v in modules)
 
     def modules(self) -> range:
@@ -318,8 +381,8 @@ class Hypergraph:
         """Distinct modules sharing at least one net with ``module``."""
         seen = {module}
         out: List[int] = []
-        for e in self._module_nets[module]:
-            for w in self._net_pins[e]:
+        for e in self.module_nets[module]:
+            for w in self.net_pins[e]:
                 if w not in seen:
                     seen.add(w)
                     out.append(w)
@@ -327,7 +390,7 @@ class Hypergraph:
 
     def is_unit_area(self) -> bool:
         """True when every module has area exactly 1 (paper's default)."""
-        return all(a == 1.0 for a in self._areas)
+        return all(a == 1.0 for a in self.areas_list)
 
     # ------------------------------------------------------------------
 
@@ -339,10 +402,10 @@ class Hypergraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self._net_pins == other._net_pins
-                and self._areas == other._areas
-                and self._net_weights == other._net_weights)
+        return (self.net_pins == other.net_pins
+                and self.areas_list == other.areas_list
+                and self.weights_list == other.weights_list)
 
     def __hash__(self) -> int:
-        return hash((tuple(self._net_pins), tuple(self._areas),
-                     tuple(self._net_weights)))
+        return hash((tuple(self.net_pins), tuple(self.areas_list),
+                     tuple(self.weights_list)))

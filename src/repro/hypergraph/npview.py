@@ -1,10 +1,9 @@
-"""NumPy export of the flat CSR incidence layer.
+"""NumPy view of a hypergraph's incidence.
 
-:class:`NumpyIncidence` materialises one :class:`~repro.hypergraph.
-csr.CSRIncidence` as ndarrays (built straight from the kernel twins —
-forcing the compact ``array`` exports would cost more than the whole
-conversion) plus the handful of derived arrays the vectorized kernels
-share:
+:class:`NumpyIncidence` materialises one
+:class:`~repro.hypergraph.Hypergraph` as ndarrays — straight from a
+flat build's own pin arrays, or from the kernel lists of a tuple build —
+plus the handful of derived arrays the vectorized kernels share:
 
 * ``pins_flat`` / ``xpins`` — net ``e``'s pins are
   ``pins_flat[xpins[e]:xpins[e+1]]`` (hypergraph pin order).
@@ -14,12 +13,12 @@ share:
 * ``nets_flat`` / ``xnets`` — module ``v``'s incident nets.
 * ``net_weights`` / ``net_sizes`` (int64) and ``areas`` (float64).
 
-The view is built lazily on first access to ``CSRIncidence.np`` and
+The view is built lazily on first access to ``Hypergraph.np`` and
 cached for the netlist's lifetime, like every other per-netlist cache.
 Per-threshold products (the active-net mask and the *effective weight*
 vector — net weights with inactive nets zeroed, so kernels never test
 an ``active[e]`` flag) are cached per ``max_net_size`` exactly like
-``CSRIncidence.active_nets``.
+``Hypergraph.active_nets``.
 
 Its users are the ``mlb`` algorithm's batch engine
 (:mod:`repro.fm.npengine`) and the vectorized coarsening that feeds it
@@ -36,6 +35,7 @@ summation would not).
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -52,54 +52,29 @@ class NumpyIncidence:
                  "_mask_cache", "_weff_cache", "_pinw_cache",
                  "_weffl_cache", "_xnets_l", "_nets_flat_l")
 
-    def __init__(self, csr) -> None:
-        from itertools import chain
-
-        self.num_modules = csr.num_modules
-        self.num_nets = csr.num_nets
-        self.num_pins = csr.num_pins
-
-        # Built from the kernel twins, NOT the compact ``array``
-        # exports: forcing those would run the per-net Python extend
-        # loops, which cost more than this whole constructor.
-        self.net_weights = np.asarray(csr.weights_list, dtype=np.int64)
-        self.net_sizes = np.asarray(csr.sizes_list, dtype=np.int64)
-        self.areas = np.asarray(csr.areas_list, dtype=np.float64)
+    def __init__(self, hg) -> None:
+        self.num_modules = hg.num_modules
+        self.num_nets = hg.num_nets
+        self.num_pins = hg.num_pins
+        self.net_weights = np.asarray(hg.weights_list, dtype=np.int64)
+        self.areas = np.asarray(hg.areas_list, dtype=np.float64)
+        flat = hg._flat
+        if flat is not None:
+            # A flat build (vectorized Induce) already holds the pin
+            # arrays; reading them skips the tuple layout entirely.
+            self.xpins = np.asarray(flat[0], dtype=np.int64)
+            self.pins_flat = np.asarray(flat[1], dtype=np.intc)
+            self.net_sizes = self.xpins[1:] - self.xpins[:-1]
+        else:
+            self.net_sizes = np.asarray(hg.sizes_list, dtype=np.int64)
+            self.pins_flat = np.fromiter(
+                chain.from_iterable(hg.net_pins), dtype=np.intc,
+                count=self.num_pins)
+            self.xpins = np.concatenate(
+                (np.zeros(1, dtype=np.int64), np.cumsum(self.net_sizes)))
         self.net_ids = np.repeat(
             np.arange(self.num_nets, dtype=np.intc), self.net_sizes)
-        self.pins_flat = np.fromiter(
-            chain.from_iterable(csr.net_pins), dtype=np.intc,
-            count=self.num_pins)
-        self.xpins = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(self.net_sizes)))
-        self._build_derived()
 
-    @classmethod
-    def _from_flat(cls, csr, xpins: np.ndarray,
-                   pins_flat: np.ndarray) -> "NumpyIncidence":
-        """Build from a flat-constructed hypergraph's own pin arrays.
-
-        The vectorized coarsening path (``induce(..., vectorized=True)``)
-        emits coarse netlists directly as ``(xpins, pins_flat)``
-        ndarrays; reusing them here skips the tuple twins entirely, so
-        an ``mlb`` run never materialises per-net tuples on the large
-        levels.
-        """
-        self = object.__new__(cls)
-        self.num_modules = csr.num_modules
-        self.num_nets = csr.num_nets
-        self.num_pins = csr.num_pins
-        self.net_weights = np.asarray(csr.weights_list, dtype=np.int64)
-        self.areas = np.asarray(csr.areas_list, dtype=np.float64)
-        self.xpins = np.asarray(xpins, dtype=np.int64)
-        self.pins_flat = np.asarray(pins_flat, dtype=np.intc)
-        self.net_sizes = self.xpins[1:] - self.xpins[:-1]
-        self.net_ids = np.repeat(
-            np.arange(self.num_nets, dtype=np.intc), self.net_sizes)
-        self._build_derived()
-        return self
-
-    def _build_derived(self) -> None:
         # Per-module incident nets: sorting (pin, net) pairs by module
         # then net reproduces ``module_nets`` exactly, because each
         # module's net list is ascending by construction.

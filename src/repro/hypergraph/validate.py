@@ -2,8 +2,8 @@
 
 :class:`~repro.hypergraph.Hypergraph` already rejects malformed input at
 construction; the checks here verify the *internal* cross-references
-(pins vs nets directions, cached totals) and are used by the test suite
-and by :func:`repro.clustering.induce` in debug mode.
+(pins vs nets directions, the kernel lists, cached totals) and are used
+by the test suite.
 """
 
 from __future__ import annotations
@@ -18,9 +18,19 @@ __all__ = ["check_consistency", "assert_same_structure"]
 
 def check_consistency(hg: Hypergraph) -> None:
     """Raise :class:`HypergraphError` if ``hg`` violates any invariant."""
+    if len(hg.net_pins) != hg.num_nets:
+        raise HypergraphError(
+            f"{len(hg.net_pins)} nets but {hg.num_nets} net weights")
+    sizes = hg.sizes_list
+    if len(sizes) != hg.num_nets:
+        raise HypergraphError(
+            f"{len(sizes)} net sizes but {hg.num_nets} nets")
     pin_count = 0
     for e in hg.all_nets():
         pins = hg.pins(e)
+        if sizes[e] != len(pins):
+            raise HypergraphError(
+                f"cached size {sizes[e]} of net {e} != actual {len(pins)}")
         if len(set(pins)) != len(pins):
             raise HypergraphError(f"net {e} has duplicate pins")
         if len(pins) < 2:
@@ -28,12 +38,20 @@ def check_consistency(hg: Hypergraph) -> None:
         for v in pins:
             if not 0 <= v < hg.num_modules:
                 raise HypergraphError(f"net {e} pin {v} out of range")
+        pin_count += len(pins)
+
+    # Every pin is in range, so the module side can be built and
+    # cross-checked.
+    if len(hg.module_nets) != hg.num_modules:
+        raise HypergraphError(
+            f"{len(hg.module_nets)} incidence rows but {hg.num_modules} "
+            "module areas")
+    for e in hg.all_nets():
+        for v in hg.pins(e):
             if e not in hg.nets(v):
                 raise HypergraphError(
                     f"net {e} lists module {v} but module {v} does not "
                     f"list net {e}")
-        pin_count += len(pins)
-
     for v in hg.modules():
         for e in hg.nets(v):
             if v not in hg.pins(e):
@@ -48,6 +66,11 @@ def check_consistency(hg: Hypergraph) -> None:
     if abs(actual_area - hg.total_area) > 1e-9 * max(1.0, actual_area):
         raise HypergraphError(
             f"cached total_area {hg.total_area} != actual {actual_area}")
+    # A(v*) enters every balance bound (partition/balance.py).
+    max_area = max(hg.areas_list, default=0.0)
+    if hg.max_area != max_area:
+        raise HypergraphError(
+            f"cached max_area {hg.max_area} != actual {max_area}")
 
 
 def assert_same_structure(a: Hypergraph, b: Hypergraph) -> None:

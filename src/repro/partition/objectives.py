@@ -41,11 +41,10 @@ def cut(hg: Hypergraph, partition: Partition) -> int:
     assignment = partition.assignment
     # Final-quality measurement runs once per engine call but over
     # *all* nets (large ones re-included), so it shows up in multilevel
-    # profiles; one sweep over the flat views.
-    view = hg.csr
-    net_weights = view.weights_list
+    # profiles; one sweep over the kernel lists.
+    net_weights = hg.weights_list
     total = 0
-    for e, pins in enumerate(view.net_pins):
+    for e, pins in enumerate(hg.net_pins):
         first = assignment[pins[0]]
         for v in pins:
             if assignment[v] != first:

@@ -14,9 +14,9 @@ LSMC descents) share.  A state may be restricted to a subset of
 (200 in the paper) and measure final quality on the full netlist via
 :mod:`repro.partition.objectives`.
 
-The O(pins) construction sweep and every move bind the flat CSR
-incidence layer (``hg.csr``) locally and perform only index operations
-per pin.
+The O(pins) construction sweep and every move bind the hypergraph's
+kernel lists (``net_pins``, ``module_nets``, ``weights_list``,
+``areas_list``) locally and perform only index operations per pin.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class PartitionState:
 
     __slots__ = ("hg", "k", "part_of", "part_area", "counts", "spans",
                  "cut_weight", "soed_weight", "active", "_active_nets",
-                 "_view", "_pass_best")
+                 "_pass_best")
 
     def __init__(self, hg: Hypergraph, partition: Partition,
                  active_nets: Optional[Sequence[int]] = None):
@@ -60,19 +60,18 @@ class PartitionState:
         self.k = partition.k
         self.part_of: List[int] = list(partition.assignment)
 
-        self._view = hg.csr
         # Objective values at the best prefix of the latest inlined FM
         # pass (set by the engine's pass loop, consumed by rollback).
         self._pass_best: Optional[Tuple[int, int]] = None
 
         self.part_area = [0.0] * self.k
-        areas = self._view.areas_list
+        areas = hg.areas_list
         for v, p in enumerate(self.part_of):
             self.part_area[p] += areas[v]
 
         if active_nets is None:
             self.active = [True] * hg.num_nets
-            self._active_nets = self._view.all_nets()
+            self._active_nets = hg.active_nets(None)
         else:
             self.active = [False] * hg.num_nets
             for e in active_nets:
@@ -87,10 +86,10 @@ class PartitionState:
         self._init_counts()
 
     def _init_counts(self) -> None:
-        """Construction sweep over the flat incidence layer."""
-        view = self._view
-        net_pins = view.net_pins
-        net_weights = view.weights_list
+        """Construction sweep over the kernel lists."""
+        hg = self.hg
+        net_pins = hg.net_pins
+        net_weights = hg.weights_list
         part_of = self.part_of
         counts = self.counts
         spans = self.spans
@@ -152,8 +151,8 @@ class PartitionState:
         src = self.part_of[module]
         if src == dst:
             return
-        view = self._view
-        area = view.areas_list[module]
+        hg = self.hg
+        area = hg.areas_list[module]
         self.part_of[module] = dst
         self.part_area[src] -= area
         self.part_area[dst] += area
@@ -162,10 +161,10 @@ class PartitionState:
         counts_dst = self.counts[dst]
         active = self.active
         spans = self.spans
-        net_weights = view.weights_list
+        net_weights = hg.weights_list
         cut_w = self.cut_weight
         soed_w = self.soed_weight
-        for e in view.module_nets[module]:
+        for e in hg.module_nets[module]:
             if not active[e]:
                 continue
             w = net_weights[e]
@@ -197,7 +196,7 @@ class PartitionState:
     def verify(self) -> None:
         """Recompute every cached quantity and raise on any mismatch.
 
-        Used by tests and by the engines' debug mode; O(pins).
+        Used by tests and by the replay audit; O(pins).
         """
         hg = self.hg
         areas = [0.0] * self.k

@@ -2,9 +2,9 @@
 
 Four contracts from DESIGN.md's kernel-layer sections (§8, §13):
 
-1. **Reconstruction** — the flat arrays and kernel twins of
-   ``Hypergraph.csr`` describe exactly the same incidence as the tuple
-   accessors ``pins(e)`` / ``nets(v)``.
+1. **Reconstruction** — the kernel lists and the NumPy view of a
+   ``Hypergraph``, tuple-built or flat-built, describe exactly the same
+   incidence as the tuple accessors ``pins(e)`` / ``nets(v)``.
 2. **Pinned answers** — every exact engine configuration (FM and CLIP
    under each bucket policy, boundary mode, lookahead, ML_F, ML_C,
    V-cycles, k-way) returns the partition whose assignment digest was
@@ -50,12 +50,19 @@ from . import oracle
 
 
 def _sample_circuits():
-    """Small and mid-size netlists spanning the generator family."""
+    """Small and mid-size netlists spanning the generator family, plus
+    one flat-built level (vectorized Induce) of an ``mlb`` hierarchy
+    with merged net weights and clustered areas."""
+    hier = hierarchical_circuit(600, 700, seed=3, name="hier600")
+    flat = build_hierarchy(hier, MLConfig(engine="batch"),
+                           seed=7).netlists[1]
+    assert flat._flat is not None
     return [
         random_hypergraph(60, 90, seed=11, name="rand60"),
         random_hypergraph(200, 260, max_net_size=9, seed=5, name="rand200"),
         hierarchical_circuit(300, 360, seed=2024, name="hier300"),
         load_circuit("struct", scale=0.2, seed=3),
+        flat,
     ]
 
 
@@ -65,100 +72,111 @@ def digest(partition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 1. Reconstruction: flat views == tuple accessors.
+# 1. Reconstruction: kernel lists and NumPy view == tuple accessors.
 # ---------------------------------------------------------------------------
 
 
 class TestFlatViews:
     def test_pins_reconstruction(self):
         for hg in _sample_circuits():
-            view = hg.csr
-            xpins, pins_flat = view.xpins, view.pins_flat
+            npv = hg.np
+            xpins, pins_flat = npv.xpins.tolist(), npv.pins_flat.tolist()
             for e in hg.all_nets():
                 expected = hg.pins(e)
-                assert view.pins(e) == expected
+                assert hg.net_pins[e] == expected
                 assert tuple(pins_flat[xpins[e]:xpins[e + 1]]) == expected
 
     def test_nets_reconstruction(self):
         for hg in _sample_circuits():
-            view = hg.csr
-            xnets, nets_flat = view.xnets, view.nets_flat
+            npv = hg.np
+            xnets, nets_flat = npv.xnets.tolist(), npv.nets_flat.tolist()
             for v in hg.modules():
                 expected = hg.nets(v)
-                assert view.nets(v) == expected
+                assert hg.module_nets[v] == expected
                 assert tuple(nets_flat[xnets[v]:xnets[v + 1]]) == expected
 
     def test_scalar_arrays_match_accessors(self):
         for hg in _sample_circuits():
-            view = hg.csr
-            assert list(view.net_weights) == hg.net_weights()
-            assert list(view.net_sizes) == [hg.net_size(e)
-                                            for e in hg.all_nets()]
-            assert list(view.areas) == hg.areas()
+            npv = hg.np
+            assert npv.net_weights.tolist() == hg.net_weights()
+            assert npv.net_sizes.tolist() == [hg.net_size(e)
+                                              for e in hg.all_nets()]
+            assert npv.areas.tolist() == hg.areas()
 
-    def test_kernel_twins_match_arrays(self):
+    def test_kernel_lists_match_accessors(self):
         for hg in _sample_circuits():
-            view = hg.csr
-            assert view.weights_list == list(view.net_weights)
-            assert view.sizes_list == list(view.net_sizes)
-            assert view.areas_list == list(view.areas)
+            # Pin counts first: a flat build derives them from its own
+            # pin arrays, before any tuple is materialised.
+            sizes = hg.sizes_list
+            assert sizes == [len(hg.pins(e)) for e in hg.all_nets()]
+            assert hg.weights_list == hg.net_weights()
+            assert hg.areas_list == hg.areas()
+            incidence = [[] for _ in hg.modules()]
+            for e in hg.all_nets():
+                for v in hg.pins(e):
+                    incidence[v].append(e)
+            assert [list(nets) for nets in hg.module_nets] == incidence
 
     def test_tuple_views_are_shared(self):
-        # The kernel twins reuse the hypergraph's own tuples — no copy.
-        hg = _sample_circuits()[0]
-        view = hg.csr
-        for e in hg.all_nets():
-            assert view.net_pins[e] is hg.pins(e)
-        for v in hg.modules():
-            assert view.module_nets[v] is hg.nets(v)
+        # The accessors return the kernel layout's own tuples — no copy.
+        circuits = _sample_circuits()
+        for hg in (circuits[0], circuits[-1]):
+            for e in hg.all_nets():
+                assert hg.net_pins[e] is hg.pins(e)
+            for v in hg.modules():
+                assert hg.module_nets[v] is hg.nets(v)
 
     def test_counters(self):
         for hg in _sample_circuits():
-            view = hg.csr
-            assert view.num_modules == hg.num_modules
-            assert view.num_nets == hg.num_nets
-            assert view.num_pins == hg.num_pins
-            assert len(view.pins_flat) == hg.num_pins
-            assert len(view.nets_flat) == hg.num_pins
+            npv = hg.np
+            assert npv.num_modules == hg.num_modules
+            assert npv.num_nets == hg.num_nets
+            assert npv.num_pins == hg.num_pins
+            assert len(npv.pins_flat) == hg.num_pins
+            assert len(npv.nets_flat) == hg.num_pins
+            assert len(hg.net_pins) == hg.num_nets
+            assert len(hg.module_nets) == hg.num_modules
 
     def test_view_is_cached(self):
         hg = hierarchical_circuit(50, 60, seed=1)
-        assert hg.csr is hg.csr
+        assert hg.np is hg.np
+        assert hg.net_pins is hg.net_pins
+        assert hg.module_nets is hg.module_nets
+        assert hg.sizes_list is hg.sizes_list
 
     def test_active_nets_threshold(self):
-        hg = random_hypergraph(80, 120, max_net_size=7, seed=9)
-        view = hg.csr
-        for limit in (2, 3, 200, None):
-            active = view.active_nets(limit)
-            expected = tuple(
-                e for e in hg.all_nets()
-                if limit is None or hg.net_size(e) <= limit)
-            assert active == expected
-            # Cached: same tuple object on every call.
-            assert view.active_nets(limit) is active
+        small = random_hypergraph(80, 120, max_net_size=7, seed=9)
+        for hg in [small] + _sample_circuits():
+            for limit in (2, 3, 200, None):
+                active = hg.active_nets(limit)
+                expected = tuple(
+                    e for e in hg.all_nets()
+                    if limit is None or hg.net_size(e) <= limit)
+                assert active == expected
+                # Cached: same tuple object on every call.
+                assert hg.active_nets(limit) is active
 
     def test_max_weighted_degree(self):
         for hg in _sample_circuits():
-            view = hg.csr
-            for limit in (200, None):
+            for limit in (3, 200, None):
                 expected = max(
                     sum(hg.net_weight(e) for e in hg.nets(v)
                         if limit is None or hg.net_size(e) <= limit)
                     for v in hg.modules())
-                assert view.max_weighted_degree(limit) == expected
+                assert hg.max_weighted_degree(limit) == expected
 
     def test_active_incidence_filters(self):
-        hg = random_hypergraph(80, 120, max_net_size=7, seed=9)
-        view = hg.csr
-        for limit in (3, 200, None):
-            incidence = view.active_incidence(limit)
-            for v in hg.modules():
-                expected = tuple(
-                    e for e in hg.nets(v)
-                    if limit is None or hg.net_size(e) <= limit)
-                assert tuple(incidence[v]) == expected
-        # All-active thresholds reuse the shared incidence outright.
-        assert view.active_incidence(None) is view.module_nets
+        small = random_hypergraph(80, 120, max_net_size=7, seed=9)
+        for hg in [small] + _sample_circuits():
+            for limit in (3, 200, None):
+                incidence = hg.active_incidence(limit)
+                for v in hg.modules():
+                    expected = tuple(
+                        e for e in hg.nets(v)
+                        if limit is None or hg.net_size(e) <= limit)
+                    assert tuple(incidence[v]) == expected
+            # All-active thresholds reuse the shared incidence outright.
+            assert hg.active_incidence(None) is hg.module_nets
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +366,11 @@ class TestGoldenCuts:
             hierarchy = build_hierarchy(medium, MLConfig(engine=engine),
                                         seed=7)
             snapshots[engine] = [
-                (hg.num_modules, hg.num_nets, tuple(hg._net_pins),
-                 tuple(hg._areas), tuple(hg._net_weights))
+                (hg.num_modules, hg.num_nets, tuple(hg.net_pins),
+                 tuple(hg.areas_list), tuple(hg.weights_list),
+                 tuple(hg.sizes_list), tuple(hg.module_nets),
+                 [(hg.active_nets(limit), tuple(hg.active_incidence(limit)),
+                   hg.max_weighted_degree(limit)) for limit in (3, 200)])
                 for hg in hierarchy.netlists]
             snapshots[engine].append(
                 [c.cluster_of for c in hierarchy.clusterings])
@@ -447,7 +468,7 @@ class TestCrossModeProperties:
         for hg, part in self._random_cases():
             want = oracle.state_view(hg, part.assignment, 2)
             assert _state_view(PartitionState(hg, part)) == want, hg.name
-            npv = hg.csr.np
+            npv = hg.np
             side = np.asarray(part.assignment, dtype=np.int8)
             c0, c1 = npv.counts2(side)
             assert [c0.tolist(), c1.tolist()] == want["counts"], hg.name
@@ -478,7 +499,7 @@ class TestCrossModeProperties:
             want = oracle.fm_gains(hg, part.assignment)
             assert _initial_gains(PartitionState(hg, part)) == want, \
                 hg.name
-            npv = hg.csr.np
+            npv = hg.np
             side = np.asarray(part.assignment, dtype=np.int8)
             c0, c1 = npv.counts2(side)
             got = npv.initial_gains2(side, c0, c1, npv.pin_weights(None))

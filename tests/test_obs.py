@@ -193,9 +193,8 @@ class TestCrossModeTelemetry:
 class TestMultiprocessMerge:
     @staticmethod
     def _trace_run(path, jobs):
-        # A fresh, identical circuit per run: the CSR build spans depend
-        # on cache state, so sharing one Hypergraph across runs would
-        # make the event sets differ for cache (not determinism) reasons.
+        # A fresh, identical circuit per run, so each run starts from
+        # the same per-netlist cache state.
         hg = hierarchical_circuit(150, 180, seed=9, name="smoke")
         portfolio = Portfolio(_ml(), hg, runs=4, seed=0, trace=str(path))
         outcome = execute(portfolio, jobs=jobs)

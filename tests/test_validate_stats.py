@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import MLConfig, build_hierarchy
 from repro.errors import HypergraphError
 from repro.hypergraph import (Hypergraph, assert_same_structure,
                               check_consistency, compute_stats,
@@ -27,8 +28,39 @@ class TestCheckConsistency:
         with pytest.raises(HypergraphError, match="total_area"):
             check_consistency(tiny_hg)
 
+    def test_tampered_max_area_detected(self, tiny_hg):
+        tiny_hg._max_area += 1.0
+        with pytest.raises(HypergraphError, match="max_area"):
+            check_consistency(tiny_hg)
+
+    def test_tampered_net_size_detected(self, tiny_hg):
+        tiny_hg._sizes_s = list(tiny_hg.sizes_list)
+        tiny_hg._sizes_s[0] += 1
+        with pytest.raises(HypergraphError, match="size"):
+            check_consistency(tiny_hg)
+
+    def test_short_weight_list_detected(self, tiny_hg):
+        tiny_hg.weights_list = tiny_hg.weights_list[:-1]
+        with pytest.raises(HypergraphError, match="net weights"):
+            check_consistency(tiny_hg)
+
+    def test_long_area_list_detected(self, tiny_hg):
+        tiny_hg.module_nets  # cache the incidence before the tamper
+        tiny_hg.areas_list = tiny_hg.areas_list + [1.0]
+        with pytest.raises(HypergraphError, match="module areas"):
+            check_consistency(tiny_hg)
+
+    def test_every_mlb_level_passes(self):
+        # Levels coarsened by the vectorized Induce are flat-built; the
+        # check must hold on both construction paths.
+        hg = hierarchical_circuit(600, 700, seed=3)
+        hierarchy = build_hierarchy(hg, MLConfig(engine="batch"), seed=7)
+        assert any(level._flat is not None for level in hierarchy.netlists)
+        for level in hierarchy.netlists:
+            check_consistency(level)
+
     def test_tampered_incidence_detected(self, tiny_hg):
-        tiny_hg._module_nets_s = list(tiny_hg._module_nets)
+        tiny_hg._module_nets_s = list(tiny_hg.module_nets)
         tiny_hg._module_nets_s[0] = ()
         with pytest.raises(HypergraphError):
             check_consistency(tiny_hg)
