@@ -15,7 +15,16 @@ and measures, over the wire:
   burst collapsed into one execution;
 * **overload** — a second daemon with a shallow lane
   (``--max-queued 2``) under open-loop load arriving faster than it
-  can serve: the shed fraction and the accepted requests' p50/p99.
+  can serve: the shed fraction and the accepted requests' p50/p99;
+* **lane** — a ``--jobs 1`` daemon (portfolios run serially on the
+  lane thread) and a ``--jobs 2`` daemon (one worker pool kept across
+  requests) serve the same never-seen inline netlists, alternating
+  which lane goes first.  Each of ``COLD_ROUNDS`` rounds sends each
+  lane one miss alone and one while a second connection keeps sending
+  cache hits, so hit latency is measured against a busy lane: miss
+  p50, miss-under-hits p50 and hit p99 per lane, with sample counts,
+  and the ``obs/compare.py`` paired verdicts on both miss latencies
+  (pair *i* is the same netlist on both lanes).
 
 Asserted contracts (the service's acceptance criteria):
 
@@ -27,7 +36,8 @@ Asserted contracts (the service's acceptance criteria):
   the same story as a client-side stopwatch: scraped p50/p99 agree
   with the client-measured hit-path quantiles within 20%;
 * under saturation the daemon sheds (some 429s) instead of queueing
-  without bound, and accepted p99 stays ≤ 2× the request deadline.
+  without bound, and accepted p99 stays ≤ 2× the request deadline;
+* both lanes return identical fingerprints for every netlist.
 
 The report is printed and written to ``BENCH_service.json`` at the
 repo root.  Run directly (``python benchmarks/bench_service.py``) or
@@ -53,7 +63,10 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
 
-from repro.service import ServiceClient, ServiceError  # noqa: E402
+from repro.hypergraph import load_circuit  # noqa: E402
+from repro.obs.compare import compare_samples  # noqa: E402
+from repro.service import (ServiceClient, ServiceError,  # noqa: E402
+                           inline_netlist)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SERVICE_SCALE", "0.2"))
 HIT_REPEATS = int(os.environ.get("REPRO_BENCH_SERVICE_HITS", "20"))
@@ -78,6 +91,14 @@ OVERLOAD_MAX_QUEUED = 2
 #: Open-loop arrival gap — far faster than the service rate for a
 #: full-scale mlc portfolio, so the lane must shed.
 OVERLOAD_ARRIVAL_S = 0.01
+
+# -- lane scenario knobs ----------------------------------------------
+#: Worker counts of the two daemons compared: the serial lane and the
+#: persistent worker pool.
+LANE_JOBS = (1, 2)
+#: Netlist seeds of the lane scenario's fresh inline netlists (apart
+#: from every other scenario's, so no daemon has seen them).
+LANE_NETLIST_SEED = 2000
 
 
 def _request_body(circuit: str, seed: int, netlist_seed: int = 1) -> dict:
@@ -120,13 +141,8 @@ def run_bench() -> dict:
         with ServiceClient("127.0.0.1", port, timeout=600) as client:
             report = _run_against(client, port)
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-    report["meta"]["server_exit_code"] = proc.returncode
+        report_exit = _stop_server(proc)
+    report["meta"]["server_exit_code"] = report_exit
 
     # -- overload: its own daemon with a deliberately shallow lane ----
     proc, port = _start_server(
@@ -136,14 +152,117 @@ def run_bench() -> dict:
     try:
         report["overload"] = _run_overload(port)
     finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-    report["overload"]["server_exit_code"] = proc.returncode
+        overload_exit = _stop_server(proc)
+    report["overload"]["server_exit_code"] = overload_exit
+
+    # -- lane: a serial daemon against a pooled one -------------------
+    report["lane"] = _run_lanes()
     return report
+
+
+def _stop_server(proc) -> int:
+    proc.send_signal(signal.SIGTERM)
+    try:
+        proc.wait(timeout=30)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.wait()
+    return proc.returncode
+
+
+def _inline_body(round_: int, netlist_seed: int) -> dict:
+    """A request on a never-seen netlist, embedded inline."""
+    hg = load_circuit(CIRCUITS[round_ % len(CIRCUITS)], scale=SCALE,
+                      seed=netlist_seed)
+    return {"netlist": {"inline": inline_netlist(hg)}, "algorithm": "mlc",
+            "runs": RUNS_PER_REQUEST, "seed": round_}
+
+
+def _busy_miss(port: int, body: dict, hit_client: ServiceClient,
+               hot_body: dict):
+    """Send ``body`` (a miss) on its own connection while
+    ``hit_client`` keeps sending the cached ``hot_body``.  Returns the
+    miss's latency and payload and every hit's latency."""
+    def miss():
+        with ServiceClient("127.0.0.1", port, timeout=600) as client:
+            return _timed(client, body)
+
+    hits = []
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        future = pool.submit(miss)
+        while not future.done():
+            hit_s, payload = _timed(hit_client, hot_body)
+            assert payload["cached"]
+            hits.append(hit_s)
+    miss_s, payload = future.result()
+    return miss_s, payload, hits
+
+
+def _verdict(name: str, baseline, current) -> dict:
+    v = compare_samples("lane", name, baseline, current)
+    return {"baseline_median_s": round(v.baseline_median, 6),
+            "current_median_s": round(v.current_median, 6),
+            "delta_pct": (None if v.delta_pct is None
+                          else round(v.delta_pct, 1)),
+            "p_value": round(v.p_value, 4), "verdict": v.verdict}
+
+
+def _run_lanes() -> dict:
+    """The same never-seen inline netlists on a ``--jobs 1`` and a
+    ``--jobs 2`` daemon.  Each round sends every lane one miss on its
+    own (``miss``) and one while a second connection keeps sending
+    cache hits (``busy_miss``, whose hits give ``hit_p99``)."""
+    servers = {jobs: _start_server("--jobs", str(jobs))
+               for jobs in LANE_JOBS}
+    samples = {jobs: {"miss": [], "busy_miss": [], "hit": []}
+               for jobs in LANE_JOBS}
+    fingerprints = {jobs: [] for jobs in LANE_JOBS}
+    hot_body = _request_body(CIRCUITS[0], seed=0)
+    clients = {jobs: ServiceClient("127.0.0.1", port, timeout=600)
+               for jobs, (_, port) in servers.items()}
+    try:
+        for client in clients.values():
+            client.partition(hot_body)  # the key every hit asks for
+        for r in range(COLD_ROUNDS):
+            alone = _inline_body(r, LANE_NETLIST_SEED + r)
+            busy = _inline_body(r, LANE_NETLIST_SEED + COLD_ROUNDS + r)
+            for jobs in (LANE_JOBS if r % 2 == 0 else LANE_JOBS[::-1]):
+                miss_s, first = _timed(clients[jobs], alone)
+                busy_s, second, hits = _busy_miss(
+                    servers[jobs][1], busy, clients[jobs], hot_body)
+                assert not first["cached"] and not second["cached"]
+                samples[jobs]["miss"].append(miss_s)
+                samples[jobs]["busy_miss"].append(busy_s)
+                samples[jobs]["hit"].extend(hits)
+                fingerprints[jobs] += [first["fingerprint"],
+                                       second["fingerprint"]]
+    finally:
+        for client in clients.values():
+            client.close()
+        exit_codes = {jobs: _stop_server(proc)
+                      for jobs, (proc, _) in servers.items()}
+    serial, pooled = LANE_JOBS
+    return {
+        "netlists": 2 * COLD_ROUNDS,
+        "lanes": {f"jobs{jobs}": {
+            "miss_samples": len(got["miss"]),
+            "miss_p50_s": round(_percentile(got["miss"], 0.50), 6),
+            "busy_miss_samples": len(got["busy_miss"]),
+            "busy_miss_p50_s": round(_percentile(got["busy_miss"], 0.50),
+                                     6),
+            "hit_samples": len(got["hit"]),
+            "hit_p99_s": round(_percentile(got["hit"], 0.99), 6),
+            "server_exit_code": exit_codes[jobs],
+        } for jobs, got in samples.items()},
+        "identical_fingerprints":
+            fingerprints[serial] == fingerprints[pooled],
+        # Paired by netlist: round i's miss on both lanes.
+        "verdicts": {"baseline": f"jobs{serial}",
+                     "current": f"jobs{pooled}", **{
+                         name: _verdict(name, samples[serial][name],
+                                        samples[pooled][name])
+                         for name in ("miss", "busy_miss")}},
+    }
 
 
 def _run_overload(port: int) -> dict:
@@ -374,6 +493,23 @@ def print_report(report: dict) -> None:
           f"({100 * o['shed_fraction']:.0f}%), accepted p50 "
           f"{o['accepted_p50_s']:.3f}s p99 {o['accepted_p99_s']:.3f}s "
           f"(deadline {o['deadline_ms']}ms)")
+    lane = report["lane"]
+    for name, row in lane["lanes"].items():
+        print(f"lane {name}: miss p50 {1e3 * row['miss_p50_s']:.2f}ms "
+              f"({row['miss_samples']}), under hits "
+              f"{1e3 * row['busy_miss_p50_s']:.2f}ms "
+              f"({row['busy_miss_samples']}); hit p99 "
+              f"{1e3 * row['hit_p99_s']:.2f}ms ({row['hit_samples']} hits "
+              f"during misses)")
+    verdicts = lane["verdicts"]
+    for name in ("miss", "busy_miss"):
+        v = verdicts[name]
+        print(f"lane {name} {verdicts['baseline']} -> "
+              f"{verdicts['current']}: {1e3 * v['baseline_median_s']:.2f} "
+              f"-> {1e3 * v['current_median_s']:.2f}ms "
+              f"({v['delta_pct']:+.1f}%, p={v['p_value']:.4f}) "
+              f"{v['verdict']}")
+    print(f"lane fingerprints identical: {lane['identical_fingerprints']}")
 
 
 def test_bench_service():
@@ -411,6 +547,11 @@ def test_bench_service():
         f"accepted p99 {overload['accepted_p99_s']:.3f}s exceeds 2x the "
         f"{overload['deadline_ms']}ms deadline")
     assert overload["server_exit_code"] == 0
+    lane = report["lane"]
+    assert lane["identical_fingerprints"], (
+        "the --jobs 1 and --jobs 2 lanes answered differently")
+    assert all(row["server_exit_code"] == 0
+               for row in lane["lanes"].values())
 
 
 if __name__ == "__main__":

@@ -399,6 +399,19 @@ class Hypergraph:
         return (f"Hypergraph({label} modules={self.num_modules} "
                 f"nets={self.num_nets} pins={self.num_pins})")
 
+    def __getstate__(self):
+        """Pickle only what defines the netlist: a flat build its pin
+        arrays, a tuple build its pin tuples, plus areas, weights and
+        name.  Every derived list and cache is rebuilt on demand, so a
+        netlist pickles to the same bytes before and after use."""
+        pins = self._net_pins_s if self._flat is None else None
+        return (self.name, pins, self._flat, self.areas_list,
+                self.weights_list)
+
+    def __setstate__(self, state) -> None:
+        name, pins, flat, areas, weights = state
+        self._assemble(pins, flat, areas, weights, name)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented

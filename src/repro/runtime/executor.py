@@ -5,12 +5,25 @@ and produce records in start-index order, so the cut set of a portfolio
 is a pure function of its seed — the determinism contract the tests
 pin down as ``run_cell(jobs=1) == run_cell(jobs=4)``.
 
-The process executor uses the ``fork`` start method and ships only
-``(index, seed, attempt)`` tuples to workers; the portfolio itself
-(netlist, algorithm closures, any prebuilt hierarchy) is inherited
-through the fork, so nothing in it needs to pickle.  Where ``fork`` is
-unavailable (e.g. Windows), :func:`get_executor` degrades to the serial
-executor with a warning rather than failing the sweep.
+The process executor keeps one ``fork`` pool for its lifetime: the
+pool is forked on the first :meth:`ProcessExecutor.run` and reused by
+every later run until :meth:`ProcessExecutor.close`.  A portfolio
+(netlist, algorithm, any prebuilt hierarchy) reaches the workers one
+of two ways:
+
+* a pool forked *for* it inherits it through the fork, so nothing in
+  it needs to pickle — closures work;
+* a pool that is already live receives it pickled once per run, sent
+  with that run's ``(index, seed, attempt)`` tasks; each worker
+  unpickles it at most once and keeps only the current one.  A
+  portfolio that does not pickle makes the executor close the live
+  pool and fork a new one that inherits it.
+
+:func:`execute` with ``jobs=`` forks one pool for the call and closes
+it afterwards; a long-lived caller (the service daemon) holds one
+executor and closes it on shutdown.  Where ``fork`` is unavailable
+(e.g. Windows), :func:`get_executor` degrades to the serial executor
+with a warning rather than failing the sweep.
 
 Fault model
 -----------
@@ -19,18 +32,22 @@ Fault model
   re-executed up to ``retries`` times, sleeping the portfolio's
   deterministic backoff schedule between attempts.
 * A start that **exceeds the wall-clock budget** is recorded
-  ``timeout`` and its worker is killed at pool shutdown; timeouts are
-  never retried (a hung worker already cost a pool slot).  The serial
-  executor cannot pre-empt, so it flags the overrun after the fact —
+  ``timeout``, and the pool — hung worker included — is terminated and
+  discarded at the end of the run (the next run forks a new one);
+  timeouts are never retried (a hung worker already cost a pool slot).
+  The serial executor cannot pre-empt, so it flags the overrun after
+  the fact —
   both executors demote through the same :func:`_flag_overrun` path,
   so an overrun start is a ``timeout`` at any worker count.
 * A **worker that dies** without returning (``os._exit``, segfault) is
   detected through the start-notice channel: every pool task announces
-  ``(index, attempt, pid)`` before running, and the collector probes
-  that pid while waiting, so a dead worker is recorded ``failed``
-  (and retried) within one poll interval instead of burning the whole
-  collection deadline.  The pool respawns a replacement; the sweep
-  always completes.
+  ``(run token, index, attempt, pid)`` before running, and the
+  collector probes that pid while waiting, so a dead worker is recorded
+  ``failed`` (and retried) within one poll interval instead of burning
+  the whole collection deadline.  The token is unique per run, so a
+  notice left over from an earlier run on the same pool never matches
+  a later run's start.  The pool respawns a replacement and stays live;
+  the sweep always completes.
 * A start whose returned solution **fails verification**
   (``portfolio.verify``) is recorded ``invalid`` and retried like a
   failure; its cut never reaches the statistics.
@@ -42,8 +59,10 @@ produces byte-identical outcome fingerprints serially and in parallel.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
+import pickle
 import time
 import traceback
 import warnings
@@ -257,9 +276,14 @@ def _deadline_record(portfolio: Portfolio, index: int, seed: int,
 
 class SerialExecutor:
     """Runs starts in order, in-process — the harness's historical
-    behaviour plus fault isolation and budget flagging."""
+    behaviour plus fault isolation and budget flagging.  Holds no
+    resources; :meth:`close` exists so callers can treat both executors
+    alike."""
 
     jobs = 1
+
+    def close(self) -> None:
+        pass
 
     def run(self, portfolio: Portfolio, completed: Completed = None,
             on_record: OnRecord = None) -> PortfolioResult:
@@ -303,13 +327,22 @@ class SerialExecutor:
             attempt += 1
 
 
-# Portfolio being executed by the current pool; workers inherit this
-# through fork, so the netlist and algorithm never cross a pipe.
-_ACTIVE: Optional[Portfolio] = None
+#: Run tokens, unique within the process.  Every pool task and start
+#: notice carries its run's token, so a worker knows whether the
+#: portfolio it holds is current and the collector ignores notices
+#: from earlier runs.
+_TOKENS = itertools.count(1)
 
-# Start-notice channel: workers announce (index, attempt, pid) before
-# running a task, letting the parent tell a dead worker (pid gone,
-# record failed, retry) from a hung one (pid alive, record timeout).
+# ``(token, portfolio)``.  In the parent: the run in progress, so a
+# worker the pool forks during it (the first ones, or a respawn)
+# inherits the portfolio.  In a worker: the last portfolio it ran.
+_ACTIVE: Optional[Tuple[int, Portfolio]] = None
+
+# Start-notice channel: workers announce (token, index, attempt, pid)
+# before running a task, letting the parent tell a dead worker (pid
+# gone, record failed, retry) from a hung one (pid alive, record
+# timeout).  In a worker, set by ``_pool_worker_init``; in the parent,
+# the live pool's channel for the duration of a run.
 _NOTICES = None
 
 
@@ -323,8 +356,9 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _pool_worker_init() -> None:
-    """Restore default signal handling in a freshly forked pool worker.
+def _pool_worker_init(notices) -> None:
+    """Bind the pool's start-notice channel and restore default signal
+    handling in a freshly forked pool worker.
 
     The service daemon's asyncio loop installs ``SIGTERM``/``SIGINT``
     handlers and a signal wakeup fd, both of which survive the fork.  A
@@ -334,6 +368,8 @@ def _pool_worker_init() -> None:
     daemon wedging on its second request with ``--jobs 2``.  Cheap and
     harmless when the parent never touched signals.
     """
+    global _NOTICES
+    _NOTICES = notices
     import signal
     try:
         signal.set_wakeup_fd(-1)
@@ -346,24 +382,43 @@ def _pool_worker_init() -> None:
             pass
 
 
-def _pool_run(task: Tuple[int, int, int],
+def _pool_run(task: Tuple[int, int, int], token: int,
+              shipped: Optional[bytes],
               channels: FrozenSet[str]) -> RunRecord:
-    """Run one start in a pool worker, capturing telemetry on exactly
-    the ``channels`` the parent has live; the payloads ride back on
-    the record — the only path events take out of a worker."""
+    """Run one start of run ``token`` in a pool worker.
+
+    The worker uses the portfolio it holds when that is run ``token``'s
+    (inherited through the fork, or unpickled for an earlier task of
+    the run); otherwise it unpickles ``shipped``, replacing the one it
+    held.  Telemetry is captured on exactly the ``channels`` the parent
+    has live; the payloads ride back on the record — the only path
+    events take out of a worker.
+    """
+    global _ACTIVE
     index, seed, attempt = task
-    assert _ACTIVE is not None, "worker forked without an active portfolio"
     if _NOTICES is not None:
-        _NOTICES.put((index, attempt, os.getpid()))
+        _NOTICES.put((token, index, attempt, os.getpid()))
+    if _ACTIVE is None or _ACTIVE[0] != token:
+        if shipped is None:
+            raise ReproError(f"pool worker holds no portfolio for run {token}")
+        _ACTIVE = (token, pickle.loads(shipped))
     with capture(channels) as telemetry:
-        record = _execute_start(_ACTIVE, index, seed, attempt,
+        record = _execute_start(_ACTIVE[1], index, seed, attempt,
                                 worker=f"pid:{os.getpid()}", in_worker=True)
     record.telemetry = telemetry or None
     return record
 
 
 class ProcessExecutor:
-    """Fans starts out to a fork-based worker pool.
+    """Fans starts out to a fork-based worker pool that lives across runs.
+
+    The pool is forked on the first :meth:`run` and reused by every
+    later one until :meth:`close` (or the end of a ``with`` block).  A
+    portfolio reaches the workers through the fork when the pool is
+    forked for it, and pickled once per run, with that run's tasks,
+    when the pool is already live; a portfolio that does not pickle
+    closes the live pool and forks a new one that inherits it.  Runs
+    on one executor must not overlap.
 
     ``budget_seconds`` (from the portfolio) bounds how long the parent
     waits on each outstanding start while collecting — **measured from
@@ -373,10 +428,11 @@ class ProcessExecutor:
     never shrinks it).  With no budget the wait is still finite
     (:data:`DEFAULT_COLLECT_TIMEOUT`), so a hung worker can delay a
     sweep but never wedge it.  A start that blows the deadline is
-    recorded as a timeout and its worker is killed when the pool shuts
-    down.  Failed (raising or dead-worker) and invalid (verification)
-    starts are resubmitted up to ``retries`` times; timeouts are not
-    retried — a hung worker already costs a pool slot.
+    recorded as a timeout, and at the end of the run the pool is
+    terminated — hung worker included — and discarded; the next run
+    forks a new one.  Failed (raising or dead-worker) and invalid
+    (verification) starts are resubmitted up to ``retries`` times;
+    timeouts are not retried — a hung worker already costs a pool slot.
     """
 
     def __init__(self, jobs: int):
@@ -386,6 +442,37 @@ class ProcessExecutor:
             raise ConfigError(
                 "ProcessExecutor requires the 'fork' start method")
         self.jobs = jobs
+        self._pool = None
+        self._notices = None
+
+    def __enter__(self) -> "ProcessExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Terminate and join the worker pool, if one is live.  Safe to
+        call twice; a later :meth:`run` forks a new pool."""
+        pool, self._pool, self._notices = self._pool, None, None
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+
+    def _ship(self, portfolio: Portfolio) -> Optional[bytes]:
+        """``portfolio`` pickled for the live pool, or ``None`` when the
+        pool will be forked for it (none is live, or it does not pickle,
+        in which case the live pool is closed)."""
+        if self._pool is None:
+            return None
+        try:
+            return pickle.dumps(portfolio, pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            # A lambda, local object or lock inside: fork instead.
+            _log.debug("portfolio %s does not pickle (%s); forking a new "
+                       "pool", portfolio.name, exc)
+            self.close()
+            return None
 
     def run(self, portfolio: Portfolio, completed: Completed = None,
             on_record: OnRecord = None) -> PortfolioResult:
@@ -397,64 +484,83 @@ class ProcessExecutor:
         pending = [(job.index, job.seed, 1) for job in portfolio.jobs()
                    if job.index not in records]
         if pending:
-            context = multiprocessing.get_context("fork")
-            _ACTIVE = portfolio
-            _NOTICES = context.SimpleQueue()
-            channels = enabled_channels()
-            started: Dict[Tuple[int, int], int] = {}
-            timed_out = False
+            token = next(_TOKENS)
+            shipped = self._ship(portfolio)
+            _ACTIVE = (token, portfolio)
             try:
-                with context.Pool(processes=self.jobs,
-                                  initializer=_pool_worker_init) as pool:
-                    while pending:
-                        inflight = [(task, pool.apply_async(
-                                        _pool_run, (task, channels)))
-                                    for task in pending]
-                        pending = []
-                        for task, handle in inflight:
-                            index, seed, attempt = task
-                            record = self._collect(portfolio, handle, index,
-                                                   seed, attempt, started,
-                                                   deadline_at)
-                            # Every collected attempt's telemetry —
-                            # a retried attempt's failed span included.
-                            absorb(record.telemetry)
-                            record.telemetry = None
-                            timed_out |= record.status == STATUS_TIMEOUT
-                            if (record.retryable
-                                    and attempt <= portfolio.retries
-                                    and (deadline_at is None
-                                         or time.perf_counter()
-                                         < deadline_at)):
-                                _log.info("retrying start %d (seed %d): %s "
-                                          "on attempt %d — %s",
-                                          index, seed, record.status,
-                                          attempt, record.error)
-                                pending.append((index, seed, attempt + 1))
-                                continue
-                            records[index] = record
-                            if on_record is not None:
-                                on_record(record)
-                    if timed_out:
-                        # Hung workers never return; don't join them.
-                        pool.terminate()
+                if self._pool is None:
+                    context = multiprocessing.get_context("fork")
+                    self._notices = context.SimpleQueue()
+                    self._pool = context.Pool(
+                        processes=self.jobs, initializer=_pool_worker_init,
+                        initargs=(self._notices,))
+                _NOTICES = self._notices
+                timed_out = self._fan_out(portfolio, pending, token, shipped,
+                                          records, deadline_at, on_record)
+            except BaseException:
+                self.close()
+                raise
             finally:
                 _ACTIVE = None
                 _NOTICES = None
+            if timed_out:
+                # Hung workers never return: discard the pool.
+                self.close()
         ordered = [records[i] for i in sorted(records)]
         return PortfolioResult(
             algorithm=portfolio.name, circuit=portfolio.hg.name,
             records=ordered, wall_seconds=time.perf_counter() - wall0,
             jobs=self.jobs)
 
+    def _fan_out(self, portfolio: Portfolio,
+                 pending: List[Tuple[int, int, int]], token: int,
+                 shipped: Optional[bytes], records: Dict[int, RunRecord],
+                 deadline_at: Optional[float], on_record: OnRecord) -> bool:
+        """Submit ``pending`` to the pool and collect every start into
+        ``records``, resubmitting retryable ones.  Returns whether any
+        start timed out."""
+        channels = enabled_channels()
+        started: Dict[Tuple[int, int], int] = {}
+        timed_out = False
+        while pending:
+            inflight = [(task, self._pool.apply_async(
+                            _pool_run, (task, token, shipped, channels)))
+                        for task in pending]
+            pending = []
+            for task, handle in inflight:
+                index, seed, attempt = task
+                record = self._collect(portfolio, handle, index, seed,
+                                       attempt, started, deadline_at)
+                # Every collected attempt's telemetry — a retried
+                # attempt's failed span included.
+                absorb(record.telemetry)
+                record.telemetry = None
+                timed_out |= record.status == STATUS_TIMEOUT
+                if (record.retryable and attempt <= portfolio.retries
+                        and (deadline_at is None
+                             or time.perf_counter() < deadline_at)):
+                    _log.info("retrying start %d (seed %d): %s on attempt "
+                              "%d — %s", index, seed, record.status,
+                              attempt, record.error)
+                    pending.append((index, seed, attempt + 1))
+                    continue
+                records[index] = record
+                if on_record is not None:
+                    on_record(record)
+        return timed_out
+
     @staticmethod
     def _drain_notices(started: Dict[Tuple[int, int], int]) -> None:
+        """Fold the current run's start notices into ``started``,
+        dropping any left over from an earlier run on the pool."""
         queue = _NOTICES
-        if queue is None:
+        if queue is None or _ACTIVE is None:
             return
+        current = _ACTIVE[0]
         while not queue.empty():
-            index, attempt, pid = queue.get()
-            started[(index, attempt)] = pid
+            token, index, attempt, pid = queue.get()
+            if token == current:
+                started[(index, attempt)] = pid
 
     @classmethod
     def _collect(cls, portfolio: Portfolio, handle, index: int, seed: int,
@@ -548,7 +654,8 @@ def get_executor(jobs: int = 1, executor=None):
 
     An explicit ``executor`` object wins; otherwise ``jobs == 1`` is
     serial and ``jobs > 1`` a fork pool of that width (falling back to
-    serial, with a warning, on platforms without ``fork``).
+    serial, with a warning, on platforms without ``fork``).  A new
+    executor belongs to the caller, who closes it to release its pool.
     """
     if executor is not None:
         return executor
@@ -576,6 +683,11 @@ def execute(portfolio: Portfolio, jobs: int = 1, executor=None,
     invoked in the parent for every *newly* finished record — the
     checkpoint streaming hook.
 
+    With no ``executor``, the one ``jobs`` selects is created for this
+    call and closed before returning, so a ``jobs > 1`` call forks one
+    pool and leaves no worker behind.  An explicit ``executor`` is used
+    as it is and left open — the caller owns its lifetime.
+
     When ``portfolio.trace`` is a path, the whole run — worker events
     included — is written there as a Chrome trace-event stream.  The
     file's tracer is installed for the calling thread and this
@@ -592,9 +704,13 @@ def execute(portfolio: Portfolio, jobs: int = 1, executor=None,
     trace_path = portfolio.trace if isinstance(portfolio.trace, str) else None
     record_path = (portfolio.record
                    if isinstance(portfolio.record, str) else None)
-    with tracing(trace_path), recording(record_path):
-        result = runner.run(portfolio, completed=completed,
-                            on_record=on_record)
+    try:
+        with tracing(trace_path), recording(record_path):
+            result = runner.run(portfolio, completed=completed,
+                                on_record=on_record)
+    finally:
+        if executor is None:
+            runner.close()
     # After the tracing context closes, so phase rollups read a
     # flushed, complete file.
     record_result(result, portfolio, jobs=runner.jobs,

@@ -35,6 +35,19 @@ class MLStartAlgorithm:
     fn: Callable[[Hypergraph, int], object]
 
 
+@dataclass(frozen=True)
+class _MLStart:
+    """``fn(hg, seed)`` of :func:`ml_reuse_algorithm`: module-level, so
+    the algorithm (hierarchy included) pickles for a live worker pool."""
+
+    config: MLConfig
+    hierarchy: Optional[Hierarchy]
+
+    def __call__(self, hg: Hypergraph, seed: int):
+        return ml_bipartition(hg, config=self.config, seed=seed,
+                              hierarchy=self.hierarchy)
+
+
 def ml_reuse_algorithm(config: Optional[MLConfig] = None,
                        hierarchy: Optional[Hierarchy] = None,
                        name: Optional[str] = None) -> MLStartAlgorithm:
@@ -42,17 +55,12 @@ def ml_reuse_algorithm(config: Optional[MLConfig] = None,
 
     With ``hierarchy=None`` each start coarsens for itself (identical
     to plain ``ml_bipartition``), which keeps one code path for both
-    modes.
+    modes.  The returned algorithm pickles.
     """
     config = config or MLConfig()
     label = name or "ML{}(R={:g})".format(
         config.engine[0].upper(), config.matching_ratio)
-
-    def run(hg: Hypergraph, seed: int):
-        return ml_bipartition(hg, config=config, seed=seed,
-                              hierarchy=hierarchy)
-
-    return MLStartAlgorithm(name=label, fn=run)
+    return MLStartAlgorithm(name=label, fn=_MLStart(config, hierarchy))
 
 
 def ml_portfolio(hg: Hypergraph, runs: int,

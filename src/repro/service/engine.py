@@ -17,7 +17,14 @@ serving pipeline::
   runtime's process-pool plumbing and the obs singletons are
   process-wide, so the lane is what makes them safe under a concurrent
   server — and while the lane is busy, the event loop keeps answering
-  cache hits, health checks, and metric scrapes.
+  cache hits, health checks, and metric scrapes.  Every execution runs
+  on the one executor the engine resolves at construction: with
+  ``jobs > 1`` that is one worker pool for the daemon's lifetime,
+  forked at the first executed request and closed when the daemon
+  drains.  Each request's portfolio is pickled once to the live pool
+  (a portfolio that does not pickle gets a freshly forked pool that
+  inherits it), and a timed-out or deadline-killed run discards the
+  pool so the next request forks a clean one.
 * **Batching**: when the consumer pops a request, it also takes every
   queued request with the same (netlist, config) — different seeds
   welcome — and merges their child-seed streams into one
@@ -307,6 +314,9 @@ class ServiceEngine:
                  retries: int = 0,
                  faults=None):
         self.jobs = jobs
+        #: The one executor every full execution runs on; its pool (if
+        #: any) is forked lazily and closed by :meth:`drain`.
+        self.executor = get_executor(jobs)
         if default_deadline_ms is not None and default_deadline_ms < 1:
             raise ProtocolError(
                 f"default_deadline_ms must be >= 1, "
@@ -339,7 +349,11 @@ class ServiceEngine:
         self.lane.start()
 
     async def drain(self, timeout: float = 30.0) -> bool:
-        return await self.lane.drain(timeout)
+        """Drain the lane, then close the executor — terminating its
+        worker pool, so the daemon leaves no worker process behind."""
+        quiet = await self.lane.drain(timeout)
+        self.executor.close()
+        return quiet
 
     # -- serving -------------------------------------------------------
 
@@ -636,7 +650,7 @@ class ServiceEngine:
                               retries=self.retries, faults=self.faults,
                               deadline_seconds=self._deadline_seconds([run]),
                               trace_id=run.effective_trace_id)
-        result = execute(portfolio, jobs=self.jobs)
+        result = execute(portfolio, executor=self.executor)
         self._count("executed_portfolios")
         self._count("executed_starts", result.runs)
         self._keep_spooled(run)
@@ -698,8 +712,7 @@ class ServiceEngine:
                     "member_trace_id": run.effective_trace_id,
                     "request_id": run.request_id,
                     "offset": offset, "runs": run.request.runs})
-        executor = get_executor(self.jobs)
-        result = executor.run(merged)
+        result = self.executor.run(merged)
         self._count("executed_portfolios")
         self._count("executed_starts", len(job_list))
         self._count("batched_requests", len(batch))
@@ -713,13 +726,13 @@ class ServiceEngine:
             sub = PortfolioResult(
                 algorithm=merged.name, circuit=hg.name, records=records,
                 wall_seconds=sum(r.wall_seconds for r in records),
-                jobs=executor.jobs)
+                jobs=self.executor.jobs)
             # Each request is ledger-recorded as its own portfolio —
             # same entry a standalone CLI run would have written.
             portfolio = Portfolio(algorithm=algorithm, hg=hg, runs=n,
                                   seed=run.request.seed, keep_results=True,
                                   trace_id=run.effective_trace_id)
-            record_result(sub, portfolio, jobs=executor.jobs)
+            record_result(sub, portfolio, jobs=self.executor.jobs)
             payloads.append(self._guarded(self._payload, run, sub, hg))
         return payloads
 

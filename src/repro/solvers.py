@@ -12,6 +12,8 @@ Algorithm` shape the portfolio runtime consumes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .baselines.lsmc import lsmc_bipartition
 from .baselines.spectral import spectral_bipartition
 from .core.config import MLConfig
@@ -89,6 +91,27 @@ def single_run(algorithm: str, hg: Hypergraph, k: int = 2,
     raise ReproError(f"unknown algorithm {algorithm!r}")
 
 
+@dataclass(frozen=True)
+class _SingleRun:
+    """``fn(hg, seed)`` for :func:`build_algorithm`: a module-level
+    callable rather than a closure, so an :class:`Algorithm` built here
+    pickles and can be shipped to a live worker pool."""
+
+    algorithm: str
+    k: int
+    ratio: float
+    threshold: int
+    tolerance: float
+    descents: int
+    vcycles: int
+
+    def __call__(self, hg: Hypergraph, seed: int):
+        return single_run(self.algorithm, hg, k=self.k, ratio=self.ratio,
+                          threshold=self.threshold,
+                          tolerance=self.tolerance, descents=self.descents,
+                          seed=seed, vcycles=self.vcycles)
+
+
 def build_algorithm(algorithm: str, k: int = 2, ratio: float = 0.5,
                     threshold: int = 35, tolerance: float = 0.1,
                     descents: int = 20, vcycles: int = 0) -> Algorithm:
@@ -96,14 +119,10 @@ def build_algorithm(algorithm: str, k: int = 2, ratio: float = 0.5,
 
     The returned object's ``name`` is the bare algorithm name — what
     the CLI has always recorded in the ledger — so service-run and
-    CLI-run portfolios of the same cell aggregate together.
+    CLI-run portfolios of the same cell aggregate together.  It pickles.
     """
     if algorithm not in ALGORITHMS:
         raise ReproError(f"unknown algorithm {algorithm!r} "
                          f"(expected one of {', '.join(ALGORITHMS)})")
-    return Algorithm(
-        algorithm,
-        lambda h, s: single_run(algorithm, h, k=k, ratio=ratio,
-                                threshold=threshold, tolerance=tolerance,
-                                descents=descents, seed=s,
-                                vcycles=vcycles))
+    return Algorithm(algorithm, _SingleRun(algorithm, k, ratio, threshold,
+                                           tolerance, descents, vcycles))

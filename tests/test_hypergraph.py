@@ -1,9 +1,14 @@
 """Unit tests for the Hypergraph representation."""
 
+import pickle
+
 import pytest
 
+from repro.core import MLConfig, build_hierarchy
 from repro.errors import HypergraphError
-from repro.hypergraph import Hypergraph
+from repro.hypergraph import Hypergraph, hierarchical_circuit, load_circuit
+from repro.hypergraph.validate import check_consistency
+from repro.solvers import single_run
 
 
 class TestConstruction:
@@ -139,3 +144,54 @@ class TestEquality:
         a = Hypergraph([[0, 1]], name="x")
         b = Hypergraph([[0, 1]], name="y")
         assert a == b
+
+
+def _tuple_built() -> Hypergraph:
+    return load_circuit("primary1", scale=0.2, seed=1)
+
+
+def _flat_built() -> Hypergraph:
+    """Level 1 of an ``mlb`` hierarchy: built from flat pin arrays by
+    the vectorized Induce, with merged net weights and cluster areas."""
+    hier = hierarchical_circuit(600, 700, seed=3, name="hier600")
+    level = build_hierarchy(hier, MLConfig(engine="batch"),
+                            seed=7).netlists[1]
+    assert level._flat is not None
+    return level
+
+
+class TestPickle:
+    """A netlist pickles as its defining data only — what a live worker
+    pool receives with every shipped portfolio."""
+
+    @pytest.mark.parametrize("build", [_tuple_built, _flat_built])
+    def test_round_trip(self, build):
+        hg = build()
+        copy = pickle.loads(pickle.dumps(hg))
+        assert copy.name == hg.name
+        if hg._flat is not None:
+            # A flat build stays flat: its tuples are rebuilt on demand.
+            assert copy._flat is not None and copy._net_pins_s is None
+            for mine, theirs in zip(copy._flat, hg._flat):
+                assert mine.tolist() == theirs.tolist()
+        for name in ("net_pins", "module_nets", "sizes_list",
+                     "weights_list", "areas_list"):
+            assert getattr(copy, name) == getattr(hg, name), name
+        assert (copy.num_pins, copy.total_area, copy.max_area) == \
+            (hg.num_pins, hg.total_area, hg.max_area)
+        assert copy == hg
+        check_consistency(copy)
+        for algorithm in ("mlc", "fm", "mlb"):
+            want = single_run(algorithm, hg, seed=5)
+            got = single_run(algorithm, copy, seed=5)
+            assert got.cut == want.cut
+            assert got.partition.assignment == want.partition.assignment
+
+    @pytest.mark.parametrize("build", [_tuple_built, _flat_built])
+    def test_used_netlist_pickles_like_a_fresh_one(self, build):
+        hg = build()
+        fresh = pickle.dumps(hg)
+        single_run("mlc", hg, seed=2)
+        hg.np
+        hg.max_weighted_degree(3)
+        assert pickle.dumps(hg) == fresh

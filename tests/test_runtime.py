@@ -3,7 +3,10 @@
 import copy
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,11 +14,14 @@ from repro.core import MLConfig, build_hierarchy, ml_bipartition
 from repro.errors import ClusteringError, ConfigError, HarnessError
 from repro.harness import Algorithm, CellStats, run_cell, run_matrix
 from repro.hypergraph import hierarchical_circuit, load_circuit
-from repro.runtime import (HierarchyCache, Portfolio, ProcessExecutor,
-                           SerialExecutor, STATUS_FAILED, STATUS_OK,
-                           STATUS_TIMEOUT, execute, get_executor,
-                           ml_portfolio)
+from repro.rng import child_seeds
+from repro.runtime import (BatchPortfolio, HierarchyCache, Job, Portfolio,
+                           ProcessExecutor, SerialExecutor, STATUS_FAILED,
+                           STATUS_OK, STATUS_TIMEOUT, execute, get_executor,
+                           ml_portfolio, ml_reuse_algorithm)
+from repro.runtime import executor as executor_module
 from repro.fm import fm_bipartition
+from repro.solvers import build_algorithm
 
 
 def _fm() -> Algorithm:
@@ -358,3 +364,145 @@ class TestParallelSmoke:
         stats = outcome.to_cell_stats()
         assert stats.runs == 4
         assert stats.min_cut == min(outcome.cuts)
+
+
+# Module-level (so picklable) twins of the HANG and DIE fixtures above:
+# a live pool receives them pickled instead of forking for them.
+
+def _hang(hg, s):
+    time.sleep(30)
+
+
+def _die_on_even_seed(hg, s):
+    if s % 2 == 0:
+        os._exit(3)
+    return fm_bipartition(hg, seed=s)
+
+
+@dataclass(frozen=True)
+class _StaleNotice:
+    """Start ``first_seed`` posts a notice for ``(0, 1)`` carrying an
+    earlier run's token and a dead pid, then runs slowly enough for the
+    collector to poll.  It lands after the start's own notice, so a
+    collector that ignored run tokens would probe the dead pid and
+    record start 0 ``failed``."""
+
+    dead_pid: int
+    first_seed: int
+
+    def __call__(self, hg, seed):
+        if seed == self.first_seed:
+            token = executor_module._ACTIVE[0]
+            executor_module._NOTICES.put((token - 1, 0, 1, self.dead_pid))
+            time.sleep(0.4)
+        return fm_bipartition(hg, seed=seed)
+
+
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def _pids(outcome) -> set:
+    return {int(r.worker[4:]) for r in outcome.records
+            if r.worker.startswith("pid:")}
+
+
+def _assert_same_answers(got, want):
+    assert got.cuts == want.cuts
+    assert [r.status for r in got.records] == \
+        [r.status for r in want.records]
+    assert got.fingerprint_digest() == want.fingerprint_digest()
+    assert [r.result.partition.assignment for r in got.ok_records] == \
+        [r.result.partition.assignment for r in want.ok_records]
+
+
+@pytest.mark.parallel
+class TestExecutorReuse:
+    """One ``ProcessExecutor`` keeps one pool across runs: a picklable
+    portfolio is shipped to the live pool, an unpicklable one gets a
+    new fork, and every run answers exactly like the serial executor."""
+
+    def test_one_pool_serves_many_portfolios(self, medium_hg):
+        other = load_circuit("struct", scale=0.05, seed=0)
+        config = MLConfig(engine="clip")
+        hierarchy = build_hierarchy(medium_hg, config, seed=3)
+        batch_jobs = [Job(index=i, seed=s) for i, s in
+                      enumerate(child_seeds(3, 2) + child_seeds(4, 3))]
+        portfolios = [
+            Portfolio(build_algorithm("mlc"), medium_hg, runs=4, seed=1),
+            Portfolio(build_algorithm("fm"), other, runs=4, seed=2),
+            BatchPortfolio(build_algorithm("clip"), medium_hg, runs=5,
+                           seed=3, job_list=batch_jobs),
+            Portfolio(ml_reuse_algorithm(config, hierarchy), medium_hg,
+                      runs=4, seed=5),
+            Portfolio(_fm(), other, runs=4, seed=6),  # a lambda
+            Portfolio(build_algorithm("mlf"), other, runs=4, seed=7),
+        ]
+        for portfolio in portfolios:
+            portfolio.keep_results = True
+        pids = []
+        with ProcessExecutor(2) as pool:
+            for portfolio in portfolios:
+                got = pool.run(portfolio)
+                _assert_same_answers(got, SerialExecutor().run(portfolio))
+                pids.append(_pids(got))
+        shipped = set().union(*pids[:4])
+        assert len(shipped) <= 2  # four runs, one two-worker pool
+        # The lambda does not pickle: the live pool is closed and a new
+        # one forked for it, which the next run then reuses.
+        assert not pids[4] & shipped
+        assert not pids[5] & shipped
+        assert len(pids[4] | pids[5]) <= 2
+        assert pool._pool is None
+        for pid in shipped | pids[4] | pids[5]:
+            assert not executor_module._pid_alive(pid)
+
+    def test_next_run_answers_after_worker_death(self, medium_hg):
+        follow = Portfolio(build_algorithm("fm"), medium_hg, runs=4,
+                           seed=9, keep_results=True)
+        with ProcessExecutor(2) as pool:
+            pool.run(follow)
+            live = pool._pool
+            died = pool.run(Portfolio(Algorithm("DIE", _die_on_even_seed),
+                                      medium_hg, runs=6, seed=0))
+            dead = [r for r in died.records if r.status == STATUS_FAILED]
+            assert dead and all("died before returning" in r.error
+                                for r in dead)
+            assert pool._pool is live  # the pool respawned, not replaced
+            _assert_same_answers(pool.run(follow),
+                                 SerialExecutor().run(follow))
+
+    def test_next_run_answers_after_timeout(self, medium_hg):
+        follow = Portfolio(build_algorithm("fm"), medium_hg, runs=4,
+                           seed=9, keep_results=True)
+        with ProcessExecutor(2) as pool:
+            before = _pids(pool.run(follow))
+            hung = pool.run(Portfolio(Algorithm("HANG", _hang), medium_hg,
+                                      runs=2, seed=0, budget_seconds=0.5))
+            assert all(r.status == STATUS_TIMEOUT for r in hung.records)
+            assert pool._pool is None  # discarded with its hung workers
+            for pid in before:
+                assert not executor_module._pid_alive(pid)
+            after = pool.run(follow)
+            _assert_same_answers(after, SerialExecutor().run(follow))
+            assert not _pids(after) & before
+
+    def test_stale_notice_never_matches_a_later_run(self, medium_hg):
+        first_seed = child_seeds(0, 2)[0]
+        portfolio = Portfolio(
+            Algorithm("STALE", _StaleNotice(_dead_pid(), first_seed)),
+            medium_hg, runs=2, seed=0)
+        with ProcessExecutor(2) as pool:
+            pool.run(Portfolio(build_algorithm("fm"), medium_hg, runs=2,
+                               seed=1))
+            outcome = pool.run(portfolio)
+        assert [r.status for r in outcome.records] == [STATUS_OK] * 2
+        assert all(r.attempts == 1 for r in outcome.records)
+
+    def test_execute_with_jobs_closes_its_pool(self, medium_hg):
+        outcome = execute(Portfolio(build_algorithm("fm"), medium_hg,
+                                    runs=4, seed=0), jobs=2)
+        for pid in _pids(outcome):
+            assert not executor_module._pid_alive(pid)

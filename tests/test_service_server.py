@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.hypergraph import write_json
+from repro.hypergraph import hierarchical_circuit, write_json
 from repro.service import (PartitionServer, ServiceClient, ServiceEngine,
                            ServiceError, inline_netlist)
 
@@ -387,3 +387,71 @@ class TestPoolWorkerSignals:
                 proc.kill()
                 proc.wait(timeout=10)
         assert proc.returncode == 0, proc.stderr.read()
+
+
+def _children(pid: int) -> set:
+    """Live child pids of ``pid``, read from ``/proc``."""
+    children = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Field 4 (ppid) follows the parenthesised command name.
+        if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+            children.add(int(entry.name))
+    return children
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads the process table from /proc")
+class TestPooledDaemonLifecycle:
+    """``repro serve --jobs 2`` forks one worker pool at its first
+    executed request, serves every later request on it, and terminates
+    it when it drains."""
+
+    @pytest.mark.parallel
+    def test_one_pool_for_the_daemon_and_none_after_sigterm(self,
+                                                            tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC
+        env["REPRO_LEDGER"] = "off"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--jobs", "2", "--drain-seconds", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=str(tmp_path), env=env, text=True)
+        workers = []
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, f"no readiness line: {line!r}"
+            port = int(line.rstrip().rsplit(":", 1)[1])
+            assert _children(proc.pid) == set()  # no fork at start-up
+            with ServiceClient("127.0.0.1", port, timeout=90,
+                               retries=0) as client:
+                for seed in (1, 2):  # two fresh inline netlists
+                    hg = hierarchical_circuit(150, 180, seed=seed,
+                                              name=f"fresh{seed}")
+                    payload = client.partition({
+                        "netlist": {"inline": inline_netlist(hg)},
+                        "algorithm": "mlc", "runs": 4, "seed": 3})
+                    assert payload["cached"] is False
+                    assert payload["statuses"] == {"ok": 4}
+                    workers.append(_children(proc.pid))
+            assert len(workers[0]) == 2
+            assert workers[1] == workers[0]  # the same pool served both
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        _, stderr = proc.communicate(timeout=10)  # also closes the pipes
+        assert proc.returncode == 0, stderr
+        for pid in workers[0]:
+            assert not Path(f"/proc/{pid}").exists(), \
+                f"pool worker {pid} outlived the daemon"
+        assert "Pool.__del__" not in stderr
+        assert "Traceback" not in stderr
