@@ -1,14 +1,14 @@
 """Comparator algorithms: LSMC, two-phase FM, spectral bisection, the
 GORDIAN quadratic-placement simulator, and the PROP probabilistic-gain
-engine."""
+engine.
 
-from .gordian import (GordianResult, gordian_bipartition,
-                      gordian_quadrisection, perimeter_positions,
-                      quadratic_placement)
+Spectral bisection and GORDIAN need NumPy and SciPy, so their names
+resolve on first access (:mod:`repro.lazy`): importing LSMC, PROP or
+two-phase FM never loads either library."""
+
+from ..lazy import lazy_exports
 from .lsmc import LSMCResult, kick, lsmc_bipartition, lsmc_kway
 from .prop import INITIAL_MOVE_PROBABILITY, prop_bipartition
-from .spectral import (clique_laplacian, fiedler_vector,
-                       spectral_bipartition)
 from .twophase import two_phase_fm
 
 __all__ = [
@@ -28,3 +28,11 @@ __all__ = [
     "prop_bipartition",
     "INITIAL_MOVE_PROBABILITY",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".gordian": ("GordianResult", "gordian_bipartition",
+                 "gordian_quadrisection", "perimeter_positions",
+                 "quadratic_placement"),
+    ".spectral": ("clique_laplacian", "fiedler_vector",
+                  "spectral_bipartition"),
+})

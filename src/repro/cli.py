@@ -58,7 +58,7 @@ from .obs import configure_logging
 from .partition import (BalanceConstraint, cut, read_assignment,
                         summarize, write_assignment)
 from .runtime import Portfolio, execute
-from .solvers import ALGORITHMS, build_algorithm
+from .solvers import ALGORITHMS, DEFAULT_PORT, build_algorithm
 
 __all__ = ["main", "build_parser", "version_string"]
 
@@ -405,7 +405,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
 
 
 def _parse_server(spec: str) -> tuple:
-    from .service import DEFAULT_PORT
     host, _, port = spec.rpartition(":")
     if not host:
         host, port = spec, ""
@@ -648,9 +647,8 @@ def build_parser() -> argparse.ArgumentParser:
              "fingerprint-keyed result cache, request coalescing)")
     p_srv.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
-    from .service import DEFAULT_PORT as _DEFAULT_PORT
-    p_srv.add_argument("--port", type=int, default=_DEFAULT_PORT,
-                       help=f"bind port (default {_DEFAULT_PORT}; 0 picks "
+    p_srv.add_argument("--port", type=int, default=DEFAULT_PORT,
+                       help=f"bind port (default {DEFAULT_PORT}; 0 picks "
                             "a free port, printed on the readiness line)")
     p_srv.add_argument("-j", "--jobs", type=int, default=1,
                        help="worker processes per executed portfolio")
@@ -736,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--server", default="127.0.0.1",
                        metavar="HOST[:PORT]",
                        help=f"daemon address (default "
-                            f"127.0.0.1:{_DEFAULT_PORT})")
+                            f"127.0.0.1:{DEFAULT_PORT})")
     p_top.add_argument("--interval", type=float, default=2.0,
                        metavar="SEC",
                        help="refresh interval (default 2)")
@@ -759,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cli.add_argument("--server", default="127.0.0.1",
                        metavar="HOST[:PORT]",
                        help=f"daemon address (default "
-                            f"127.0.0.1:{_DEFAULT_PORT})")
+                            f"127.0.0.1:{DEFAULT_PORT})")
     p_cli.add_argument("--timeout", type=float, default=300.0)
     p_cli.add_argument("--retries", type=int, default=2,
                        help="client-side retry budget for connection "

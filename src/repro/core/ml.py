@@ -24,7 +24,7 @@ from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng, spawn
 from ..fm.clip import clip_bipartition  # noqa: F401  (re-export convenience)
 from ..fm.engine import fm_bipartition
-from ..fm.npengine import batch_bipartition
+from .. import fm
 from ..clustering.project import project
 from .config import MLConfig
 
@@ -90,8 +90,13 @@ def coarsen_step(current: Hypergraph, config: MLConfig,
 
 def refiner(config: MLConfig):
     """The ``FMPartition`` call of ``config.engine``: the batch engine
-    for ``"batch"``, the exact FM/CLIP engine otherwise."""
-    return batch_bipartition if config.engine == "batch" else fm_bipartition
+    for ``"batch"``, the exact FM/CLIP engine otherwise.
+
+    The batch engine is read off the :mod:`repro.fm` package, which
+    imports it (and NumPy) on the first ``"batch"`` run only."""
+    if config.engine == "batch":
+        return fm.batch_bipartition
+    return fm_bipartition
 
 
 def build_hierarchy(hg: Hypergraph, config: Optional[MLConfig] = None,

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 from statistics import mean
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..baselines.gordian import gordian_quadrisection
 from ..baselines.lsmc import lsmc_bipartition, lsmc_kway
 from ..baselines.prop import prop_bipartition
-from ..baselines.spectral import spectral_bipartition
 from ..baselines.twophase import two_phase_fm
 from ..core.config import MLConfig
 from ..core.ml import ml_bipartition
@@ -322,6 +320,7 @@ def table7_comparison(circuits: Sequence[str] = BENCH_CIRCUITS,
     literature columns for the same circuit names, with the percent-
     improvement summary computed like the paper's final rows.
     """
+    from ..baselines.spectral import spectral_bipartition
     runs_small = runs_small or max(1, runs // 2)
     mlc = ml_algorithm("clip", 0.5, name="MLC")
     cl_la3 = FMConfig(clip=True, lookahead=3)
@@ -439,6 +438,7 @@ def table9_quadrisection(circuits: Sequence[str] = ("primary2", "biomed",
     simulator; its split is deterministic given the pad seed, so it
     gets one run per circuit.
     """
+    from ..baselines.gordian import gordian_quadrisection
     quad_config = default_quad_config()
     clip4 = FMConfig(clip=True)
     algorithms = [

@@ -40,17 +40,20 @@ On top of the emitting layers sit the *consuming* layers:
   and the final partition bit for bit;
 * :mod:`repro.obs.diffrun` — aligns two recordings and names the
   first diverging decision (``repro diff-run``).
+
+The consuming layers, the trace summaries and the ``repro top``
+console are offline tools: their names resolve on first access
+(:mod:`repro.lazy`), so a partition run or a daemon never compiles
+them.
 """
 
+from ..lazy import lazy_exports
 from .log import configure_logging, get_logger
 from .metrics import (MetricsRegistry, NoopMetrics, collecting_metrics,
                       lint_prometheus, metrics, set_metrics,
                       write_prometheus)
 from .profile import (SamplingProfiler, enable_memory_profiling,
                       memory_peak, memory_profiling_enabled)
-from .summary import (ServiceTraceSummary, TraceSummary,
-                      summarize_service_trace, summarize_trace)
-from .console import render_status, run_top
 from .events import (BufferSink, JsonlSink, NullSink, Sink, read_jsonl,
                      set_trace_context, trace_context, trace_scope)
 from .trace import read_trace, set_tracer, tracer, tracing
@@ -59,16 +62,6 @@ from .ledger import (LEDGER_ENV, LEDGER_VERSION, append_entry, git_sha,
                      record_result, stable_view)
 from .recorder import (group_starts, read_record, recorder, recording,
                        set_recorder)
-from .replay import (ReplayError, ReplayReport, clustering_from_merges,
-                     replay_events, replay_recording)
-from .diffrun import (DiffReport, Divergence, diff_events,
-                      diff_recordings)
-from .compare import (Comparison, bootstrap_delta_ci, compare_sample_sets,
-                      compare_samples, load_samples, sign_test)
-from .convergence import (ConvergenceReport, DecisionReport,
-                          convergence_from_events, convergence_report,
-                          decision_from_events, decision_report)
-from .report import build_report
 
 __all__ = [
     "Sink", "NullSink", "BufferSink", "JsonlSink", "read_jsonl",
@@ -95,3 +88,19 @@ __all__ = [
     "replay_events", "replay_recording",
     "DiffReport", "Divergence", "diff_events", "diff_recordings",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    ".summary": ("ServiceTraceSummary", "TraceSummary",
+                 "summarize_service_trace", "summarize_trace"),
+    ".console": ("render_status", "run_top"),
+    ".replay": ("ReplayError", "ReplayReport", "clustering_from_merges",
+                "replay_events", "replay_recording"),
+    ".diffrun": ("DiffReport", "Divergence", "diff_events",
+                 "diff_recordings"),
+    ".compare": ("Comparison", "bootstrap_delta_ci", "compare_sample_sets",
+                 "compare_samples", "load_samples", "sign_test"),
+    ".convergence": ("ConvergenceReport", "DecisionReport",
+                     "convergence_from_events", "convergence_report",
+                     "decision_from_events", "decision_report"),
+    ".report": ("build_report",),
+})

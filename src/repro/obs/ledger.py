@@ -49,6 +49,7 @@ warning instead of poisoning every future read.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -124,15 +125,18 @@ def git_sha(cwd: Union[str, Path, None] = None) -> Optional[str]:
     return _GIT_SHA_CACHE[key]
 
 
+@functools.lru_cache(maxsize=None)
 def _numpy_version() -> Optional[str]:
     """Installed numpy version, or ``None`` — stamped into every entry
     so ``mlb`` fingerprints can be audited against the library that
-    produced them."""
+    produced them.  Read from the package metadata, once per process:
+    importing numpy just for its version would load it into every
+    process that appends an entry."""
+    from importlib import metadata
     try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:  # pragma: no cover
         return None
-    return numpy.__version__
 
 
 def _config_hash(portfolio, jobs: int) -> str:

@@ -57,6 +57,7 @@ from ..obs import (JsonlSink, MetricsRegistry, SamplingProfiler,
                    enable_memory_profiling, get_logger, read_jsonl,
                    set_metrics, set_tracer, tracer)
 from ..obs.metrics import SERVICE_BUCKETS
+from ..solvers import DEFAULT_PORT
 from .engine import ServiceEngine
 from .jobs import (JOB_CANCELLED, JOB_DONE, JOB_FAILED, JOB_RUNNING,
                    JobTable, ServiceJob)
@@ -66,8 +67,6 @@ from .protocol import (HEADER_REQUEST_ID, HEADER_TRACE_ID,
 _log = get_logger("service.server")
 
 __all__ = ["PartitionServer", "DEFAULT_PORT", "read_access_log"]
-
-DEFAULT_PORT = 8349
 
 #: Request line + headers cap.
 _MAX_HEADER_BYTES = 16 * 1024

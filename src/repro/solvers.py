@@ -8,14 +8,21 @@ This module is that one place: :func:`single_run` maps an algorithm
 name plus the paper's knobs to one seeded execution, and
 :func:`build_algorithm` wraps it as the :class:`~repro.harness.runner.
 Algorithm` shape the portfolio runtime consumes.
+
+Only ``mlb`` and ``spectral`` need NumPy (and SciPy): their engines are
+read off the :mod:`repro.fm` and :mod:`repro.baselines` packages, which
+import them on first use, so the other algorithms never load either
+library.  The daemon's default port lives here too, so the CLI can
+build its parser without importing the service.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
+from . import baselines
 from .baselines.lsmc import lsmc_bipartition
-from .baselines.spectral import spectral_bipartition
 from .core.config import MLConfig
 from .core.ml import ml_bipartition
 from .core.quadrisection import ml_kway
@@ -26,7 +33,11 @@ from .fm.engine import fm_bipartition
 from .harness.runner import Algorithm
 from .hypergraph import Hypergraph
 
-__all__ = ["ALGORITHMS", "ML_ENGINE_OF", "single_run", "build_algorithm", "ml_config_for"]
+__all__ = ["ALGORITHMS", "ML_ENGINE_OF", "DEFAULT_PORT", "single_run",
+           "build_algorithm", "ml_config_for"]
+
+#: TCP port ``repro serve`` binds and the client commands dial by default.
+DEFAULT_PORT = 8349
 
 #: Algorithm names accepted by the CLI and the service protocol.
 ALGORITHMS = ("mlc", "mlf", "mlb", "fm", "clip", "lsmc", "spectral")
@@ -35,6 +46,9 @@ ALGORITHMS = ("mlc", "mlf", "mlb", "fm", "clip", "lsmc", "spectral")
 #: ML_F are the paper's; ``mlb`` refines with the batch engine
 #: (DESIGN.md §13).
 ML_ENGINE_OF = {"mlc": "clip", "mlf": "fm", "mlb": "batch"}
+
+#: The algorithms whose engine module imports NumPy, and that module.
+_NUMPY_ENGINES = {"mlb": ".fm.npengine", "spectral": ".baselines.spectral"}
 
 
 def ml_config_for(algorithm: str, ratio: float = 0.5, threshold: int = 35,
@@ -87,7 +101,8 @@ def single_run(algorithm: str, hg: Hypergraph, k: int = 2,
         return lsmc_bipartition(hg, descents=descents, config=fm_config,
                                 seed=seed)
     if algorithm == "spectral":
-        return spectral_bipartition(hg, config=fm_config, seed=seed)
+        return baselines.spectral_bipartition(hg, config=fm_config,
+                                              seed=seed)
     raise ReproError(f"unknown algorithm {algorithm!r}")
 
 
@@ -120,9 +135,15 @@ def build_algorithm(algorithm: str, k: int = 2, ratio: float = 0.5,
     The returned object's ``name`` is the bare algorithm name — what
     the CLI has always recorded in the ledger — so service-run and
     CLI-run portfolios of the same cell aggregate together.  It pickles.
+
+    A NumPy-backed algorithm's engine is imported here, in the caller:
+    a worker pool forked after this inherits it instead of every worker
+    importing NumPy for itself.
     """
     if algorithm not in ALGORITHMS:
         raise ReproError(f"unknown algorithm {algorithm!r} "
                          f"(expected one of {', '.join(ALGORITHMS)})")
+    if algorithm in _NUMPY_ENGINES:
+        importlib.import_module(_NUMPY_ENGINES[algorithm], __package__)
     return Algorithm(algorithm, _SingleRun(algorithm, k, ratio, threshold,
                                            tolerance, descents, vcycles))
