@@ -22,10 +22,9 @@ Quickstart::
     print(result.cut, result.levels)
 """
 
-from .core import (MLConfig, MLKWayResult, MLResult, MultistartResult,
-                   build_hierarchy, default_quad_config, ml_bipartition,
-                   ml_kway, ml_multistart, ml_quadrisection, multistart,
-                   recursive_bisection, ml_vcycle)
+from .core import (MLConfig, MLKWayResult, MLResult, build_hierarchy,
+                   default_quad_config, ml_bipartition, ml_kway,
+                   ml_quadrisection, recursive_bisection, ml_vcycle)
 from .clustering import Clustering, connectivity, induce, match, project
 from .errors import (BalanceError, ClusteringError, ConfigError,
                      HarnessError, HypergraphError, ParseError,
@@ -55,9 +54,6 @@ __all__ = [
     "MLConfig",
     "MLResult",
     "MLKWayResult",
-    "multistart",
-    "ml_multistart",
-    "MultistartResult",
     "default_quad_config",
     "recursive_bisection",
     "ml_vcycle",

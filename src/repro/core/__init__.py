@@ -1,10 +1,10 @@
-"""The paper's primary contribution: the ML multilevel partitioner,
-its quadrisection extension, and multistart experiment wrappers."""
+"""The paper's primary contribution: the ML multilevel partitioner and
+its quadrisection extension.  Multistart runs go through
+:class:`repro.runtime.Portfolio`."""
 
 from .config import (DEFAULT_COARSENING_THRESHOLD, DEFAULT_QUAD_THRESHOLD,
                      MLConfig)
 from .ml import Hierarchy, MLResult, build_hierarchy, ml_bipartition
-from .multistart import MultistartResult, ml_multistart, multistart
 from .quadrisection import (MLKWayResult, default_quad_config, ml_kway,
                             ml_quadrisection)
 from .recursive import recursive_bisection
@@ -25,7 +25,4 @@ __all__ = [
     "recursive_bisection",
     "ml_vcycle",
     "VCycleResult",
-    "MultistartResult",
-    "multistart",
-    "ml_multistart",
 ]

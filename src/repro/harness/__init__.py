@@ -1,9 +1,10 @@
 """Experiment harness: multistart runner, table formatting, the paper's
 published numbers, and generators for every table/figure.
 
-The table generators resolve on first access (:mod:`repro.lazy`), so
-the portfolio runtime, which needs only :class:`Algorithm`, does not
-import every comparator they run."""
+:class:`Algorithm` is re-exported from :mod:`repro.runtime`, which
+defines it next to :class:`~repro.runtime.Portfolio`.  The table
+generators resolve on first access (:mod:`repro.lazy`), so importing
+the runner does not import every comparator they run."""
 
 from ..lazy import lazy_exports
 from .formatting import format_number, format_table

@@ -5,7 +5,9 @@ Figure 4) has a generator here that runs the experiment on the
 synthetic suite and returns a :class:`TableResult` whose headers and
 rows mirror the paper's layout.  The benchmark harness
 (``benchmarks/``) invokes these and prints them; EXPERIMENTS.md records
-paper-vs-measured values.
+paper-vs-measured values.  Each generator runs its cells through
+:func:`~repro.harness.runner.run_matrix`, so a cell's seed depends only
+on the top-level seed, the circuit and the algorithm name.
 
 Scale defaults are chosen so the whole suite runs in minutes of pure
 Python rather than the days the paper's full 100-run protocol would
@@ -15,8 +17,7 @@ take (see DESIGN.md, substitutions); all knobs are parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from statistics import mean
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..baselines.lsmc import lsmc_bipartition, lsmc_kway
 from ..baselines.prop import prop_bipartition
@@ -26,14 +27,14 @@ from ..core.ml import ml_bipartition
 from ..core.quadrisection import default_quad_config, ml_kway
 from ..hypergraph import (Hypergraph, benchmark_spec, compute_stats,
                           load_circuit)
-from ..rng import SeedLike, stable_seed
+from ..rng import SeedLike
 from ..fm.config import FMConfig
 from ..fm.engine import fm_bipartition
 from ..fm.kway import kway_partition
 from .formatting import format_table
 from .literature import (TABLE_VII_ALGORITHMS, TABLE_VII_CUTS,
                          TABLE_VIII_CPU, percent_improvement)
-from .runner import Algorithm, CellStats, run_cell
+from .runner import Algorithm, CellStats, run_matrix
 
 __all__ = [
     "TableResult",
@@ -115,23 +116,6 @@ def _load(circuits: Sequence[str], scale: float,
     return [load_circuit(name, scale=scale, seed=seed) for name in circuits]
 
 
-def _cell_seed(seed: SeedLike, circuit: str, algorithm: str) -> int:
-    return stable_seed(str(seed), circuit, algorithm)
-
-
-def _sweep(algorithms: Sequence[Algorithm], circuits: Sequence[Hypergraph],
-           runs: int, seed: SeedLike,
-           jobs: int = 1) -> Dict[str, Dict[str, CellStats]]:
-    cells: Dict[str, Dict[str, CellStats]] = {}
-    for hg in circuits:
-        cells[hg.name] = {}
-        for algorithm in algorithms:
-            cells[hg.name][algorithm.name] = run_cell(
-                algorithm, hg, runs,
-                _cell_seed(seed, hg.name, algorithm.name), jobs=jobs)
-    return cells
-
-
 # ----------------------------------------------------------------------
 # Table I.
 # ----------------------------------------------------------------------
@@ -167,8 +151,8 @@ def table2_tiebreak(circuits: Sequence[str] = BENCH_CIRCUITS,
     algorithms = [fm_algorithm("lifo", name="LIFO"),
                   fm_algorithm("fifo", name="FIFO"),
                   fm_algorithm("random", name="RND")]
-    cells = _sweep(algorithms, _load(circuits, scale, seed), runs, seed,
-                   jobs=jobs)
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
     headers = ["Test Case",
                "MIN LIFO", "MIN FIFO", "MIN RND",
                "AVG LIFO", "AVG FIFO", "AVG RND",
@@ -198,8 +182,8 @@ def table3_fm_vs_clip(circuits: Sequence[str] = BENCH_CIRCUITS,
                       jobs: int = 1) -> TableResult:
     """FM vs CLIP: min/avg/std cut and total CPU time."""
     algorithms = [fm_algorithm("lifo", name="FM"), clip_algorithm("CLIP")]
-    cells = _sweep(algorithms, _load(circuits, scale, seed), runs, seed,
-                   jobs=jobs)
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
     headers = ["Test Case", "MIN FM", "MIN CLIP", "AVG FM", "AVG CLIP",
                "STD FM", "STD CLIP", "CPU FM", "CPU CLIP"]
     rows = []
@@ -228,8 +212,8 @@ def table4_ml_vs_clip(circuits: Sequence[str] = BENCH_CIRCUITS,
     algorithms = [clip_algorithm("CLIP"),
                   ml_algorithm("fm", 1.0, threshold, name="MLF"),
                   ml_algorithm("clip", 1.0, threshold, name="MLC")]
-    cells = _sweep(algorithms, _load(circuits, scale, seed), runs, seed,
-                   jobs=jobs)
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
     names = ("CLIP", "MLF", "MLC")
     headers = (["Test Case"]
                + [f"MIN {n}" for n in names]
@@ -258,8 +242,8 @@ def _ratio_sweep(engine: str, title: str,
                  threshold: int, jobs: int = 1) -> TableResult:
     algorithms = [ml_algorithm(engine, r, threshold, name=f"R={r:g}")
                   for r in ratios]
-    cells = _sweep(algorithms, _load(circuits, scale, seed), runs, seed,
-                   jobs=jobs)
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
     names = [a.name for a in algorithms]
     headers = (["Test Case"]
                + [f"MIN {n}" for n in names]
@@ -334,8 +318,8 @@ def table7_comparison(circuits: Sequence[str] = BENCH_CIRCUITS,
         Algorithm("CL-LA3", lambda hg, s: fm_bipartition(
             hg, config=cl_la3, seed=s)),
     ]
-    loaded = _load(circuits, scale, seed)
-    cells = _sweep([mlc] + reimplemented, loaded, runs, seed, jobs=jobs)
+    cells = run_matrix([mlc] + reimplemented, _load(circuits, scale, seed),
+                       runs, seed, jobs=jobs)
 
     headers = (["Test Case", f"MLC({runs})", f"MLC({runs_small})"]
                + [a.name for a in reimplemented]
@@ -401,8 +385,8 @@ def table8_cpu(circuits: Sequence[str] = BENCH_CIRCUITS,
                       hg, descents=lsmc_descents, seed=s)),
                   Algorithm("PROP",
                             lambda hg, s: prop_bipartition(hg, seed=s))]
-    cells = _sweep(algorithms, _load(circuits, scale, seed), runs, seed,
-                   jobs=jobs)
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
     lit_columns = ("MLc10", "GMet", "PB", "GFM", "CL-LA3f", "LSMC")
     headers = (["Test Case"]
                + [f"{a.name} (s)" for a in algorithms]
@@ -455,8 +439,8 @@ def table9_quadrisection(circuits: Sequence[str] = ("primary2", "biomed",
         Algorithm("LSMCC", lambda hg, s: lsmc_kway(
             hg, k=4, descents=lsmc_descents, config=clip4, seed=s)),
     ]
-    cells = _sweep(algorithms, _load(circuits, scale, seed), runs, seed,
-                   jobs=jobs)
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
     names = [a.name for a in algorithms]
     headers = ["Test Case"] + [f"{n} min" for n in names] + ["MLF4 avg"]
     rows = []
@@ -482,23 +466,17 @@ def figure4_ratio_tradeoff(circuits: Sequence[str] = ("avqsmall",),
                            seed: SeedLike = 0,
                            jobs: int = 1) -> TableResult:
     """Average ML_C cut as a function of the matching ratio R."""
-    loaded = _load(circuits, scale, seed)
-    headers = ["R"] + [f"{hg.name} avg cut" for hg in loaded] \
-        + [f"{hg.name} cpu" for hg in loaded]
-    cells: Dict[str, Dict[str, CellStats]] = {hg.name: {} for hg in loaded}
+    algorithms = [ml_algorithm("clip", r, name=f"MLC(R={r:g})")
+                  for r in ratios]
+    cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
+                       seed, jobs=jobs)
+    headers = ["R"] + [f"{c} avg cut" for c in cells] \
+        + [f"{c} cpu" for c in cells]
     rows = []
-    for ratio in ratios:
-        algorithm = ml_algorithm("clip", ratio, name=f"MLC(R={ratio:g})")
-        row: List[object] = [ratio]
-        cpu: List[object] = []
-        for hg in loaded:
-            cell = run_cell(algorithm, hg, runs,
-                            _cell_seed(seed, hg.name, algorithm.name),
-                            jobs=jobs)
-            cells[hg.name][algorithm.name] = cell
-            row.append(round(cell.avg_cut, 1))
-            cpu.append(round(cell.cpu_seconds, 2))
-        rows.append(row + cpu)
+    for ratio, algorithm in zip(ratios, algorithms):
+        points = [row[algorithm.name] for row in cells.values()]
+        rows.append([ratio] + [round(p.avg_cut, 1) for p in points]
+                    + [round(p.cpu_seconds, 2) for p in points])
     return TableResult(
         title=f"Figure 4: matching ratio vs average cut ({runs} runs "
               "per point)",

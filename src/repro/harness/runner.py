@@ -2,15 +2,17 @@
 
 The paper's protocol: run each algorithm N times per circuit and report
 minimum cut, average cut, standard deviation, and total CPU time.  An
-:class:`Algorithm` is a named, seeded partitioner; :func:`run_cell`
-produces one table cell's statistics and :func:`run_matrix` sweeps
-algorithms x circuits.
+:class:`~repro.runtime.Algorithm` is a named, seeded partitioner;
+:func:`run_cell` produces one table cell's statistics and
+:func:`run_matrix` sweeps algorithms x circuits.  Every table and
+figure generator in :mod:`repro.harness.experiments` runs its cells
+through :func:`run_matrix`.
 
-Execution is delegated to :mod:`repro.runtime`: ``jobs=1`` runs the
-starts serially in-process (the historical behaviour), ``jobs=N`` fans
-them out to a worker pool.  Either way the per-start seeds come from
-the same :func:`repro.rng.child_seeds` stream, so the cut statistics
-are identical at any worker count; only the timing columns change.
+Both run one :class:`~repro.runtime.Portfolio` per cell: ``jobs=1``
+runs the starts serially in-process, ``jobs=N`` fans them out to a
+worker pool.  Either way the per-start seeds come from the same
+:func:`repro.rng.child_seeds` stream, so the cut statistics are
+identical at any worker count; only the timing columns change.
 
 Long sweeps get three robustness knobs threaded straight through to
 the runtime: ``faults=`` (a deterministic
@@ -26,24 +28,16 @@ finished (cell, start) pairs.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from statistics import mean, pstdev
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from ..errors import ConfigError, HarnessError
+from ..errors import HarnessError
 from ..hypergraph import Hypergraph
 from ..rng import SeedLike, stable_seed
+from ..runtime import Algorithm, MatrixCheckpoint, Portfolio, execute
 
 __all__ = ["Algorithm", "CellStats", "run_cell", "run_matrix"]
-
-
-@dataclass(frozen=True)
-class Algorithm:
-    """A named partitioner: ``fn(hg, seed) -> result`` with ``.cut``."""
-
-    name: str
-    fn: Callable[[Hypergraph, int], object]
 
 
 @dataclass
@@ -51,15 +45,12 @@ class CellStats:
     """min/avg/std cut and wall/CPU time over N runs of one algorithm
     on one circuit.
 
-    ``cpu_seconds`` is genuine CPU time (``time.process_time``, summed
-    across workers when the cell ran in parallel) — what the paper's
-    Table VIII reports.  ``wall_seconds`` is elapsed wall clock for the
-    whole cell.  Historically ``cpu_seconds`` held wall time; passing
-    only ``cpu_seconds`` keeps old call sites constructible (wall
-    defaults to the same value) but new code should set both.
-    ``failures`` counts runs that crashed, timed out, or returned a
-    result that failed verification; their cuts are absent from
-    ``cuts``, and ``report`` (when any start was lost) carries the
+    ``cpu_seconds`` is CPU time (``time.process_time``, summed across
+    workers when the cell ran in parallel) — what the paper's Table
+    VIII reports.  ``wall_seconds`` is elapsed wall clock for the whole
+    cell.  ``failures`` counts runs that crashed, timed out, or
+    returned a result that failed verification; their cuts are absent
+    from ``cuts``, and ``report`` (when any start was lost) carries the
     structured per-start account of what went wrong.
     """
 
@@ -67,35 +58,9 @@ class CellStats:
     circuit: str
     cuts: List[int]
     cpu_seconds: float
-    wall_seconds: Optional[float] = None
+    wall_seconds: float
     failures: int = 0
     report: Optional[object] = None
-
-    def __post_init__(self):
-        if self.wall_seconds is None:
-            self.wall_seconds = self.cpu_seconds
-
-    @property
-    def elapsed_seconds(self) -> float:
-        """Deprecated alias for :attr:`wall_seconds` (the quantity the
-        pre-runtime ``cpu_seconds`` actually measured)."""
-        warnings.warn(
-            "CellStats.elapsed_seconds is deprecated; use wall_seconds",
-            DeprecationWarning, stacklevel=2)
-        return self.wall_seconds
-
-    @property
-    def cpu_time(self) -> float:
-        """Deprecated alias for :attr:`wall_seconds`.
-
-        Historically the harness's "cpu time" column held wall clock;
-        genuine CPU time lives in :attr:`cpu_seconds`.
-        """
-        warnings.warn(
-            "CellStats.cpu_time is deprecated; use wall_seconds "
-            "(wall clock) or cpu_seconds (CPU time)",
-            DeprecationWarning, stacklevel=2)
-        return self.wall_seconds
 
     @property
     def runs(self) -> int:
@@ -157,11 +122,10 @@ def run_cell(algorithm: Algorithm, hg: Hypergraph, runs: int,
     (or, with ``True``, emits into the ambient tracer); ``metrics_out``
     writes the cell's metrics in the Prometheus text format after the
     run.  Neither touches the RNG streams, so the cut statistics are
-    unchanged by either.
+    unchanged by either.  ``runs < 1`` raises
+    :class:`~repro.errors.ConfigError` from
+    :class:`~repro.runtime.Portfolio`.
     """
-    if runs < 1:
-        raise ConfigError(f"runs must be >= 1, got {runs}")
-    from ..runtime import Portfolio, execute
     portfolio = Portfolio(algorithm=algorithm, hg=hg, runs=runs, seed=seed,
                           budget_seconds=budget_seconds, retries=retries,
                           faults=faults, verify=verify,
@@ -219,7 +183,6 @@ def run_matrix(algorithms: Sequence[Algorithm],
     from contextlib import ExitStack
     ckpt = None
     if checkpoint is not None:
-        from ..runtime import MatrixCheckpoint
         ckpt = MatrixCheckpoint(
             checkpoint, seed=seed, runs=runs,
             algorithms=[a.name for a in algorithms],

@@ -9,7 +9,8 @@ isolation, wall-clock budgets, retries, and structured per-run records.
 
 Layers
 ------
-* :mod:`.job`      — :class:`Portfolio`: N seeded starts of one algorithm.
+* :mod:`.job`      — :class:`Algorithm` and :class:`Portfolio`: N seeded
+  starts of one named partitioner, the one way to run a multistart.
 * :mod:`.executor` — :class:`SerialExecutor` / :class:`ProcessExecutor`
   plus the :func:`get_executor` / :func:`execute` entry points.
 * :mod:`.records`  — :class:`RunRecord` / :class:`PortfolioResult`,
@@ -31,14 +32,15 @@ from .cache import HierarchyCache, default_hierarchy_cache
 from .checkpoint import MatrixCheckpoint
 from .executor import (DEFAULT_COLLECT_TIMEOUT, ProcessExecutor,
                        SerialExecutor, execute, get_executor)
-from .job import BatchPortfolio, Job, Portfolio, backoff_delay
-from .mlstart import (MLStartAlgorithm, ml_portfolio, ml_reuse_algorithm)
+from .job import Algorithm, BatchPortfolio, Job, Portfolio, backoff_delay
+from .mlstart import ml_portfolio, ml_reuse_algorithm
 from .records import (FINGERPRINT_DIGEST_LENGTH, FailureReport,
                       PortfolioResult, RunRecord, RETRYABLE_STATUSES,
                       STATUS_FAILED, STATUS_INVALID, STATUS_OK,
                       STATUS_TIMEOUT, fingerprint_digest)
 
 __all__ = [
+    "Algorithm",
     "Job",
     "Portfolio",
     "BatchPortfolio",
@@ -61,7 +63,6 @@ __all__ = [
     "execute",
     "HierarchyCache",
     "default_hierarchy_cache",
-    "MLStartAlgorithm",
     "ml_reuse_algorithm",
     "ml_portfolio",
 ]

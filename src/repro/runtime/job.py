@@ -1,10 +1,11 @@
 """Portfolio job descriptions.
 
-A :class:`Portfolio` is the unit the executors run: ``runs`` seeded
-starts of one algorithm on one circuit.  Per-start seeds come from
-:func:`repro.rng.child_seeds`, the same derivation the serial harness
-uses, so the seed sequence — and therefore the cut set — is independent
-of how the starts are scheduled.
+A :class:`Portfolio` is the unit the executors run, and the one way
+any caller runs N starts: ``runs`` seeded starts of one
+:class:`Algorithm` on one circuit.  Per-start seeds come from
+:func:`repro.rng.child_seeds`, so the seed sequence — and therefore
+the cut set — is independent of how the starts are scheduled, and
+start ``i`` is the same whether 10 or 100 runs were asked for.
 
 Robustness knobs live here too: an armed :class:`~repro.faults.FaultPlan`
 (``faults=``), trust-but-verify recomputation of returned solutions
@@ -23,7 +24,8 @@ from ..errors import ConfigError
 from ..hypergraph import Hypergraph
 from ..rng import SeedLike, child_seeds, stable_seed
 
-__all__ = ["Job", "Portfolio", "BatchPortfolio", "backoff_delay"]
+__all__ = ["Algorithm", "Job", "Portfolio", "BatchPortfolio",
+           "backoff_delay"]
 
 
 def backoff_delay(base: float, cap: float, seed: SeedLike, index: int,
@@ -45,6 +47,14 @@ def backoff_delay(base: float, cap: float, seed: SeedLike, index: int,
 
 
 @dataclass(frozen=True)
+class Algorithm:
+    """A named partitioner: ``fn(hg, seed) -> result`` with ``.cut``."""
+
+    name: str
+    fn: Callable[[Hypergraph, int], object]
+
+
+@dataclass(frozen=True)
 class Job:
     """One start: position in the portfolio plus its derived seed."""
 
@@ -58,7 +68,7 @@ class Portfolio:
 
     ``algorithm`` is anything with a ``name`` and an
     ``fn(hg, seed) -> result`` whose result exposes ``cut`` —
-    :class:`repro.harness.Algorithm` in practice.
+    an :class:`Algorithm` in practice.
 
     ``budget_seconds`` bounds each start's wall clock (best effort: the
     process executor stops waiting and kills stragglers at shutdown;

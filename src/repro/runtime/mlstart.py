@@ -13,7 +13,7 @@ reduction in coarsening work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.config import MLConfig
 from ..core.ml import Hierarchy, ml_bipartition
@@ -21,18 +21,10 @@ from ..hypergraph import Hypergraph
 from ..rng import SeedLike
 from .cache import HierarchyCache, default_hierarchy_cache
 from .executor import execute
-from .job import Portfolio
+from .job import Algorithm, Portfolio
 from .records import PortfolioResult
 
-__all__ = ["MLStartAlgorithm", "ml_reuse_algorithm", "ml_portfolio"]
-
-
-@dataclass(frozen=True)
-class MLStartAlgorithm:
-    """An ``Algorithm``-shaped runner bound to a prebuilt hierarchy."""
-
-    name: str
-    fn: Callable[[Hypergraph, int], object]
+__all__ = ["ml_reuse_algorithm", "ml_portfolio"]
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,7 @@ class _MLStart:
 
 def ml_reuse_algorithm(config: Optional[MLConfig] = None,
                        hierarchy: Optional[Hierarchy] = None,
-                       name: Optional[str] = None) -> MLStartAlgorithm:
+                       name: Optional[str] = None) -> Algorithm:
     """ML starts that refine ``hierarchy`` instead of re-coarsening.
 
     With ``hierarchy=None`` each start coarsens for itself (identical
@@ -60,7 +52,7 @@ def ml_reuse_algorithm(config: Optional[MLConfig] = None,
     config = config or MLConfig()
     label = name or "ML{}(R={:g})".format(
         config.engine[0].upper(), config.matching_ratio)
-    return MLStartAlgorithm(name=label, fn=_MLStart(config, hierarchy))
+    return Algorithm(name=label, fn=_MLStart(config, hierarchy))
 
 
 def ml_portfolio(hg: Hypergraph, runs: int,

@@ -1,6 +1,7 @@
 """Bounded LRU caches for the service.
 
-Two instantiations of one mechanism:
+Two instantiations of :class:`~repro.runtime.cache.LRUCache`, the
+package's one LRU (re-exported here):
 
 * :class:`ResultCache` — fingerprint-keyed response payloads.  A hit
   turns a multi-second portfolio into a dictionary copy; the LRU bound
@@ -17,79 +18,12 @@ execution lane's worker thread populates it.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Callable
 
-from ..errors import ConfigError
 from ..hypergraph import Hypergraph
+from ..runtime.cache import LRUCache
 
 __all__ = ["LRUCache", "ResultCache", "NetlistCache"]
-
-V = TypeVar("V")
-
-
-class LRUCache:
-    """A small thread-safe LRU with hit/miss/eviction counters."""
-
-    def __init__(self, max_entries: int):
-        if max_entries < 1:
-            raise ConfigError(
-                f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: str) -> Optional[object]:
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: str, value: object) -> None:
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def get_or_build(self, key: str, build: Callable[[], V]) -> V:
-        """Return the cached value, building (under the lock's *miss*
-        accounting but outside the lock itself) when absent.
-
-        Two threads may race to build the same entry; the second put
-        simply overwrites with an equivalent value — correctness never
-        depends on single-build, only the counters do, and they are
-        advisory.
-        """
-        value = self.get(key)
-        if value is None:
-            value = build()
-            self.put(key, value)
-        return value
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._entries),
-                    "max_entries": self.max_entries,
-                    "hits": self.hits, "misses": self.misses,
-                    "evictions": self.evictions}
 
 
 class ResultCache(LRUCache):

@@ -843,9 +843,7 @@ class ServiceEngine:
             "counters": self.counters(),
             "result_cache": self.results.stats(),
             "netlist_cache": self.netlists.stats(),
-            "hierarchy_cache": {"entries": len(self.hierarchies),
-                                "hits": self.hierarchies.hits,
-                                "misses": self.hierarchies.misses},
+            "hierarchy_cache": self.hierarchies.stats(),
             "coalescer": self.coalescer.stats(),
         }
 

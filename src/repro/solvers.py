@@ -6,8 +6,8 @@ seed) — that is the service's correctness contract, and the only way to
 guarantee it is for both to build their runnable from the same code.
 This module is that one place: :func:`single_run` maps an algorithm
 name plus the paper's knobs to one seeded execution, and
-:func:`build_algorithm` wraps it as the :class:`~repro.harness.runner.
-Algorithm` shape the portfolio runtime consumes.
+:func:`build_algorithm` wraps it as the :class:`~repro.runtime.Algorithm`
+the portfolio runtime consumes.
 
 Only ``mlb`` and ``spectral`` need NumPy (and SciPy): their engines are
 read off the :mod:`repro.fm` and :mod:`repro.baselines` packages, which
@@ -30,8 +30,8 @@ from .core.vcycle import ml_vcycle
 from .errors import ReproError
 from .fm.config import FMConfig
 from .fm.engine import fm_bipartition
-from .harness.runner import Algorithm
 from .hypergraph import Hypergraph
+from .runtime.job import Algorithm
 
 __all__ = ["ALGORITHMS", "ML_ENGINE_OF", "DEFAULT_PORT", "single_run",
            "build_algorithm", "ml_config_for"]

@@ -88,3 +88,27 @@ class TestTableGenerators:
     def test_cells_exposed(self):
         result = table3_fm_vs_clip(**TINY)
         assert result.cells["balu"]["FM"].runs == 2
+
+
+def _cuts(result):
+    return {circuit: {name: cell.cuts for name, cell in row.items()}
+            for circuit, row in result.cells.items()}
+
+
+class TestPinnedCells:
+    """Per-cell cut lists pinned from a serial sweep: a cell's cuts are
+    a pure function of (top-level seed, circuit, algorithm name)."""
+
+    def test_table3_cells(self):
+        assert _cuts(table3_fm_vs_clip(**TINY)) == {
+            "balu": {"FM": [3, 3], "CLIP": [3, 3]},
+            "struct": {"FM": [13, 12], "CLIP": [16, 17]},
+        }
+
+    def test_figure4_cells(self):
+        result = figure4_ratio_tradeoff(circuits=("struct",), scale=0.12,
+                                        runs=2, ratios=(1.0, 0.5), seed=0)
+        assert _cuts(result) == {
+            "struct": {"MLC(R=1)": [10, 12], "MLC(R=0.5)": [10, 10]},
+        }
+        assert [row[1] for row in result.rows] == [11, 10]

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.core import (MLConfig, build_hierarchy, ml_bipartition,
-                        ml_multistart)
+from repro.core import MLConfig, build_hierarchy, ml_bipartition
 from repro.errors import ClusteringError, ConfigError
 from repro.fm import fm_bipartition
+from repro.harness import run_cell
 from repro.hypergraph import Hypergraph, grid_circuit, hierarchical_circuit
 from repro.partition import BalanceConstraint, cut
 from repro.rng import child_seeds
+from repro.runtime import Algorithm, Portfolio, execute
 
 
 class TestMLConfig:
@@ -141,32 +142,44 @@ class TestMLBipartition:
         assert result.cut == cut(large_hg, result.partition)
 
 
+def _ml() -> Algorithm:
+    return Algorithm("ML", lambda hg, s: ml_bipartition(hg, seed=s))
+
+
 class TestMultistart:
+    """The paper's N-start protocol, run through the runtime portfolio."""
+
     def test_stats(self, medium_hg):
-        ms = ml_multistart(medium_hg, runs=5, seed=0)
-        assert ms.runs == 5
-        assert ms.min_cut == min(ms.cuts)
-        assert ms.min_cut <= ms.avg_cut
-        assert ms.best_partition is not None
-        assert cut(medium_hg, ms.best_partition) == ms.min_cut
+        outcome = execute(Portfolio(_ml(), medium_hg, runs=5, seed=0,
+                                    keep_results=True))
+        stats = outcome.to_cell_stats()
+        assert stats.runs == 5
+        assert stats.min_cut == min(stats.cuts)
+        assert stats.min_cut <= stats.avg_cut
+        best = outcome.best.result.partition
+        assert cut(medium_hg, best) == stats.min_cut
+        assert run_cell(_ml(), medium_hg, runs=5, seed=0).cuts == stats.cuts
 
     def test_prefix_property(self, medium_hg):
         """Run i is identical whether 3 or 6 runs were requested."""
-        small = ml_multistart(medium_hg, runs=3, seed=7)
-        big = ml_multistart(medium_hg, runs=6, seed=7)
+        small = run_cell(_ml(), medium_hg, runs=3, seed=7)
+        big = run_cell(_ml(), medium_hg, runs=6, seed=7)
         assert big.cuts[:3] == small.cuts
 
     def test_prefix_method(self, medium_hg):
-        ms = ml_multistart(medium_hg, runs=6, seed=8, keep_results=True)
-        head = ms.prefix(3)
-        assert head.cuts == ms.cuts[:3]
-        assert head.min_cut == min(ms.cuts[:3])
-
-    def test_prefix_bad_count(self, medium_hg):
-        ms = ml_multistart(medium_hg, runs=2, seed=0)
-        with pytest.raises(ConfigError):
-            ms.prefix(5)
+        """The first 3 records of a 6-run portfolio are the 3-run
+        portfolio's records, best partition included (Table VII's
+        short column is such a prefix)."""
+        full = execute(Portfolio(_ml(), medium_hg, runs=6, seed=8,
+                                 keep_results=True))
+        head = execute(Portfolio(_ml(), medium_hg, runs=3, seed=8,
+                                 keep_results=True))
+        assert full.cuts[:3] == head.cuts
+        best = min(full.records[:3], key=lambda r: (r.cut, r.index))
+        assert best.index == head.best.index
+        assert best.result.partition == head.best.result.partition
+        assert cut(medium_hg, best.result.partition) == min(full.cuts[:3])
 
     def test_zero_runs_rejected(self, medium_hg):
         with pytest.raises(ConfigError):
-            ml_multistart(medium_hg, runs=0)
+            run_cell(_ml(), medium_hg, runs=0)

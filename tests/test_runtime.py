@@ -12,7 +12,7 @@ import pytest
 
 from repro.core import MLConfig, build_hierarchy, ml_bipartition
 from repro.errors import ClusteringError, ConfigError, HarnessError
-from repro.harness import Algorithm, CellStats, run_cell, run_matrix
+from repro.harness import Algorithm, run_cell, run_matrix
 from repro.hypergraph import hierarchical_circuit, load_circuit
 from repro.rng import child_seeds
 from repro.runtime import (BatchPortfolio, HierarchyCache, Job, Portfolio,
@@ -71,6 +71,23 @@ class TestDeterminism:
         expected = [fm_bipartition(medium_hg, seed=s).cut
                     for s in child_seeds(7, 3)]
         assert run_cell(_fm(), medium_hg, runs=3, seed=7).cuts == expected
+
+
+class TestPrefixProperty:
+    """Start i is identical whether 3 or 6 runs were asked for — the
+    paper's Table VII takes its 10-run column as a prefix of the 100."""
+
+    @pytest.mark.parametrize(
+        "jobs", [1, pytest.param(2, marks=pytest.mark.parallel)])
+    def test_prefix_of_longer_portfolio(self, medium_hg, jobs):
+        algorithm = build_algorithm("mlc")
+        short = execute(Portfolio(algorithm, medium_hg, runs=3, seed=7),
+                        jobs=jobs)
+        full = execute(Portfolio(algorithm, medium_hg, runs=6, seed=7),
+                       jobs=jobs)
+        assert short.cuts == full.cuts[:3]
+        assert [r.seed for r in short.records] == \
+            [r.seed for r in full.records[:3]]
 
 
 class TestFaultIsolation:
@@ -286,6 +303,19 @@ class TestHierarchyReuse:
         assert cache.get(medium_hg, config, seed=0) is not None
         assert cache.misses == 4  # seed 0 was evicted and rebuilt
 
+    def test_cache_evicts_least_recently_used_first(self, medium_hg):
+        cache = HierarchyCache(max_entries=2)
+        config = MLConfig()
+        first = cache.get(medium_hg, config, seed=0)
+        cache.get(medium_hg, config, seed=1)
+        assert cache.get(medium_hg, config, seed=0) is first  # 1 is LRU
+        cache.get(medium_hg, config, seed=2)  # evicts seed 1, not 0
+        assert cache.stats() == {"entries": 2, "max_entries": 2,
+                                 "hits": 1, "misses": 3, "evictions": 1}
+        assert cache.get(medium_hg, config, seed=0) is first
+        cache.get(medium_hg, config, seed=1)
+        assert (cache.hits, cache.misses) == (2, 4)
+
     def test_foreign_hierarchy_rejected(self, medium_hg, large_hg):
         hierarchy = build_hierarchy(large_hg, MLConfig(), seed=0)
         with pytest.raises(ClusteringError):
@@ -298,16 +328,6 @@ class TestCellStats:
         assert stats.wall_seconds > 0
         assert stats.cpu_seconds > 0
         assert stats.failures == 0
-
-    def test_backward_compatible_constructor(self):
-        stats = CellStats(algorithm="A", circuit="c", cuts=[3, 4],
-                          cpu_seconds=2.0)
-        assert stats.wall_seconds == 2.0
-        with pytest.deprecated_call():
-            assert stats.elapsed_seconds == 2.0
-        with pytest.deprecated_call():
-            assert stats.cpu_time == 2.0
-        assert stats.min_cut == 3
 
     def test_zero_runs_still_rejected(self, medium_hg):
         with pytest.raises(ConfigError):
