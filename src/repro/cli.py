@@ -268,13 +268,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
-    from .obs import summarize_service_trace, summarize_trace
-    # Service traces (repro serve --trace) regroup into one span tree
-    # per request; everything else gets the flat phase table.
-    service = summarize_service_trace(args.trace)
-    if service.is_service_trace:
-        print(service.render())
-        print()
+    from .obs import summarize_trace
+    # A service trace (repro serve --trace) prints one span tree per
+    # execution before the flat phase table.
     print(summarize_trace(args.trace).render())
     return 0
 

@@ -325,8 +325,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
         if rec_on:
             cut_rec = state.cut_weight
             rec.emit({"t": "mv", "i": len(moves) - 1, "m": chosen,
-                      "s": src, "g": cut_prev - cut_rec,
-                      "bg": gains[chosen], "c": cut_rec,
+                      "s": src, "g": cut_prev - cut_rec, "c": cut_rec,
                       "a0": part_area[0]})
             cut_prev = cut_rec
         if locked_counts is not None:

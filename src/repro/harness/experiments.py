@@ -17,7 +17,7 @@ take (see DESIGN.md, substitutions); all knobs are parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..baselines.lsmc import lsmc_bipartition, lsmc_kway
 from ..baselines.prop import prop_bipartition
@@ -85,19 +85,36 @@ class TableResult:
 # Algorithm factories.
 # ----------------------------------------------------------------------
 
+@dataclass(eq=False)
+class _Seeded:
+    """``fn(hg, seed=seed, **kwargs)`` as an ``Algorithm.fn``: a
+    module-level callable rather than a closure, so the algorithm
+    pickles and a live worker pool takes each cell without re-forking
+    (like :func:`repro.solvers.build_algorithm`'s algorithms)."""
+
+    fn: Callable
+    kwargs: Dict[str, object]
+
+    def __call__(self, hg: Hypergraph, seed: int):
+        return self.fn(hg, seed=seed, **self.kwargs)
+
+
+def _algorithm(name: str, fn: Callable, **kwargs) -> Algorithm:
+    return Algorithm(name, _Seeded(fn, kwargs))
+
+
 def fm_algorithm(policy: str = "lifo", name: Optional[str] = None,
                  **kwargs) -> Algorithm:
     """Flat FM with the given bucket policy."""
     config = FMConfig(bucket_policy=policy, **kwargs)
-    return Algorithm(name or f"FM-{policy.upper()}",
-                     lambda hg, s: fm_bipartition(hg, config=config, seed=s))
+    return _algorithm(name or f"FM-{policy.upper()}", fm_bipartition,
+                      config=config)
 
 
 def clip_algorithm(name: str = "CLIP", **kwargs) -> Algorithm:
     """Flat CLIP."""
-    config = FMConfig(clip=True, **kwargs)
-    return Algorithm(name,
-                     lambda hg, s: fm_bipartition(hg, config=config, seed=s))
+    return _algorithm(name, fm_bipartition,
+                      config=FMConfig(clip=True, **kwargs))
 
 
 def ml_algorithm(engine: str = "clip", ratio: float = 1.0,
@@ -107,8 +124,7 @@ def ml_algorithm(engine: str = "clip", ratio: float = 1.0,
     config = MLConfig(engine=engine, matching_ratio=ratio,
                       coarsening_threshold=threshold, **kwargs)
     label = name or f"ML{engine[0].upper()}(R={ratio:g})"
-    return Algorithm(label,
-                     lambda hg, s: ml_bipartition(hg, config=config, seed=s))
+    return _algorithm(label, ml_bipartition, config=config)
 
 
 def _load(circuits: Sequence[str], scale: float,
@@ -309,14 +325,11 @@ def table7_comparison(circuits: Sequence[str] = BENCH_CIRCUITS,
     mlc = ml_algorithm("clip", 0.5, name="MLC")
     cl_la3 = FMConfig(clip=True, lookahead=3)
     reimplemented = [
-        Algorithm("LSMC", lambda hg, s: lsmc_bipartition(
-            hg, descents=lsmc_descents, seed=s)),
-        Algorithm("Spectral+FM",
-                  lambda hg, s: spectral_bipartition(hg, seed=s)),
-        Algorithm("PROP", lambda hg, s: prop_bipartition(hg, seed=s)),
-        Algorithm("2phase", lambda hg, s: two_phase_fm(hg, seed=s)),
-        Algorithm("CL-LA3", lambda hg, s: fm_bipartition(
-            hg, config=cl_la3, seed=s)),
+        _algorithm("LSMC", lsmc_bipartition, descents=lsmc_descents),
+        _algorithm("Spectral+FM", spectral_bipartition),
+        _algorithm("PROP", prop_bipartition),
+        _algorithm("2phase", two_phase_fm),
+        _algorithm("CL-LA3", fm_bipartition, config=cl_la3),
     ]
     cells = run_matrix([mlc] + reimplemented, _load(circuits, scale, seed),
                        runs, seed, jobs=jobs)
@@ -381,10 +394,9 @@ def table8_cpu(circuits: Sequence[str] = BENCH_CIRCUITS,
     algorithms = [ml_algorithm("clip", 0.5, name="MLC"),
                   fm_algorithm("lifo", name="FM"),
                   clip_algorithm("CLIP"),
-                  Algorithm("LSMC", lambda hg, s: lsmc_bipartition(
-                      hg, descents=lsmc_descents, seed=s)),
-                  Algorithm("PROP",
-                            lambda hg, s: prop_bipartition(hg, seed=s))]
+                  _algorithm("LSMC", lsmc_bipartition,
+                             descents=lsmc_descents),
+                  _algorithm("PROP", prop_bipartition)]
     cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
                        seed, jobs=jobs)
     lit_columns = ("MLc10", "GMet", "PB", "GFM", "CL-LA3f", "LSMC")
@@ -426,18 +438,15 @@ def table9_quadrisection(circuits: Sequence[str] = ("primary2", "biomed",
     quad_config = default_quad_config()
     clip4 = FMConfig(clip=True)
     algorithms = [
-        Algorithm("MLF4", lambda hg, s: ml_kway(
-            hg, k=4, config=quad_config, objective="soed", seed=s)),
-        Algorithm("GORDIAN", lambda hg, s: gordian_quadrisection(
-            hg, seed=s)),
-        Algorithm("FM4", lambda hg, s: kway_partition(
-            hg, k=4, objective="soed", seed=s)),
-        Algorithm("CLIP4", lambda hg, s: kway_partition(
-            hg, k=4, config=clip4, objective="soed", seed=s)),
-        Algorithm("LSMCF", lambda hg, s: lsmc_kway(
-            hg, k=4, descents=lsmc_descents, seed=s)),
-        Algorithm("LSMCC", lambda hg, s: lsmc_kway(
-            hg, k=4, descents=lsmc_descents, config=clip4, seed=s)),
+        _algorithm("MLF4", ml_kway, k=4, config=quad_config,
+                   objective="soed"),
+        _algorithm("GORDIAN", gordian_quadrisection),
+        _algorithm("FM4", kway_partition, k=4, objective="soed"),
+        _algorithm("CLIP4", kway_partition, k=4, config=clip4,
+                   objective="soed"),
+        _algorithm("LSMCF", lsmc_kway, k=4, descents=lsmc_descents),
+        _algorithm("LSMCC", lsmc_kway, k=4, descents=lsmc_descents,
+                   config=clip4),
     ]
     cells = run_matrix(algorithms, _load(circuits, scale, seed), runs,
                        seed, jobs=jobs)

@@ -35,7 +35,8 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..errors import HarnessError
 from ..hypergraph import Hypergraph
 from ..rng import SeedLike, stable_seed
-from ..runtime import Algorithm, MatrixCheckpoint, Portfolio, execute
+from ..runtime import (Algorithm, MatrixCheckpoint, Portfolio, execute,
+                       get_executor)
 
 __all__ = ["Algorithm", "CellStats", "run_cell", "run_matrix"]
 
@@ -163,7 +164,9 @@ def run_matrix(algorithms: Sequence[Algorithm],
     seed, the circuit name, and the algorithm name, so adding a row or
     column never changes existing cells.  ``jobs`` parallelises the
     starts within each cell, which keeps the per-cell seed derivation
-    (and therefore every cut) byte-identical to a serial sweep.
+    (and therefore every cut) byte-identical to a serial sweep.  The
+    whole sweep shares one executor: ``jobs > 1`` forks one pool, which
+    takes every cell whose algorithm pickles, and closes it at the end.
 
     ``checkpoint`` names a JSONL file: every finished record is
     streamed to it as it completes, and a sweep that died mid-flight
@@ -197,6 +200,8 @@ def run_matrix(algorithms: Sequence[Algorithm],
             if metrics_out is not None:
                 from ..obs import collecting_metrics
                 registry = stack.enter_context(collecting_metrics())
+            executor = get_executor(jobs)
+            stack.callback(executor.close)
             table: Dict[str, Dict[str, CellStats]] = {}
             for hg in circuits:
                 row: Dict[str, CellStats] = {}
@@ -210,7 +215,7 @@ def run_matrix(algorithms: Sequence[Algorithm],
                             lambda record, c=hg.name, a=algorithm.name:
                             ckpt.write(c, a, record))
                     row[algorithm.name] = run_cell(
-                        algorithm, hg, runs, cell_seed, jobs=jobs,
+                        algorithm, hg, runs, cell_seed, executor=executor,
                         budget_seconds=budget_seconds, retries=retries,
                         faults=faults, verify=verify,
                         min_ok_fraction=min_ok_fraction,

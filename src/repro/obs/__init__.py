@@ -31,8 +31,10 @@ On top of the emitting layers sit the *consuming* layers:
   portfolio execution records into (opt-out ``REPRO_LEDGER=off``);
 * :mod:`repro.obs.compare` — median / bootstrap-CI / sign-test
   comparison of recorded runs (``repro compare --gate``);
-* :mod:`repro.obs.convergence` — cut-vs-pass and per-level
-  refinement-attribution analytics from the per-pass FM telemetry;
+* :mod:`repro.obs.summary` — the readers: one fold per trace (phase
+  table, Table VIII split, per-level attribution, cut vs pass,
+  per-request service trees) and one walk per recorded start
+  (decisions, cut curve, per-pass gain histograms);
 * :mod:`repro.obs.report` — the markdown / HTML report
   (``repro report``);
 * :mod:`repro.obs.replay` — re-applies a recording against a fresh
@@ -41,10 +43,9 @@ On top of the emitting layers sit the *consuming* layers:
 * :mod:`repro.obs.diffrun` — aligns two recordings and names the
   first diverging decision (``repro diff-run``).
 
-The consuming layers, the trace summaries and the ``repro top``
-console are offline tools: their names resolve on first access
-(:mod:`repro.lazy`), so a partition run or a daemon never compiles
-them.
+The consuming layers and the ``repro top`` console are offline
+tools: their names resolve on first access (:mod:`repro.lazy`), so a
+partition run or a daemon never compiles them.
 """
 
 from ..lazy import lazy_exports
@@ -73,15 +74,13 @@ __all__ = [
     "memory_profiling_enabled",
     "get_logger", "configure_logging",
     "summarize_trace", "TraceSummary",
-    "summarize_service_trace", "ServiceTraceSummary",
+    "DecisionReport", "decision_from_events", "decision_report",
     "render_status", "run_top",
     "LEDGER_ENV", "LEDGER_VERSION", "ledger_path", "ledger_enabled",
     "append_entry", "read_ledger", "record_result",
     "stable_view", "git_sha",
     "Comparison", "sign_test", "bootstrap_delta_ci", "compare_samples",
     "compare_sample_sets", "load_samples",
-    "ConvergenceReport", "convergence_from_events", "convergence_report",
-    "DecisionReport", "decision_from_events", "decision_report",
     "build_report",
     "recorder", "set_recorder", "recording", "read_record", "group_starts",
     "ReplayError", "ReplayReport", "clustering_from_merges",
@@ -90,8 +89,8 @@ __all__ = [
 ]
 
 __getattr__ = lazy_exports(__name__, {
-    ".summary": ("ServiceTraceSummary", "TraceSummary",
-                 "summarize_service_trace", "summarize_trace"),
+    ".summary": ("DecisionReport", "TraceSummary", "decision_from_events",
+                 "decision_report", "summarize_trace"),
     ".console": ("render_status", "run_top"),
     ".replay": ("ReplayError", "ReplayReport", "clustering_from_merges",
                 "replay_events", "replay_recording"),
@@ -99,8 +98,5 @@ __getattr__ = lazy_exports(__name__, {
                  "diff_recordings"),
     ".compare": ("Comparison", "bootstrap_delta_ci", "compare_sample_sets",
                  "compare_samples", "load_samples", "sign_test"),
-    ".convergence": ("ConvergenceReport", "DecisionReport",
-                     "convergence_from_events", "convergence_report",
-                     "decision_from_events", "decision_report"),
     ".report": ("build_report",),
 })

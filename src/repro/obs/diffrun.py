@@ -27,21 +27,24 @@ Alignment rules (DESIGN.md §16 is normative):
    window of surrounding raw events (where tie handling, the balance
    clip, or the plateau rule can be read off directly).
 
-On top of the first-divergence report, :func:`diff_recordings` builds
-each stream's **cut-vs-move curve** (cumulative decision ordinal
-against recorded cut) so the *consequence* of the divergence is
-visible: two curves that split at the divergence ordinal and re-join
-near the end mean different paths to equal quality; a persistent gap
-means one family genuinely refines better on this input.
+Both streams are walked by :class:`repro.obs.summary.StartWalk`, the
+walk ``repro report --record`` reads too, so the **cut-vs-decision
+curve** shown under each divergence (recorded cut against decision
+ordinal, merges included) is the curve the report tabulates.  It makes
+the *consequence* of the divergence visible: two curves that split at
+the divergence ordinal and re-join near the end mean different paths
+to equal quality; a persistent gap means one family genuinely refines
+better on this input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from .recorder import DECISION_EVENTS, group_starts, read_record
+from .recorder import read_record
+from .summary import decision_from_events, downsample
 
 __all__ = ["Divergence", "DiffReport", "diff_events", "diff_recordings"]
 
@@ -58,34 +61,6 @@ def _decision_key(ev: Dict[str, object]):
     if t in ("batch", "polish"):
         return (t, tuple(ev.get("mods") or ()), ev.get("c"))
     return (t,)
-
-
-@dataclass
-class _Cursor:
-    """Walk of one stream: decision events with their structural
-    context and raw positions."""
-
-    decisions: List[Tuple[int, Dict[str, object]]] = \
-        field(default_factory=list)
-    context: List[Optional[Dict[str, object]]] = field(default_factory=list)
-    curve: List[Tuple[int, int]] = field(default_factory=list)
-
-    @classmethod
-    def scan(cls, events: Sequence[Dict[str, object]]) -> "_Cursor":
-        cur = cls()
-        fm: Optional[Dict[str, object]] = None
-        ordinal = 0
-        for pos, ev in enumerate(events):
-            t = ev.get("t")
-            if t == "fm":
-                fm = ev
-            if t in DECISION_EVENTS:
-                cur.decisions.append((pos, ev))
-                cur.context.append(fm)
-                if isinstance(ev.get("c"), int):
-                    cur.curve.append((ordinal, ev["c"]))
-                ordinal += 1
-        return cur
 
 
 def _strip_init(ev: Optional[Dict[str, object]]):
@@ -148,14 +123,6 @@ class DiffReport:
 
     # -- rendering -------------------------------------------------------
 
-    @staticmethod
-    def _curve_rows(curve: List[Tuple[int, int]],
-                    points: int = 12) -> List[Tuple[int, int]]:
-        if len(curve) <= points:
-            return curve
-        step = (len(curve) - 1) / (points - 1)
-        return [curve[round(i * step)] for i in range(points)]
-
     def render(self) -> str:
         lines = [f"{self.starts_compared} start(s) aligned, "
                  f"{self.decisions_compared} decision(s) compared"]
@@ -184,59 +151,55 @@ class DiffReport:
                              "(divergence at "
                              f"ordinal {div.ordinal}):")
                 for name in ("a", "b"):
-                    rows = self._curve_rows(curves[name])
+                    rows = downsample(curves[name], 12)
                     lines.append(
                         f"    {name.upper()}: "
                         + " ".join(f"{o}:{c}" for o, c in rows))
         return "\n".join(lines)
 
 
+def _window(walk, pos: int) -> List[Dict[str, object]]:
+    return walk.events[max(0, pos - _CONTEXT_WINDOW):
+                       pos + _CONTEXT_WINDOW + 1]
+
+
 def diff_events(events_a, events_b) -> DiffReport:
     """Align two recordings' events (see module docstring for rules)."""
-    blocks_a = group_starts(events_a)
-    blocks_b = group_starts(events_b)
+    walks_a = decision_from_events(events_a).starts
+    walks_b = decision_from_events(events_b).starts
     report = DiffReport()
-    report.starts_only_a = sorted(set(blocks_a) - set(blocks_b))
-    report.starts_only_b = sorted(set(blocks_b) - set(blocks_a))
-    for index in sorted(set(blocks_a) & set(blocks_b)):
+    report.starts_only_a = sorted(set(walks_a) - set(walks_b))
+    report.starts_only_b = sorted(set(walks_b) - set(walks_a))
+    for index in sorted(set(walks_a) & set(walks_b)):
         report.starts_compared += 1
-        seq_a = blocks_a[index]
-        seq_b = blocks_b[index]
-        cur_a = _Cursor.scan(seq_a)
-        cur_b = _Cursor.scan(seq_b)
-        n = min(len(cur_a.decisions), len(cur_b.decisions))
+        a, b = walks_a[index], walks_b[index]
+        n = min(len(a.decisions), len(b.decisions))
         divergence = None
         for k in range(n):
-            pos_a, ev_a = cur_a.decisions[k]
-            pos_b, ev_b = cur_b.decisions[k]
+            (pos_a, ev_a), (pos_b, ev_b) = a.decisions[k], b.decisions[k]
             report.decisions_compared += 1
             if _decision_key(ev_a) != _decision_key(ev_b):
                 divergence = Divergence(
                     start=index, ordinal=k, a=ev_a, b=ev_b,
-                    block_a=cur_a.context[k], block_b=cur_b.context[k],
-                    window_a=seq_a[max(0, pos_a - _CONTEXT_WINDOW):
-                                   pos_a + _CONTEXT_WINDOW + 1],
-                    window_b=seq_b[max(0, pos_b - _CONTEXT_WINDOW):
-                                   pos_b + _CONTEXT_WINDOW + 1])
+                    block_a=a.context[k], block_b=b.context[k],
+                    window_a=_window(a, pos_a), window_b=_window(b, pos_b))
                 break
-        if divergence is None and \
-                len(cur_a.decisions) != len(cur_b.decisions):
-            longer = cur_a if len(cur_a.decisions) > n else cur_b
-            pos, ev = longer.decisions[n]
+        if divergence is None and len(a.decisions) != len(b.decisions):
+            longer = a if len(a.decisions) > n else b
+            ev = longer.decisions[n][1]
             divergence = Divergence(
                 start=index, ordinal=n,
-                a=None if longer is cur_b else ev,
-                b=None if longer is cur_a else ev,
-                block_a=cur_a.context[n] if longer is cur_a else None,
-                block_b=cur_b.context[n] if longer is cur_b else None)
+                a=ev if longer is a else None,
+                b=ev if longer is b else None,
+                block_a=a.context[n] if longer is a else None,
+                block_b=b.context[n] if longer is b else None)
         if divergence is not None:
             report.divergences.append(divergence)
-            report.curves[index] = {"a": cur_a.curve, "b": cur_b.curve}
+            report.curves[index] = {"a": a.curve, "b": b.curve}
     return report
 
 
 def diff_recordings(path_a: Union[str, Path],
                     path_b: Union[str, Path]) -> DiffReport:
     """Align the two recording files and report the first divergence."""
-    return diff_events(list(read_record(path_a)),
-                       list(read_record(path_b)))
+    return diff_events(read_record(path_a), read_record(path_b))

@@ -64,8 +64,9 @@ Event vocabulary (schema version 1; DESIGN.md §16 is normative):
     the hierarchy level (-1 outside refinement proper).
 ``{"t":"mv","i":..,"m":..,"s":..,"g":..,"c":..,"a0":..}``
     Sequential engines: move ``i`` of the current pass moved module
-    ``m`` off side ``s`` with bucket gain ``g``, leaving internal cut
-    ``c`` and side-0 area ``a0``.
+    ``m`` off side ``s``, lowering the internal cut by ``g`` to ``c``
+    and leaving side-0 area ``a0``.  Recordings written before the
+    bucket gain was dropped also carry ``bg``, which readers ignore.
 ``{"t":"pass","p":..,"k":..,"mv":..,"c":..}``
     Pass boundary: pass ``p`` attempted ``mv`` moves, kept the best
     prefix of ``k`` (the rest rolled back), internal cut after

@@ -9,12 +9,13 @@ report a human actually reads after a sweep:
   latest entry is compared against the previous one with the
   statistical comparator (median + sign test), and the verdict is
   shown instead of a raw percent delta;
-* **Convergence** — when a trace file is given, the cut-vs-pass and
-  per-level refinement-attribution tables from
-  :mod:`repro.obs.convergence`;
+* **Convergence** — when a trace file is given, the Table VIII phase
+  split, the per-level refinement attribution and the cut-vs-pass
+  tables of its :class:`~repro.obs.summary.TraceSummary`;
 * **Decision analytics** — when a decision recording (``--record``)
   is given, the per-pass gain-distribution histogram and the
-  cut-vs-move convergence curve.
+  cut-vs-decision convergence curve of its
+  :class:`~repro.obs.summary.DecisionReport`.
 
 Rendering reuses :mod:`repro.harness.formatting` — the same table
 builder the paper-table harness uses — in its markdown and HTML
@@ -24,11 +25,11 @@ flavours.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .compare import compare_samples
-from .convergence import convergence_report, decision_report
 from .ledger import ledger_path, read_ledger
+from .summary import decision_report, summarize_trace
 
 __all__ = ["build_report", "REPORT_FORMATS"]
 
@@ -131,13 +132,13 @@ def build_report(ledger: Union[str, Path, None] = None,
                      + (f" in `{source}`" if source is not None else
                         " (ledger is off)") + ".")
     if trace is not None:
-        convergence = convergence_report(trace)
-        conv_tables = convergence.tables()
+        summary = summarize_trace(trace)
+        conv_tables = summary.tables()
         if conv_tables:
             notes.append(f"convergence from `{trace}`: "
-                         f"{convergence.events} span(s), "
-                         f"{convergence.ml_runs} ML run(s), "
-                         f"{convergence.total_seconds:.3f}s traced.")
+                         f"{summary.spans} span(s), "
+                         f"{summary.ml_runs} ML run(s), "
+                         f"{summary.total_seconds:.3f}s traced.")
             tables.extend(conv_tables)
         else:
             notes.append(f"no convergence telemetry in `{trace}`.")
@@ -145,10 +146,11 @@ def build_report(ledger: Union[str, Path, None] = None,
         decisions = decision_report(record)
         dec_tables = decisions.tables()
         if dec_tables:
+            kinds = decisions.kinds
             notes.append(f"decision analytics from `{record}`: "
-                         f"{decisions.starts} start(s), "
-                         f"{decisions.moves} move(s), "
-                         f"{decisions.merges} merge(s).")
+                         f"{len(decisions.starts)} start(s), "
+                         f"{kinds['mv']} move(s), "
+                         f"{kinds['merge']} merge(s).")
             tables.extend(dec_tables)
         else:
             notes.append(f"no decision events in `{record}`.")

@@ -728,9 +728,11 @@ class ServiceEngine:
                 wall_seconds=sum(r.wall_seconds for r in records),
                 jobs=self.executor.jobs)
             # Each request is ledger-recorded as its own portfolio —
-            # same entry a standalone CLI run would have written.
+            # same entry (and config hash) as the request run alone.
             portfolio = Portfolio(algorithm=algorithm, hg=hg, runs=n,
                                   seed=run.request.seed, keep_results=True,
+                                  retries=merged.retries,
+                                  faults=merged.faults,
                                   trace_id=run.effective_trace_id)
             record_result(sub, portfolio, jobs=self.executor.jobs)
             payloads.append(self._guarded(self._payload, run, sub, hg))

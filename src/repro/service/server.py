@@ -402,6 +402,10 @@ class PartitionServer:
                         reader, idle_timeout=self.idle_timeout,
                         read_timeout=self.read_timeout,
                         max_body_bytes=self.max_body_bytes)
+                except asyncio.CancelledError:
+                    # Shutdown cancelled a keep-alive connection idle
+                    # between requests: close it like a clean EOF.
+                    return
                 except _HttpError as exc:
                     writer.write(_response(
                         exc.status, _json_bytes({"error": str(exc)}),

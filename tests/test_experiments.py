@@ -112,3 +112,23 @@ class TestPinnedCells:
             "struct": {"MLC(R=1)": [10, 12], "MLC(R=0.5)": [10, 10]},
         }
         assert [row[1] for row in result.rows] == [11, 10]
+
+
+@pytest.mark.parallel
+def test_parallel_sweep_forks_one_pool(monkeypatch):
+    # One executor serves the whole sweep: its pool forks once and then
+    # takes every cell's (picklable) algorithm, with the serial cuts.
+    import multiprocessing
+    serial = _cuts(table3_fm_vs_clip(**TINY))
+    fork_context = type(multiprocessing.get_context("fork"))
+    real_pool = fork_context.Pool
+    forks = []
+
+    def counting_pool(self, *args, **kwargs):
+        forks.append(1)
+        return real_pool(self, *args, **kwargs)
+
+    monkeypatch.setattr(fork_context, "Pool", counting_pool)
+    parallel = _cuts(table3_fm_vs_clip(jobs=2, **TINY))
+    assert len(forks) == 1
+    assert parallel == serial

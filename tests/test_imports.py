@@ -27,7 +27,7 @@ from repro.hypergraph import hierarchical_circuit, write_hmetis
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 _NUMERIC = ("numpy", "scipy")
-_OFFLINE = ("repro.obs.replay", "repro.obs.diffrun", "repro.obs.convergence")
+_OFFLINE = ("repro.obs.replay", "repro.obs.diffrun", "repro.obs.summary")
 
 #: Every module that imports NumPy or SciPy at module scope.
 _EAGER = ("repro.fm.npengine", "repro.hypergraph.npview",

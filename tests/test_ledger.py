@@ -19,7 +19,7 @@ from repro.obs.compare import (VERDICT_IMPROVED, VERDICT_INDISTINGUISHABLE,
                                VERDICT_REGRESSED, bootstrap_delta_ci,
                                compare_sample_sets, compare_samples,
                                load_samples, sign_test)
-from repro.obs.convergence import convergence_report
+from repro.obs.summary import summarize_trace
 from repro.obs.ledger import (LEDGER_ENV, VOLATILE_FIELDS, build_entry,
                               ledger_enabled, ledger_path)
 from repro.runtime import Portfolio, execute
@@ -266,7 +266,7 @@ class TestConvergenceGolden:
         with tracing(str(path)):
             result = ml_bipartition(hg, seed=3)
         assert result.cut == 26
-        return convergence_report(path)
+        return summarize_trace(path)
 
     def test_structure(self, report):
         assert report.ml_runs == 1
@@ -293,7 +293,7 @@ class TestConvergenceGolden:
         assert committed[0] == max(committed)
 
     def test_tables_render(self, report):
-        text = report.render()
+        text = "\n".join(title for title, _, _ in report.tables())
         assert "Table VIII shape" in text
         assert "Cut vs FM pass" in text
 

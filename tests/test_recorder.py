@@ -22,6 +22,7 @@ import asyncio
 import json
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -32,13 +33,16 @@ from repro.core.vcycle import ml_vcycle
 from repro.faults import FAULT_EXIT, FaultPlan
 from repro.fm import FMConfig, fm_bipartition
 from repro.harness import Algorithm
-from repro.hypergraph import hierarchical_circuit, write_json
+from repro.hypergraph import hierarchical_circuit, read_hmetis, write_json
 from repro.obs import (BufferSink, diff_events, diff_recordings,
                        group_starts, read_record, read_trace, recorder,
                        recording, replay_recording, set_recorder)
 from repro.runtime import Portfolio, execute
 
 pytestmark = pytest.mark.recorder
+
+#: Committed telemetry fixtures (see tests/test_cli_views.py).
+DATA = Path(__file__).parent / "data" / "telemetry"
 
 #: ML engines keyed by the incidence layer their refinement runs on:
 #: the exact CLIP engine (ML_C) over the CSR lists, the batch engine
@@ -258,6 +262,20 @@ class TestReplay:
         report = replay_recording(legacy, hier300, verify_states=True)
         assert report.ok and report.results_verified == 2
         assert diff_recordings(path, legacy).identical
+
+    def test_replay_reads_mv_events_with_bucket_gain(self, hier300,
+                                                      tmp_path):
+        # Recordings written before the bucket gain was dropped carry a
+        # ``bg`` field in every ``mv`` event; replay ignores it.
+        path = tmp_path / "new.jsonl"
+        _record_portfolio(hier300, path, runs=1, seed=5)
+        assert not any("bg" in ev for ev in read_record(path))
+        old = DATA / "mlc.record.jsonl"
+        assert all("bg" in ev for ev in read_record(old) if ev["t"] == "mv")
+        report = replay_recording(old, read_hmetis(DATA / "net.hgr"),
+                                  verify_states=True)
+        assert report.ok, report.render()
+        assert report.results_verified == 2
 
     def test_replay_flags_tampered_cut(self, hier300, tmp_path):
         path = tmp_path / "tampered.jsonl"

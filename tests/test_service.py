@@ -11,6 +11,7 @@ import asyncio
 import pytest
 
 from repro.hypergraph import Hypergraph, write_json
+from repro.obs import read_ledger, stable_view
 from repro.runtime import (Portfolio, execute, fingerprint_digest,
                            FINGERPRINT_DIGEST_LENGTH)
 from repro.service import (Coalescer, LRUCache, NetlistSpec,
@@ -235,6 +236,27 @@ class TestEngineServing:
                 standalone.fingerprint_digest()
             assert payload["cuts"] == standalone.cuts
             assert payload["seed"] == seed
+
+    def test_batched_member_ledger_entry_matches_standalone(
+            self, tiny_hg, tmp_path, monkeypatch):
+        # The config hash covers retries and faults, so a batch member
+        # must be recorded with the daemon's knobs like a lone request.
+        def request(seed):
+            return PartitionRequest.from_json({
+                "netlist": {"inline": inline_netlist(tiny_hg)},
+                "algorithm": "fm", "runs": 2, "seed": seed})
+
+        entries = {}
+        for name, seeds in (("alone", (5,)), ("batched", (9, 5, 6))):
+            ledger = tmp_path / f"{name}.jsonl"
+            monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+            engine = self._engine(retries=2)
+            self._serve_all(engine, [request(s) for s in seeds])
+            assert engine.counters()["executed_portfolios"] == 1
+            entries[name] = next(e for e in read_ledger(ledger)
+                                 if e["seed"] == "5")
+        assert stable_view(entries["batched"]) == \
+            stable_view(entries["alone"])
 
     def test_mixed_config_requests_do_not_merge(self, tiny_hg):
         engine = self._engine()

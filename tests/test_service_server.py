@@ -10,6 +10,7 @@ asserts a clean exit with an untruncated ledger.
 
 import asyncio
 import json
+import logging
 import os
 import signal
 import subprocess
@@ -225,6 +226,18 @@ class TestEndpoints:
 
 
 class TestGracefulShutdown:
+    def test_idle_keep_alive_client_closes_quietly(self, caplog):
+        # The client's connection stays open and idle across the
+        # shutdown, so the daemon cancels a handler parked between
+        # requests: that must close the socket without an ERROR log.
+        with caplog.at_level(logging.WARNING):
+            with _ServerThread() as srv:
+                client = srv.client()
+                assert client.healthz()["status"] == "ok"
+            client.close()
+        assert [r.getMessage() for r in caplog.records
+                if r.levelno >= logging.ERROR] == []
+
     def _spawn(self, tmp_path: Path, ledger: Path):
         env = dict(os.environ)
         env["PYTHONPATH"] = _SRC

@@ -23,7 +23,7 @@ import time
 import pytest
 
 from repro.faults import FAULT_HANG, FaultPlan
-from repro.obs import read_trace, summarize_service_trace
+from repro.obs import read_trace, summarize_trace
 from repro.obs.ledger import read_ledger
 from repro.obs.metrics import lint_prometheus
 from repro.service import ServiceError
@@ -128,7 +128,7 @@ class TestCoalescedBurstTrace:
         assert {r["args"]["request_id"] for r in roots} == \
             {f"burst-{i}" for i in range(width)}
 
-        summary = summarize_service_trace(trace)
+        summary = summarize_trace(trace)
         assert summary.is_service_trace
         assert len(summary.executions[exec_id].requests) == width
 

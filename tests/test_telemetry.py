@@ -15,8 +15,7 @@ import time
 import pytest
 
 from repro.obs import (BufferSink, read_jsonl, render_status, set_tracer,
-                       summarize_service_trace, trace_context,
-                       trace_scope)
+                       summarize_trace, trace_context, trace_scope)
 from repro.obs.metrics import (Histogram, MetricsRegistry,
                                SERVICE_BUCKETS, lint_prometheus)
 from repro.obs.profile import (SamplingProfiler, enable_memory_profiling,
@@ -245,7 +244,7 @@ def _span(name, ts, dur, **args):
             "tid": 1, "args": args}
 
 
-class TestServiceTraceSummary:
+class TestServiceTraceTrees:
     def _write(self, tmp_path, events):
         path = tmp_path / "svc.trace.jsonl"
         path.write_text("".join(json.dumps(e) + "\n" for e in events))
@@ -266,7 +265,7 @@ class TestServiceTraceSummary:
                   trace_id="t3", method="GET", endpoint="metrics",
                   status=200),
         ]
-        summary = summarize_service_trace(self._write(tmp_path, events))
+        summary = summarize_trace(self._write(tmp_path, events))
         assert summary.is_service_trace
         assert len(summary.requests) == 3
         tree = summary.executions["r1"]
@@ -280,7 +279,7 @@ class TestServiceTraceSummary:
 
     def test_non_service_trace_is_empty(self, tmp_path):
         events = [_span("ml.coarsen", 0, 10)]
-        summary = summarize_service_trace(self._write(tmp_path, events))
+        summary = summarize_trace(self._write(tmp_path, events))
         assert not summary.is_service_trace
 
 
