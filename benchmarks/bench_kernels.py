@@ -1,31 +1,27 @@
-"""mlc vs mlb, and scalar vs vectorized coarsening, per suite circuit.
+"""The compiled FM pass against the Python loop, for mlc and mlf.
 
-Two tables over the Table I-calibrated synthetic suite:
+One table over the Table I-calibrated synthetic suite.  For each
+circuit and each of ML_C (``mlc``) and ML_F (``mlf``), the same seeds
+run once on the compiled pass (:mod:`repro.fm.native`) and once on the
+Python loop (the loader handle patched to ``None``), each cell in a
+fresh subprocess.  The two sides must return identical cuts and
+assignments (asserted per cell), so their wall ratio is a like-for-like
+speedup.  Each side's wall per run is split into layers, measured by
+wrapping the function that owns each one:
 
-* ``ml_end_to_end`` — ML_C (``mlc``: exact CLIP refinement, scalar
-  coarsening) against ``mlb`` (batch refinement of
-  :mod:`repro.fm.npengine`, vectorized coarsening), each as mean cut,
-  min cut, mean wall per run and peak RSS over ``SEEDS`` seeds.  The
-  two are *different algorithms*: the row is a quality/time trade-off,
-  never a speedup.  A third side, ``mlb_scalar``, is ``mlb`` refining
-  the hierarchy of the scalar coarsening, substituted through
-  ``ml_bipartition(..., hierarchy=build_hierarchy(hg,
-  MLConfig(engine="clip"), seed=s))``; its cuts must equal ``mlb``'s
-  (asserted per cell), so ``mlb`` against ``mlb_scalar`` *is* a
-  like-for-like cost of the two coarsening paths inside ``mlb``.
-* ``coarsen`` — :func:`~repro.core.ml.build_hierarchy` with the scalar
-  Match/Induce (``MLConfig(engine="clip")``) against their vectorized
-  twins (``engine="batch"``): wall and peak RSS.  The two build the
-  identical hierarchy (asserted per cell), so this *is* a like-for-like
-  comparison — the evidence for tying vectorized coarsening to the
-  batch engine instead of to netlist size (DESIGN.md §13).
+* ``conversion`` — ``Hypergraph.active_csr`` and the state's copy into
+  ``array`` buffers (compiled side only);
+* ``pass`` — the C ``fm_pass`` calls, or the Python ``_py_pass`` calls;
+* ``fm_other`` — the rest of ``fm_bipartition``: start, state build,
+  final cut;
+* ``coarsen`` — ``coarsen_step`` (Match and Induce);
+* ``residual`` — wall minus the four: projection and the ML driver.
 
-Every cell runs in a fresh subprocess, so peak RSS (``ru_maxrss``)
-belongs to that cell alone; repeats of a row's sides run
-interleaved, and the report keeps the median wall.  Script runs
-(``python benchmarks/bench_kernels.py``) write ``BENCH_kernels.json``
-at the repo root, committed from a ``REPRO_BENCH_SCALE=0.3`` run;
-pytest passes only overwrite it when ``REPRO_BENCH_WRITE=1``.
+Repeats of a row run its sides interleaved, and the report keeps each
+side's median.  Script runs (``python benchmarks/bench_kernels.py``)
+write ``BENCH_kernels.json`` at the repo root, committed from a
+``REPRO_BENCH_SCALE=0.3 REPRO_BENCH_KERNEL_REPEATS=3`` run; pytest
+passes only overwrite it when ``REPRO_BENCH_WRITE=1``.
 
 Environment knobs: ``REPRO_BENCH_SCALE`` (default 0.05, the mini-suite
 scale), ``REPRO_BENCH_KERNEL_REPEATS`` (default 1),
@@ -33,6 +29,7 @@ scale), ``REPRO_BENCH_KERNEL_REPEATS`` (default 1),
 suite), ``REPRO_BENCH_WRITE`` (write the JSON from a pytest run).
 """
 
+import hashlib
 import json
 import os
 import platform
@@ -43,28 +40,21 @@ import sys
 import time
 from pathlib import Path
 
-import numpy
+import pytest
 
-from repro import MLConfig, build_hierarchy, ml_bipartition
-from repro.hypergraph import load_circuit, mini_suite_names
+from repro import MLConfig, ml_bipartition
+from repro.core import ml
+from repro.fm import engine, native
+from repro.hypergraph import Hypergraph, load_circuit, mini_suite_names
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "1"))
 #: ML seeds per cell (0 .. SEEDS-1).
 SEEDS = 3
-COARSEN_SEED = 7
+ALGORITHMS = {"mlc": "clip", "mlf": "fm"}
+LOOPS = ("c", "py")
+LAYERS = ("conversion", "pass", "fm_other", "coarsen", "residual")
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-
-#: (row kernel, side) -> MLConfig engine the child runs.
-CELLS = {
-    ("ml_end_to_end", "mlc"): "clip",
-    ("ml_end_to_end", "mlb"): "batch",
-    ("ml_end_to_end", "mlb_scalar"): "batch",
-    ("coarsen", "scalar"): "clip",
-    ("coarsen", "vectorized"): "batch",
-}
-SIDES = {"ml_end_to_end": ("mlc", "mlb", "mlb_scalar"),
-         "coarsen": ("scalar", "vectorized")}
 
 
 def _circuit_names():
@@ -74,54 +64,72 @@ def _circuit_names():
     return mini_suite_names()
 
 
+def _timed(owner, name: str, totals: dict, layer: str) -> None:
+    """Wrap ``owner.name`` so its inclusive time adds to
+    ``totals[layer]``."""
+    inner = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            totals[layer] += time.perf_counter() - start
+    setattr(owner, name, wrapper)
+
+
+def run_cell(algorithm: str, loop: str, circuit: str, scale: float) -> dict:
+    """One measurement, in this process (the child's body)."""
+    hg = load_circuit(circuit, scale=scale, seed=0)
+    config = MLConfig(engine=ALGORITHMS[algorithm])
+    totals = dict.fromkeys(("conversion", "pass", "fm", "coarsen"), 0.0)
+    kernel = native.load()
+    if loop == "c":
+        if kernel is None:
+            raise SystemExit("the compiled pass did not build")
+        _timed(kernel, "fm_pass", totals, "pass")
+        _timed(engine, "_to_buffers", totals, "conversion")
+        _timed(Hypergraph, "active_csr", totals, "conversion")
+    else:
+        native._module = None
+        _timed(engine, "_py_pass", totals, "pass")
+    _timed(ml, "fm_bipartition", totals, "fm")
+    _timed(ml, "coarsen_step", totals, "coarsen")
+    answers = []
+    start = time.perf_counter()
+    for seed in range(SEEDS):
+        result = ml_bipartition(hg, config=config, seed=seed)
+        answers.append([result.cut, hashlib.sha256(
+            bytes(result.partition.assignment)).hexdigest()[:16]])
+    wall = time.perf_counter() - start
+    layers = {"conversion": totals["conversion"], "pass": totals["pass"],
+              "fm_other": (totals["fm"] - totals["conversion"]
+                           - totals["pass"]),
+              "coarsen": totals["coarsen"]}
+    layers["residual"] = wall - totals["fm"] - totals["coarsen"]
+    out = {"wall_s": wall / SEEDS, "peak_rss_mb": _peak_rss_mb(),
+           "answers": answers}
+    out.update({f"{k}_s": v / SEEDS for k, v in layers.items()})
+    return out
+
+
 def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_cell(kernel: str, side: str, circuit: str, scale: float) -> dict:
-    """One measurement, in this process (the child's body)."""
-    hg = load_circuit(circuit, scale=scale, seed=0)
-    config = MLConfig(engine=CELLS[(kernel, side)])
-    if kernel == "coarsen":
-        start = time.perf_counter()
-        hierarchy = build_hierarchy(hg, config, seed=COARSEN_SEED)
-        wall = time.perf_counter() - start
-        shape = [[h.num_modules, h.num_nets, h.num_pins]
-                 for h in hierarchy.netlists]
-        return {"wall_s": wall, "peak_rss_mb": _peak_rss_mb(),
-                "levels": hierarchy.levels, "shape": shape}
-    cuts = []
-    start = time.perf_counter()
-    for seed in range(SEEDS):
-        hierarchy = None
-        if side == "mlb_scalar":
-            hierarchy = build_hierarchy(hg, MLConfig(engine="clip"),
-                                        seed=seed)
-        cuts.append(ml_bipartition(hg, config=config, seed=seed,
-                                   hierarchy=hierarchy).cut)
-    wall = time.perf_counter() - start
-    return {"wall_s": wall / SEEDS, "peak_rss_mb": _peak_rss_mb(),
-            "cuts": cuts}
-
-
-def _child(kernel: str, side: str, circuit: str) -> dict:
+def _child(algorithm: str, loop: str, circuit: str) -> dict:
     env = dict(os.environ, REPRO_LEDGER="off")
     out = subprocess.run(
-        [sys.executable, __file__, "--cell", kernel, side, circuit,
+        [sys.executable, __file__, "--cell", algorithm, loop, circuit,
          repr(SCALE)],
         capture_output=True, text=True, env=env, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def _summarise(runs: list) -> dict:
-    first = runs[0]
-    row = {"wall_s": round(statistics.median(r["wall_s"] for r in runs), 6),
-           "peak_rss_mb": round(max(r["peak_rss_mb"] for r in runs), 1)}
-    if "cuts" in first:
-        row["mean_cut"] = round(statistics.fmean(first["cuts"]), 3)
-        row["min_cut"] = min(first["cuts"])
-    else:
-        row["levels"] = first["levels"]
+    row = {f"{key}": round(statistics.median(r[key] for r in runs), 6)
+           for key in ("wall_s", *(f"{layer}_s" for layer in LAYERS))}
+    row["peak_rss_mb"] = round(max(r["peak_rss_mb"] for r in runs), 1)
     return row
 
 
@@ -132,105 +140,74 @@ def run_bench() -> dict:
         hg = load_circuit(name, scale=SCALE, seed=0)
         circuits[name] = {"modules": hg.num_modules, "nets": hg.num_nets,
                           "pins": hg.num_pins}
-        for kernel, sides in SIDES.items():
-            runs = {side: [] for side in sides}
+        for algorithm in ALGORITHMS:
+            runs = {loop: [] for loop in LOOPS}
             for _ in range(REPEATS):
-                for side in sides:  # interleaved pairs
-                    runs[side].append(_child(kernel, side, name))
-            for side in sides:  # deterministic outcomes every repeat
-                outcome = "shape" if kernel == "coarsen" else "cuts"
-                assert all(r[outcome] == runs[side][0][outcome]
-                           for r in runs[side]), (name, kernel, side)
-            if kernel == "coarsen":
-                a, b = sides
-                assert runs[a][0]["shape"] == runs[b][0]["shape"], (
-                    f"{name}: scalar and vectorized hierarchies differ")
-            else:
-                assert (runs["mlb_scalar"][0]["cuts"]
-                        == runs["mlb"][0]["cuts"]), (
-                    f"{name}: mlb cuts depend on the coarsening path")
-            row = {"circuit": name, "kernel": kernel}
-            for side in sides:
-                for field, value in _summarise(runs[side]).items():
-                    row[f"{side}_{field}"] = value
+                for loop in LOOPS:  # interleaved pairs
+                    runs[loop].append(_child(algorithm, loop, name))
+            answers = runs["py"][0]["answers"]
+            for loop in LOOPS:
+                assert all(r["answers"] == answers for r in runs[loop]), (
+                    f"{name} {algorithm}: the {loop} loop's answers differ "
+                    f"from the Python loop's")
+            cuts = [cut for cut, _ in answers]
+            row = {"circuit": name, "algorithm": algorithm,
+                   "mean_cut": round(statistics.fmean(cuts), 3),
+                   "min_cut": min(cuts)}
+            for loop in LOOPS:
+                for field, value in _summarise(runs[loop]).items():
+                    row[f"{loop}_{field}"] = value
+            row["speedup"] = round(row["py_wall_s"] / row["c_wall_s"], 2)
+            row["pass_speedup"] = round(row["py_pass_s"] / row["c_pass_s"],
+                                        1)
             rows.append(row)
 
     largest = max(circuits, key=lambda n: circuits[n]["modules"])
-
-    def pick(kernel):
-        return next(r for r in rows
-                    if r["circuit"] == largest and r["kernel"] == kernel)
-
-    ml, co = pick("ml_end_to_end"), pick("coarsen")
+    on_largest = {r["algorithm"]: r for r in rows
+                  if r["circuit"] == largest}
     return {
         "meta": {
             "scale": SCALE,
             "repeats": REPEATS,
             "seeds": SEEDS,
-            "coarsen_seed": COARSEN_SEED,
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
             "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-            "note": ("mlc and mlb are different algorithms: compare them "
-                     "as cut vs time, not as a speedup. Scalar and "
-                     "vectorized coarsening build identical hierarchies, "
-                     "so mlb_scalar (mlb over the scalar coarsening) "
-                     "gives mlb's cuts."),
+            "note": ("Both loops return identical cuts and assignments "
+                     "(asserted per cell), so speedup is like for like. "
+                     "Times are per run (mean over the seeds), median "
+                     "over repeats; residual is wall minus the four "
+                     "measured layers."),
         },
         "circuits": circuits,
         "results": rows,
         "summary": {
             "largest_circuit": largest,
-            "mlb_wall_fraction_of_mlc": round(
-                ml["mlb_wall_s"] / ml["mlc_wall_s"], 3),
-            "mlb_minus_mlc_mean_cut": round(
-                ml["mlb_mean_cut"] - ml["mlc_mean_cut"], 3),
-            "mlb_scalar_coarsen_wall_fraction": round(
-                ml["mlb_scalar_wall_s"] / ml["mlb_wall_s"], 3),
-            "vectorized_coarsen_wall_fraction": round(
-                co["vectorized_wall_s"] / co["scalar_wall_s"], 3),
-            "vectorized_coarsen_rss_delta_mb": round(
-                co["vectorized_peak_rss_mb"] - co["scalar_peak_rss_mb"], 1),
+            **{f"{alg}_c_wall_s": on_largest[alg]["c_wall_s"]
+               for alg in ALGORITHMS},
+            **{f"{alg}_speedup": on_largest[alg]["speedup"]
+               for alg in ALGORITHMS},
+            **{f"{alg}_pass_speedup": on_largest[alg]["pass_speedup"]
+               for alg in ALGORITHMS},
         },
     }
 
 
 def print_report(report: dict) -> None:
     meta = report["meta"]
-    print(f"\nmlc vs mlb (scale={meta['scale']}, {meta['seeds']} seeds, "
-          f"median of {meta['repeats']})")
-    print(f"{'circuit':>10} {'mlc mean':>9} {'min':>5} {'wall s':>8} "
-          f"{'MiB':>6} | {'mlb mean':>9} {'min':>5} {'wall s':>8} "
-          f"{'MiB':>6} | {'scalar-coarsened s':>18} {'MiB':>6}")
+    print(f"\ncompiled pass vs Python loop (scale={meta['scale']}, "
+          f"{meta['seeds']} seeds, median of {meta['repeats']}; "
+          f"seconds per run)")
+    print(f"{'circuit':>10} {'alg':>4} {'cut':>7} {'loop':>4} {'wall':>8} "
+          + " ".join(f"{layer:>10}" for layer in LAYERS))
     for r in report["results"]:
-        if r["kernel"] != "ml_end_to_end":
-            continue
-        print(f"{r['circuit']:>10}"
-              f" {r['mlc_mean_cut']:9.1f} {r['mlc_min_cut']:5d}"
-              f" {r['mlc_wall_s']:8.3f} {r['mlc_peak_rss_mb']:6.1f} |"
-              f" {r['mlb_mean_cut']:9.1f} {r['mlb_min_cut']:5d}"
-              f" {r['mlb_wall_s']:8.3f} {r['mlb_peak_rss_mb']:6.1f} |"
-              f" {r['mlb_scalar_wall_s']:18.3f}"
-              f" {r['mlb_scalar_peak_rss_mb']:6.1f}")
-    print("\ncoarsening, scalar vs vectorized (identical hierarchies)")
-    print(f"{'circuit':>10} {'levels':>6} {'scalar s':>9} {'MiB':>6} | "
-          f"{'vector s':>9} {'MiB':>6}")
-    for r in report["results"]:
-        if r["kernel"] != "coarsen":
-            continue
-        print(f"{r['circuit']:>10} {r['scalar_levels']:6d}"
-              f" {r['scalar_wall_s']:9.4f} {r['scalar_peak_rss_mb']:6.1f} |"
-              f" {r['vectorized_wall_s']:9.4f}"
-              f" {r['vectorized_peak_rss_mb']:6.1f}")
-    s = report["summary"]
-    print(f"\nlargest circuit {s['largest_circuit']}: mlb takes "
-          f"{s['mlb_wall_fraction_of_mlc']:.3f} of mlc's wall at "
-          f"{s['mlb_minus_mlc_mean_cut']:+.1f} mean cut; over the scalar "
-          f"coarsening mlb takes {s['mlb_scalar_coarsen_wall_fraction']:.3f}"
-          f" of its own wall; vectorized "
-          f"coarsening takes {s['vectorized_coarsen_wall_fraction']:.3f} "
-          f"of scalar's wall at {s['vectorized_coarsen_rss_delta_mb']:+.1f}"
-          f" MiB peak RSS")
+        for loop in LOOPS:
+            print(f"{r['circuit']:>10} {r['algorithm']:>4} "
+                  f"{r['mean_cut']:7.1f} {loop:>4} "
+                  f"{r[f'{loop}_wall_s']:8.4f} "
+                  + " ".join(f"{r[f'{loop}_{layer}_s']:10.4f}"
+                             for layer in LAYERS))
+        print(f"{'':>10} {'':>4} {'':>7} {'':>4} {r['speedup']:7.2f}x "
+              f"(pass {r['pass_speedup']:.1f}x)")
 
 
 def write_report(report: dict) -> None:
@@ -239,6 +216,8 @@ def write_report(report: dict) -> None:
 
 
 def test_bench_kernels():
+    if native.load() is None:
+        pytest.skip("no C compiler for the compiled pass")
     report = run_bench()
     print_report(report)
     # The committed BENCH_kernels.json is generated by a script run at
@@ -253,8 +232,8 @@ def test_bench_kernels():
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--cell":
-        kernel, side, circuit, scale = sys.argv[2:6]
-        print(json.dumps(run_cell(kernel, side, circuit, float(scale))))
+        algorithm, loop, circuit, scale = sys.argv[2:6]
+        print(json.dumps(run_cell(algorithm, loop, circuit, float(scale))))
     else:
         report = run_bench()
         print_report(report)

@@ -493,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="LSMC descent count")
     p_part.add_argument("--vcycles", type=int, default=0,
                         help="extra restricted V-cycles after ML (k=2, "
-                             "mlc/mlf/mlb only)")
+                             "mlc/mlf only)")
     p_part.add_argument("--seed", type=int, default=0)
     p_part.add_argument("-j", "--jobs", type=int, default=1,
                         help="worker processes for the runs (same cuts "

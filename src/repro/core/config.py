@@ -12,7 +12,7 @@ __all__ = ["MLConfig", "ML_ENGINES", "DEFAULT_COARSENING_THRESHOLD",
            "DEFAULT_QUAD_THRESHOLD"]
 
 #: Refinement engines of the multilevel algorithm.
-ML_ENGINES = ("fm", "clip", "batch")
+ML_ENGINES = ("fm", "clip")
 
 #: Paper: "For all experiments, the coarsening threshold was set to
 #: T = 35 modules" (Section IV).
@@ -35,10 +35,7 @@ class MLConfig:
         ``R`` of Figure 3, in ``(0, 1]``; smaller values coarsen more
         slowly, producing more hierarchy levels (Section III-A).
     engine:
-        ``"fm"`` for ML_F or ``"clip"`` for ML_C (Section IV), or
-        ``"batch"`` for the ``mlb`` algorithm: vectorized coarsening
-        and the batched refinement of :mod:`repro.fm.npengine` on
-        levels of at least 128 modules, CLIP below (DESIGN.md §13).
+        ``"fm"`` for ML_F or ``"clip"`` for ML_C (Section IV).
     matching_scheme:
         Coarsening matcher: the paper's ``"conn"``, or the ``"heavy"`` /
         ``"random"`` ablation schemes.
@@ -89,9 +86,5 @@ class MLConfig:
                 f"{self.coarsest_starts}")
 
     def engine_config(self) -> FMConfig:
-        """The FM configuration with the engine's CLIP flag applied.
-
-        The batch engine hands levels below its size floor to the
-        exact engine, which then runs CLIP.
-        """
-        return replace(self.fm, clip=self.engine != "fm")
+        """The FM configuration with the engine's CLIP flag applied."""
+        return replace(self.fm, clip=self.engine == "clip")

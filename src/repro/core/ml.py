@@ -24,12 +24,11 @@ from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng, spawn
 from ..fm.clip import clip_bipartition  # noqa: F401  (re-export convenience)
 from ..fm.engine import fm_bipartition
-from .. import fm
 from ..clustering.project import project
 from .config import MLConfig
 
 __all__ = ["MLResult", "ml_bipartition", "build_hierarchy", "Hierarchy",
-           "coarsen_step", "refiner"]
+           "coarsen_step"]
 
 
 @dataclass
@@ -79,24 +78,12 @@ def coarsen_step(current: Hypergraph, config: MLConfig,
     place of the netlist when the matching made no progress (every
     module stayed a singleton).
     """
-    vectorized = config.engine == "batch"
     clustering = match(current, ratio=config.matching_ratio,
                        scheme=config.matching_scheme, rng=rng,
-                       restrict=restrict, vectorized=vectorized)
+                       restrict=restrict)
     if clustering.num_clusters >= current.num_modules:
         return clustering, None
-    return clustering, induce(current, clustering, vectorized=vectorized)
-
-
-def refiner(config: MLConfig):
-    """The ``FMPartition`` call of ``config.engine``: the batch engine
-    for ``"batch"``, the exact FM/CLIP engine otherwise.
-
-    The batch engine is read off the :mod:`repro.fm` package, which
-    imports it (and NumPy) on the first ``"batch"`` run only."""
-    if config.engine == "batch":
-        return fm.batch_bipartition
-    return fm_bipartition
+    return clustering, induce(current, clustering)
 
 
 def build_hierarchy(hg: Hypergraph, config: Optional[MLConfig] = None,
@@ -193,7 +180,6 @@ def ml_bipartition(hg: Hypergraph,
     if hg.num_modules < 2:
         raise ClusteringError("cannot bipartition fewer than two modules")
     fm_config = config.engine_config()
-    refine = refiner(config)
     tr = tracer()
     mx = metrics()
     rec = recorder()
@@ -215,12 +201,12 @@ def ml_bipartition(hg: Hypergraph,
     m_phase = time.perf_counter() if mx.enabled else 0.0
     if rec.enabled:
         rec.level = hierarchy.levels
-    result = refine(hierarchy.coarsest, initial=None,
-                    config=fm_config, rng=rng)
+    result = fm_bipartition(hierarchy.coarsest, initial=None,
+                            config=fm_config, rng=rng)
     total_passes = result.passes
     for _ in range(config.coarsest_starts - 1):
-        attempt = refine(hierarchy.coarsest, initial=None,
-                         config=fm_config, rng=rng)
+        attempt = fm_bipartition(hierarchy.coarsest, initial=None,
+                                 config=fm_config, rng=rng)
         total_passes += attempt.passes
         if attempt.cut < result.cut:
             result = attempt
@@ -244,8 +230,8 @@ def ml_bipartition(hg: Hypergraph,
         projected = project(solution, hierarchy.clusterings[i])
         if rec.enabled:
             rec.level = i
-        result = refine(hierarchy.netlists[i], initial=projected,
-                        config=fm_config, rng=rng)
+        result = fm_bipartition(hierarchy.netlists[i], initial=projected,
+                                config=fm_config, rng=rng)
         solution = result.partition
         level_cuts.append(result.cut)
         total_passes += result.passes

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..clustering.project import project
-from ..errors import ClusteringError, ConfigError, PartitionError
+from ..errors import ClusteringError, PartitionError
 from ..hypergraph import Hypergraph
 from ..partition import Partition, cut, soed
 from ..rng import SeedLike, make_rng
@@ -61,9 +61,6 @@ def ml_kway(hg: Hypergraph,
     the final refinement.
     """
     config = config or default_quad_config()
-    if config.engine == "batch":
-        raise ConfigError(
-            "ml_kway refines with k-way FM; the batch engine is 2-way only")
     rng = rng if rng is not None else make_rng(seed)
     if hg.num_modules < k:
         raise ClusteringError(

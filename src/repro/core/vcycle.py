@@ -22,7 +22,8 @@ from ..obs import recorder, tracer
 from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng
 from .config import MLConfig
-from .ml import coarsen_step, ml_bipartition, refiner
+from ..fm.engine import fm_bipartition
+from .ml import coarsen_step, ml_bipartition
 
 __all__ = ["VCycleResult", "ml_vcycle"]
 
@@ -41,7 +42,6 @@ def _restricted_cycle(hg: Hypergraph, solution: Partition,
                       config: MLConfig, rng: random.Random) -> Partition:
     """One V-cycle: restricted coarsening, seeded uncoarsening."""
     fm_config = config.engine_config()
-    refine = refiner(config)
     rec = recorder()
 
     netlists = [hg]
@@ -69,15 +69,16 @@ def _restricted_cycle(hg: Hypergraph, solution: Partition,
 
     if rec.enabled:
         rec.level = len(clusterings)
-    refined = refine(netlists[-1], initial=Partition(labels, solution.k),
-                     config=fm_config, rng=rng)
+    refined = fm_bipartition(netlists[-1],
+                             initial=Partition(labels, solution.k),
+                             config=fm_config, rng=rng)
     current_solution = refined.partition
     for i in range(len(clusterings) - 1, -1, -1):
         projected = project(current_solution, clusterings[i])
         if rec.enabled:
             rec.level = i
-        refined = refine(netlists[i], initial=projected,
-                         config=fm_config, rng=rng)
+        refined = fm_bipartition(netlists[i], initial=projected,
+                                 config=fm_config, rng=rng)
         current_solution = refined.partition
     if rec.enabled:
         rec.level = -1

@@ -28,12 +28,21 @@ Both record the objectives at the best prefix, and
 :func:`_rollback_csr` restores the pass's best state from whichever
 side of that prefix is shorter: undoing the discarded tail, or
 replaying the committed prefix from copies taken at pass start.
+
+When the C compiler is at hand, the common configuration runs a
+compiled port of that whole pass instead (``_pass.c``, built on first
+use by :mod:`repro.fm.native`): initial gains, bucket fill, the inlined
+loop and the rollback, over ``array`` copies of the state made once per
+call (:func:`_c_pass`).  It makes the same moves, picks the same best
+prefix and leaves the same state; the Python loop is its reference and
+its fallback.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -208,11 +217,11 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
 
     :func:`fm_bipartition` runs the common configuration — LIFO
     linked-list buckets, no boundary mode, no lookahead — through the
-    fully inlined :func:`_move_loop_csr_ll` instead, unless decision
-    recording is live: the inlined loop makes exactly this loop's
-    moves in this loop's bucket order (that is its docstring
-    contract), so routing through here records the identical decisions
-    while the hot path stays free of instrumentation.
+    compiled pass or the fully inlined :func:`_move_loop_csr_ll`
+    instead, unless decision recording is live: both make exactly this
+    loop's moves in this loop's bucket order (that is their contract),
+    so routing through here records the identical decisions while the
+    hot path stays free of instrumentation.
     """
     rec = recorder()
     rec_on = rec.enabled
@@ -816,44 +825,78 @@ def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
         _shift(state, reversed(tail), incident_of)
 
 
-def report_run(engine: str, hg: Hypergraph, config: FMConfig, tr,
-               t_run: int, mx, wall0: float, passes: int, moves: int,
-               initial_cut: int, final_cut: int) -> None:
-    """Close one refinement call's ``fm.run`` span and metrics.
+def _compiled_pass():
+    """The compiled pass module, or ``None`` (see :mod:`repro.fm.native`;
+    imported here so that importing the engine never loads it)."""
+    from .native import load
+    return load()
 
-    Shared by the exact engine (``engine="fm"``) and the batch engine
-    of :mod:`repro.fm.npengine` (``engine="batch"``).
-    """
+
+def _to_buffers(state: PartitionState) -> None:
+    """Swap the state's lists for ``array`` copies the compiled pass
+    writes in place (same values, same float bits)."""
+    state.part_of = array("i", state.part_of)
+    state.counts = [array("i", c) for c in state.counts]
+    state.spans = array("i", state.spans)
+    state.part_area = array("d", state.part_area)
+
+
+def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
+            clip: bool, max_gain: int, lower: float, upper: float,
+            early_stall: Optional[int]) -> Tuple[int, int, int]:
+    """One compiled pass over a :func:`_to_buffers` state: initial
+    gains, bucket fill, :func:`_move_loop_csr_ll`'s moves and
+    :func:`_rollback_csr`.  ``moves`` receives the pass's
+    ``(module, side)`` pairs flattened; returns the number of moves,
+    the best prefix length and the number of modules inserted."""
+    c0, c1 = state.counts
+    try:
+        n_moves, best_index, cut_w, soed_w, inserted = kernel.fm_pass(
+            state.part_of, c0, c1, state.spans, state.part_area, *csr,
+            fixed, moves, clip, max_gain, lower, upper,
+            -1 if early_stall is None else early_stall,
+            state.cut_weight, state.soed_weight)
+    except OverflowError as exc:
+        raise PartitionError(str(exc)) from None
+    state.cut_weight = cut_w
+    state.soed_weight = soed_w
+    state._pass_best = (cut_w, soed_w)
+    return n_moves, best_index, inserted
+
+
+def report_run(hg: Hypergraph, config: FMConfig, tr, t_run: int, mx,
+               wall0: float, passes: int, moves: int, initial_cut: int,
+               final_cut: int, loop: str) -> None:
+    """Close one refinement call's ``fm.run`` span, which names the
+    pass ``loop`` that ran (``"c"`` or ``"py"``), and its metrics."""
     if tr.enabled:
         tr.end("fm.run", t_run, {
-            "modules": hg.num_modules, "engine": engine,
+            "modules": hg.num_modules, "engine": "fm", "loop": loop,
             "clip": config.clip, "passes": passes,
             "moves": moves, "initial_cut": initial_cut,
             "cut": final_cut,
         })
     if mx.enabled:
         mx.counter("repro_fm_runs_total",
-                   "FM engine invocations", engine=engine).inc()
+                   "FM engine invocations", engine="fm").inc()
         mx.counter("repro_fm_passes_total",
-                   "FM passes executed", engine=engine).inc(passes)
+                   "FM passes executed", engine="fm").inc(passes)
         mx.counter("repro_fm_moves_total",
-                   "FM moves attempted", engine=engine).inc(moves)
+                   "FM moves attempted", engine="fm").inc(moves)
         mx.histogram("repro_fm_run_seconds",
                      "Wall time of one FM invocation",
-                     engine=engine).observe(time.perf_counter() - wall0)
+                     engine="fm").observe(time.perf_counter() - wall0)
 
 
 def prepare_start(hg: Hypergraph, initial: Optional[Partition],
                   config: FMConfig, balance: Optional[BalanceConstraint],
-                  rng: random.Random, fixed: Optional[List[bool]],
-                  repair=None) -> Tuple[BalanceConstraint, Partition]:
+                  rng: random.Random, fixed: Optional[List[bool]]
+                  ) -> Tuple[BalanceConstraint, Partition]:
     """The balance constraint and the validated, feasible starting
     bipartition of one refinement call.
 
     ``initial=None`` draws a random start.  An infeasible start is
-    rebalanced by random moves (Section III-B), unless ``repair`` —
-    called as ``repair(initial, balance)`` — returns a feasible one
-    first.
+    rebalanced by random moves (Section III-B).
     """
     if balance is None:
         balance = BalanceConstraint.from_tolerance(hg, config.tolerance, k=2)
@@ -866,14 +909,86 @@ def prepare_start(hg: Hypergraph, initial: Optional[Partition],
         raise PartitionError(
             f"fixed has length {len(fixed)}, expected {hg.num_modules}")
     if not balance.is_feasible(initial.part_areas(hg)):
-        repaired = repair(initial, balance) if repair is not None else None
-        if repaired is not None:
-            initial = repaired
-        else:
-            movable = [not f for f in fixed] if fixed is not None else None
-            initial = rebalance_random(hg, initial, balance, rng=rng,
-                                       movable=movable)
+        movable = [not f for f in fixed] if fixed is not None else None
+        initial = rebalance_random(hg, initial, balance, rng=rng,
+                                   movable=movable)
     return balance, initial
+
+
+def _py_pass(state: PartitionState, config: FMConfig,
+             fixed: Optional[List[bool]], candidates, bucket_range: int,
+             rng: random.Random, lower: float, upper: float,
+             rec_on: bool) -> Tuple[int, int, int]:
+    """One pass in Python: fill the buckets, run the move loop, roll
+    back to the best prefix.  Returns the number of moves, the best
+    prefix length and the number of modules inserted."""
+    hg = state.hg
+    part_of = state.part_of
+    buckets = make_buckets(hg.num_modules, bucket_range,
+                           config.bucket_policy, rng)
+
+    if config.clip:
+        # CLIP: concatenate all buckets into the zero bucket, best
+        # initial gain first, then track only gain *changes*.  With
+        # LIFO insertion (at head) ascending order leaves the best
+        # gain at the head; with FIFO (at tail) descending does.
+        gains = _initial_gains(state)
+        order = sorted(candidates, key=gains.__getitem__)
+        if config.bucket_policy == "fifo":
+            order.reverse()
+        if type(buckets) is LinkedListBuckets:
+            buckets.fill_uniform(order, 0)
+        else:
+            for v in order:
+                buckets.insert(v, 0)
+        gains = [0] * hg.num_modules
+    elif config.boundary:
+        # Boundary refinement (Section V / Chaco [22]): only
+        # cut-incident modules enter the structure; the rest are
+        # inserted on demand when a move pulls them onto the
+        # boundary.
+        gains = [0] * hg.num_modules
+        for v in _boundary_modules(state):
+            if fixed is None or not fixed[v]:
+                gains[v] = _module_gain(state, v)
+                buckets.insert(v, gains[v])
+    else:
+        gains = _initial_gains(state)
+        if type(buckets) is LinkedListBuckets:
+            buckets.fill(candidates, gains)
+        else:
+            for v in candidates:
+                buckets.insert(v, gains[v])
+
+    locked = [bool(f) for f in fixed] if fixed is not None \
+        else [False] * hg.num_modules
+    locked_counts = ([[0] * hg.num_nets, [0] * hg.num_nets]
+                     if config.lookahead > 1 else None)
+    if locked_counts is not None and fixed is not None:
+        # Pre-assigned modules behave as locked pins for the
+        # lookahead binding numbers from the very start.
+        for v in hg.modules():
+            if fixed[v]:
+                side = part_of[v]
+                for e in hg.nets(v):
+                    if state.active[e]:
+                        locked_counts[side][e] += 1
+
+    inserted = len(buckets)
+    saved = _checkpoint(state)
+    if (not rec_on and locked_counts is None
+            and not config.boundary
+            and type(buckets) is LinkedListBuckets and buckets._lifo):
+        moves, best_index = _move_loop_csr_ll(state, buckets, gains,
+                                              locked, config,
+                                              hg.areas_list, lower, upper)
+    else:
+        moves, best_index = _move_loop_csr(state, buckets, gains,
+                                           locked, locked_counts, config,
+                                           hg.areas_list, lower, upper)
+    _rollback_csr(state, moves, best_index,
+                  hg.active_incidence(config.max_net_size), saved)
+    return len(moves), best_index, inserted
 
 
 def fm_bipartition(hg: Hypergraph,
@@ -916,96 +1031,50 @@ def fm_bipartition(hg: Hypergraph,
     max_gain = hg.max_weighted_degree(config.max_net_size)
     bucket_range = 2 * max_gain if config.clip else max_gain
 
-    initial_cut = cut(hg, initial)
+    # With every net active the state's incremental cut is the full
+    # netlist's (the state tests pin the two equal), so the O(pins)
+    # re-measurements are only needed when large nets were excluded.
+    all_active = len(active_list) == hg.num_nets
+    initial_cut = state.cut_weight if all_active else cut(hg, initial)
     best_overall = state.cut_weight
     passes = 0
     total_moves = 0
     pass_cuts: List[int] = []
     max_passes = config.max_passes or 1000
 
-    areas = hg.areas_list
-    part_of = state.part_of
-    active = state.active
     lower, upper = balance.lower, balance.upper
     candidates = range(hg.num_modules) if fixed is None \
         else [v for v in range(hg.num_modules) if not fixed[v]]
 
+    # The common configuration runs the compiled pass when it loads.
+    kernel = None
+    if (not rec_on and config.lookahead <= 1 and not config.boundary
+            and config.bucket_policy == "lifo"):
+        kernel = _compiled_pass()
+    if kernel is not None:
+        _to_buffers(state)
+        csr = hg.active_csr(config.max_net_size)
+        fixed_bytes = (bytes(map(bool, fixed)) if fixed is not None
+                       else bytes(hg.num_modules))
+        move_buf = array("i", [0]) * (2 * hg.num_modules)
+
     while passes < max_passes:
         passes += 1
         t_pass = tr.now() if trace_on else 0
-        buckets = make_buckets(hg.num_modules, bucket_range,
-                               config.bucket_policy, rng)
-
-        if config.clip:
-            # CLIP: concatenate all buckets into the zero bucket, best
-            # initial gain first, then track only gain *changes*.  With
-            # LIFO insertion (at head) ascending order leaves the best
-            # gain at the head; with FIFO (at tail) descending does.
-            gains = _initial_gains(state)
-            order = sorted(candidates, key=gains.__getitem__)
-            if config.bucket_policy == "fifo":
-                order.reverse()
-            if type(buckets) is LinkedListBuckets:
-                buckets.fill_uniform(order, 0)
-            else:
-                for v in order:
-                    buckets.insert(v, 0)
-            gains = [0] * hg.num_modules
-        elif config.boundary:
-            # Boundary refinement (Section V / Chaco [22]): only
-            # cut-incident modules enter the structure; the rest are
-            # inserted on demand when a move pulls them onto the
-            # boundary.
-            gains = [0] * hg.num_modules
-            for v in _boundary_modules(state):
-                if fixed is None or not fixed[v]:
-                    gains[v] = _module_gain(state, v)
-                    buckets.insert(v, gains[v])
+        cut_before = state.cut_weight
+        if kernel is not None:
+            n_moves, best_index, bucket_inserts = _c_pass(
+                kernel, state, csr, fixed_bytes, move_buf, config.clip,
+                bucket_range, lower, upper, config.early_exit_stall)
         else:
-            gains = _initial_gains(state)
-            if type(buckets) is LinkedListBuckets:
-                buckets.fill(candidates, gains)
-            else:
-                for v in candidates:
-                    buckets.insert(v, gains[v])
-
-        locked = [bool(f) for f in fixed] if fixed is not None \
-            else [False] * hg.num_modules
-        locked_counts = ([[0] * hg.num_nets, [0] * hg.num_nets]
-                         if config.lookahead > 1 else None)
-        if locked_counts is not None and fixed is not None:
-            # Pre-assigned modules behave as locked pins for the
-            # lookahead binding numbers from the very start.
-            for v in hg.modules():
-                if fixed[v]:
-                    side = part_of[v]
-                    for e in hg.nets(v):
-                        if active[e]:
-                            locked_counts[side][e] += 1
-
-        if trace_on:
-            bucket_inserts = len(buckets)
-            cut_before = state.cut_weight
-
-        saved = _checkpoint(state)
-        if (not rec_on and locked_counts is None and not config.boundary
-                and type(buckets) is LinkedListBuckets and buckets._lifo):
-            moves, best_index = _move_loop_csr_ll(state, buckets, gains,
-                                                  locked, config, areas,
-                                                  lower, upper)
-        else:
-            moves, best_index = _move_loop_csr(state, buckets, gains,
-                                               locked, locked_counts,
-                                               config, areas, lower, upper)
-        total_moves += len(moves)
-
-        # Roll back to the best prefix of the pass.
-        _rollback_csr(state, moves, best_index,
-                      hg.active_incidence(config.max_net_size), saved)
+            n_moves, best_index, bucket_inserts = _py_pass(
+                state, config, fixed, candidates, bucket_range, rng,
+                lower, upper, rec_on)
+        total_moves += n_moves
         pass_cuts.append(state.cut_weight)
         if rec_on:
             rec.emit({"t": "pass", "p": passes, "k": best_index,
-                      "mv": len(moves), "c": state.cut_weight})
+                      "mv": n_moves, "c": state.cut_weight})
 
         if trace_on:
             # Every counter here is a pure function of the move
@@ -1013,11 +1082,11 @@ def fm_bipartition(hg: Hypergraph,
             # recorder's ``pass`` events.
             tr.complete("fm.pass", t_pass, {
                 "pass": passes,
-                "moves_attempted": len(moves),
+                "moves_attempted": n_moves,
                 "moves_committed": best_index,
-                "rollback_depth": len(moves) - best_index,
+                "rollback_depth": n_moves - best_index,
                 "bucket_inserts": bucket_inserts,
-                "bucket_ops": bucket_inserts + len(moves),
+                "bucket_ops": bucket_inserts + n_moves,
                 "cut_before": cut_before,
                 "cut_after": state.cut_weight,
                 "gain": cut_before - state.cut_weight,
@@ -1028,9 +1097,9 @@ def fm_bipartition(hg: Hypergraph,
         best_overall = state.cut_weight
 
     final = state.to_partition()
-    final_cut = cut(hg, final)
-    report_run("fm", hg, config, tr, t_run, mx, wall0, passes,
-               total_moves, initial_cut, final_cut)
+    final_cut = state.cut_weight if all_active else cut(hg, final)
+    report_run(hg, config, tr, t_run, mx, wall0, passes, total_moves,
+               initial_cut, final_cut, "py" if kernel is None else "c")
     return FMResult(partition=final,
                     cut=final_cut,
                     internal_cut=state.cut_weight,

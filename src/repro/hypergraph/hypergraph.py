@@ -17,12 +17,15 @@ safely and lets everything derived from the incidence be built once, on
 first access, and cached.  It is also the one object the hot kernels
 (Match, Induce, FM/CLIP state, gains and move loop) read: the kernel
 layout ``net_pins`` / ``module_nets`` / ``weights_list`` /
-``areas_list`` / ``sizes_list``, the per-threshold caches the
-refinement engines share, and the lazy NumPy view ``np``.
+``areas_list`` / ``sizes_list``, and the per-threshold caches the
+refinement engines share, among them the flat buffers the compiled
+FM pass reads (:meth:`Hypergraph.active_csr`).
 """
 
 from __future__ import annotations
 
+from array import array
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import HypergraphError
@@ -51,10 +54,10 @@ class Hypergraph:
         Optional circuit name used in reports.
     """
 
-    __slots__ = ("name", "areas_list", "weights_list", "_net_pins_s",
-                 "_module_nets_s", "_sizes_s", "_flat", "_num_pins",
+    __slots__ = ("name", "areas_list", "weights_list", "net_pins",
+                 "_module_nets_s", "_sizes_s", "_num_pins",
                  "_total_area", "_max_area", "_active_cache",
-                 "_incidence_cache", "_maxdeg_cache", "_np_view")
+                 "_incidence_cache", "_csr_cache", "_maxdeg_cache")
 
     def __init__(self,
                  nets: Iterable[Iterable[int]],
@@ -113,35 +116,30 @@ class Hypergraph:
                     raise HypergraphError(
                         f"net {e} has non-positive weight {w}")
 
-        self._assemble(net_pins, None, area_list, weight_list, name)
+        self._assemble(net_pins, area_list, weight_list, name)
 
-    def _assemble(self, net_pins: Optional[List[Tuple[int, ...]]], flat,
+    def _assemble(self, net_pins: List[Tuple[int, ...]],
                   areas: List[float], net_weights: List[int],
                   name: str) -> None:
         """The one constructor body, shared by every construction path.
 
-        Exactly one of ``net_pins`` (per-net pin tuples) and ``flat``
-        (an ``(xpins, pins_flat)`` ndarray pair) is given.  Everything
-        derived from the incidence — the per-module net tuples, the
-        pin counts, the NumPy view and the per-threshold caches — is
-        built on first access, so a flat build never materialises its
-        tuples unless a scalar kernel asks.
+        Everything derived from the incidence — the per-module net
+        tuples, the pin counts and the per-threshold caches — is built
+        on first access.
         """
         self.name = name
-        self._net_pins_s = net_pins
+        self.net_pins = net_pins
         self._module_nets_s = None
         self._sizes_s = None
-        self._flat = flat
         self.areas_list = areas
         self.weights_list = net_weights
-        self._num_pins = (len(flat[1]) if net_pins is None
-                          else sum(map(len, net_pins)))
+        self._num_pins = sum(map(len, net_pins))
         self._total_area = sum(areas)
         self._max_area = max(areas) if areas else 0.0
         self._active_cache: Dict[Optional[int], Tuple[int, ...]] = {}
         self._incidence_cache: Dict[Optional[int], list] = {}
+        self._csr_cache: Dict[Optional[int], tuple] = {}
         self._maxdeg_cache: Dict[Optional[int], int] = {}
-        self._np_view = None
 
     @classmethod
     def _trusted(cls, net_pins: List[Tuple[int, ...]],
@@ -156,43 +154,15 @@ class Hypergraph:
         multilevel hierarchy would otherwise show up in profiles.
         """
         self = cls.__new__(cls)
-        self._assemble(net_pins, None, areas, net_weights, name)
-        return self
-
-    @classmethod
-    def _from_flat(cls, xpins, pins_flat,
-                   areas: List[float], net_weights: List[int],
-                   name: str = "") -> "Hypergraph":
-        """Construct from pre-validated flat pin arrays (ndarrays).
-
-        The vectorized path of :func:`repro.clustering.induce` produces
-        coarse netlists directly in flat form (net ``e``'s pins are
-        ``pins_flat[xpins[e]:xpins[e+1]]``, sorted and distinct), which
-        the NumPy view reads as they are; an ``mlb`` run never builds
-        the tuple layout on the large levels.  Same invariants as
-        :meth:`_trusted`.
-        """
-        self = cls.__new__(cls)
-        self._assemble(None, (xpins, pins_flat), areas, net_weights, name)
+        self._assemble(net_pins, areas, net_weights, name)
         return self
 
     # ------------------------------------------------------------------
     # Kernel layout.  The hot kernels bind these lists into locals:
     # list indexing returns existing objects, where an ``array`` read
-    # re-boxes every integer (~1.6x slower, DESIGN.md §8).
+    # re-boxes every integer (~1.6x slower, DESIGN.md §8).  ``net_pins``
+    # (per-net pin tuples) is a plain attribute.
     # ------------------------------------------------------------------
-
-    @property
-    def net_pins(self) -> List[Tuple[int, ...]]:
-        """Per-net pin tuples; a flat build materialises them on demand."""
-        pins = self._net_pins_s
-        if pins is None:
-            xpins, pins_flat = self._flat
-            xl = xpins.tolist()
-            pl = pins_flat.tolist()
-            pins = [tuple(pl[a:b]) for a, b in zip(xl, xl[1:])]
-            self._net_pins_s = pins
-        return pins
 
     @property
     def module_nets(self) -> List[Tuple[int, ...]]:
@@ -212,23 +182,8 @@ class Hypergraph:
         """Per-net pin counts."""
         sizes = self._sizes_s
         if sizes is None:
-            if self._flat is not None:
-                xpins = self._flat[0]
-                sizes = (xpins[1:] - xpins[:-1]).tolist()
-            else:
-                sizes = [len(p) for p in self._net_pins_s]
-            self._sizes_s = sizes
+            sizes = self._sizes_s = [len(p) for p in self.net_pins]
         return sizes
-
-    @property
-    def np(self):
-        """NumPy view of this netlist (lazy, cached; see ``npview``)."""
-        view = self._np_view
-        if view is None:
-            from .npview import NumpyIncidence
-            view = NumpyIncidence(self)
-            self._np_view = view
-        return view
 
     # ------------------------------------------------------------------
     # Per-threshold caches shared by the refinement engines.  Each is a
@@ -276,6 +231,28 @@ class Hypergraph:
                 cached = [tuple(e for e in nets if flags[e])
                           for nets in self.module_nets]
             self._incidence_cache[max_net_size] = cached
+        return cached
+
+    def active_csr(self, max_net_size: Optional[int]) -> tuple:
+        """:meth:`active_incidence` and the pin lists as flat buffers.
+
+        ``(xpins, pins, xinc, inc, weights, areas)``: net ``e``'s pins
+        are ``pins[xpins[e]:xpins[e + 1]]``, module ``v``'s active nets
+        ``inc[xinc[v]:xinc[v + 1]]``, all ``array('i')``, and ``areas``
+        is an ``array('d')``.  This is the layout the compiled FM pass
+        reads (:mod:`repro.fm.native`).
+        """
+        cached = self._csr_cache.get(max_net_size)
+        if cached is None:
+            net_pins = self.net_pins
+            incidence = self.active_incidence(max_net_size)
+            cached = (array("i", accumulate(map(len, net_pins), initial=0)),
+                      array("i", chain.from_iterable(net_pins)),
+                      array("i", accumulate(map(len, incidence), initial=0)),
+                      array("i", chain.from_iterable(incidence)),
+                      array("i", self.weights_list),
+                      array("d", self.areas_list))
+            self._csr_cache[max_net_size] = cached
         return cached
 
     def max_weighted_degree(self, max_net_size: Optional[int] = None) -> int:
@@ -400,17 +377,16 @@ class Hypergraph:
                 f"nets={self.num_nets} pins={self.num_pins})")
 
     def __getstate__(self):
-        """Pickle only what defines the netlist: a flat build its pin
-        arrays, a tuple build its pin tuples, plus areas, weights and
-        name.  Every derived list and cache is rebuilt on demand, so a
-        netlist pickles to the same bytes before and after use."""
-        pins = self._net_pins_s if self._flat is None else None
-        return (self.name, pins, self._flat, self.areas_list,
+        """Pickle only what defines the netlist: its pin tuples, areas,
+        weights and name.  Every derived list and cache is rebuilt on
+        demand, so a netlist pickles to the same bytes before and after
+        use."""
+        return (self.name, self.net_pins, self.areas_list,
                 self.weights_list)
 
     def __setstate__(self, state) -> None:
-        name, pins, flat, areas, weights = state
-        self._assemble(pins, flat, areas, weights, name)
+        name, pins, areas, weights = state
+        self._assemble(pins, areas, weights, name)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):

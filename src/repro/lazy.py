@@ -1,9 +1,10 @@
 """Deferred package exports (PEP 562).
 
 A package whose ``__init__`` imported every submodule would make each
-caller pay for the heaviest one: importing ``repro.fm`` for the exact
-FM engine would load NumPy for the batch engine, and ``repro.cli``
-would compile the offline replay and report tools on every command.
+caller pay for the heaviest one: importing ``repro.baselines`` for
+LSMC would load NumPy and SciPy for the spectral baseline, and
+``repro.cli`` would compile the offline replay and report tools on
+every command.
 Packages instead name such exports in a table and install the
 ``__getattr__`` built here, so a name's submodule is imported on the
 first access to it and never before.  The resolved value is stored in

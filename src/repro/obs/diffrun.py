@@ -1,6 +1,6 @@
 """``repro diff-run``: align two recordings, explain the divergence.
 
-Given two decision recordings of the *same circuit* — mlc vs mlb,
+Given two decision recordings of the *same circuit* — mlc vs mlf,
 seed vs seed, or before/after a code change — this module
 answers the question the hand-pinned golden cuts cannot: **which
 decision diverged first, and in what context?**

@@ -25,7 +25,7 @@ One JSON object per line.  Stable identity fields: ``schema``,
 ``kind``, ``algorithm``, ``circuit``, ``runs``, ``jobs``, ``seed``,
 ``fingerprint`` (SHA-256 of :meth:`PortfolioResult.fingerprint`, the
 scheduling-independent outcome digest), ``config_hash``, ``git_sha``,
-``numpy_version`` (``None`` when numpy is absent — the ``mlb``
+``numpy_version`` (``None`` when numpy is absent — the ``spectral``
 algorithm's results depend on it the way scalar results depend on the
 Python version), ``statuses``, ``cuts``/``min_cut``/``median_cut``.
 Readers treat every field as optional, so entries written before a
@@ -128,7 +128,7 @@ def git_sha(cwd: Union[str, Path, None] = None) -> Optional[str]:
 @functools.lru_cache(maxsize=None)
 def _numpy_version() -> Optional[str]:
     """Installed numpy version, or ``None`` — stamped into every entry
-    so ``mlb`` fingerprints can be audited against the library that
+    so ``spectral`` fingerprints can be audited against the library that
     produced them.  Read from the package metadata, once per process:
     importing numpy just for its version would load it into every
     process that appends an entry."""
@@ -164,18 +164,28 @@ def _config_hash(portfolio, jobs: int) -> str:
 
 def _phase_rollup(trace_path: Union[str, Path]
                   ) -> Optional[Dict[str, Dict[str, int]]]:
-    """Reduce a just-written trace file to ``{phase: {count, total_us}}``."""
-    from .summary import summarize_trace
+    """Reduce a just-written trace file to ``{phase: {count, total_us}}``:
+    one fold over its complete (``"X"``) spans, the same per-name
+    totals :func:`~repro.obs.summary.summarize_trace` reports."""
+    from .trace import read_trace
+    phases: Dict[str, Dict[str, int]] = {}
     try:
-        summary = summarize_trace(trace_path)
+        for event in read_trace(trace_path):
+            if not isinstance(event, dict) or event.get("ph") != "X":
+                continue
+            try:
+                dur = int(event.get("dur") or 0)
+            except (TypeError, ValueError):
+                dur = 0
+            stats = phases.setdefault(str(event.get("name", "?")),
+                                      {"count": 0, "total_us": 0})
+            stats["count"] += 1
+            stats["total_us"] += dur
     except Exception as exc:  # never let telemetry rollups kill a run
         _log.warning("could not roll up trace %s for the ledger: %s",
                      trace_path, exc)
         return None
-    if not summary.phases:
-        return None
-    return {name: {"count": stats.count, "total_us": stats.total_us}
-            for name, stats in sorted(summary.phases.items())}
+    return dict(sorted(phases.items())) or None
 
 
 def build_entry(result, portfolio, jobs: int = 1,

@@ -3,7 +3,8 @@
 The tracing layer (:mod:`repro.obs.trace`) records where the *time*
 went; this module records where the *decisions* went — which pair the
 matcher merged, which module each FM/CLIP pass moved, where a pass
-rolled back, which batch the numpy engine committed.  A recording is
+rolled back (and, in recordings of the since-removed ``mlb``
+algorithm, which batch its numpy engine committed).  A recording is
 the complete decision transcript of a portfolio run: enough to replay
 every refinement block against a fresh
 :class:`~repro.partition.PartitionState` (see

@@ -16,17 +16,18 @@ against fresh structures built from the *finest netlist only*:
   incremental cut / gain / balance bookkeeping *per move* against the
   state's independent implementation;
 * ``pass`` boundaries roll back to the recorded best prefix and check
-  the post-rollback cut; ``batch``/``polish`` events apply the batched
-  engine's flips and check its vectorized cut reductions;
+  the post-rollback cut; ``batch``/``polish`` events (written by the
+  batch engine of the since-removed ``mlb`` algorithm) apply its flips
+  and check its cut reductions;
 * the ``result`` footer is the bit-identity target: its assignment
   must reproduce the recorded full-netlist cut when re-measured from
   scratch, and must equal one of the root-level blocks' final
   assignments (the portfolio keeps the best candidate, so *which*
   block is not recorded — membership is the contract).
 
-Because both refinement engines write the same vocabulary, replaying
-an ``mlb`` recording audits the batch engine's vectorized cuts with
-the scalar state arithmetic, and replaying an exact-engine recording
+Because both refinement engines wrote the same vocabulary, replaying
+an old ``mlb`` recording audits the batch engine's cuts with the
+scalar state arithmetic, and replaying an exact-engine recording
 audits its incremental bookkeeping the same way.
 
 Netlist registry: rebuilt coarse netlists are keyed by module count

@@ -502,26 +502,32 @@ class StartWalk:
     @classmethod
     def scan(cls, events: List[Dict[str, object]],
              gain_hists: Dict[int, Histogram]) -> "StartWalk":
-        """Walk ``events``, observing each move's gain into
+        """Walk ``events``, observing the gain of each move a pass
+        kept (its ``pass`` event's committed prefix ``k``) into
         ``gain_hists`` under its FM pass number."""
         walk = cls(events)
         fm: Optional[Dict[str, object]] = None
         current_pass = 1
+        gains: List[float] = []  # the current pass's move gains so far
         for pos, ev in enumerate(events):
             t = ev.get("t")
             if t == "fm":
                 fm, current_pass = ev, 1
+                gains.clear()
             elif t == "pass":
+                k = ev.get("k")
+                hist = gain_hists.get(current_pass)
+                if hist is None:
+                    hist = gain_hists[current_pass] = Histogram(GAIN_BUCKETS)
+                for gain in (gains[:k] if isinstance(k, int) else gains):
+                    hist.observe(gain)
+                gains.clear()
                 p = ev.get("p")
                 current_pass = (p + 1 if isinstance(p, int)
                                 else current_pass + 1)
             elif t in DECISION_EVENTS:
                 if t == "mv" and _is_number(ev.get("g")):
-                    hist = gain_hists.get(current_pass)
-                    if hist is None:
-                        hist = gain_hists[current_pass] = \
-                            Histogram(GAIN_BUCKETS)
-                    hist.observe(ev["g"])
+                    gains.append(ev["g"])
                 if isinstance(ev.get("c"), int):
                     walk.curve.append((len(walk.decisions), ev["c"]))
                 walk.decisions.append((pos, ev))
@@ -545,7 +551,8 @@ class DecisionReport:
     """A recording, walked start by start."""
 
     starts: Dict[int, StartWalk] = field(default_factory=dict)
-    #: FM pass number -> histogram of that pass's move gains, all starts.
+    #: FM pass number -> histogram of the gains of the moves that pass
+    #: committed (its best prefix), all starts.
     gain_hists: Dict[int, Histogram] = field(default_factory=dict)
 
     @property
@@ -561,7 +568,7 @@ class DecisionReport:
             mean_gain = hist.sum / hist.count if hist.count else 0.0
             rows.append([number, hist.count, round(mean_gain, 3),
                          *hist.counts])
-        return ("Gain distribution by FM pass (all sequential moves)",
+        return ("Gain distribution by FM pass (committed moves)",
                 ["pass", "moves", "mean gain",
                  *_bucket_labels(GAIN_BUCKETS)], rows)
 

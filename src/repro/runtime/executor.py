@@ -489,6 +489,10 @@ class ProcessExecutor:
             _ACTIVE = (token, portfolio)
             try:
                 if self._pool is None:
+                    # Workers inherit the compiled FM pass instead of
+                    # each building or loading it.
+                    from ..fm.native import load
+                    load()
                     context = multiprocessing.get_context("fork")
                     self._notices = context.SimpleQueue()
                     self._pool = context.Pool(

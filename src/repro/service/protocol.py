@@ -321,7 +321,7 @@ class PartitionRequest:
         if request.mode == "ml-reuse":
             _require(request.algorithm in ML_ENGINE_OF,
                      "mode 'ml-reuse' requires a multilevel algorithm "
-                     "(mlc/mlf/mlb)")
+                     "(mlc/mlf)")
             _require(request.k == 2 and request.vcycles == 0,
                      "mode 'ml-reuse' supports k=2 without vcycles")
         return request

@@ -9,10 +9,9 @@ name plus the paper's knobs to one seeded execution, and
 :func:`build_algorithm` wraps it as the :class:`~repro.runtime.Algorithm`
 the portfolio runtime consumes.
 
-Only ``mlb`` and ``spectral`` need NumPy (and SciPy): their engines are
-read off the :mod:`repro.fm` and :mod:`repro.baselines` packages, which
-import them on first use, so the other algorithms never load either
-library.  The daemon's default port lives here too, so the CLI can
+Only ``spectral`` needs NumPy (and SciPy): its engine is read off the
+:mod:`repro.baselines` package, which imports it on first use, so the
+other algorithms never load either library.  The daemon's default port lives here too, so the CLI can
 build its parser without importing the service.
 """
 
@@ -40,15 +39,14 @@ __all__ = ["ALGORITHMS", "ML_ENGINE_OF", "DEFAULT_PORT", "single_run",
 DEFAULT_PORT = 8349
 
 #: Algorithm names accepted by the CLI and the service protocol.
-ALGORITHMS = ("mlc", "mlf", "mlb", "fm", "clip", "lsmc", "spectral")
+ALGORITHMS = ("mlc", "mlf", "fm", "clip", "lsmc", "spectral")
 
-#: The multilevel algorithms and their ``MLConfig.engine``: ML_C and
-#: ML_F are the paper's; ``mlb`` refines with the batch engine
-#: (DESIGN.md §13).
-ML_ENGINE_OF = {"mlc": "clip", "mlf": "fm", "mlb": "batch"}
+#: The multilevel algorithms (the paper's ML_C and ML_F) and their
+#: ``MLConfig.engine``.
+ML_ENGINE_OF = {"mlc": "clip", "mlf": "fm"}
 
 #: The algorithms whose engine module imports NumPy, and that module.
-_NUMPY_ENGINES = {"mlb": ".fm.npengine", "spectral": ".baselines.spectral"}
+_NUMPY_ENGINES = {"spectral": ".baselines.spectral"}
 
 
 def ml_config_for(algorithm: str, ratio: float = 0.5, threshold: int = 35,
@@ -77,11 +75,7 @@ def single_run(algorithm: str, hg: Hypergraph, k: int = 2,
     """
     fm_config = FMConfig(tolerance=tolerance)
     if k != 2:
-        if algorithm == "mlb":
-            raise ReproError(
-                f"k={k}: mlb's batch engine refines bipartitions only; "
-                f"use mlc/mlf for k-way")
-        if algorithm not in ("mlc", "mlf"):
+        if algorithm not in ML_ENGINE_OF:
             raise ReproError(
                 f"k={k} requires a multilevel algorithm (mlc/mlf), "
                 f"got {algorithm!r}")

@@ -1,5 +1,7 @@
 """Edge-case and stress tests for the iterative engines."""
 
+from array import array
+
 import pytest
 
 from repro.errors import ConfigError, PartitionError, ReproError
@@ -12,6 +14,7 @@ from repro.partition import (BalanceConstraint, Partition, PartitionState,
 from repro.rng import child_seeds
 
 from . import oracle
+from .loops import compiled_available, each_loop, state_lists, watch_passes
 
 
 class TestDegenerateInstances:
@@ -69,28 +72,29 @@ class TestExactPassDegenerate:
 
     @staticmethod
     def _run(monkeypatch, hg, initial=None, fixed=None):
-        rollback = engine._rollback_csr
         passes = []
 
-        def checked(state, moves, best_index, incident_of, saved):
-            rollback(state, moves, best_index, incident_of, saved)
+        def checked(state, moves, best_index):
             passes.append(len(moves))
             want = oracle.state_view(hg, state.part_of, 2,
                                      state.active_nets())
-            assert state.part_area == pytest.approx(want.pop("part_area"))
-            assert {"counts": state.counts, "spans": state.spans,
-                    "cut": state.cut_weight,
-                    "soed": state.soed_weight} == want
+            assert list(state.part_area) == pytest.approx(
+                want.pop("part_area"))
+            assert state_lists(state) == want
 
-        monkeypatch.setattr(engine, "_rollback_csr", checked)
+        watch_passes(monkeypatch, checked)
         results = []
-        for clip in (False, True):
-            result = fm_bipartition(hg, initial=initial, seed=0,
-                                    config=FMConfig(clip=clip),
-                                    fixed=fixed)
-            assert result.cut == oracle.cut(hg, result.partition.assignment)
-            results.append(result)
+        for _ in each_loop():
+            for clip in (False, True):
+                result = fm_bipartition(hg, initial=initial, seed=0,
+                                        config=FMConfig(clip=clip),
+                                        fixed=fixed)
+                assert result.cut == oracle.cut(
+                    hg, result.partition.assignment)
+                results.append(result)
         assert len(passes) == sum(r.passes for r in results)
+        assert [(r.cut, r.partition.assignment) for r in results[:2]] == \
+            [(r.cut, r.partition.assignment) for r in results[-2:]]
         return results
 
     def test_all_modules_fixed_is_an_empty_pass(self, monkeypatch):
@@ -142,6 +146,22 @@ class TestExactPassDegenerate:
             engine._move_loop_csr_ll(state, buckets, [gain, gain],
                                      [False, False], FMConfig(), [1.0, 1.0],
                                      0.0, 2.0)
+
+    @pytest.mark.skipif(not compiled_available(),
+                        reason="no C compiler for the compiled pass")
+    def test_compiled_pass_names_an_out_of_range_gain(self):
+        # Counts that disagree with part_of (each side claims one pin
+        # of the net) give both modules gain +3 at the top of the
+        # range; the first move's two-pin relink by +6 then leaves it.
+        hg = Hypergraph([[0, 1]], num_modules=2, net_weights=[3])
+        state = PartitionState(hg, Partition([0, 0], 2))
+        engine._to_buffers(state)
+        state.counts[0][0] = state.counts[1][0] = 1
+        with pytest.raises(PartitionError, match="outside bucket range"):
+            engine._c_pass(engine._compiled_pass(), state,
+                           hg.active_csr(None), bytes(2),
+                           array("i", [0] * 4), False, 3, 0.0, 2.0,
+                           None)
 
 
 class TestExtremeBalance:

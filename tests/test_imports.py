@@ -2,11 +2,11 @@
 
 The paper's ML algorithm needs no numerical library, so neither does a
 default run: ``import repro.cli``, ``import repro.service.server`` and
-an ``mlc`` portfolio load neither NumPy nor SciPy, and the CLI and the
-daemon never compile the offline obs tools.  The NumPy-backed
-algorithms (``mlb``, ``spectral``) and ``Hypergraph.np`` load the
-libraries on demand and answer exactly as when everything was imported
-up front.
+an ``mlc`` portfolio load neither NumPy nor SciPy, the CLI and the
+daemon never compile the offline obs tools, and neither loads the
+compiled FM pass before its first FM call.  The NumPy-backed algorithm
+(``spectral``) loads the libraries on demand and answers exactly as
+when everything was imported up front.
 
 Every check runs in a fresh interpreter, because this test process may
 already hold NumPy from other tests.
@@ -30,13 +30,7 @@ _NUMERIC = ("numpy", "scipy")
 _OFFLINE = ("repro.obs.replay", "repro.obs.diffrun", "repro.obs.summary")
 
 #: Every module that imports NumPy or SciPy at module scope.
-_EAGER = ("repro.fm.npengine", "repro.hypergraph.npview",
-          "repro.baselines.gordian", "repro.baselines.spectral")
-
-#: The ledger fingerprint of ``mlb`` on :func:`_netlist` with the
-#: arguments of :func:`_partition`, recorded before the packages
-#: resolved their NumPy engines lazily.
-_MLB_FINGERPRINT = "32cf4d308776c033"
+_EAGER = ("repro.baselines.gordian", "repro.baselines.spectral")
 
 _PRELUDE = """
 import json, sys
@@ -45,10 +39,11 @@ def loaded(*names):
 """
 
 
-def _fresh(code: str, cwd: Path, ledger: str = "off") -> dict:
+def _fresh(code: str, cwd: Path, ledger: str = "off", **env_extra) -> dict:
     """Run ``code`` in a new interpreter and parse the JSON object it
     prints on its last line."""
-    env = dict(os.environ, PYTHONPATH=_SRC, REPRO_LEDGER=ledger)
+    env = dict(os.environ, PYTHONPATH=_SRC, REPRO_LEDGER=ledger,
+               **env_extra)
     proc = subprocess.run(
         [sys.executable, "-c", _PRELUDE + textwrap.dedent(code)],
         cwd=str(cwd), env=env, capture_output=True, text=True, timeout=300)
@@ -86,15 +81,21 @@ def _partition(netlist: str, algorithm: str, preload=()) -> str:
 
 @pytest.mark.parametrize("module", ["repro.cli", "repro.service.server"])
 def test_entry_points_import_no_numeric_or_offline_module(module, tmp_path):
+    # Nor the compiled FM pass: its loader runs on the first FM call,
+    # so starting a command never builds or loads it.
+    cache = tmp_path / "cache"
     got = _fresh(f"""
         import {module}
         print(json.dumps({{
             "numeric": loaded(*{_NUMERIC!r}),
             "offline": loaded(*{_OFFLINE!r}),
-            "service": loaded("repro.service")}}))
-    """, tmp_path)
+            "service": loaded("repro.service"),
+            "native": loaded("repro.fm.native", "repro.fm._pass")}}))
+    """, tmp_path, XDG_CACHE_HOME=str(cache))
     assert got["numeric"] == []
     assert got["offline"] == []
+    assert got["native"] == []
+    assert not cache.exists()
     if module == "repro.cli":
         assert got["service"] == []
 
@@ -108,7 +109,7 @@ def test_mlc_portfolio_with_ledger_loads_no_numpy(netlist, tmp_path):
 
 
 @pytest.mark.parallel
-@pytest.mark.parametrize("algorithm", ["mlb", "spectral"])
+@pytest.mark.parametrize("algorithm", ["spectral"])
 def test_numpy_algorithms_load_on_demand_with_unchanged_answers(
         algorithm, netlist, tmp_path):
     lazy = _fresh(_partition(netlist, algorithm), tmp_path,
@@ -118,12 +119,9 @@ def test_numpy_algorithms_load_on_demand_with_unchanged_answers(
     assert "numpy" in lazy["heavy"]
     assert lazy["entry"]["fingerprint"] == eager["entry"]["fingerprint"]
     assert lazy["entry"]["cuts"] == eager["entry"]["cuts"]
-    if algorithm == "mlb":
-        assert lazy["entry"]["fingerprint"] == _MLB_FINGERPRINT
 
 
 @pytest.mark.parametrize("algorithm,engine", [
-    ("mlb", "repro.fm.npengine"),
     ("spectral", "repro.baselines.spectral"),
     ("mlc", None),
 ])
@@ -138,24 +136,6 @@ def test_build_algorithm_imports_its_engine_before_any_fork(
         assert got == []
     else:
         assert engine in got and "numpy" in got
-
-
-def test_hypergraph_np_view_loads_numpy_on_demand(tmp_path):
-    got = _fresh("""
-        from repro.hypergraph import hierarchical_circuit
-        hg = hierarchical_circuit(200, 240, seed=3)
-        before = loaded("numpy")
-        view = hg.np
-        print(json.dumps({
-            "before": before, "after": loaded("numpy"),
-            "sizes": view.net_sizes.tolist(),
-            "want": [hg.net_size(e) for e in hg.all_nets()],
-            "areas": view.areas.tolist(),
-            "want_areas": [hg.area(v) for v in range(hg.num_modules)]}))
-    """, tmp_path)
-    assert got["before"] == [] and got["after"] == ["numpy"]
-    assert got["sizes"] == got["want"]
-    assert got["areas"] == got["want_areas"]
 
 
 def test_every_public_name_resolves_once(tmp_path):
@@ -173,12 +153,8 @@ def test_every_public_name_resolves_once(tmp_path):
             except AttributeError:
                 unknown = "AttributeError"
             report[package] = [missing, uncached, unknown]
-        from repro.fm import batch_bipartition
-        from repro.fm.npengine import batch_bipartition as direct
-        report["same"] = batch_bipartition is direct
         print(json.dumps(report))
     """, tmp_path)
-    assert got.pop("same") is True
     for package, (missing, uncached, unknown) in got.items():
         assert missing == [], package
         assert uncached == [], package

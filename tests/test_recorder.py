@@ -2,15 +2,14 @@
 
 Covers the observability acceptance criteria end to end:
 
-* the recorder is a true no-op by default and never perturbs results
-  of either refinement engine;
+* the recorder is a true no-op by default and never perturbs results;
 * replaying a recording reproduces the exact final cut and assignment
-  (bit-identical) for the exact engine and the batch engine, serially
-  and from the process pool, and ``--verify-states`` audits every
-  pinned exact configuration;
-* ``diff-run`` reports the exact first diverging decision between an
-  mlc and an mlb recording of the same seeded run (golden-pinned on
-  hier300);
+  (bit-identical), serially and from the process pool, and
+  ``--verify-states`` audits every pinned exact configuration, whose
+  audited answers the unrecorded run repeats on either FM pass loop;
+* ``diff-run`` reports the first diverging decision between two
+  recordings (the mlc-vs-mlf fork is pinned on the committed fixtures
+  in ``tests/test_cli_views.py``);
 * recordings written while a kernel mode existed (``start`` events
   carrying ``mode``) still replay;
 * the CLI round-trip (``partition --record`` → ``replay`` →
@@ -39,15 +38,16 @@ from repro.obs import (BufferSink, diff_events, diff_recordings,
                        recording, replay_recording, set_recorder)
 from repro.runtime import Portfolio, execute
 
+from .loops import each_loop
+
 pytestmark = pytest.mark.recorder
 
 #: Committed telemetry fixtures (see tests/test_cli_views.py).
 DATA = Path(__file__).parent / "data" / "telemetry"
 
 #: ML engines keyed by the incidence layer their refinement runs on:
-#: the exact CLIP engine (ML_C) over the CSR lists, the batch engine
-#: (``mlb``) over the NumPy arrays.
-ENGINES = {"csr": "clip", "numpy": "batch"}
+#: the exact CLIP engine (ML_C) over the CSR lists.
+ENGINES = {"csr": "clip"}
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +61,11 @@ def hier300():
 def _ml_algorithm(engine="clip"):
     config = MLConfig(engine=engine)
     return Algorithm("mlc", lambda h, s: ml_bipartition(h, config, seed=s))
+
+
+def _answers(outcome):
+    return [(r.cut, list(r.result.partition.assignment))
+            for r in outcome.records]
 
 
 def _record_portfolio(hg, path, runs=3, seed=7, jobs=1, engine="clip"):
@@ -237,14 +242,22 @@ class TestReplay:
         # is still re-measured).
         path = tmp_path / "audit.jsonl"
         result = execute(Portfolio(Algorithm(name, AUDITED[name]), hier300,
-                                   runs=2, seed=3, record=str(path)),
-                         jobs=1)
+                                   runs=2, seed=3, record=str(path),
+                                   keep_results=True), jobs=1)
         report = replay_recording(path, hier300, verify_states=True)
         assert report.ok, report.render()
         assert report.results_verified == 2
         cuts = sorted(e["cut"] for e in read_record(path)
                       if e["t"] == "result")
         assert cuts == sorted(r.cut for r in result.records)
+        # Recording routes the pass through the generic loop; the
+        # audited answers are the oracle for the unrecorded run on
+        # each pass loop, the compiled one included.
+        for loop in each_loop():
+            plain = execute(Portfolio(Algorithm(name, AUDITED[name]),
+                                      hier300, runs=2, seed=3,
+                                      keep_results=True), jobs=1)
+            assert _answers(plain) == _answers(result), loop
 
     def test_replay_reads_start_events_with_mode(self, hier300, tmp_path):
         # Recordings from before the kernel mode was removed carry a
@@ -330,48 +343,6 @@ class TestReplay:
 
 
 class TestDiffRun:
-    def test_golden_first_divergence_mlc_vs_mlb(self, hier300, tmp_path):
-        """Golden pin of the exact first mlc-vs-mlb fork on hier300.
-
-        The batch engine refines blocks of >= 128 modules with batched
-        gain sweeps, so the first divergence is the first refinement
-        block above that floor walking coarsest-to-finest: the l=1,
-        n=169 block, where mlc emits a sequential ``mv`` and mlb a
-        ``batch`` from the *same* recorded initial state.  If engine or
-        recorder changes legitimately move this point, re-pin from a
-        fresh `repro diff-run` — silently passing on different values
-        would hide a seed-stability break.
-        """
-        cuts = {}
-        paths = {"mlc": tmp_path / "mlc.jsonl",
-                 "mlb": tmp_path / "mlb.jsonl"}
-        for name, engine in (("mlc", "clip"), ("mlb", "batch")):
-            with recording(str(paths[name])):
-                cuts[name] = ml_bipartition(
-                    hier300, MLConfig(engine=engine), seed=3).cut
-        assert cuts == {"mlc": 21, "mlb": 26}
-
-        report = diff_recordings(paths["mlc"], paths["mlb"])
-        assert not report.identical
-        first = report.first()
-        assert first.ordinal == 783
-        assert report.decisions_compared == 784
-        # Event-kind fork: sequential move vs batched sweep.
-        assert first.a["t"] == "mv" and first.b["t"] == "batch"
-        assert first.a["m"] == 91 and first.a["s"] == 1
-        assert first.b["mods"][0] == 91
-        # Both sides fork inside the same refinement block...
-        for block in (first.block_a, first.block_b):
-            assert block["l"] == 1 and block["n"] == 169
-            assert block["clip"] == 1
-        # ...from the identical recorded initial state, differing only
-        # in which engine took over.
-        assert first.block_a["init"] == first.block_b["init"]
-        assert first.block_a["np"] == 0 and first.block_b["np"] == 1
-        rendered = report.render()
-        assert "decision 783" in rendered
-        assert "'mv'" in rendered and "'batch'" in rendered
-
     def test_exhaustion_divergence(self):
         a = [{"t": "start", "i": 0},
              {"t": "mv", "i": 0, "m": 1, "s": 1, "g": 1, "c": 4},
@@ -400,7 +371,7 @@ class TestCLIRoundTrip:
     def test_record_replay_diff(self, netlist_file, tmp_path, capsys):
         from repro.cli import main
         rec_csr = tmp_path / "csr.record.jsonl"
-        rec_np = tmp_path / "np.record.jsonl"
+        rec_fm = tmp_path / "fm.record.jsonl"
         assert self._partition(netlist_file, rec_csr) == 0
         assert "decision recording written" in capsys.readouterr().err
 
@@ -413,12 +384,12 @@ class TestCLIRoundTrip:
         assert main(["diff-run", str(rec_csr), str(rec_csr)]) == 0
         assert "identical" in capsys.readouterr().out
 
-        assert main(["partition", netlist_file, "--algorithm", "mlb",
+        assert main(["partition", netlist_file, "--algorithm", "mlf",
                      "--runs", "2", "--seed", "5",
-                     "--record", str(rec_np)]) == 0
+                     "--record", str(rec_fm)]) == 0
         capsys.readouterr()
         # Divergence → diff(1)-style exit code 1, with the fork shown.
-        assert main(["diff-run", str(rec_csr), str(rec_np)]) == 1
+        assert main(["diff-run", str(rec_csr), str(rec_fm)]) == 1
         assert "first divergence" in capsys.readouterr().out
 
     def test_missing_recording_is_an_error(self, tmp_path, capsys):

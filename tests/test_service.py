@@ -55,6 +55,13 @@ class TestFingerprintDigest:
 
 
 class TestProtocol:
+    def test_request_keys_split_on_algorithm_only(self):
+        keys = {alg: _request(algorithm=alg).config_key()
+                for alg in ("mlc", "mlf")}
+        assert keys["mlc"] != keys["mlf"]
+        assert set(keys["mlc"]) == set(keys["mlf"])
+        assert "kernels" not in keys["mlc"]
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ProtocolError, match="unknown request field"):
             _request(frobnicate=1)

@@ -131,30 +131,6 @@ class TestEndpoints:
         assert entries[1]["fingerprint"] == served["fingerprint"]
         assert entries[0]["cuts"] == entries[1]["cuts"] == served["cuts"]
 
-    def test_served_fingerprint_matches_cli_run_mlb(
-            self, tmp_path, monkeypatch):
-        # The served mlb answer is the standalone `repro partition
-        # --algorithm mlb` answer.  A 300-module circuit so the batch
-        # engine actually engages (>=128-module gate) instead of
-        # handing every level to the exact engine.
-        from repro.hypergraph import hierarchical_circuit
-        hg = hierarchical_circuit(300, 360, seed=2024, name="hier300")
-        netlist = tmp_path / "hier300.json"
-        write_json(hg, str(netlist))
-        ledger = tmp_path / "ledger.jsonl"
-        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
-        with _ServerThread() as srv, srv.client() as client:
-            served = client.partition(_body(hg, algorithm="mlb"))
-        assert main(["partition", str(netlist), "--algorithm", "mlb",
-                     "--runs", "2", "--seed", "5"]) == 0
-        entries = [json.loads(line)
-                   for line in ledger.read_text().splitlines()]
-        assert len(entries) == 2  # one served, one CLI
-        assert all(e["algorithm"] == "mlb" for e in entries)
-        assert entries[0]["fingerprint"] == served["fingerprint"]
-        assert entries[1]["fingerprint"] == served["fingerprint"]
-        assert entries[0]["cuts"] == entries[1]["cuts"] == served["cuts"]
-
     def test_sweep_batches_and_reports_job(self, tiny_hg):
         with _ServerThread() as srv, srv.client() as client:
             job_id = client.sweep(

@@ -50,12 +50,12 @@ class TestCheckConsistency:
         with pytest.raises(HypergraphError, match="module areas"):
             check_consistency(tiny_hg)
 
-    def test_every_mlb_level_passes(self):
-        # Levels coarsened by the vectorized Induce are flat-built; the
-        # check must hold on both construction paths.
+    def test_every_ml_level_passes(self):
+        # Induced levels take the trusted construction path, with
+        # merged net weights and cluster areas.
         hg = hierarchical_circuit(600, 700, seed=3)
-        hierarchy = build_hierarchy(hg, MLConfig(engine="batch"), seed=7)
-        assert any(level._flat is not None for level in hierarchy.netlists)
+        hierarchy = build_hierarchy(hg, MLConfig(engine="clip"), seed=7)
+        assert hierarchy.levels > 2
         for level in hierarchy.netlists:
             check_consistency(level)
 
