@@ -1,13 +1,18 @@
 /* One exact FM/CLIP pass with LIFO gain buckets, compiled.
  *
- * This is the pass that repro.fm.engine.fm_bipartition runs through the
- * Python functions _initial_gains, LinkedListBuckets.fill /
- * fill_uniform, _move_loop_csr_ll and _rollback_csr, written out over
- * flat int/double buffers.  It makes the same moves in the same order,
- * keeps every bucket in the same order after every move, picks the same
- * best prefix and leaves the same state after rollback, with part_area
- * bit-equal (the float updates run in the same order).  The Python loop
- * is the reference; the comments name the Python step each block ports.
+ * This is the pass that repro.fm.engine.fm_bipartition runs in Python
+ * as _initial_gains, one LinkedListBuckets.insert per free module,
+ * _move_loop_csr and _rollback_csr, written out over flat int/double
+ * buffers.  It makes the same moves in the same order, keeps every
+ * bucket in the same order after every move, picks the same best prefix
+ * and leaves the same state after rollback, with part_area bit-equal
+ * (the float updates run in the same order).  Three transformations
+ * keep those decisions while dropping work: the move's bookkeeping
+ * shares one net sweep with phase B, a two-pin net skips phase A and
+ * relinks its other pin once by 2w (exact by the last-relink argument
+ * in DESIGN.md section 8), and rollback works from the shorter side of
+ * the best prefix.  The Python loop is the reference; the comments
+ * name the Python step each block ports.
  *
  * The module is built on first use by repro.fm.native, which compiles
  * this file with the system C compiler into a per-user cache.  It needs
@@ -133,8 +138,8 @@ bump_down(pass_t *p, int u, int w)
     return 0;
 }
 
-/* _initial_gains + LinkedListBuckets.fill (or CLIP's stable ascending
- * sort and fill_uniform into the zero bucket).  Returns the number of
+/* _initial_gains + one insert per free module (for CLIP, into the
+ * zero bucket after a stable ascending sort).  Returns the number of
  * modules inserted, or -1 on allocation failure. */
 static Py_ssize_t
 fill_buckets(pass_t *p, int clip)
@@ -227,8 +232,9 @@ fill_buckets(pass_t *p, int clip)
     return size;
 }
 
-/* _move_loop_csr_ll.  Writes the move list as (module, side) pairs and
- * returns its length, or -1 with an exception set. */
+/* _move_loop_csr with LIFO buckets, no boundary mode, no lookahead.
+ * Writes the move list as (module, side) pairs and returns its length,
+ * or -1 with an exception set. */
 static Py_ssize_t
 move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
           int early_stall, long long *cut, long long *soed,
@@ -432,7 +438,7 @@ move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
     return n_moves;
 }
 
-/* _shift: move module v to side dst, updating part_of, counts, spans. */
+/* Move module v to side dst, updating part_of, counts and spans only. */
 static inline void
 shift(pass_t *p, int v, int dst)
 {
@@ -447,7 +453,12 @@ shift(pass_t *p, int v, int dst)
     }
 }
 
-/* _rollback_csr: restore the best prefix from the shorter side. */
+/* _rollback_csr, from the shorter side of the best prefix: undo the
+ * tail last move first, or put the pass-start copies back and replay
+ * the prefix; the integer state is the same either way.  part_area
+ * always takes the tail's float updates in reverse, as the undo with
+ * PartitionState.move does; fm_pass returns the objectives the loop
+ * recorded at the best prefix. */
 static void
 rollback(pass_t *p, Py_ssize_t n_moves, Py_ssize_t best_index,
          const int *saved)
@@ -462,7 +473,7 @@ rollback(pass_t *p, Py_ssize_t n_moves, Py_ssize_t best_index,
         p->part_area[original] += area;
     }
     if (best_index < tail) {
-        /* _replay_prefix: the pass-start copies, then the prefix. */
+        /* the pass-start copies, then the prefix. */
         size_t n = (size_t)p->n, m = (size_t)p->m;
         copy_ints(p->part_of, saved, n);
         copy_ints(p->c[0], saved + n, m);

@@ -108,8 +108,8 @@ class LinkedListBuckets(GainBuckets):
     def _index(self, gain: int) -> int:
         idx = gain + self._max_gain
         if not 0 <= idx < 2 * self._max_gain + 1:
-            raise ConfigError(
-                f"gain {gain} outside [-{self._max_gain}, {self._max_gain}]")
+            raise ConfigError(f"gain {gain} outside bucket range "
+                              f"[-{self._max_gain}, {self._max_gain}]")
         return idx
 
     def insert(self, item: int, gain: int) -> None:
@@ -220,121 +220,6 @@ class LinkedListBuckets(GainBuckets):
     def contains(self, item: int) -> bool:
         return self._present[item]
 
-    def fill(self, items, gains) -> None:
-        """Bulk-insert absent ``items`` with per-item ``gains[item]``.
-
-        Equivalent to ``for v in items: insert(v, gains[v])`` but with
-        the per-item linking inlined — the FM engines seed every pass
-        through this.  Precondition (unchecked): no item is already
-        present and every gain is within range; the engines guarantee
-        both.
-        """
-        head = self._head
-        tail = self._tail
-        nxt = self._next
-        prv = self._prev
-        gain_arr = self._gain
-        present = self._present
-        max_gain = self._max_gain
-        width = 2 * max_gain + 1
-        top = self._top
-        n = 0
-        if self._lifo:
-            for item in items:
-                gain = gains[item]
-                idx = gain + max_gain
-                if not 0 <= idx < width:
-                    raise ConfigError(
-                        f"gain {gain} outside [-{max_gain}, {max_gain}]")
-                old = head[idx]
-                nxt[item] = old
-                prv[item] = _NIL
-                head[idx] = item
-                if old == _NIL:
-                    tail[idx] = item
-                else:
-                    prv[old] = item
-                gain_arr[item] = gain
-                present[item] = True
-                n += 1
-                if idx > top:
-                    top = idx
-        else:
-            for item in items:
-                gain = gains[item]
-                idx = gain + max_gain
-                if not 0 <= idx < width:
-                    raise ConfigError(
-                        f"gain {gain} outside [-{max_gain}, {max_gain}]")
-                old = tail[idx]
-                prv[item] = old
-                nxt[item] = _NIL
-                tail[idx] = item
-                if old == _NIL:
-                    head[idx] = item
-                else:
-                    nxt[old] = item
-                gain_arr[item] = gain
-                present[item] = True
-                n += 1
-                if idx > top:
-                    top = idx
-        self._size += n
-        self._top = top
-
-    def fill_uniform(self, items, gain: int) -> None:
-        """Bulk-insert absent ``items`` into one bucket, in order.
-
-        Equivalent to ``for v in items: insert(v, gain)`` (CLIP's
-        concatenation into the zero bucket).  Same unchecked
-        precondition as :meth:`fill`.
-        """
-        idx = self._index(gain)
-        nxt = self._next
-        prv = self._prev
-        gain_arr = self._gain
-        present = self._present
-        # Sequential head-insertion (LIFO) reverses the order;
-        # sequential tail-insertion (FIFO) preserves it.  Build the
-        # final chain directly and splice it in.
-        chain = list(items)
-        if not chain:
-            return
-        first = chain[-1] if self._lifo else chain[0]
-        last = chain[0] if self._lifo else chain[-1]
-        if self._lifo:
-            chain.reverse()
-        previous = _NIL
-        for item in chain:
-            prv[item] = previous
-            if previous != _NIL:
-                nxt[previous] = item
-            gain_arr[item] = gain
-            present[item] = True
-            previous = item
-        nxt[last] = _NIL
-        if self._lifo:
-            # The whole chain goes in front of any existing content.
-            old_head = self._head[idx]
-            nxt[last] = old_head
-            if old_head == _NIL:
-                self._tail[idx] = last
-            else:
-                prv[old_head] = first
-            self._head[idx] = first
-        else:
-            # The whole chain is appended after any existing content.
-            old_tail = self._tail[idx]
-            prv[first] = old_tail
-            if old_tail == _NIL:
-                self._head[idx] = first
-            else:
-                nxt[old_tail] = first
-            self._tail[idx] = last
-        self._size += len(chain)
-        if idx > self._top:
-            self._top = idx
-
     def gain_of(self, item: int) -> int:
         if not self._present[item]:
             raise ConfigError(f"item {item} not in buckets")
@@ -390,8 +275,8 @@ class RandomBuckets(GainBuckets):
     def _index(self, gain: int) -> int:
         idx = gain + self._max_gain
         if not 0 <= idx < 2 * self._max_gain + 1:
-            raise ConfigError(
-                f"gain {gain} outside [-{self._max_gain}, {self._max_gain}]")
+            raise ConfigError(f"gain {gain} outside bucket range "
+                              f"[-{self._max_gain}, {self._max_gain}]")
         return idx
 
     def insert(self, item: int, gain: int) -> None:

@@ -17,25 +17,20 @@ improve the cut.
 
 Every hot kernel — initial gains, boundary scan, the two-phase gain
 update loop of a pass — binds the hypergraph's kernel lists
-(``net_pins``, ``module_nets``, ``weights_list``, ``sizes_list``,
-``areas_list``) into locals and inlines the per-pin gain bumps.  The
-common configuration (LIFO linked-list buckets, no boundary mode, no
-lookahead, recorder off) runs the fully inlined
-:func:`_move_loop_csr_ll`, which handles two-pin nets (most nets of a
-circuit) with one relink per move; every other one runs
-:func:`_move_loop_csr`, which makes the same moves in the same order.
-Both record the objectives at the best prefix, and
-:func:`_rollback_csr` restores the pass's best state from whichever
-side of that prefix is shorter: undoing the discarded tail, or
-replaying the committed prefix from copies taken at pass start.
+(``net_pins``, ``module_nets``, ``weights_list``, ``areas_list``) into
+locals and inlines the per-pin gain bumps.  One Python loop,
+:func:`_move_loop_csr`, runs every configuration's pass, and
+:func:`_rollback_csr` undoes the discarded tail move by move.
 
-When the C compiler is at hand, the common configuration runs a
-compiled port of that whole pass instead (``_pass.c``, built on first
-use by :mod:`repro.fm.native`): initial gains, bucket fill, the inlined
-loop and the rollback, over ``array`` copies of the state made once per
-call (:func:`_c_pass`).  It makes the same moves, picks the same best
-prefix and leaves the same state; the Python loop is its reference and
-its fallback.
+When the C compiler is at hand, the common configuration (LIFO
+buckets, no boundary mode, no lookahead, recorder off) runs a compiled
+port of the whole pass instead (``_pass.c``, built on first use by
+:mod:`repro.fm.native`): initial gains, bucket fill, the move loop with
+a two-pin fast path, and a rollback from the shorter side of the best
+prefix, over ``array`` copies of the state made once per call
+(:func:`_c_pass`).  It makes the same moves, picks the same best prefix
+and leaves the same state; the Python loop is its reference and its
+fallback.
 """
 
 from __future__ import annotations
@@ -46,14 +41,14 @@ from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..errors import PartitionError
+from ..errors import ConfigError, PartitionError
 from ..hypergraph import Hypergraph
 from ..obs import metrics, recorder, tracer
 from ..partition import (BalanceConstraint, Partition, PartitionState, cut,
                          random_partition)
 from ..partition.rebalance import rebalance_random
 from ..rng import SeedLike, make_rng
-from .buckets import _NIL, LinkedListBuckets, make_buckets
+from .buckets import make_buckets
 from .config import FMConfig
 
 __all__ = ["FMResult", "fm_bipartition"]
@@ -212,16 +207,19 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     members of the best bucket; first seen wins ties).  Gain updates
     run in two phases around the move — phase A off the pre-move
     counts, phase B off the post-move counts — with the kernel lists
-    bound locally and the buckets' O(1) relink ``update``.  On exit
-    ``state._pass_best`` holds the (cut, SOED) pair at the best prefix.
+    bound locally and the buckets' O(1) relink ``update``.  Returns
+    the pass's ``(module, original side)`` list and the length of its
+    best prefix.  A gain pushed outside the bucket range (gains that
+    disagree with the state) raises :class:`PartitionError`.
 
-    :func:`fm_bipartition` runs the common configuration — LIFO
-    linked-list buckets, no boundary mode, no lookahead — through the
-    compiled pass or the fully inlined :func:`_move_loop_csr_ll`
-    instead, unless decision recording is live: both make exactly this
-    loop's moves in this loop's bucket order (that is their contract),
-    so routing through here records the identical decisions while the
-    hot path stays free of instrumentation.
+    This is the only Python pass loop: every bucket discipline,
+    boundary mode, lookahead and decision recording run here.  It is
+    also the reference of the compiled pass (``_pass.c``), which
+    :func:`fm_bipartition` runs instead in the common configuration —
+    LIFO buckets, no boundary mode, no lookahead, recorder off — when
+    it loads: that pass makes exactly this loop's moves in this loop's
+    bucket order, so recording through here sees the identical
+    decisions while the hot path stays free of instrumentation.
     """
     rec = recorder()
     rec_on = rec.enabled
@@ -241,7 +239,6 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
 
     moves: List[Tuple[int, int]] = []
     best_cut = state.cut_weight
-    best_soed = state.soed_weight
     best_index = 0
     stall = 0
 
@@ -261,568 +258,153 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                 # sees.
                 pending.add(u)
 
-    while len(buckets):
-        chosen = -1
-        if locked_counts is None:
-            for v in iter_desc():
-                src = part_of[v]
-                a = areas[v]
-                if (part_area[src] - a >= lower
-                        and part_area[1 - src] + a <= upper):
-                    chosen = v
-                    break
-        else:
-            best_vec = None
-            chosen_gain = 0
-            for v in iter_desc():
-                if chosen >= 0 and gains[v] != chosen_gain:
-                    break
-                src = part_of[v]
-                a = areas[v]
-                if not (part_area[src] - a >= lower
-                        and part_area[1 - src] + a <= upper):
-                    continue
-                vec = _lookahead_vector(state, locked_counts, v,
-                                        config.lookahead)
-                if chosen < 0 or vec > best_vec:
-                    chosen = v
-                    best_vec = vec
-                    chosen_gain = gains[v]
-        if chosen < 0:
-            break  # no feasible move remains
-        buckets.remove(chosen)
-        locked[chosen] = True
-        src = part_of[chosen]
-        dst = 1 - src
-        counts_dst = counts[dst]
-        incident = module_nets[chosen]
+    try:
+        while len(buckets):
+            chosen = -1
+            if locked_counts is None:
+                for v in iter_desc():
+                    src = part_of[v]
+                    a = areas[v]
+                    if (part_area[src] - a >= lower
+                            and part_area[1 - src] + a <= upper):
+                        chosen = v
+                        break
+            else:
+                best_vec = None
+                chosen_gain = 0
+                for v in iter_desc():
+                    if chosen >= 0 and gains[v] != chosen_gain:
+                        break
+                    src = part_of[v]
+                    a = areas[v]
+                    if not (part_area[src] - a >= lower
+                            and part_area[1 - src] + a <= upper):
+                        continue
+                    vec = _lookahead_vector(state, locked_counts, v,
+                                            config.lookahead)
+                    if chosen < 0 or vec > best_vec:
+                        chosen = v
+                        best_vec = vec
+                        chosen_gain = gains[v]
+            if chosen < 0:
+                break  # no feasible move remains
+            buckets.remove(chosen)
+            locked[chosen] = True
+            src = part_of[chosen]
+            dst = 1 - src
+            counts_dst = counts[dst]
+            incident = module_nets[chosen]
 
-        # Gain updates, phase A: inspect pre-move counts.
-        for e in incident:
-            if not active[e]:
-                continue
-            cd = counts_dst[e]
-            if cd == 0:
-                w = net_weights[e]
-                if boundary:
-                    for u in net_pins[e]:
-                        if not locked[u]:
-                            bump(u, w)
-                else:
-                    for u in net_pins[e]:
-                        if not locked[u]:
-                            g = gains[u] + w
-                            gains[u] = g
-                            update(u, g)
-            elif cd == 1:
-                w = net_weights[e]
-                if boundary:
-                    for u in net_pins[e]:
-                        if not locked[u] and part_of[u] == dst:
-                            bump(u, -w)
-                            break
-                else:
-                    for u in net_pins[e]:
-                        if not locked[u] and part_of[u] == dst:
-                            g = gains[u] - w
-                            gains[u] = g
-                            update(u, g)
-                            break
-
-        state.move(chosen, dst)
-        moves.append((chosen, src))
-        if rec_on:
-            cut_rec = state.cut_weight
-            rec.emit({"t": "mv", "i": len(moves) - 1, "m": chosen,
-                      "s": src, "g": cut_prev - cut_rec, "c": cut_rec,
-                      "a0": part_area[0]})
-            cut_prev = cut_rec
-        if locked_counts is not None:
-            bumped = locked_counts[dst]
+            # Gain updates, phase A: inspect pre-move counts.
             for e in incident:
-                if active[e]:
-                    bumped[e] += 1
+                if not active[e]:
+                    continue
+                cd = counts_dst[e]
+                if cd == 0:
+                    w = net_weights[e]
+                    if boundary:
+                        for u in net_pins[e]:
+                            if not locked[u]:
+                                bump(u, w)
+                    else:
+                        for u in net_pins[e]:
+                            if not locked[u]:
+                                g = gains[u] + w
+                                gains[u] = g
+                                update(u, g)
+                elif cd == 1:
+                    w = net_weights[e]
+                    if boundary:
+                        for u in net_pins[e]:
+                            if not locked[u] and part_of[u] == dst:
+                                bump(u, -w)
+                                break
+                    else:
+                        for u in net_pins[e]:
+                            if not locked[u] and part_of[u] == dst:
+                                g = gains[u] - w
+                                gains[u] = g
+                                update(u, g)
+                                break
 
-        # Gain updates, phase B: inspect post-move counts.
-        counts_src = counts[src]
-        for e in incident:
-            if not active[e]:
-                continue
-            cs = counts_src[e]
-            if cs == 0:
-                w = net_weights[e]
-                if boundary:
-                    for u in net_pins[e]:
-                        if not locked[u]:
-                            bump(u, -w)
-                else:
-                    for u in net_pins[e]:
-                        if not locked[u]:
-                            g = gains[u] - w
-                            gains[u] = g
-                            update(u, g)
-            elif cs == 1:
-                w = net_weights[e]
-                if boundary:
-                    for u in net_pins[e]:
-                        if not locked[u] and part_of[u] == src:
-                            bump(u, w)
-                            break
-                else:
-                    for u in net_pins[e]:
-                        if not locked[u] and part_of[u] == src:
-                            g = gains[u] + w
-                            gains[u] = g
-                            update(u, g)
-                            break
+            state.move(chosen, dst)
+            moves.append((chosen, src))
+            if rec_on:
+                cut_rec = state.cut_weight
+                rec.emit({"t": "mv", "i": len(moves) - 1, "m": chosen,
+                          "s": src, "g": cut_prev - cut_rec, "c": cut_rec,
+                          "a0": part_area[0]})
+                cut_prev = cut_rec
+            if locked_counts is not None:
+                bumped = locked_counts[dst]
+                for e in incident:
+                    if active[e]:
+                        bumped[e] += 1
 
-        if pending:
-            for u in pending:
-                gains[u] = _module_gain(state, u)
-                buckets.insert(u, gains[u])
-            pending.clear()
+            # Gain updates, phase B: inspect post-move counts.
+            counts_src = counts[src]
+            for e in incident:
+                if not active[e]:
+                    continue
+                cs = counts_src[e]
+                if cs == 0:
+                    w = net_weights[e]
+                    if boundary:
+                        for u in net_pins[e]:
+                            if not locked[u]:
+                                bump(u, -w)
+                    else:
+                        for u in net_pins[e]:
+                            if not locked[u]:
+                                g = gains[u] - w
+                                gains[u] = g
+                                update(u, g)
+                elif cs == 1:
+                    w = net_weights[e]
+                    if boundary:
+                        for u in net_pins[e]:
+                            if not locked[u] and part_of[u] == src:
+                                bump(u, w)
+                                break
+                    else:
+                        for u in net_pins[e]:
+                            if not locked[u] and part_of[u] == src:
+                                g = gains[u] + w
+                                gains[u] = g
+                                update(u, g)
+                                break
 
-        cut_now = state.cut_weight
-        if cut_now < best_cut:
-            best_cut = cut_now
-            best_soed = state.soed_weight
-            best_index = len(moves)
-            stall = 0
-        else:
-            stall += 1
-            if early_stall is not None and stall >= early_stall:
-                break
+            if pending:
+                for u in pending:
+                    gains[u] = _module_gain(state, u)
+                    buckets.insert(u, gains[u])
+                pending.clear()
 
-    state._pass_best = (best_cut, best_soed)
-    return moves, best_index
-
-
-def _move_loop_csr_ll(state: PartitionState, buckets: LinkedListBuckets,
-                      gains: List[int], locked: List[bool],
-                      config: FMConfig, areas, lower: float, upper: float
-                      ) -> Tuple[List[Tuple[int, int]], int]:
-    """Fully inlined pass loop: kernel lists + raw LIFO linked-list buckets.
-
-    Makes exactly the moves of the generic loop, leaving every bucket
-    in the same order after every move — selection scan, unlink of the
-    chosen module, phase-A bumps, the move's count/span/objective
-    bookkeeping, phase-B bumps — but with every bucket relink and every
-    state update written out over the underlying arrays, so one module
-    move costs only index arithmetic.  Several local transformations
-    keep the decisions identical while dropping per-visit work:
-
-    * net sweeps iterate the pre-filtered ``active_incidence`` (no
-      ``active[e]`` test per visit — :func:`fm_bipartition` builds the
-      state on exactly ``active_nets(config.max_net_size)``);
-    * bucket positions live in index space (``gain + max_gain``), so
-      the ``gains`` argument's per-bump mirror writes disappear;
-    * the loop is LIFO-only (the dispatch checks ``buckets._lifo``):
-      insertion is always at a bucket's head and headship is decided
-      by ``head[idx] == u`` instead of a ``prev`` sentinel, so the
-      ``tail`` array and the head elements' ``prev`` entries are never
-      maintained — chain walks only follow ``next`` pointers, which
-      are kept exact;
-    * the move's bookkeeping and its phase-B bumps share one net sweep
-      (net ``e``'s phase-B bumps read only net ``e``'s fresh source
-      count, so the bucket-operation order matches a separate sweep);
-    * a ``+w`` bump can only raise the max-gain cursor and a ``-w``
-      bump can only settle it, so each bump site keeps just its half
-      of the cursor maintenance;
-    * two-pin nets skip phase A.  The other pin ``u`` of a two-pin net
-      always gets a phase-A and a phase-B bump of the same sign, so
-      the sweep relinks it once by ``±2w`` at its phase-B position and
-      writes the net's counts, span and objective change from
-      ``part_of[u]`` alone.  A LIFO bucket's order depends only on each
-      module's final bucket and the time of its last relink, and the
-      dropped phase-A relink is never ``u``'s last, so every bucket
-      ends the move in the same order.  The net's share of ``u``'s
-      gain still moves within ``[-w, w]`` (straight from one end to
-      the other), so every index ``u`` passes through stays inside the
-      bucket range whenever the generic loop's does.
-
-    The loop *consumes* ``buckets``: on exit only the state structures
-    (``part_of``/``counts``/``spans``/``part_area`` mutated in place,
-    ``cut_weight``/``soed_weight`` written back, ``_pass_best`` set)
-    and ``locked`` are valid; the bucket object and the ``gains`` list
-    are stale, and the caller rebuilds both for every pass.
-    """
-    hg = state.hg
-    incident_of = hg.active_incidence(config.max_net_size)
-    sizes = hg.sizes_list
-    net_pins = hg.net_pins
-    net_weights = hg.weights_list
-    part_of = state.part_of
-    counts = state.counts
-    part_area = state.part_area
-    spans = state.spans
-    early_stall = config.early_exit_stall
-
-    head = buckets._head
-    nxt = buckets._next
-    prv = buckets._prev
-    max_g = buckets._max_gain
-    width = 2 * max_g + 1
-    # Bucket positions are tracked in index space (gain + max_g), so
-    # every bump saves the offset add.
-    idx_of = [g + max_g for g in buckets._gain]
-    top = buckets._top
-    size = buckets._size
-
-    cut_w = state.cut_weight
-    soed_w = state.soed_weight
-
-    moves: List[Tuple[int, int]] = []
-    append_move = moves.append
-    best_cut = cut_w
-    best_soed = soed_w
-    best_index = 0
-    stall = 0
-
-    while size:
-        # --- selection: best-bucket-first scan for a feasible move,
-        # settling the max-gain cursor over the empty prefix.
-        chosen = -1
-        idx = top
-        settling = True
-        while idx >= 0:
-            item = head[idx]
-            if item == _NIL:
-                if settling:
-                    top = idx - 1
-                idx -= 1
-                continue
-            if settling:
-                top = idx
-                settling = False
-            while item != _NIL:
-                src = part_of[item]
-                a = areas[item]
-                if (part_area[src] - a >= lower
-                        and part_area[1 - src] + a <= upper):
-                    chosen = item
+            cut_now = state.cut_weight
+            if cut_now < best_cut:
+                best_cut = cut_now
+                best_index = len(moves)
+                stall = 0
+            else:
+                stall += 1
+                if early_stall is not None and stall >= early_stall:
                     break
-                item = nxt[item]
-            if chosen >= 0:
-                break
-            idx -= 1
-        if chosen < 0:
-            break  # no feasible move remains
-
-        # --- unlink the chosen module and lock it.
-        cidx = idx_of[chosen]
-        i_n = nxt[chosen]
-        if head[cidx] == chosen:
-            head[cidx] = i_n
-        else:
-            i_p = prv[chosen]
-            nxt[i_p] = i_n
-            if i_n != _NIL:
-                prv[i_n] = i_p
-        size -= 1
-        if cidx == top and head[cidx] == _NIL:
-            while top >= 0 and head[top] == _NIL:
-                top -= 1
-        locked[chosen] = True
-
-        src = part_of[chosen]
-        dst = 1 - src
-        counts_src = counts[src]
-        counts_dst = counts[dst]
-        incident = incident_of[chosen]
-
-        # --- gain updates, phase A: inspect pre-move counts.  Two-pin
-        # nets are left to the sweep below.
-        for e in incident:
-            if sizes[e] == 2:
-                continue
-            cd = counts_dst[e]
-            if cd == 0:
-                w = net_weights[e]
-                for u in net_pins[e]:
-                    if not locked[u]:
-                        oidx = idx_of[u]
-                        nidx = oidx + w
-                        if nidx >= width:
-                            raise PartitionError(
-                                f"gain {nidx - max_g} outside bucket range")
-                        u_n = nxt[u]
-                        if head[oidx] == u:
-                            head[oidx] = u_n
-                        else:
-                            u_p = prv[u]
-                            nxt[u_p] = u_n
-                            if u_n != _NIL:
-                                prv[u_n] = u_p
-                        old = head[nidx]
-                        nxt[u] = old
-                        head[nidx] = u
-                        if old != _NIL:
-                            prv[old] = u
-                        idx_of[u] = nidx
-                        if nidx > top:
-                            top = nidx
-            elif cd == 1:
-                w = net_weights[e]
-                for u in net_pins[e]:
-                    if not locked[u] and part_of[u] == dst:
-                        oidx = idx_of[u]
-                        nidx = oidx - w
-                        if nidx < 0:
-                            raise PartitionError(
-                                f"gain {nidx - max_g} outside bucket range")
-                        u_n = nxt[u]
-                        if head[oidx] == u:
-                            head[oidx] = u_n
-                        else:
-                            u_p = prv[u]
-                            nxt[u_p] = u_n
-                            if u_n != _NIL:
-                                prv[u_n] = u_p
-                        old = head[nidx]
-                        nxt[u] = old
-                        head[nidx] = u
-                        if old != _NIL:
-                            prv[old] = u
-                        idx_of[u] = nidx
-                        if oidx == top and head[oidx] == _NIL:
-                            while top >= 0 and head[top] == _NIL:
-                                top -= 1
-                        break
-
-        # --- the move itself (PartitionState.move, inlined), fused
-        # with phase B: net ``e``'s phase-B bumps depend only on net
-        # ``e``'s fresh source count, so folding them into the
-        # bookkeeping sweep leaves the bucket-operation order exactly
-        # that of a separate post-move sweep.
-        area = areas[chosen]
-        part_of[chosen] = dst
-        part_area[src] -= area
-        part_area[dst] += area
-        for e in incident:
-            w = net_weights[e]
-            if sizes[e] == 2:
-                # Two-pin net: its state follows from the other pin's
-                # side, and that pin's phase-A and phase-B bumps (same
-                # sign) become one relink by 2w at the phase-B position.
-                u, other = net_pins[e]
-                if u == chosen:
-                    u = other
-                if part_of[u] == src:
-                    counts_src[e] = 1
-                    counts_dst[e] = 1
-                    spans[e] = 2
-                    cut_w += w
-                    soed_w += w + w
-                    if not locked[u]:
-                        oidx = idx_of[u]
-                        nidx = oidx + w + w
-                        if nidx >= width:
-                            raise PartitionError(
-                                f"gain {nidx - max_g} outside bucket range")
-                        u_n = nxt[u]
-                        if head[oidx] == u:
-                            head[oidx] = u_n
-                        else:
-                            u_p = prv[u]
-                            nxt[u_p] = u_n
-                            if u_n != _NIL:
-                                prv[u_n] = u_p
-                        old = head[nidx]
-                        nxt[u] = old
-                        head[nidx] = u
-                        if old != _NIL:
-                            prv[old] = u
-                        idx_of[u] = nidx
-                        if nidx > top:
-                            top = nidx
-                else:
-                    counts_src[e] = 0
-                    counts_dst[e] = 2
-                    spans[e] = 1
-                    cut_w -= w
-                    soed_w -= w + w
-                    if not locked[u]:
-                        oidx = idx_of[u]
-                        nidx = oidx - w - w
-                        if nidx < 0:
-                            raise PartitionError(
-                                f"gain {nidx - max_g} outside bucket range")
-                        u_n = nxt[u]
-                        if head[oidx] == u:
-                            head[oidx] = u_n
-                        else:
-                            u_p = prv[u]
-                            nxt[u_p] = u_n
-                            if u_n != _NIL:
-                                prv[u_n] = u_p
-                        old = head[nidx]
-                        nxt[u] = old
-                        head[nidx] = u
-                        if old != _NIL:
-                            prv[old] = u
-                        idx_of[u] = nidx
-                        if oidx == top and head[oidx] == _NIL:
-                            while top >= 0 and head[top] == _NIL:
-                                top -= 1
-                continue
-            s = spans[e]
-            cs = counts_src[e] - 1
-            counts_src[e] = cs
-            if cs == 0:
-                s -= 1
-                soed_w -= w if s > 1 else (2 * w if s == 1 else 0)
-                if s == 1:
-                    cut_w -= w
-            c = counts_dst[e] + 1
-            counts_dst[e] = c
-            if c == 1:
-                s += 1
-                soed_w += w if s > 2 else (2 * w if s == 2 else 0)
-                if s == 2:
-                    cut_w += w
-            spans[e] = s
-            # phase B for this net, off the freshly written counts.
-            if cs == 0:
-                for u in net_pins[e]:
-                    if not locked[u]:
-                        oidx = idx_of[u]
-                        nidx = oidx - w
-                        if nidx < 0:
-                            raise PartitionError(
-                                f"gain {nidx - max_g} outside bucket range")
-                        u_n = nxt[u]
-                        if head[oidx] == u:
-                            head[oidx] = u_n
-                        else:
-                            u_p = prv[u]
-                            nxt[u_p] = u_n
-                            if u_n != _NIL:
-                                prv[u_n] = u_p
-                        old = head[nidx]
-                        nxt[u] = old
-                        head[nidx] = u
-                        if old != _NIL:
-                            prv[old] = u
-                        idx_of[u] = nidx
-                        if oidx == top and head[oidx] == _NIL:
-                            while top >= 0 and head[top] == _NIL:
-                                top -= 1
-            elif cs == 1:
-                for u in net_pins[e]:
-                    if not locked[u] and part_of[u] == src:
-                        oidx = idx_of[u]
-                        nidx = oidx + w
-                        if nidx >= width:
-                            raise PartitionError(
-                                f"gain {nidx - max_g} outside bucket range")
-                        u_n = nxt[u]
-                        if head[oidx] == u:
-                            head[oidx] = u_n
-                        else:
-                            u_p = prv[u]
-                            nxt[u_p] = u_n
-                            if u_n != _NIL:
-                                prv[u_n] = u_p
-                        old = head[nidx]
-                        nxt[u] = old
-                        head[nidx] = u
-                        if old != _NIL:
-                            prv[old] = u
-                        idx_of[u] = nidx
-                        if nidx > top:
-                            top = nidx
-                        break
-        append_move((chosen, src))
-
-        if cut_w < best_cut:
-            best_cut = cut_w
-            best_soed = soed_w
-            best_index = len(moves)
-            stall = 0
-        else:
-            stall += 1
-            if early_stall is not None and stall >= early_stall:
-                break
-
-    state.cut_weight = cut_w
-    state.soed_weight = soed_w
-    state._pass_best = (best_cut, best_soed)
+    except ConfigError as exc:
+        # A bucket operation refused a gain (one outside the bucket
+        # range): the gains disagree with the state.  Named as the
+        # compiled pass names it.
+        raise PartitionError(str(exc)) from None
     return moves, best_index
-
-
-def _checkpoint(state: PartitionState):
-    """Pass-start copies of ``part_of``, both count rows and ``spans``
-    (C-level slice copies), for :func:`_replay_prefix`."""
-    c0, c1 = state.counts
-    return state.part_of[:], c0[:], c1[:], state.spans[:]
-
-
-def _shift(state: PartitionState, steps, incident_of) -> None:
-    """Move each ``(module, side)`` of ``steps`` to ``side``, updating
-    ``part_of``, ``counts`` and ``spans`` only (every step really
-    changes the module's side)."""
-    part_of = state.part_of
-    counts = state.counts
-    spans = state.spans
-    for v, dst in steps:
-        part_of[v] = dst
-        counts_src = counts[1 - dst]
-        counts_dst = counts[dst]
-        for e in incident_of[v]:
-            c = counts_src[e] - 1
-            counts_src[e] = c
-            if c == 0:
-                spans[e] -= 1
-            c = counts_dst[e] + 1
-            counts_dst[e] = c
-            if c == 1:
-                spans[e] += 1
-
-
-def _replay_prefix(state: PartitionState, moves: List[Tuple[int, int]],
-                   best_index: int, incident_of, saved) -> None:
-    """Restore ``part_of``/``counts``/``spans`` at ``best_index`` from
-    the pass-start copies ``saved`` (:func:`_checkpoint`) and replay
-    ``moves[:best_index]`` forward."""
-    part_of, c0, c1, spans = saved
-    state.part_of[:] = part_of
-    state.counts[0][:] = c0
-    state.counts[1][:] = c1
-    state.spans[:] = spans
-    _shift(state, [(v, 1 - src) for v, src in moves[:best_index]],
-           incident_of)
 
 
 def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
-                  best_index: int, incident_of, saved) -> None:
-    """Roll the state back to the best prefix ``moves[:best_index]``.
-
-    Counts, spans and ``part_of`` are restored from the shorter side:
-    when the committed prefix is shorter than the discarded tail, the
-    pass-start copies ``saved`` are put back and the prefix replayed
-    (:func:`_replay_prefix`); otherwise the tail is undone last move
-    first.  Both give identical integer state.
-    ``part_area`` always takes the tail's float updates in reverse, so
-    it is bit-equal to undoing each move with ``state.move`` even for
-    fractional areas, and the objectives are reset to the pair the pass
-    loop recorded at its best prefix (``state._pass_best``).
-    ``incident_of`` is the active-filtered incidence matching the
-    state's active set.
-    """
-    state.cut_weight, state.soed_weight = state._pass_best
-    tail = moves[best_index:]
-    if not tail:
-        return
-    areas = state.hg.areas_list
-    part_area = state.part_area
-    for v, original in reversed(tail):
-        area = areas[v]
-        part_area[1 - original] -= area
-        part_area[original] += area
-    if best_index < len(tail):
-        _replay_prefix(state, moves, best_index, incident_of, saved)
-    else:
-        _shift(state, reversed(tail), incident_of)
+                  best_index: int) -> None:
+    """Roll the state back to the best prefix ``moves[:best_index]``:
+    undo the discarded tail with :meth:`PartitionState.move`, last move
+    first, which restores the objectives too."""
+    move = state.move
+    for v, original in reversed(moves[best_index:]):
+        move(v, original)
 
 
 def _compiled_pass():
@@ -845,8 +427,8 @@ def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
             clip: bool, max_gain: int, lower: float, upper: float,
             early_stall: Optional[int]) -> Tuple[int, int, int]:
     """One compiled pass over a :func:`_to_buffers` state: initial
-    gains, bucket fill, :func:`_move_loop_csr_ll`'s moves and
-    :func:`_rollback_csr`.  ``moves`` receives the pass's
+    gains, bucket fill, :func:`_move_loop_csr`'s moves and the rollback
+    to its best prefix.  ``moves`` receives the pass's
     ``(module, side)`` pairs flattened; returns the number of moves,
     the best prefix length and the number of modules inserted."""
     c0, c1 = state.counts
@@ -860,7 +442,6 @@ def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
         raise PartitionError(str(exc)) from None
     state.cut_weight = cut_w
     state.soed_weight = soed_w
-    state._pass_best = (cut_w, soed_w)
     return n_moves, best_index, inserted
 
 
@@ -917,8 +498,8 @@ def prepare_start(hg: Hypergraph, initial: Optional[Partition],
 
 def _py_pass(state: PartitionState, config: FMConfig,
              fixed: Optional[List[bool]], candidates, bucket_range: int,
-             rng: random.Random, lower: float, upper: float,
-             rec_on: bool) -> Tuple[int, int, int]:
+             rng: random.Random, lower: float, upper: float
+             ) -> Tuple[int, int, int]:
     """One pass in Python: fill the buckets, run the move loop, roll
     back to the best prefix.  Returns the number of moves, the best
     prefix length and the number of modules inserted."""
@@ -936,11 +517,8 @@ def _py_pass(state: PartitionState, config: FMConfig,
         order = sorted(candidates, key=gains.__getitem__)
         if config.bucket_policy == "fifo":
             order.reverse()
-        if type(buckets) is LinkedListBuckets:
-            buckets.fill_uniform(order, 0)
-        else:
-            for v in order:
-                buckets.insert(v, 0)
+        for v in order:
+            buckets.insert(v, 0)
         gains = [0] * hg.num_modules
     elif config.boundary:
         # Boundary refinement (Section V / Chaco [22]): only
@@ -954,11 +532,8 @@ def _py_pass(state: PartitionState, config: FMConfig,
                 buckets.insert(v, gains[v])
     else:
         gains = _initial_gains(state)
-        if type(buckets) is LinkedListBuckets:
-            buckets.fill(candidates, gains)
-        else:
-            for v in candidates:
-                buckets.insert(v, gains[v])
+        for v in candidates:
+            buckets.insert(v, gains[v])
 
     locked = [bool(f) for f in fixed] if fixed is not None \
         else [False] * hg.num_modules
@@ -975,19 +550,10 @@ def _py_pass(state: PartitionState, config: FMConfig,
                         locked_counts[side][e] += 1
 
     inserted = len(buckets)
-    saved = _checkpoint(state)
-    if (not rec_on and locked_counts is None
-            and not config.boundary
-            and type(buckets) is LinkedListBuckets and buckets._lifo):
-        moves, best_index = _move_loop_csr_ll(state, buckets, gains,
-                                              locked, config,
-                                              hg.areas_list, lower, upper)
-    else:
-        moves, best_index = _move_loop_csr(state, buckets, gains,
-                                           locked, locked_counts, config,
-                                           hg.areas_list, lower, upper)
-    _rollback_csr(state, moves, best_index,
-                  hg.active_incidence(config.max_net_size), saved)
+    moves, best_index = _move_loop_csr(state, buckets, gains, locked,
+                                       locked_counts, config,
+                                       hg.areas_list, lower, upper)
+    _rollback_csr(state, moves, best_index)
     return len(moves), best_index, inserted
 
 
@@ -1069,7 +635,7 @@ def fm_bipartition(hg: Hypergraph,
         else:
             n_moves, best_index, bucket_inserts = _py_pass(
                 state, config, fixed, candidates, bucket_range, rng,
-                lower, upper, rec_on)
+                lower, upper)
         total_moves += n_moves
         pass_cuts.append(state.cut_weight)
         if rec_on:

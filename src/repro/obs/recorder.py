@@ -16,9 +16,9 @@ Design constraints, in priority order:
 1. **Zero overhead when disabled.**  :func:`recorder` returns the
    no-op sink (``enabled = False``) unless recording is on; every emit
    site in the kernels samples it once per call and guards each event
-   behind ``rec.enabled``.  The inlined linked-list FM loop is
-   not instrumented at all — when recording is live the engine routes
-   through the generic loop (which replays the identical operation
+   behind ``rec.enabled``.  The compiled FM pass is not
+   instrumented at all — when recording is live the engine routes
+   through the Python loop (which makes the identical operation
    sequence), so the hot path gains not a single instruction.
 2. **Recording never perturbs results.**  No RNG draws, no reordering,
    no behavioural branches beyond the loop-dispatch above (which is

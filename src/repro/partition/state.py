@@ -47,8 +47,7 @@ class PartitionState:
     """Mutable k-way partition with O(pins(v)) single-module moves."""
 
     __slots__ = ("hg", "k", "part_of", "part_area", "counts", "spans",
-                 "cut_weight", "soed_weight", "active", "_active_nets",
-                 "_pass_best")
+                 "cut_weight", "soed_weight", "active", "_active_nets")
 
     def __init__(self, hg: Hypergraph, partition: Partition,
                  active_nets: Optional[Sequence[int]] = None):
@@ -59,10 +58,6 @@ class PartitionState:
         self.hg = hg
         self.k = partition.k
         self.part_of: List[int] = list(partition.assignment)
-
-        # Objective values at the best prefix of the latest inlined FM
-        # pass (set by the engine's pass loop, consumed by rollback).
-        self._pass_best: Optional[Tuple[int, int]] = None
 
         self.part_area = [0.0] * self.k
         areas = hg.areas_list

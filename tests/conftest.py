@@ -9,15 +9,7 @@ import pytest
 # monkeypatching REPRO_LEDGER to a tmp path.
 os.environ.setdefault("REPRO_LEDGER", "off")
 
-from repro.fm import native
 from repro.hypergraph import Hypergraph, grid_circuit, hierarchical_circuit
-
-
-@pytest.fixture
-def python_loop(monkeypatch):
-    """Force FM's Python pass loop: the compiled pass's loader handle
-    reads ``None`` for the test's duration."""
-    monkeypatch.setattr(native, "_module", None)
 
 
 @pytest.fixture

@@ -42,8 +42,8 @@ def watch_passes(monkeypatch, check) -> None:
               best_index)
         return n, best_index, inserted
 
-    def py_hook(state, moves, best_index, incident_of, saved):
-        rollback(state, moves, best_index, incident_of, saved)
+    def py_hook(state, moves, best_index):
+        rollback(state, moves, best_index)
         check(state, list(moves), best_index)
 
     monkeypatch.setattr(engine, "_c_pass", c_hook)

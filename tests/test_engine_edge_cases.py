@@ -66,7 +66,7 @@ class TestDegenerateInstances:
 
 
 class TestExactPassDegenerate:
-    """Degenerate inputs for the exact (inlined LIFO) pass: each run
+    """Degenerate inputs for the exact LIFO pass, on each loop: each run
     either succeeds with the state matching :mod:`tests.oracle` after
     every pass, or raises a named :class:`ReproError`."""
 
@@ -135,17 +135,18 @@ class TestExactPassDegenerate:
 
     @pytest.mark.parametrize("start,gain", [([0, 0], 3), ([0, 1], -3)])
     def test_inconsistent_gains_trip_the_range_check(self, start, gain):
-        # Gains that disagree with the state push a two-pin relink past
-        # the bucket range; the loop names the fault instead of writing
-        # outside the bucket arrays.
+        # Gains that disagree with the state push a gain bump past the
+        # bucket range; the loop names the fault as the compiled pass
+        # does (next test).
         hg = Hypergraph([[0, 1]], num_modules=2, net_weights=[3])
         state = PartitionState(hg, Partition(start, 2))
         buckets = LinkedListBuckets(2, 3, "lifo")
-        buckets.fill(range(2), [gain, gain])
+        for v in range(2):
+            buckets.insert(v, gain)
         with pytest.raises(PartitionError, match="outside bucket range"):
-            engine._move_loop_csr_ll(state, buckets, [gain, gain],
-                                     [False, False], FMConfig(), [1.0, 1.0],
-                                     0.0, 2.0)
+            engine._move_loop_csr(state, buckets, [gain, gain],
+                                  [False, False], None, FMConfig(),
+                                  [1.0, 1.0], 0.0, 2.0)
 
     @pytest.mark.skipif(not compiled_available(),
                         reason="no C compiler for the compiled pass")

@@ -16,11 +16,11 @@ Four contracts from DESIGN.md's kernel-layer section (§8):
    initial gain vector agree elementwise with :mod:`tests.oracle`,
    which recomputes side counts, spans, cut and FM gain straight from
    the hypergraph.
-4. **Exact pass** — the compiled pass, the inlined LIFO pass loop
-   (two-pin fast path included) and the generic loop make the same
-   moves with the same best prefix, and both rollback directions (undo
-   the tail, replay the prefix from the pass-start copies) restore the
-   same state as undoing each move with ``PartitionState.move``.
+4. **Exact pass** — the compiled pass (two-pin fast path included)
+   and the Python loop make the same moves with the same best prefix,
+   and both of the compiled pass's rollback directions (undo the tail,
+   replay the prefix from the pass-start copies) restore the same state
+   as undoing each move with ``PartitionState.move``.
 """
 
 import hashlib
@@ -37,7 +37,7 @@ from repro.fm import engine, native
 from repro.fm.engine import _initial_gains
 from repro.hypergraph import (Hypergraph, grid_circuit, hierarchical_circuit,
                               load_circuit, random_hypergraph)
-from repro.partition import PartitionState, random_partition
+from repro.partition import Partition, PartitionState, random_partition
 from repro.solvers import single_run
 
 from . import oracle
@@ -298,8 +298,7 @@ class TestGoldenCuts:
 
     def test_fm_policies_identical_across_modes(self, medium):
         # FIFO and random bucket policies, boundary mode and lookahead
-        # run through the generic CSR loop rather than the inlined LIFO
-        # loop.
+        # always run through the Python loop, never the compiled pass.
         _check_pins(medium, EXACT_PINS, _exact_runs(),
                     ["fm/fifo", "fm/random", "clip/fifo", "clip/random",
                      "fm/boundary", "fm/lookahead2"])
@@ -417,7 +416,7 @@ class TestCrossModeProperties:
 
 
 # ---------------------------------------------------------------------------
-# 4. Exact pass: compiled and inlined vs generic loop, and both rollback
+# 4. Exact pass: compiled pass vs Python loop, and both rollback
 #    directions.
 # ---------------------------------------------------------------------------
 
@@ -474,9 +473,6 @@ def _exact_view(state):
                 part_area=[a.hex() for a in state.part_area])
 
 
-INTEGER_STATE = ("part_of", "counts", "spans")
-
-
 def _check_oracle(state, active):
     hg = state.hg
     want = oracle.state_view(hg, state.part_of, 2, active)
@@ -485,10 +481,8 @@ def _check_oracle(state, active):
 
 
 def _traced_passes(monkeypatch, hg, config, fixed, loop):
-    """Run FM once on ``loop`` (``"c"``, ``"py"`` or ``"generic"``),
-    recording per pass (moves, best_index, state after rollback);
-    ``"generic"`` routes the inlined loop's calls through
-    :func:`repro.fm.engine._move_loop_csr`."""
+    """Run FM once on ``loop`` (``"c"`` or ``"py"``), recording per
+    pass (moves, best_index, state after rollback)."""
     passes = []
     compiled = set()
 
@@ -497,17 +491,10 @@ def _traced_passes(monkeypatch, hg, config, fixed, loop):
         passes.append((moves, best_index, _exact_view(state)))
         _check_oracle(state, state.active_nets())
 
-    def generic(state, buckets, gains, locked, config, areas, lower,
-                upper):
-        return engine._move_loop_csr(state, buckets, gains, locked, None,
-                                     config, areas, lower, upper)
-
     with monkeypatch.context() as patch:
         watch_passes(patch, record)
         if loop != "c":
             patch.setattr(native, "_module", None)
-        if loop == "generic":
-            patch.setattr(engine, "_move_loop_csr_ll", generic)
         initial = random_partition(hg, seed=hg.num_modules)
         result = fm_bipartition(hg, initial=initial, config=config, seed=3,
                                 fixed=fixed)
@@ -517,58 +504,55 @@ def _traced_passes(monkeypatch, hg, config, fixed, loop):
 
 
 def test_inlined_and_generic_loops_agree(monkeypatch):
-    # The compiled pass (when it builds) and the inlined Python loop
-    # each against the generic loop: same moves, best prefix and
-    # post-rollback state on every pass.
-    loops = ["c", "py"] if compiled_available() else ["py"]
+    # The compiled pass (when it builds) against the Python loop: same
+    # moves, best prefix and post-rollback state on every pass.
     for hg, config, fixed in _exact_pass_cases():
-        want, r_want = _traced_passes(monkeypatch, hg, config, fixed,
-                                      "generic")
+        want, r_want = _traced_passes(monkeypatch, hg, config, fixed, "py")
         assert any(moves for moves, _, _ in want), hg.name
-        for loop in loops:
-            got, r_got = _traced_passes(monkeypatch, hg, config, fixed,
-                                        loop)
-            assert got == want, (hg.name, config, loop)
-            assert (r_got.cut, r_got.partition.assignment) == \
-                (r_want.cut, r_want.partition.assignment)
+        if not compiled_available():
+            continue
+        got, r_got = _traced_passes(monkeypatch, hg, config, fixed, "c")
+        assert got == want, (hg.name, config)
+        assert (r_got.cut, r_got.partition.assignment) == \
+            (r_want.cut, r_want.partition.assignment)
 
 
-def test_rollback_directions_agree(monkeypatch, python_loop):
-    rollback = engine._rollback_csr
+@pytest.mark.skipif(not compiled_available(),
+                    reason="no C compiler for the compiled pass")
+def test_rollback_directions_agree(monkeypatch):
+    # The compiled pass rolls back from the shorter side of its best
+    # prefix: it undoes the tail, or restores its pass-start copies and
+    # replays the prefix.  Either must leave the state that undoing
+    # each tail move with PartitionState.move leaves.
+    c_pass = engine._c_pass
+    before = []
     checked = set()
 
-    def checking_rollback(state, moves, best_index, incident_of, saved):
-        n = len(moves)
-        for k in sorted({0, 1, n // 2, n - 1, n} & set(range(n + 1))):
-            # Reference: undo the tail move by move with
-            # PartitionState.move (float area updates in reverse).
-            ref = _clone(state)
-            for v, original in reversed(moves[k:]):
-                ref.move(v, original)
-            _check_oracle(ref, state.active_nets())
-            want = _exact_view(ref)
-            for restore in ("undo", "replay"):
-                twin = _clone(state)
-                if restore == "undo":
-                    engine._shift(twin, reversed(moves[k:]), incident_of)
-                else:
-                    engine._replay_prefix(twin, moves, k, incident_of,
-                                          saved)
-                got = _exact_view(twin)
-                assert [got[f] for f in INTEGER_STATE] == \
-                    [want[f] for f in INTEGER_STATE], (restore, k, n)
-            twin = _clone(state)
-            twin._pass_best = (ref.cut_weight, ref.soed_weight)
-            rollback(twin, moves, k, incident_of, saved)
-            assert _exact_view(twin) == want, (k, n)
-            checked.add((k < n - k, k in (0, n)))
-        rollback(state, moves, best_index, incident_of, saved)
+    def snapshot(kernel, state, *rest):
+        before.append(_clone(state))
+        return c_pass(kernel, state, *rest)
 
-    monkeypatch.setattr(engine, "_rollback_csr", checking_rollback)
+    def check(state, moves, best_index):
+        ref = before.pop()
+        for v, original in moves:
+            ref.move(v, 1 - original)
+        for v, original in reversed(moves[best_index:]):
+            ref.move(v, original)
+        assert _exact_view(state) == _exact_view(ref), (best_index, moves)
+        n = len(moves)
+        checked.add((best_index < n - best_index, best_index in (0, n)))
+
+    monkeypatch.setattr(engine, "_c_pass", snapshot)
+    watch_passes(monkeypatch, check)
     for hg, config, fixed in _exact_pass_cases():
         initial = random_partition(hg, seed=hg.num_modules)
         fm_bipartition(hg, initial=initial, config=config, seed=3,
                        fixed=fixed)
+    # A pass that keeps all its moves (nothing to roll back): its only
+    # move puts the one free module beside its net's fixed pin.
+    fm_bipartition(Hypergraph([[0, 1]], num_modules=2),
+                   initial=Partition([0, 1], 2), seed=3,
+                   fixed=[True, False])
     # Both directions ran, at the ends of a pass and inside it.
     assert checked == {(True, True), (True, False), (False, True),
                        (False, False)}

@@ -149,29 +149,29 @@ class TestSpanNesting:
 class TestCrossModeTelemetry:
     """fm.pass counters are identical across the two move loops.
 
-    A traced run with the recorder off takes the inlined linked-list
-    loop; a recorded run takes the generic loop. Their per-pass span
+    A traced run with the recorder off takes the compiled pass when it
+    loads; a recorded run takes the Python loop. Their per-pass span
     counters, pass cuts and final assignments must agree, and the
     recorded run's spans must agree with its own ``pass`` events.
     """
 
     @pytest.mark.parametrize("engine_seed", [2, 11])
     def test_pass_counters_identical(self, medium_hg, engine_seed):
-        inlined = BufferSink()
-        with tracing(inlined):
+        bare_sink = BufferSink()
+        with tracing(bare_sink):
             bare = fm_bipartition(medium_hg, seed=engine_seed)
-        generic = BufferSink()
+        traced_sink = BufferSink()
         taped = BufferSink()
         previous = set_recorder(taped)
         try:
-            with tracing(generic):
+            with tracing(traced_sink):
                 traced = fm_bipartition(medium_hg, seed=engine_seed)
         finally:
             set_recorder(previous)
         bare_passes = [e["args"] for e in
-                       _events_named(inlined.events, "fm.pass")]
+                       _events_named(bare_sink.events, "fm.pass")]
         ref_passes = [e["args"] for e in
-                      _events_named(generic.events, "fm.pass")]
+                      _events_named(traced_sink.events, "fm.pass")]
         assert len(ref_passes) >= 1
         assert bare_passes == ref_passes
         assert bare.cut == traced.cut

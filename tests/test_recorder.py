@@ -250,7 +250,7 @@ class TestReplay:
         cuts = sorted(e["cut"] for e in read_record(path)
                       if e["t"] == "result")
         assert cuts == sorted(r.cut for r in result.records)
-        # Recording routes the pass through the generic loop; the
+        # Recording routes the pass through the Python loop; the
         # audited answers are the oracle for the unrecorded run on
         # each pass loop, the compiled one included.
         for loop in each_loop():
