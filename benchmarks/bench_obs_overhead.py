@@ -13,12 +13,14 @@ circuits in three configurations:
   singletons, memory profiling off, no sampler thread), the
   configuration every ordinary run pays for.
 * ``enabled``   — full tracing to a file plus metrics collection.
-* ``recorded``  — decision recording to a file (``--record``): every
-  coarsening merge and refinement move written as compact JSONL.  The
-  recorder rides the hot loop itself, so this cell is the price of a
-  replayable flight recording; the *disabled* cell doubles as its
-  dormancy check (``recorder().enabled`` must read off, keeping the
-  uninstrumented CSR move loop on the fast path).
+* ``recorded``  — decision recording to a file (``--record``): one
+  compact JSONL event per Match call (its pairs) and per FM pass (its
+  moves and their gains), written after the pass from the move list
+  both FM loops return; the recorded run takes the same FM loop as
+  the others.  This cell is the price of a replayable flight
+  recording, and ``record_bytes`` is the size of one run's recording;
+  the *disabled* cell doubles as its dormancy check
+  (``recorder().enabled`` must read off, so no event is built).
 * ``profiled``  — everything on at once: tracing, metrics, the
   sampling wall profiler, and tracemalloc peak-memory capture — the
   ``repro serve --profile-dir`` configuration.  This cell is
@@ -151,8 +153,8 @@ def run_bench():
             def dormant():
                 # The disabled cell is also the dormancy check for the
                 # profiling and recording layers: the switches must
-                # read off (a live recorder would force every FM move
-                # through the instrumented loop).
+                # read off (a live recorder would build and write an
+                # event per FM pass and per matching).
                 assert not memory_profiling_enabled()
                 assert not recorder().enabled
                 return mlc()
@@ -190,6 +192,7 @@ def run_bench():
             from repro.obs import read_trace
             events = list(read_trace(trace_path))
             record_events = sum(1 for _ in read_record(record_path))
+            record_bytes = os.path.getsize(record_path)
 
         assert v_on == v_off, f"tracing changed the result on {name}"
         assert v_rec == v_off, f"recording changed the result on {name}"
@@ -212,6 +215,7 @@ def run_bench():
                 round(100.0 * (t_prof - t_off) / t_off, 2),
             "trace_events": len(events),
             "record_events": record_events,
+            "record_bytes": record_bytes,
         }
         if base:
             row["disabled_overhead_pct"] = round(
@@ -252,7 +256,7 @@ def print_report(report):
     print(f"{'circuit':>10} {'baseline':>9} {'disabled':>9} "
           f"{'enabled':>9} {'recorded':>9} {'profiled':>9} {'off %':>7} "
           f"{'on %':>7} {'rec %':>7} {'prof %':>7} {'events':>7} "
-          f"{'decs':>7}")
+          f"{'decs':>7} {'rec KiB':>8}")
     for r in report["results"]:
         base = f"{r['baseline_s']:9.4f}" if r["baseline_s"] else "      n/a"
         offp = (f"{r['disabled_overhead_pct']:+7.1f}"
@@ -263,7 +267,8 @@ def print_report(report):
               f"{r['enabled_overhead_pct']:+7.1f} "
               f"{r['recorded_overhead_pct']:+7.1f} "
               f"{r['profiled_overhead_pct']:+7.1f} "
-              f"{r['trace_events']:7d} {r['record_events']:7d}")
+              f"{r['trace_events']:7d} {r['record_events']:7d} "
+              f"{r['record_bytes'] / 1024:8.1f}")
     s = report["summary"]
     if s["disabled_overhead_pct"] is not None:
         print(f"disabled total {s['disabled_total_s']:.4f}s vs baseline "

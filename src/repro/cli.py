@@ -521,9 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write a Chrome trace-event stream of the "
                              "whole run (all workers) to FILE")
     p_part.add_argument("--record", metavar="FILE", default=None,
-                        help="write the run's decision recording (every "
-                             "merge and refinement move, all workers) to "
-                             "FILE as JSONL; replay with 'repro replay', "
+                        help="write the run's decision recording (the "
+                             "pairs of every matching and the moves of "
+                             "every FM pass, all workers) to FILE as "
+                             "JSONL; replay with 'repro replay', "
                              "compare runs with 'repro diff-run'")
     p_part.add_argument("--metrics-out", metavar="FILE", default=None,
                         help="write Prometheus-format metrics to FILE "

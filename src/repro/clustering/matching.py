@@ -111,12 +111,6 @@ def match(hg: Hypergraph,
             f"{hg.num_modules}")
     rng = rng if rng is not None else make_rng(seed)
 
-    # Decision recording: one ``merge`` event per opened cluster; the
-    # leftover singletons of Steps 8-10 are implicit (ascending ids).
-    from ..obs import recorder
-    rec = recorder()
-    rec_on = rec.enabled
-
     n = hg.num_modules
     areas = hg.areas_list
     perm = random_permutation(n, rng)
@@ -124,6 +118,7 @@ def match(hg: Hypergraph,
     cluster_of = [-1] * n
     num_clusters = 0
     n_match = 0
+    pairs: List[int] = []  # (v, w) of every opened cluster, flattened
 
     for j in range(n):
         if n_match / n >= ratio:
@@ -161,8 +156,14 @@ def match(hg: Hypergraph,
             cluster_of[best] = cluster
             matched[best] = True
             n_match += 2
-        if rec_on:
-            rec.emit({"t": "merge", "v": v, "w": best})
+        pairs += (v, best)
+
+    # Decision recording: one ``match`` event holding the pairings;
+    # the leftover singletons of Steps 8-10 are implicit (ascending ids).
+    from ..obs import recorder
+    rec = recorder()
+    if rec.enabled:
+        rec.emit({"t": "match", "p": pairs})
 
     # Steps 8-10: every remaining module becomes a singleton cluster.
     for v in range(n):

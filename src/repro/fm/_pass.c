@@ -233,8 +233,8 @@ fill_buckets(pass_t *p, int clip)
 }
 
 /* _move_loop_csr with LIFO buckets, no boundary mode, no lookahead.
- * Writes the move list as (module, side) pairs and returns its length,
- * or -1 with an exception set. */
+ * Writes the move list as (module, side, gain) triples and returns its
+ * length, or -1 with an exception set. */
 static Py_ssize_t
 move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
           int early_stall, long long *cut, long long *soed,
@@ -315,6 +315,7 @@ move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
         int *counts_src = p->c[src];
         int *counts_dst = p->c[dst];
         int first = xinc[chosen], last = xinc[chosen + 1];
+        long long cut_before = cut_w;
 
         /* gain updates, phase A: inspect pre-move counts.  Two-pin
          * nets are left to the sweep below. */
@@ -417,8 +418,10 @@ move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
                 }
             }
         }
-        p->moves[2 * n_moves] = chosen;
-        p->moves[2 * n_moves + 1] = src;
+        int *slot = p->moves + 3 * n_moves;
+        slot[0] = chosen;
+        slot[1] = src;
+        slot[2] = (int)(cut_before - cut_w);
         n_moves++;
 
         if (cut_w < *best_cut) {
@@ -467,7 +470,7 @@ rollback(pass_t *p, Py_ssize_t n_moves, Py_ssize_t best_index,
     if (tail == 0)
         return;
     for (Py_ssize_t i = n_moves - 1; i >= best_index; i--) {
-        int v = p->moves[2 * i], original = p->moves[2 * i + 1];
+        int v = p->moves[3 * i], original = p->moves[3 * i + 1];
         double area = p->areas[v];
         p->part_area[1 - original] -= area;
         p->part_area[original] += area;
@@ -480,11 +483,11 @@ rollback(pass_t *p, Py_ssize_t n_moves, Py_ssize_t best_index,
         copy_ints(p->c[1], saved + n + m, m);
         copy_ints(p->spans, saved + n + 2 * m, m);
         for (Py_ssize_t i = 0; i < best_index; i++)
-            shift(p, p->moves[2 * i], 1 - p->moves[2 * i + 1]);
+            shift(p, p->moves[3 * i], 1 - p->moves[3 * i + 1]);
     }
     else {
         for (Py_ssize_t i = n_moves - 1; i >= best_index; i--)
-            shift(p, p->moves[2 * i], p->moves[2 * i + 1]);
+            shift(p, p->moves[3 * i], p->moves[3 * i + 1]);
     }
 }
 
@@ -496,10 +499,11 @@ PyDoc_STRVAR(fm_pass_doc,
 "Run one FM (clip=0) or CLIP (clip=1) pass with LIFO buckets and roll\n"
 "it back to its best prefix.  The state buffers (array 'i', part_area\n"
 "array 'd') are updated in place; fixed is one byte per module; moves\n"
-"receives the pass's (module, side) pairs.  early_stall < 0 means no\n"
-"early exit.  Returns (moves, best_index, cut, soed, inserted): the\n"
-"objectives are those at the best prefix.  Raises OverflowError when a\n"
-"gain leaves the bucket range.");
+"receives the pass's (module, side, gain) triples, gain being the drop\n"
+"in internal cut.  early_stall < 0 means no early exit.  Returns\n"
+"(moves, best_index, cut, soed, inserted): the objectives are those at\n"
+"the best prefix.  Raises OverflowError when a gain leaves the bucket\n"
+"range.");
 
 static PyObject *
 fm_pass(PyObject *self, PyObject *args)
@@ -557,7 +561,7 @@ fm_pass(PyObject *self, PyObject *args)
                         "module");
         goto done;
     }
-    GET(12, 1, 'i', 2 * n, "moves");
+    GET(12, 1, 'i', 3 * n, "moves");
 #undef GET
     if (((const int *)b[5].buf)[m] * (Py_ssize_t)sizeof(int) != b[6].len
             || ((const int *)b[7].buf)[n] * (Py_ssize_t)sizeof(int)

@@ -23,14 +23,19 @@ locals and inlines the per-pin gain bumps.  One Python loop,
 :func:`_rollback_csr` undoes the discarded tail move by move.
 
 When the C compiler is at hand, the common configuration (LIFO
-buckets, no boundary mode, no lookahead, recorder off) runs a compiled
-port of the whole pass instead (``_pass.c``, built on first use by
+buckets, no boundary mode, no lookahead) runs a compiled port of the
+whole pass instead (``_pass.c``, built on first use by
 :mod:`repro.fm.native`): initial gains, bucket fill, the move loop with
 a two-pin fast path, and a rollback from the shorter side of the best
 prefix, over ``array`` copies of the state made once per call
 (:func:`_c_pass`).  It makes the same moves, picks the same best prefix
 and leaves the same state; the Python loop is its reference and its
 fallback.
+
+Both loops hand back each move as a ``(module, side, gain)`` triple,
+``gain`` being the drop in internal cut, so a recorded run takes the
+same loop as an unrecorded one: :func:`fm_bipartition` writes one
+``pass`` event per pass from those triples (:mod:`repro.obs.recorder`).
 """
 
 from __future__ import annotations
@@ -199,7 +204,7 @@ def _lookahead_vector(state: PartitionState, locked_counts, v: int,
 def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                    locked: List[bool], locked_counts, config: FMConfig,
                    areas, lower: float, upper: float
-                   ) -> Tuple[List[Tuple[int, int]], int]:
+                   ) -> Tuple[List[Tuple[int, int, int]], int]:
     """One FM pass's select/move/update loop over the kernel lists.
 
     Selection takes the highest-gain balance-feasible module (with
@@ -208,21 +213,18 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     run in two phases around the move — phase A off the pre-move
     counts, phase B off the post-move counts — with the kernel lists
     bound locally and the buckets' O(1) relink ``update``.  Returns
-    the pass's ``(module, original side)`` list and the length of its
-    best prefix.  A gain pushed outside the bucket range (gains that
+    the pass's ``(module, original side, gain)`` list, ``gain`` being
+    the move's drop in internal cut, and the length of its best
+    prefix.  A gain pushed outside the bucket range (gains that
     disagree with the state) raises :class:`PartitionError`.
 
     This is the only Python pass loop: every bucket discipline,
-    boundary mode, lookahead and decision recording run here.  It is
-    also the reference of the compiled pass (``_pass.c``), which
-    :func:`fm_bipartition` runs instead in the common configuration —
-    LIFO buckets, no boundary mode, no lookahead, recorder off — when
-    it loads: that pass makes exactly this loop's moves in this loop's
-    bucket order, so recording through here sees the identical
-    decisions while the hot path stays free of instrumentation.
+    boundary mode and lookahead run here.  It is also the reference of
+    the compiled pass (``_pass.c``), which :func:`fm_bipartition` runs
+    instead in the common configuration — LIFO buckets, no boundary
+    mode, no lookahead — when it loads: that pass makes exactly this
+    loop's moves in this loop's bucket order.
     """
-    rec = recorder()
-    rec_on = rec.enabled
     cut_prev = state.cut_weight
     hg = state.hg
     module_nets = hg.module_nets
@@ -237,7 +239,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     update = buckets.update
     iter_desc = buckets.iter_desc
 
-    moves: List[Tuple[int, int]] = []
+    moves: List[Tuple[int, int, int]] = []
     best_cut = state.cut_weight
     best_index = 0
     stall = 0
@@ -328,13 +330,9 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                                 break
 
             state.move(chosen, dst)
-            moves.append((chosen, src))
-            if rec_on:
-                cut_rec = state.cut_weight
-                rec.emit({"t": "mv", "i": len(moves) - 1, "m": chosen,
-                          "s": src, "g": cut_prev - cut_rec, "c": cut_rec,
-                          "a0": part_area[0]})
-                cut_prev = cut_rec
+            cut_now = state.cut_weight
+            moves.append((chosen, src, cut_prev - cut_now))
+            cut_prev = cut_now
             if locked_counts is not None:
                 bumped = locked_counts[dst]
                 for e in incident:
@@ -380,7 +378,6 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                     buckets.insert(u, gains[u])
                 pending.clear()
 
-            cut_now = state.cut_weight
             if cut_now < best_cut:
                 best_cut = cut_now
                 best_index = len(moves)
@@ -397,13 +394,14 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     return moves, best_index
 
 
-def _rollback_csr(state: PartitionState, moves: List[Tuple[int, int]],
+def _rollback_csr(state: PartitionState,
+                  moves: List[Tuple[int, int, int]],
                   best_index: int) -> None:
     """Roll the state back to the best prefix ``moves[:best_index]``:
     undo the discarded tail with :meth:`PartitionState.move`, last move
     first, which restores the objectives too."""
     move = state.move
-    for v, original in reversed(moves[best_index:]):
+    for v, original, _ in reversed(moves[best_index:]):
         move(v, original)
 
 
@@ -429,8 +427,9 @@ def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
     """One compiled pass over a :func:`_to_buffers` state: initial
     gains, bucket fill, :func:`_move_loop_csr`'s moves and the rollback
     to its best prefix.  ``moves`` receives the pass's
-    ``(module, side)`` pairs flattened; returns the number of moves,
-    the best prefix length and the number of modules inserted."""
+    ``(module, side, gain)`` triples flattened; returns the number of
+    moves, the best prefix length and the number of modules
+    inserted."""
     c0, c1 = state.counts
     try:
         n_moves, best_index, cut_w, soed_w, inserted = kernel.fm_pass(
@@ -499,10 +498,11 @@ def prepare_start(hg: Hypergraph, initial: Optional[Partition],
 def _py_pass(state: PartitionState, config: FMConfig,
              fixed: Optional[List[bool]], candidates, bucket_range: int,
              rng: random.Random, lower: float, upper: float
-             ) -> Tuple[int, int, int]:
+             ) -> Tuple[List[Tuple[int, int, int]], int, int]:
     """One pass in Python: fill the buckets, run the move loop, roll
-    back to the best prefix.  Returns the number of moves, the best
-    prefix length and the number of modules inserted."""
+    back to the best prefix.  Returns the pass's ``(module, side,
+    gain)`` moves, the best prefix length and the number of modules
+    inserted."""
     hg = state.hg
     part_of = state.part_of
     buckets = make_buckets(hg.num_modules, bucket_range,
@@ -554,7 +554,7 @@ def _py_pass(state: PartitionState, config: FMConfig,
                                        locked_counts, config,
                                        hg.areas_list, lower, upper)
     _rollback_csr(state, moves, best_index)
-    return len(moves), best_index, inserted
+    return moves, best_index, inserted
 
 
 def fm_bipartition(hg: Hypergraph,
@@ -614,7 +614,7 @@ def fm_bipartition(hg: Hypergraph,
 
     # The common configuration runs the compiled pass when it loads.
     kernel = None
-    if (not rec_on and config.lookahead <= 1 and not config.boundary
+    if (config.lookahead <= 1 and not config.boundary
             and config.bucket_policy == "lifo"):
         kernel = _compiled_pass()
     if kernel is not None:
@@ -622,7 +622,7 @@ def fm_bipartition(hg: Hypergraph,
         csr = hg.active_csr(config.max_net_size)
         fixed_bytes = (bytes(map(bool, fixed)) if fixed is not None
                        else bytes(hg.num_modules))
-        move_buf = array("i", [0]) * (2 * hg.num_modules)
+        move_buf = array("i", [0]) * (3 * hg.num_modules)
 
     while passes < max_passes:
         passes += 1
@@ -632,15 +632,23 @@ def fm_bipartition(hg: Hypergraph,
             n_moves, best_index, bucket_inserts = _c_pass(
                 kernel, state, csr, fixed_bytes, move_buf, config.clip,
                 bucket_range, lower, upper, config.early_exit_stall)
+            if rec_on:
+                modules = move_buf[0:3 * n_moves:3].tolist()
+                gains = move_buf[2:3 * n_moves:3].tolist()
         else:
-            n_moves, best_index, bucket_inserts = _py_pass(
+            moves, best_index, bucket_inserts = _py_pass(
                 state, config, fixed, candidates, bucket_range, rng,
                 lower, upper)
+            n_moves = len(moves)
+            if rec_on:
+                modules = [v for v, _, _ in moves]
+                gains = [g for _, _, g in moves]
         total_moves += n_moves
         pass_cuts.append(state.cut_weight)
         if rec_on:
             rec.emit({"t": "pass", "p": passes, "k": best_index,
-                      "mv": n_moves, "c": state.cut_weight})
+                      "mv": n_moves, "c": state.cut_weight,
+                      "a0": state.part_area[0], "m": modules, "g": gains})
 
         if trace_on:
             # Every counter here is a pure function of the move

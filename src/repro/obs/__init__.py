@@ -13,8 +13,9 @@ overhead when disabled**:
   captures per-level coarsening spans, per-pass FM telemetry, and
   per-start portfolio spans (merged across worker processes);
 * :mod:`repro.obs.recorder` — decisions: the flight recorder's compact
-  JSONL stream of every coarsening merge, FM/CLIP/batched move, and
-  pass/level boundary (``--record``, ``GET /record``);
+  JSONL stream of each Match call's pairs, each FM/CLIP pass's moves
+  and gains, and the level boundaries (``--record``,
+  ``GET /record``);
 * :mod:`repro.obs.metrics` — counters/gauges/histograms rendered in
   the Prometheus text format.  ``with collecting_metrics() as reg:``;
 * :mod:`repro.obs.log` — the quiet-by-default ``repro.*`` stdlib

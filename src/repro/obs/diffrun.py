@@ -12,7 +12,9 @@ Alignment rules (DESIGN.md §16 is normative):
    start-by-start on the start index — a parallel executor may write
    blocks in completion order, so file order is never compared.
 2. Within a start, only *decision* events participate in alignment:
-   ``merge``, ``mv``, ``batch``, ``polish``.  Structural markers
+   ``merge``, ``mv``, ``batch``, ``polish`` (a new recording's
+   ``match`` and ``pass`` lists are read as the ``merge`` and ``mv``
+   events they stand for, see :func:`repro.obs.group_starts`).  Structural markers
    (``level``, ``fm``, ``pass``…) provide context but cannot diverge
    on their own — a differing structure always follows a differing
    decision (or a differing event *count*, reported as exhaustion).

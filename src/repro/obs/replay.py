@@ -1,9 +1,11 @@
 """Replay engine: re-run a decision recording and audit every step.
 
 A recording (see :mod:`repro.obs.recorder`) is a complete decision
-transcript — merges, refinement starting assignments, every move with
-its claimed gain/cut/balance.  This module re-applies that transcript
-against fresh structures built from the *finest netlist only*:
+transcript — Match's pairs, refinement starting assignments, every
+pass's moves with the gain the engine claimed for each.  This module
+re-applies that transcript, as :func:`~repro.obs.recorder.group_starts`
+expands it into ``merge`` and ``mv`` events, against fresh structures
+built from the *finest netlist only*:
 
 * coarse netlists are **rebuilt**, not trusted: the ``merge`` events of
   each confirmed ``level`` reconstruct the clustering (clusters are
@@ -12,11 +14,12 @@ against fresh structures built from the *finest netlist only*:
   given a clustering — produces the coarse netlist;
 * each ``fm`` block builds a fresh
   :class:`~repro.partition.PartitionState` from the recorded ``init``
-  assignment and replays the move stream, checking the engine's
-  incremental cut / gain / balance bookkeeping *per move* against the
-  state's independent implementation;
+  assignment and replays the move stream, checking the gain the FM
+  pass (compiled or Python) computed for each move, and the cut those
+  gains add up to, against the state's independent implementation;
 * ``pass`` boundaries roll back to the recorded best prefix and check
-  the post-rollback cut; ``batch``/``polish`` events (written by the
+  the post-rollback cut and side-0 area; ``batch``/``polish`` events
+  (written by the
   batch engine of the since-removed ``mlb`` algorithm) apply its flips
   and check its cut reductions;
 * the ``result`` footer is the bit-identity target: its assignment
@@ -30,12 +33,16 @@ an old ``mlb`` recording audits the batch engine's cuts with the
 scalar state arithmetic, and replaying an exact-engine recording
 audits its incremental bookkeeping the same way.
 
+A malformed recording is reported, never raised: an event missing a
+key or carrying one of the wrong type, a module id out of range, or a
+list event whose lists disagree each become one named mismatch.
+
 Netlist registry: rebuilt coarse netlists are keyed by module count
 (coarsening strictly shrinks the count, and v-cycle chains re-register
 their own levels before referencing them), latest registration wins.
-Area comparisons are exact for sequential moves (identical arithmetic
-order) and tolerance-based for batched events (cumulative sums
-reassociate).
+Area comparisons are exact for sequential moves and passes (identical
+arithmetic order) and tolerance-based for batched events (cumulative
+sums reassociate).
 """
 
 from __future__ import annotations
@@ -46,13 +53,47 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ReproError
 from ..hypergraph import Hypergraph
-from .recorder import group_starts, read_record
+from .recorder import group_starts, match_error, pass_error, read_record
 
 __all__ = ["ReplayError", "ReplayReport", "clustering_from_merges",
            "replay_events", "replay_recording"]
 
 #: Absolute tolerance for area checks on batched (reassociated) sums.
 _AREA_EPS = 1e-6
+
+#: The keys each replayed event kind must carry, with their types
+#: (``None`` allowed where listed; a bool is not an int).
+_FIELDS = {
+    "match": (("p", list),),
+    "merge": (("v", int), ("w", int)),
+    "level": (("n", int), ("c", int)),
+    "fm": (("n", int), ("mns", (int, None)), ("c", int), ("init", str)),
+    "mv": (("i", int), ("m", int), ("s", int), ("g", int), ("c", int)),
+    "pass": (("p", int), ("k", int), ("c", int)),
+    "batch": (("mods", list), ("c", int)),
+    "polish": (("mods", list), ("c", int)),
+    "result": (("cut", int),),
+}
+
+
+#: Event kinds inside a refinement block: a malformed one ends the
+#: block's audit.
+_BLOCK_EVENTS = ("fm", "mv", "pass", "batch", "polish")
+
+
+def _field_error(ev) -> Optional[str]:
+    """The first required key of ``ev`` that is missing or mistyped."""
+    t = ev.get("t")
+    for key, kinds in _FIELDS[t]:
+        if key not in ev:
+            return f"{t} event lacks {key!r}"
+        value = ev[key]
+        kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+        if not any(value is None if kind is None
+                   else type(value) is kind for kind in kinds):
+            return (f"{t} event: {key!r} is "
+                    f"{type(value).__name__} {value!r}")
+    return None
 
 
 class ReplayError(ReproError):
@@ -120,10 +161,6 @@ def clustering_from_merges(n: int, merges: List[Tuple[int, int]]):
     return Clustering(cluster_of)
 
 
-def _active_nets_list(hg: Hypergraph, max_net_size: int) -> List[int]:
-    return [e for e in hg.all_nets() if hg.net_size(e) <= max_net_size]
-
-
 class _StartReplay:
     """Replay state machine for one start block."""
 
@@ -140,9 +177,23 @@ class _StartReplay:
         self.block_moves: List[Tuple[int, int]] = []   # (module, src)
         self.root_finals: List[List[int]] = []
         self.block_n = 0
+        #: The open block could not be replayed; skip its events.
+        self.abandoned = False
 
     def _fail(self, msg: str) -> None:
         self.report.mismatches.append(f"{self.label}: {msg}")
+
+    def _abandon(self, msg: str) -> None:
+        """Name a fault that leaves the open block unreplayable, and
+        skip the rest of it quietly until the next ``fm`` event."""
+        self._fail(msg)
+        self.state = None
+        self.block_moves = []
+        self.abandoned = True
+
+    def _outside(self, ev) -> None:
+        if not self.abandoned:
+            self._fail(f"{ev['t']} event outside any fm block")
 
     def _close_block(self) -> None:
         if self.state is None:
@@ -156,6 +207,10 @@ class _StartReplay:
 
     # -- event handlers --------------------------------------------------
 
+    def on_match(self, ev) -> None:
+        # group_starts expands every well-formed match event.
+        self._fail(f"match event: {match_error(ev)}")
+
     def on_merge(self, ev) -> None:
         self.pending.append((ev["v"], ev["w"]))
         self.report.merges += 1
@@ -168,8 +223,16 @@ class _StartReplay:
                        f"{ev['n']} modules")
             self.pending = []
             return
-        clustering = clustering_from_merges(fine.num_modules, self.pending)
-        self.pending = []
+        n = fine.num_modules
+        merges, self.pending = self.pending, []
+        bad = next((u for v, w in merges
+                    for u in ((v, w) if w != -1 else (v,))
+                    if not 0 <= u < n), None)
+        if bad is not None:
+            self._fail(f"level {ev.get('l')}: a merge names module {bad}, "
+                       f"out of range for {n} modules")
+            return
+        clustering = clustering_from_merges(n, merges)
         if clustering.num_clusters != ev["c"]:
             self._fail(f"level {ev.get('l')}: reconstructed "
                        f"{clustering.num_clusters} clusters, recording "
@@ -185,25 +248,25 @@ class _StartReplay:
     def on_fm(self, ev) -> None:
         from ..partition import Partition, PartitionState
         self._close_block()
+        self.abandoned = False
         self.pending = []   # merges of a discarded (no-progress) match
         hg = self.netlists.get(ev["n"])
         if hg is None:
-            self._fail(f"fm block: no rebuilt netlist with {ev['n']} "
-                       f"modules (levels missing from recording?)")
+            self._abandon(f"fm block: no rebuilt netlist with {ev['n']} "
+                          f"modules (levels missing from recording?)")
             return
         init = ev["init"]
         if len(init) != hg.num_modules:
-            self._fail(f"fm block: init length {len(init)} != "
-                       f"{hg.num_modules} modules")
+            self._abandon(f"fm block: init length {len(init)} != "
+                          f"{hg.num_modules} modules")
             return
         assignment = [1 if ch == "1" else 0 for ch in init]
-        active = _active_nets_list(hg, ev["mns"])
         self.state = PartitionState(hg, Partition(assignment, 2),
-                                    active_nets=active)
+                                    active_nets=hg.active_nets(ev["mns"]))
         self.block_n = ev["n"]
         self.block_moves = []
         self.report.fm_blocks += 1
-        if "c" in ev and self.state.cut_weight != ev["c"]:
+        if self.state.cut_weight != ev["c"]:
             self._fail(f"fm block ({ev['n']} modules): initial internal "
                        f"cut {self.state.cut_weight} != recorded "
                        f"{ev['c']}")
@@ -211,9 +274,14 @@ class _StartReplay:
     def on_mv(self, ev) -> None:
         state = self.state
         if state is None:
-            self._fail(f"mv event outside any fm block: {ev}")
+            self._outside(ev)
             return
         m, src = ev["m"], ev["s"]
+        n = state.hg.num_modules
+        if not 0 <= m < n:
+            self._abandon(f"mv {ev['i']}: module {m} out of range for "
+                          f"{n} modules")
+            return
         if state.part_of[m] != src:
             self._fail(f"mv {ev['i']}: module {m} is on side "
                        f"{state.part_of[m]}, recording says {src}")
@@ -236,22 +304,42 @@ class _StartReplay:
     def on_pass(self, ev) -> None:
         state = self.state
         if state is None:
-            self._fail(f"pass event outside any fm block: {ev}")
+            self._outside(ev)
+            return
+        if "m" in ev:
+            # group_starts expands every well-formed list event; this
+            # pass's moves are lost, so the block's audit stops here.
+            self._abandon(f"pass {ev['p']}: "
+                          f"{pass_error(ev, state.hg.num_modules)}")
             return
         if not ev.get("np"):
             # Sequential pass: roll back to the recorded best prefix.
             k = ev["k"]
+            if not 0 <= k <= len(self.block_moves):
+                self._fail(f"pass {ev['p']}: best prefix {k} of "
+                           f"{len(self.block_moves)} moves")
+                k = len(self.block_moves)
             for m, original in reversed(self.block_moves[k:]):
                 state.move(m, original)
         if state.cut_weight != ev["c"]:
             self._fail(f"pass {ev['p']}: post-rollback cut "
                        f"{state.cut_weight} != recorded {ev['c']}")
+        if "a0" in ev and state.part_area[0] != ev["a0"]:
+            self._fail(f"pass {ev['p']}: side-0 area "
+                       f"{state.part_area[0]} != recorded {ev['a0']}")
         self.block_moves = []
 
     def on_batch(self, ev) -> None:
         state = self.state
         if state is None:
-            self._fail(f"{ev['t']} event outside any fm block: {ev}")
+            self._outside(ev)
+            return
+        n = state.hg.num_modules
+        bad = next((m for m in ev["mods"]
+                    if type(m) is not int or not 0 <= m < n), None)
+        if bad is not None:
+            self._abandon(f"{ev['t']}: module {bad!r} out of range for "
+                          f"{n} modules")
             return
         for m in ev["mods"]:
             state.move(m, 1 - state.part_of[m])
@@ -270,8 +358,19 @@ class _StartReplay:
         if assign is None:
             return
         k = ev.get("k", 2)
-        assignment = ([int(ch) for ch in assign] if isinstance(assign, str)
-                      else list(assign))
+        if isinstance(assign, str) and assign.isdigit():
+            assignment = [int(ch) for ch in assign]
+        elif isinstance(assign, list) and all(type(p) is int
+                                              for p in assign):
+            assignment = assign
+        else:
+            self._fail(f"result: assign {assign!r} is neither a digit "
+                       f"string nor a list of part ids")
+            return
+        if type(k) is not int or not all(0 <= p < k for p in assignment):
+            self._fail(f"result: assignment names a part outside the "
+                       f"k={k!r} parts")
+            return
         if len(assignment) != self.root.num_modules:
             self._fail(f"result: assignment length {len(assignment)} != "
                        f"{self.root.num_modules} modules")
@@ -301,15 +400,26 @@ def replay_events(events: Iterable[Dict[str, object]], hg: Hypergraph,
         machine = _StartReplay(hg, report, f"start {index}",
                                verify_states=verify_states)
         handlers = {
-            "merge": machine.on_merge, "level": machine.on_level,
-            "fm": machine.on_fm, "mv": machine.on_mv,
-            "pass": machine.on_pass, "batch": machine.on_batch,
-            "polish": machine.on_batch, "result": machine.on_result,
+            "match": machine.on_match, "merge": machine.on_merge,
+            "level": machine.on_level, "fm": machine.on_fm,
+            "mv": machine.on_mv, "pass": machine.on_pass,
+            "batch": machine.on_batch, "polish": machine.on_batch,
+            "result": machine.on_result,
         }
         for ev in blocks[index]:
-            handler = handlers.get(ev.get("t"))
-            if handler is not None:
+            t = ev.get("t")
+            handler = handlers.get(t)
+            if handler is None:
+                continue
+            problem = _field_error(ev)
+            if problem is None:
                 handler(ev)
+            elif t in _BLOCK_EVENTS:
+                if t == "fm":
+                    machine._close_block()   # the block before is whole
+                machine._abandon(problem)
+            else:
+                machine._fail(problem)
         machine._close_block()
     return report
 

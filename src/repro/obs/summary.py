@@ -31,8 +31,9 @@ All counters are pure functions of the move sequence, so everything
 but the timings is stable for a fixed seed.
 
 **Recordings** (:func:`decision_report`).  One walk per start of a
-:mod:`repro.obs.recorder` stream yields its decisions (the events in
-``DECISION_EVENTS``, merges included) with their enclosing ``fm``
+:mod:`repro.obs.recorder` stream, as ``group_starts`` expands it,
+yields its decisions (the events in ``DECISION_EVENTS``, merges
+included) with their enclosing ``fm``
 event, the cut-vs-decision-ordinal curve and the per-pass gain
 histograms.  ``repro report --record`` shows the histograms and the
 curve; ``repro diff-run`` aligns two recordings' walks and overlays

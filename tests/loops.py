@@ -4,8 +4,8 @@ The common FM configuration runs the compiled pass when it loads
 (:mod:`repro.fm.native`) and the Python loop otherwise; the two must
 give the same answers.  :func:`each_loop` runs a block under both,
 switching to the Python loop by patching the loader's handle, and
-:func:`watch_passes` sees the moves, best prefix and post-rollback
-state of every pass, whichever loop ran it.
+:func:`watch_passes` sees the moves (with their gains), best prefix
+and post-rollback state of every pass, whichever loop ran it.
 """
 
 import pytest
@@ -31,15 +31,15 @@ def each_loop():
 def watch_passes(monkeypatch, check) -> None:
     """Call ``check(state, moves, best_index)`` after every pass of
     either loop, once it has rolled back; ``moves`` is the pass's
-    ``(module, side)`` list."""
+    ``(module, side, gain)`` list."""
     c_pass = engine._c_pass
     rollback = engine._rollback_csr
 
     def c_hook(kernel, state, csr, fixed, moves, *rest):
         n, best_index, inserted = c_pass(kernel, state, csr, fixed, moves,
                                          *rest)
-        check(state, list(zip(moves[0:2 * n:2], moves[1:2 * n:2])),
-              best_index)
+        check(state, list(zip(moves[0:3 * n:3], moves[1:3 * n:3],
+                              moves[2:3 * n:3])), best_index)
         return n, best_index, inserted
 
     def py_hook(state, moves, best_index):

@@ -161,7 +161,7 @@ class TestExactPassDegenerate:
         with pytest.raises(PartitionError, match="outside bucket range"):
             engine._c_pass(engine._compiled_pass(), state,
                            hg.active_csr(None), bytes(2),
-                           array("i", [0] * 4), False, 3, 0.0, 2.0,
+                           array("i", [0] * 6), False, 3, 0.0, 2.0,
                            None)
 
 

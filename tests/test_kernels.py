@@ -505,7 +505,8 @@ def _traced_passes(monkeypatch, hg, config, fixed, loop):
 
 def test_inlined_and_generic_loops_agree(monkeypatch):
     # The compiled pass (when it builds) against the Python loop: same
-    # moves, best prefix and post-rollback state on every pass.
+    # moves with the same gains, best prefix and post-rollback state on
+    # every pass.
     for hg, config, fixed in _exact_pass_cases():
         want, r_want = _traced_passes(monkeypatch, hg, config, fixed, "py")
         assert any(moves for moves, _, _ in want), hg.name
@@ -534,9 +535,9 @@ def test_rollback_directions_agree(monkeypatch):
 
     def check(state, moves, best_index):
         ref = before.pop()
-        for v, original in moves:
+        for v, original, _ in moves:
             ref.move(v, 1 - original)
-        for v, original in reversed(moves[best_index:]):
+        for v, original, _ in reversed(moves[best_index:]):
             ref.move(v, original)
         assert _exact_view(state) == _exact_view(ref), (best_index, moves)
         n = len(moves)

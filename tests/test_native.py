@@ -175,7 +175,7 @@ def test_pass_rejects_mismatched_buffers():
                     part_area=array("d", [0.0, 0.0]), xpins=xpins,
                     pins=pins, xinc=xinc, inc=inc, weights=weights,
                     areas=areas, fixed=bytes(n),
-                    moves=array("i", [0] * (2 * n)))
+                    moves=array("i", [0] * (3 * n)))
         args.update(override)
         return native.load().fm_pass(*args.values(), 0, 4, 0.0, 40.0, -1,
                                      0, 0)

@@ -28,6 +28,8 @@ from repro.obs import (BufferSink, MetricsRegistry,
                        summarize_trace, tracer, tracing)
 from repro.runtime import Portfolio, execute
 
+from .loops import each_loop
+
 
 def _ml() -> Algorithm:
     return Algorithm("MLC", lambda hg, s: ml_bipartition(hg, seed=s))
@@ -149,44 +151,54 @@ class TestSpanNesting:
 class TestCrossModeTelemetry:
     """fm.pass counters are identical across the two move loops.
 
-    A traced run with the recorder off takes the compiled pass when it
-    loads; a recorded run takes the Python loop. Their per-pass span
-    counters, pass cuts and final assignments must agree, and the
-    recorded run's spans must agree with its own ``pass`` events.
+    A recorded run takes the same pass loop as an unrecorded one.  On
+    each loop, a traced run's per-pass span counters, pass cuts and
+    final assignments agree with a traced and recorded run's, and the
+    recorded run's spans agree with its own ``pass`` events; both
+    loops emit identical spans and ``pass`` events.
     """
 
     @pytest.mark.parametrize("engine_seed", [2, 11])
     def test_pass_counters_identical(self, medium_hg, engine_seed):
-        bare_sink = BufferSink()
-        with tracing(bare_sink):
-            bare = fm_bipartition(medium_hg, seed=engine_seed)
-        traced_sink = BufferSink()
-        taped = BufferSink()
-        previous = set_recorder(taped)
-        try:
-            with tracing(traced_sink):
-                traced = fm_bipartition(medium_hg, seed=engine_seed)
-        finally:
-            set_recorder(previous)
-        bare_passes = [e["args"] for e in
-                       _events_named(bare_sink.events, "fm.pass")]
-        ref_passes = [e["args"] for e in
-                      _events_named(traced_sink.events, "fm.pass")]
-        assert len(ref_passes) >= 1
-        assert bare_passes == ref_passes
-        assert bare.cut == traced.cut
-        assert bare.pass_cuts == traced.pass_cuts
-        assert bare.partition.assignment == traced.partition.assignment
-        recorded = [e for e in taped.drain() if e["t"] == "pass"]
-        assert [(a["pass"], a["moves_attempted"], a["moves_committed"],
-                 a["cut_after"]) for a in ref_passes] == \
-            [(e["p"], e["mv"], e["k"], e["c"]) for e in recorded]
-        assert [a["cut_after"] for a in ref_passes] == traced.pass_cuts
-        for args in ref_passes:
-            assert args["moves_attempted"] >= args["moves_committed"]
-            assert args["rollback_depth"] == (args["moves_attempted"]
-                                              - args["moves_committed"])
-            assert args["gain"] == args["cut_before"] - args["cut_after"]
+        per_loop = []
+        for loop in each_loop():
+            bare_sink = BufferSink()
+            with tracing(bare_sink):
+                bare = fm_bipartition(medium_hg, seed=engine_seed)
+            traced_sink = BufferSink()
+            taped = BufferSink()
+            previous = set_recorder(taped)
+            try:
+                with tracing(traced_sink):
+                    traced = fm_bipartition(medium_hg, seed=engine_seed)
+            finally:
+                set_recorder(previous)
+            bare_passes = [e["args"] for e in
+                           _events_named(bare_sink.events, "fm.pass")]
+            ref_passes = [e["args"] for e in
+                          _events_named(traced_sink.events, "fm.pass")]
+            assert len(ref_passes) >= 1
+            assert bare_passes == ref_passes
+            assert bare.cut == traced.cut
+            assert bare.pass_cuts == traced.pass_cuts
+            assert bare.partition.assignment == traced.partition.assignment
+            assert [e["args"]["loop"] for e in _events_named(
+                traced_sink.events, "fm.run")] == [loop]
+            recorded = [e for e in taped.drain() if e["t"] == "pass"]
+            assert [(a["pass"], a["moves_attempted"], a["moves_committed"],
+                     a["cut_after"]) for a in ref_passes] == \
+                [(e["p"], e["mv"], e["k"], e["c"]) for e in recorded]
+            assert [a["cut_after"] for a in ref_passes] == traced.pass_cuts
+            for args in ref_passes:
+                assert args["moves_attempted"] >= args["moves_committed"]
+                assert args["rollback_depth"] == (args["moves_attempted"]
+                                                  - args["moves_committed"])
+                assert args["gain"] == (args["cut_before"]
+                                        - args["cut_after"])
+            for args, event in zip(ref_passes, recorded):
+                assert sum(event["g"][:event["k"]]) == args["gain"]
+            per_loop.append((ref_passes, recorded))
+        assert all(run == per_loop[0] for run in per_loop)
 
 
 @pytest.mark.parallel

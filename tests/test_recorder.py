@@ -5,8 +5,11 @@ Covers the observability acceptance criteria end to end:
 * the recorder is a true no-op by default and never perturbs results;
 * replaying a recording reproduces the exact final cut and assignment
   (bit-identical), serially and from the process pool, and
-  ``--verify-states`` audits every pinned exact configuration, whose
-  audited answers the unrecorded run repeats on either FM pass loop;
+  ``--verify-states`` audits every pinned exact configuration on
+  either FM pass loop, whose recordings are identical and whose
+  answers the unrecorded run repeats;
+* a malformed recording, old vocabulary or new, is a named replay
+  mismatch, never a traceback;
 * ``diff-run`` reports the first diverging decision between two
   recordings (the mlc-vs-mlf fork is pinned on the committed fixtures
   in ``tests/test_cli_views.py``);
@@ -237,27 +240,30 @@ class TestReplay:
                                              tmp_path):
         # The standing oracle for the exact engines' incremental
         # bookkeeping: every recorded move of every configuration
-        # pinned in tests/test_kernels.py re-verified against a fresh
-        # state (k-way refinement records no moves; its result footer
-        # is still re-measured).
-        path = tmp_path / "audit.jsonl"
-        result = execute(Portfolio(Algorithm(name, AUDITED[name]), hier300,
-                                   runs=2, seed=3, record=str(path),
-                                   keep_results=True), jobs=1)
-        report = replay_recording(path, hier300, verify_states=True)
-        assert report.ok, report.render()
-        assert report.results_verified == 2
-        cuts = sorted(e["cut"] for e in read_record(path)
-                      if e["t"] == "result")
-        assert cuts == sorted(r.cut for r in result.records)
-        # Recording routes the pass through the Python loop; the
-        # audited answers are the oracle for the unrecorded run on
-        # each pass loop, the compiled one included.
+        # pinned in tests/test_kernels.py, on each FM pass loop,
+        # re-verified against a fresh state (k-way refinement records
+        # no moves; its result footer is still re-measured).  A
+        # recorded run takes the loop an unrecorded one takes and
+        # gives its answers, and both loops write the same recording.
+        recordings = []
         for loop in each_loop():
+            path = tmp_path / f"audit-{loop}.jsonl"
+            result = execute(Portfolio(Algorithm(name, AUDITED[name]),
+                                       hier300, runs=2, seed=3,
+                                       record=str(path),
+                                       keep_results=True), jobs=1)
+            report = replay_recording(path, hier300, verify_states=True)
+            assert report.ok, (loop, report.render())
+            assert report.results_verified == 2
+            cuts = sorted(e["cut"] for e in read_record(path)
+                          if e["t"] == "result")
+            assert cuts == sorted(r.cut for r in result.records)
             plain = execute(Portfolio(Algorithm(name, AUDITED[name]),
                                       hier300, runs=2, seed=3,
                                       keep_results=True), jobs=1)
             assert _answers(plain) == _answers(result), loop
+            recordings.append(path.read_bytes())
+        assert all(r == recordings[0] for r in recordings)
 
     def test_replay_reads_start_events_with_mode(self, hier300, tmp_path):
         # Recordings from before the kernel mode was removed carry a
@@ -294,8 +300,8 @@ class TestReplay:
         path = tmp_path / "tampered.jsonl"
         _record_portfolio(hier300, path, runs=1, seed=5)
         events = list(read_record(path))
-        victim = next(e for e in events if e["t"] == "mv")
-        victim["c"] += 1  # falsify the post-move cut
+        victim = next(e for e in events if e["t"] == "pass" and e["g"])
+        victim["g"][0] += 1  # falsify the first move's gain
         corrupt = tmp_path / "corrupt.jsonl"
         corrupt.write_text("".join(
             json.dumps(e, separators=(",", ":")) + "\n" for e in events))
@@ -340,6 +346,79 @@ class TestReplay:
         report = replay_recording(record, hier300)
         assert report.ok, report.render()
         assert report.results_verified == len(result.records)
+
+
+def _first(events, kind, where=lambda e: True):
+    return next(e for e in events if e["t"] == kind and where(e))
+
+
+def _has_moves(ev):
+    return bool(ev["m"])
+
+
+#: Damage done to one event of a recording of ``net.hgr``: the committed
+#: fixture for the old vocabulary (``merge`` and ``mv`` events written
+#: out), a fresh recording for the new one (``match`` and ``pass``
+#: lists).
+MALFORMED = {
+    "old-mv-lacks-cut": ("old", lambda evs: _first(evs, "mv").pop("c")),
+    "old-mv-module-is-str": ("old", lambda evs: _first(evs, "mv").update(
+        m=str(_first(evs, "mv")["m"]))),
+    "old-mv-module-out-of-range": ("old", lambda evs: _first(
+        evs, "mv").update(m=10 ** 6)),
+    "old-merge-module-negative": ("old", lambda evs: _first(
+        evs, "merge").update(v=-3)),
+    "old-fm-init-is-int": ("old", lambda evs: _first(evs, "fm").update(
+        init=101)),
+    "old-pass-lacks-k": ("old", lambda evs: _first(evs, "pass").pop("k")),
+    "new-pass-g-short": ("new", lambda evs: _first(
+        evs, "pass", _has_moves)["g"].pop()),
+    "new-pass-mv-disagrees": ("new", lambda evs: _first(
+        evs, "pass", _has_moves).update(mv=0)),
+    "new-pass-module-out-of-range": ("new", lambda evs: _first(
+        evs, "pass", _has_moves)["m"].__setitem__(0, 10 ** 6)),
+    "new-pass-gain-is-str": ("new", lambda evs: _first(
+        evs, "pass", _has_moves)["g"].__setitem__(0, "1")),
+    "new-pass-lacks-k": ("new", lambda evs: _first(evs, "pass").pop("k")),
+    "new-match-odd-length": ("new", lambda evs: _first(
+        evs, "match")["p"].pop()),
+    "new-match-module-out-of-range": ("new", lambda evs: _first(
+        evs, "match")["p"].__setitem__(0, 10 ** 6)),
+    "new-fm-init-is-int": ("new", lambda evs: _first(evs, "fm").update(
+        init=101)),
+    "new-fm-lacks-cut": ("new", lambda evs: _first(evs, "fm").pop("c")),
+}
+
+
+class TestMalformedRecording:
+    """``repro replay`` names every kind of damage as a mismatch and
+    exits 1; it never raises."""
+
+    @pytest.fixture(scope="class")
+    def recordings(self, tmp_path_factory):
+        from repro.cli import main
+        new = tmp_path_factory.mktemp("new") / "mlc.record.jsonl"
+        assert main(["partition", str(DATA / "net.hgr"), "--algorithm",
+                     "mlc", "--seed", "1", "--runs", "2",
+                     "--record", str(new)]) == 0
+        return {"old": DATA / "mlc.record.jsonl", "new": new}
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_damage_is_a_named_mismatch(self, damage, recordings,
+                                        tmp_path, capsys):
+        from repro.cli import main
+        vocabulary, mutate = MALFORMED[damage]
+        events = list(read_record(recordings[vocabulary]))
+        assert {"old": "mv", "new": "match"}[vocabulary] in \
+            {e["t"] for e in events}
+        mutate(events)
+        path = tmp_path / "damaged.jsonl"
+        path.write_text("".join(
+            json.dumps(e, separators=(",", ":")) + "\n" for e in events))
+        capsys.readouterr()
+        assert main(["replay", str(path), str(DATA / "net.hgr"),
+                     "--verify-states"]) == 1
+        assert "MISMATCHES" in capsys.readouterr().out
 
 
 class TestDiffRun:
@@ -452,7 +531,8 @@ class TestServiceRecording:
         payload = payloads[0]
         assert payload["record"] == f"/record/{payload['id']}"
         path = engine.spooled_file("record", payload["id"])
-        events = list(read_record(path))
+        events = [e for block in group_starts(read_record(path)).values()
+                  for e in block]
         kinds = {e["t"] for e in events}
         assert {"start", "mv", "result"} <= kinds
         results = [e for e in events if e["t"] == "result"]

@@ -162,7 +162,7 @@ class TestEndpoints:
         assert any(e.get("ph") == "X" for e in events)
 
     def test_record_download(self, tiny_hg, tmp_path):
-        from repro.obs import read_record, replay_recording
+        from repro.obs import group_starts, read_record, replay_recording
         with _ServerThread() as srv, srv.client() as client:
             payload = client.partition(_body(tiny_hg, record=True))
             assert payload["record"] == f"/record/{payload['id']}"
@@ -172,7 +172,8 @@ class TestEndpoints:
             assert exc.value.status == 404
         copy = tmp_path / "downloaded.record.jsonl"
         copy.write_bytes(raw)
-        events = list(read_record(str(copy)))
+        events = [e for block in group_starts(read_record(str(copy)))
+                  .values() for e in block]
         assert {e["t"] for e in events} >= {"start", "mv", "result"}
         # The downloaded stream is a full flight recording: it replays
         # clean against the same netlist, final partitions included.
