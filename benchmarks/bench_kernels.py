@@ -1,21 +1,22 @@
-"""The compiled FM pass against the Python loop, for mlc and mlf.
+"""The compiled level kernels against their Python references, for
+mlc and mlf.
 
 One table over the Table I-calibrated synthetic suite.  For each
 circuit and each of ML_C (``mlc``) and ML_F (``mlf``), the same seeds
-run once on the compiled pass (:mod:`repro.fm.native`) and once on the
-Python loop (the loader handle patched to ``None``), each cell in a
-fresh subprocess.  The two sides must return identical cuts and
-assignments (asserted per cell), so their wall ratio is a like-for-like
-speedup.  Each side's wall per run is split into layers, measured by
-wrapping the function that owns each one:
+run once on the compiled kernels (:mod:`repro.fm.native`: Match,
+Induce, the state sweep and the FM pass) and once on Python (the
+loader handle patched to ``None``), each cell in a fresh subprocess.
+The two sides must return identical cuts and assignments (asserted per
+cell), so their wall ratio is a like-for-like speedup.  Each side's
+wall per run is split into layers, measured by wrapping the function
+that owns each one:
 
-* ``conversion`` — ``Hypergraph.active_csr`` and the state's copy into
-  ``array`` buffers (compiled side only);
 * ``pass`` — the C ``fm_pass`` calls, or the Python ``_py_pass`` calls;
-* ``fm_other`` — the rest of ``fm_bipartition``: start, state build,
-  final cut;
-* ``coarsen`` — ``coarsen_step`` (Match and Induce);
-* ``residual`` — wall minus the four: projection and the ML driver.
+* ``fm_other`` — the rest of ``fm_bipartition``: start, state sweep and
+  gain bound, the flat incidence, final cut;
+* ``coarsen`` — ``coarsen_step`` (Match and Induce), compiled on the
+  ``c`` side and Python on the ``py`` side;
+* ``residual`` — wall minus the three: projection and the ML driver.
 
 Repeats of a row run its sides interleaved, and the report keeps each
 side's median.  Script runs (``python benchmarks/bench_kernels.py``)
@@ -45,7 +46,7 @@ import pytest
 from repro import MLConfig, ml_bipartition
 from repro.core import ml
 from repro.fm import engine, native
-from repro.hypergraph import Hypergraph, load_circuit, mini_suite_names
+from repro.hypergraph import load_circuit, mini_suite_names
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "1"))
@@ -53,7 +54,7 @@ REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "1"))
 SEEDS = 3
 ALGORITHMS = {"mlc": "clip", "mlf": "fm"}
 LOOPS = ("c", "py")
-LAYERS = ("conversion", "pass", "fm_other", "coarsen", "residual")
+LAYERS = ("pass", "fm_other", "coarsen", "residual")
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -82,14 +83,12 @@ def run_cell(algorithm: str, loop: str, circuit: str, scale: float) -> dict:
     """One measurement, in this process (the child's body)."""
     hg = load_circuit(circuit, scale=scale, seed=0)
     config = MLConfig(engine=ALGORITHMS[algorithm])
-    totals = dict.fromkeys(("conversion", "pass", "fm", "coarsen"), 0.0)
+    totals = dict.fromkeys(("pass", "fm", "coarsen"), 0.0)
     kernel = native.load()
     if loop == "c":
         if kernel is None:
-            raise SystemExit("the compiled pass did not build")
+            raise SystemExit("the compiled kernels did not build")
         _timed(kernel, "fm_pass", totals, "pass")
-        _timed(engine, "_to_buffers", totals, "conversion")
-        _timed(Hypergraph, "active_csr", totals, "conversion")
     else:
         native._module = None
         _timed(engine, "_py_pass", totals, "pass")
@@ -102,9 +101,8 @@ def run_cell(algorithm: str, loop: str, circuit: str, scale: float) -> dict:
         answers.append([result.cut, hashlib.sha256(
             bytes(result.partition.assignment)).hexdigest()[:16]])
     wall = time.perf_counter() - start
-    layers = {"conversion": totals["conversion"], "pass": totals["pass"],
-              "fm_other": (totals["fm"] - totals["conversion"]
-                           - totals["pass"]),
+    layers = {"pass": totals["pass"],
+              "fm_other": totals["fm"] - totals["pass"],
               "coarsen": totals["coarsen"]}
     layers["residual"] = wall - totals["fm"] - totals["coarsen"]
     out = {"wall_s": wall / SEEDS, "peak_rss_mb": _peak_rss_mb(),
@@ -148,8 +146,8 @@ def run_bench() -> dict:
             answers = runs["py"][0]["answers"]
             for loop in LOOPS:
                 assert all(r["answers"] == answers for r in runs[loop]), (
-                    f"{name} {algorithm}: the {loop} loop's answers differ "
-                    f"from the Python loop's")
+                    f"{name} {algorithm}: the {loop} side's answers "
+                    f"differ from the Python side's")
             cuts = [cut for cut, _ in answers]
             row = {"circuit": name, "algorithm": algorithm,
                    "mean_cut": round(statistics.fmean(cuts), 3),
@@ -160,6 +158,8 @@ def run_bench() -> dict:
             row["speedup"] = round(row["py_wall_s"] / row["c_wall_s"], 2)
             row["pass_speedup"] = round(row["py_pass_s"] / row["c_pass_s"],
                                         1)
+            row["coarsen_speedup"] = round(
+                row["py_coarsen_s"] / row["c_coarsen_s"], 1)
             rows.append(row)
 
     largest = max(circuits, key=lambda n: circuits[n]["modules"])
@@ -172,10 +172,10 @@ def run_bench() -> dict:
             "seeds": SEEDS,
             "python": platform.python_version(),
             "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
-            "note": ("Both loops return identical cuts and assignments "
+            "note": ("Both sides return identical cuts and assignments "
                      "(asserted per cell), so speedup is like for like. "
                      "Times are per run (mean over the seeds), median "
-                     "over repeats; residual is wall minus the four "
+                     "over repeats; residual is wall minus the three "
                      "measured layers."),
         },
         "circuits": circuits,
@@ -188,13 +188,15 @@ def run_bench() -> dict:
                for alg in ALGORITHMS},
             **{f"{alg}_pass_speedup": on_largest[alg]["pass_speedup"]
                for alg in ALGORITHMS},
+            **{f"{alg}_coarsen_speedup": on_largest[alg]["coarsen_speedup"]
+               for alg in ALGORITHMS},
         },
     }
 
 
 def print_report(report: dict) -> None:
     meta = report["meta"]
-    print(f"\ncompiled pass vs Python loop (scale={meta['scale']}, "
+    print(f"\ncompiled kernels vs Python (scale={meta['scale']}, "
           f"{meta['seeds']} seeds, median of {meta['repeats']}; "
           f"seconds per run)")
     print(f"{'circuit':>10} {'alg':>4} {'cut':>7} {'loop':>4} {'wall':>8} "
@@ -207,7 +209,8 @@ def print_report(report: dict) -> None:
                   + " ".join(f"{r[f'{loop}_{layer}_s']:10.4f}"
                              for layer in LAYERS))
         print(f"{'':>10} {'':>4} {'':>7} {'':>4} {r['speedup']:7.2f}x "
-              f"(pass {r['pass_speedup']:.1f}x)")
+              f"(pass {r['pass_speedup']:.1f}x, "
+              f"coarsen {r['coarsen_speedup']:.1f}x)")
 
 
 def write_report(report: dict) -> None:
@@ -217,7 +220,7 @@ def write_report(report: dict) -> None:
 
 def test_bench_kernels():
     if native.load() is None:
-        pytest.skip("no C compiler for the compiled pass")
+        pytest.skip("no C compiler for the compiled kernels")
     report = run_bench()
     print_report(report)
     # The committed BENCH_kernels.json is generated by a script run at

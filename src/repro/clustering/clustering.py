@@ -45,6 +45,17 @@ class Clustering:
         self.num_clusters = k
 
     @classmethod
+    def _trusted(cls, cluster_of: List[int],
+                 num_clusters: int) -> "Clustering":
+        """Construct from a pre-validated assignment (contiguous ids
+        ``0..num_clusters-1``, all used), skipping the checks: the
+        compiled Match's path."""
+        self = cls.__new__(cls)
+        self.cluster_of = cluster_of
+        self.num_clusters = num_clusters
+        return self
+
+    @classmethod
     def from_groups(cls, groups: Iterable[Iterable[int]],
                     num_modules: int) -> "Clustering":
         """Build from explicit disjoint module groups covering all modules."""

@@ -11,13 +11,22 @@ This keeps the coarse netlist small while preserving the cut metric
 exactly: the weighted cut of any coarse solution equals the number of
 original nets cut by its projection — an invariant the test suite
 checks across whole hierarchies.
+
+With ``merge_parallel`` the coarse netlist is built compiled when the
+kernel module loads (``induce`` in :mod:`repro.fm.native`), straight
+into the flat layout the next level's kernels read, with no Python
+object per pin.  The Python loop below is its reference and fallback:
+the same cluster areas, summed in module order, and the same coarse
+nets, in first-appearance order with sorted pins and summed weights
+(DESIGN.md §8).
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Tuple
 
-from ..errors import ClusteringError
+from ..errors import ClusteringError, PartitionError
 from ..hypergraph import Hypergraph
 from .clustering import Clustering
 
@@ -32,6 +41,11 @@ def induce(hg: Hypergraph, clustering: Clustering,
             f"hypergraph has {hg.num_modules}")
     cluster_of = clustering.cluster_of
     k = clustering.num_clusters
+    if merge_parallel:
+        from ..fm.native import load
+        kernel = load()
+        if kernel is not None:
+            return _compiled(kernel, hg, cluster_of, k)
 
     module_areas = hg.areas_list
     net_pins = hg.net_pins
@@ -64,3 +78,27 @@ def induce(hg: Hypergraph, clustering: Clustering,
             nets.append(key)
             weights.append(w)
     return Hypergraph._trusted(nets, areas, weights, name=hg.name)
+
+
+def _compiled(kernel, hg: Hypergraph, cluster_of: List[int],
+              k: int) -> Hypergraph:
+    """:func:`induce` with ``merge_parallel`` in C, into buffers sized
+    for the fine netlist and trimmed to the coarse one."""
+    xpins, pins, weights, areas = hg.flat
+    xpins_out = array("i", [0]) * len(xpins)
+    pins_out = array("i", [0]) * len(pins)
+    weights_out = array("q", [0]) * len(weights)
+    areas_out = array("d", [0.0]) * k
+    try:
+        nets, used, largest = kernel.induce(
+            xpins, pins, weights, areas, array("i", cluster_of),
+            xpins_out, pins_out, weights_out, areas_out)
+    except OverflowError as exc:
+        # The Python loop's weight would fail the gain-bound check of
+        # the next refinement with this error class.
+        raise PartitionError(str(exc)) from None
+    del xpins_out[nets + 1:]
+    del pins_out[used:]
+    del weights_out[nets:]
+    return Hypergraph._from_flat((xpins_out, pins_out, weights_out,
+                                  areas_out), hg.name, largest)

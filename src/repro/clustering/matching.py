@@ -19,11 +19,21 @@ becomes a singleton cluster.
 Two simpler schemes are included as coarsening baselines/ablations:
 ``random`` maximal matching (Chaco [22]) and ``heavy`` connectivity
 matching without the area preference (Metis-style heavy-edge [27]).
+
+The ``conn`` and ``heavy`` schemes run compiled (``match`` in
+:mod:`repro.fm.native`) when the kernel module loads; the Python loop
+below is its reference and fallback, and runs ``random``.  Both visit
+modules in the order :func:`repro.rng.random_permutation` draws here,
+so the seed stream is the same, and both pick the same partner: scores
+add up in ``module_nets[v]``-then-``net_pins[e]`` order, and the
+partner is the lowest id among the best scores above 0.0 (DESIGN.md
+§8).
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Dict, List, Optional
 
 from ..errors import ClusteringError, ConfigError
@@ -112,8 +122,27 @@ def match(hg: Hypergraph,
     rng = rng if rng is not None else make_rng(seed)
 
     n = hg.num_modules
-    areas = hg.areas_list
     perm = random_permutation(n, rng)
+    kernel = None
+    if scheme != "random" and n:
+        from ..fm.native import load
+        kernel = load()
+    labels = None
+    if kernel is not None and restrict is not None:
+        try:
+            labels = array("q", restrict)
+        except (TypeError, OverflowError):
+            kernel = None  # labels the int64 layout cannot hold
+    if kernel is not None:
+        cluster_of = array("i", [0]) * n
+        pairs = array("i", [0]) * (2 * n)
+        clusters, opened = kernel.match(
+            *hg.flat, array("i", perm), labels, scheme == "heavy", ratio,
+            max(min(max_conn_net_size, n), 1), cluster_of, pairs)
+        _record(pairs[:2 * opened])
+        return Clustering._trusted(cluster_of.tolist(), clusters)
+
+    areas = hg.areas_list
     matched = [False] * n
     cluster_of = [-1] * n
     num_clusters = 0
@@ -158,12 +187,7 @@ def match(hg: Hypergraph,
             n_match += 2
         pairs += (v, best)
 
-    # Decision recording: one ``match`` event holding the pairings;
-    # the leftover singletons of Steps 8-10 are implicit (ascending ids).
-    from ..obs import recorder
-    rec = recorder()
-    if rec.enabled:
-        rec.emit({"t": "match", "p": pairs})
+    _record(pairs)
 
     # Steps 8-10: every remaining module becomes a singleton cluster.
     for v in range(n):
@@ -172,3 +196,13 @@ def match(hg: Hypergraph,
             num_clusters += 1
 
     return Clustering(cluster_of)
+
+
+def _record(pairs) -> None:
+    """Decision recording: one ``match`` event holding the flat
+    ``(v, partner)`` pairings; the leftover singletons of Steps 8-10
+    are implicit (ascending ids)."""
+    from ..obs import recorder
+    rec = recorder()
+    if rec.enabled:
+        rec.emit({"t": "match", "p": list(pairs)})

@@ -28,4 +28,4 @@ def project(coarse_partition: Partition,
             f"{clustering.num_clusters} clusters")
     coarse = coarse_partition.assignment
     fine = [coarse[c] for c in clustering.cluster_of]
-    return Partition(fine, coarse_partition.k)
+    return Partition._trusted(fine, coarse_partition.k)

@@ -16,7 +16,9 @@ Two implementations share one interface:
   arbitrary removal and O(1) uniform selection.
 
 Gain indices may be any integer in ``[-max_gain, +max_gain]``; CLIP
-doubles ``max_gain`` (Section II-B).
+doubles ``max_gain`` (Section II-B).  :func:`check_gain_bound` refuses
+a ``max_gain`` whose ``2 * max_gain + 1`` buckets a C ``int`` cannot
+index, before any bucket is allocated.
 """
 
 from __future__ import annotations
@@ -24,15 +26,28 @@ from __future__ import annotations
 import random
 from typing import Iterator, List, Optional
 
-from ..errors import ConfigError
+from ..errors import ConfigError, PartitionError
 from ..rng import make_rng
 
 __all__ = ["GainBuckets", "LinkedListBuckets", "RandomBuckets",
-           "make_buckets", "BUCKET_POLICIES"]
+           "make_buckets", "check_gain_bound", "BUCKET_POLICIES"]
 
 BUCKET_POLICIES = ("lifo", "fifo", "random")
 
 _NIL = -1
+#: The largest bucket count: the compiled pass indexes buckets by C int.
+MAX_BUCKETS = 2 ** 31 - 1
+
+
+def check_gain_bound(max_gain: int) -> None:
+    """Refuse a gain bound whose bucket array (``2 * max_gain + 1``
+    buckets) a C ``int`` cannot index — net weights too large for the
+    gain buckets — with a :class:`PartitionError` naming it."""
+    if 2 * max_gain + 1 > MAX_BUCKETS:
+        raise PartitionError(
+            f"gain bound {max_gain} needs {2 * max_gain + 1} gain "
+            f"buckets, more than {MAX_BUCKETS}: the net weights are too "
+            "large to refine")
 
 
 class GainBuckets:

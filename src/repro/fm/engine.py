@@ -23,14 +23,15 @@ locals and inlines the per-pin gain bumps.  One Python loop,
 :func:`_rollback_csr` undoes the discarded tail move by move.
 
 When the C compiler is at hand, the common configuration (LIFO
-buckets, no boundary mode, no lookahead) runs a compiled port of the
-whole pass instead (``_pass.c``, built on first use by
-:mod:`repro.fm.native`): initial gains, bucket fill, the move loop with
-a two-pin fast path, and a rollback from the shorter side of the best
-prefix, over ``array`` copies of the state made once per call
-(:func:`_c_pass`).  It makes the same moves, picks the same best prefix
-and leaves the same state; the Python loop is its reference and its
-fallback.
+buckets, no boundary mode, no lookahead) runs compiled instead
+(``_kernels.c``, built on first use by :mod:`repro.fm.native`): the
+state and the gain bound come from one compiled sweep
+(:meth:`PartitionState.compiled`) into the ``array`` buffers the pass
+writes in place, and each pass — initial gains, bucket fill, the move
+loop with a two-pin fast path, and a rollback from the shorter side of
+the best prefix — is one compiled call (:func:`_c_pass`).  It makes the
+same moves, picks the same best prefix and leaves the same state; the
+Python loop is its reference and its fallback.
 
 Both loops hand back each move as a ``(module, side, gain)`` triple,
 ``gain`` being the drop in internal cut, so a recorded run takes the
@@ -53,7 +54,7 @@ from ..partition import (BalanceConstraint, Partition, PartitionState, cut,
                          random_partition)
 from ..partition.rebalance import rebalance_random
 from ..rng import SeedLike, make_rng
-from .buckets import make_buckets
+from .buckets import check_gain_bound, make_buckets
 from .config import FMConfig
 
 __all__ = ["FMResult", "fm_bipartition"]
@@ -98,47 +99,15 @@ def _module_gain(state: PartitionState, v: int) -> int:
 def _initial_gains(state: PartitionState) -> List[int]:
     """Weighted FM gain of moving each module to the other side."""
     # Single flat sweep: no per-module function call, no per-pin
-    # accessor dispatch.  When every net is active (the usual case)
-    # the per-visit flag test disappears as well.
+    # accessor dispatch.  The compiled pass computes the same vector
+    # in the same module order.
     hg = state.hg
-    module_nets = hg.module_nets
     net_weights = hg.weights_list
     part_of = state.part_of
     c0, c1 = state.counts[0], state.counts[1]
-    gains = [0] * hg.num_modules
-    if len(state._active_nets) == hg.num_nets:
-        # Net-centric sweep: a net contributes to a pin's gain only
-        # when one of its sides holds 0 or 1 pins, so split nets (the
-        # common case) are skipped after two count lookups without
-        # touching their pins.  Integer adds commute, so the vector is
-        # identical to the module-centric accumulation.
-        net_pins = hg.net_pins
-        for e, w in enumerate(net_weights):
-            a = c0[e]
-            b = c1[e]
-            if a == 1:
-                if b == 1:
-                    for u in net_pins[e]:
-                        gains[u] += w
-                else:
-                    for u in net_pins[e]:
-                        if part_of[u] == 0:
-                            gains[u] += w
-                            break
-            elif a == 0:
-                for u in net_pins[e]:
-                    gains[u] -= w
-            elif b == 1:
-                for u in net_pins[e]:
-                    if part_of[u]:
-                        gains[u] += w
-                        break
-            elif b == 0:
-                for u in net_pins[e]:
-                    gains[u] -= w
-        return gains
     active = state.active
-    for v, nets_v in enumerate(module_nets):
+    gains = [0] * hg.num_modules
+    for v, nets_v in enumerate(hg.module_nets):
         if part_of[v]:
             counts_src, counts_dst = c1, c0
         else:
@@ -220,7 +189,7 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
 
     This is the only Python pass loop: every bucket discipline,
     boundary mode and lookahead run here.  It is also the reference of
-    the compiled pass (``_pass.c``), which :func:`fm_bipartition` runs
+    the compiled pass (``_kernels.c``), which :func:`fm_bipartition` runs
     instead in the common configuration — LIFO buckets, no boundary
     mode, no lookahead — when it loads: that pass makes exactly this
     loop's moves in this loop's bucket order.
@@ -406,27 +375,19 @@ def _rollback_csr(state: PartitionState,
 
 
 def _compiled_pass():
-    """The compiled pass module, or ``None`` (see :mod:`repro.fm.native`;
-    imported here so that importing the engine never loads it)."""
+    """The compiled kernel module, or ``None`` (see
+    :mod:`repro.fm.native`; imported here so that importing the engine
+    never loads it)."""
     from .native import load
     return load()
-
-
-def _to_buffers(state: PartitionState) -> None:
-    """Swap the state's lists for ``array`` copies the compiled pass
-    writes in place (same values, same float bits)."""
-    state.part_of = array("i", state.part_of)
-    state.counts = [array("i", c) for c in state.counts]
-    state.spans = array("i", state.spans)
-    state.part_area = array("d", state.part_area)
 
 
 def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
             clip: bool, max_gain: int, lower: float, upper: float,
             early_stall: Optional[int]) -> Tuple[int, int, int]:
-    """One compiled pass over a :func:`_to_buffers` state: initial
-    gains, bucket fill, :func:`_move_loop_csr`'s moves and the rollback
-    to its best prefix.  ``moves`` receives the pass's
+    """One compiled pass over a :meth:`PartitionState.compiled` state:
+    initial gains, bucket fill, :func:`_move_loop_csr`'s moves and the
+    rollback to its best prefix.  ``moves`` receives the pass's
     ``(module, side, gain)`` triples flattened; returns the number of
     moves, the best prefix length and the number of modules
     inserted."""
@@ -468,31 +429,16 @@ def report_run(hg: Hypergraph, config: FMConfig, tr, t_run: int, mx,
                      engine="fm").observe(time.perf_counter() - wall0)
 
 
-def prepare_start(hg: Hypergraph, initial: Optional[Partition],
-                  config: FMConfig, balance: Optional[BalanceConstraint],
-                  rng: random.Random, fixed: Optional[List[bool]]
-                  ) -> Tuple[BalanceConstraint, Partition]:
-    """The balance constraint and the validated, feasible starting
-    bipartition of one refinement call.
-
-    ``initial=None`` draws a random start.  An infeasible start is
-    rebalanced by random moves (Section III-B).
-    """
-    if balance is None:
-        balance = BalanceConstraint.from_tolerance(hg, config.tolerance, k=2)
-    if initial is None:
-        initial = random_partition(hg, k=2, rng=rng)
-    elif initial.k != 2:
-        raise PartitionError(
-            f"bipartition refinement requires k=2, got k={initial.k}")
-    if fixed is not None and len(fixed) != hg.num_modules:
-        raise PartitionError(
-            f"fixed has length {len(fixed)}, expected {hg.num_modules}")
-    if not balance.is_feasible(initial.part_areas(hg)):
-        movable = [not f for f in fixed] if fixed is not None else None
-        initial = rebalance_random(hg, initial, balance, rng=rng,
-                                   movable=movable)
-    return balance, initial
+def _start_state(kernel, hg: Hypergraph, initial: Partition,
+                 config: FMConfig, active_list: Tuple[int, ...]
+                 ) -> Tuple[PartitionState, int]:
+    """The refinement state of ``initial`` and the gain bound: from the
+    compiled sweep when ``kernel`` is loaded, else from the Python
+    sweep and :meth:`Hypergraph.max_weighted_degree`."""
+    if kernel is None:
+        return (PartitionState(hg, initial, active_nets=active_list),
+                hg.max_weighted_degree(config.max_net_size))
+    return PartitionState.compiled(kernel, hg, initial, config.max_net_size)
 
 
 def _py_pass(state: PartitionState, config: FMConfig,
@@ -584,18 +530,39 @@ def fm_bipartition(hg: Hypergraph,
     rec_on = rec.enabled
     t_run = tr.begin() if trace_on else 0
     wall0 = time.perf_counter() if mx.enabled else 0.0
-    balance, initial = prepare_start(hg, initial, config, balance, rng,
-                                     fixed)
+    if balance is None:
+        balance = BalanceConstraint.from_tolerance(hg, config.tolerance, k=2)
+    if initial is None:
+        initial = random_partition(hg, k=2, rng=rng)
+    elif initial.k != 2:
+        raise PartitionError(
+            f"bipartition refinement requires k=2, got k={initial.k}")
+    if fixed is not None and len(fixed) != hg.num_modules:
+        raise PartitionError(
+            f"fixed has length {len(fixed)}, expected {hg.num_modules}")
 
+    # The common configuration runs compiled when the kernels load.
+    kernel = None
+    if (config.lookahead <= 1 and not config.boundary
+            and config.bucket_policy == "lifo"):
+        kernel = _compiled_pass()
     active_list = hg.active_nets(config.max_net_size)
-    state = PartitionState(hg, initial, active_nets=active_list)
+    state, max_gain = _start_state(kernel, hg, initial, config, active_list)
+    if not balance.is_feasible(state.part_area):
+        # An infeasible start is rebalanced by random moves (Section
+        # III-B).
+        movable = [not f for f in fixed] if fixed is not None else None
+        initial = rebalance_random(hg, initial, balance, rng=rng,
+                                   movable=movable)
+        state, max_gain = _start_state(kernel, hg, initial, config,
+                                       active_list)
+    bucket_range = 2 * max_gain if config.clip else max_gain
+    check_gain_bound(bucket_range)
     if rec_on:
         rec.emit({"t": "fm", "l": rec.level, "n": hg.num_modules,
                   "mns": config.max_net_size, "np": 0,
                   "clip": int(config.clip), "c": state.cut_weight,
                   "init": "".join(map(str, initial.assignment))})
-    max_gain = hg.max_weighted_degree(config.max_net_size)
-    bucket_range = 2 * max_gain if config.clip else max_gain
 
     # With every net active the state's incremental cut is the full
     # netlist's (the state tests pin the two equal), so the O(pins)
@@ -612,13 +579,7 @@ def fm_bipartition(hg: Hypergraph,
     candidates = range(hg.num_modules) if fixed is None \
         else [v for v in range(hg.num_modules) if not fixed[v]]
 
-    # The common configuration runs the compiled pass when it loads.
-    kernel = None
-    if (config.lookahead <= 1 and not config.boundary
-            and config.bucket_policy == "lifo"):
-        kernel = _compiled_pass()
     if kernel is not None:
-        _to_buffers(state)
         csr = hg.active_csr(config.max_net_size)
         fixed_bytes = (bytes(map(bool, fixed)) if fixed is not None
                        else bytes(hg.num_modules))

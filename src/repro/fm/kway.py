@@ -27,7 +27,7 @@ from ..partition import (BalanceConstraint, Partition, PartitionState, cut,
                          random_partition, soed)
 from ..partition.rebalance import rebalance_random
 from ..rng import SeedLike, make_rng
-from .buckets import make_buckets
+from .buckets import check_gain_bound, make_buckets
 from .config import FMConfig
 
 __all__ = ["KWayResult", "kway_partition", "KWAY_OBJECTIVES"]
@@ -121,6 +121,7 @@ def kway_partition(hg: Hypergraph,
     state = PartitionState(hg, initial, active_nets=active_list)
     max_gain = _gain_bound(hg, config.max_net_size, objective)
     bucket_range = 2 * max_gain if config.clip else max_gain
+    check_gain_bound(bucket_range)
 
     def objective_value() -> int:
         return state.soed_weight if objective == "soed" else state.cut_weight

@@ -1,15 +1,24 @@
-"""Build-on-first-use loader for the compiled FM pass (``_pass.c``).
+"""Build-on-first-use loader for the compiled level kernels
+(``_kernels.c``).
 
-:func:`load` returns the extension module that runs one exact LIFO
-FM/CLIP pass in C, or ``None`` when it cannot be had, in which case the
-engine runs its Python loop, which makes the same moves.  Nothing here
-runs at import: the first :func:`load` compiles ``_pass.c`` with ``$CC``
-(else the compiler Python was built with) against the running
-interpreter's headers, into a per-user cache directory
-``${XDG_CACHE_HOME:-~/.cache}/repro/`` created with mode 0700.  The
-file name carries the source hash and the interpreter's ABI tag, so an
-edited source or another Python builds its own module, and a build
-goes to a temporary file that ``os.replace`` moves into place, so
+:func:`load` returns the extension module that runs one ML level in C —
+Match (``match``), Induce (``induce``), the partition state's
+construction sweep with the gain bound (``init_state``), the flat
+incidence (``incidence``) and one exact LIFO FM/CLIP pass
+(``fm_pass``) — or ``None`` when it cannot be had.  Each entry point
+ports a Python function that stays in the tree as its reference and
+fallback and gives the same answers: ``clustering.match``,
+``clustering.induce``, ``PartitionState`` and the engine's Python pass
+loop choose the compiled kernel from their own arguments and the
+loaded module, never from an option.
+
+Nothing here runs at import: the first :func:`load` compiles
+``_kernels.c`` with ``$CC`` (else the compiler Python was built with)
+against the running interpreter's headers, into a per-user cache
+directory ``${XDG_CACHE_HOME:-~/.cache}/repro/`` created with mode
+0700.  The file name carries the source hash and the interpreter's ABI
+tag, so an edited source or another Python builds its own module, and a
+build goes to a temporary file that ``os.replace`` moves into place, so
 processes racing a first build each load a complete module.  Later
 loads in any process only import the cached file.
 
@@ -31,14 +40,14 @@ from pathlib import Path
 
 __all__ = ["cache_dir", "load", "module_path"]
 
-SOURCE = Path(__file__).with_name("_pass.c")
+SOURCE = Path(__file__).with_name("_kernels.c")
 #: Seconds a first build may take before the loader gives up.
 BUILD_TIMEOUT_S = 120
 
 _UNSET = object()
 #: The loaded module, ``None`` when unavailable, ``_UNSET`` until the
 #: first :func:`load`.  Tests patch it to ``None`` to force the Python
-#: loop.
+#: functions.
 _module = _UNSET
 _lock = threading.Lock()
 
@@ -54,12 +63,12 @@ def module_path() -> Path:
     """Where the module for this source and interpreter is cached."""
     digest = hashlib.sha256(SOURCE.read_bytes()).hexdigest()[:16]
     suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
-    return cache_dir() / f"_pass-{digest}{suffix}"
+    return cache_dir() / f"_kernels-{digest}{suffix}"
 
 
 def load():
-    """The compiled pass module, building it on first use; ``None`` if
-    it cannot be built or loaded."""
+    """The compiled kernel module, building it on first use; ``None``
+    if it cannot be built or loaded."""
     global _module
     module = _module
     if module is _UNSET:
@@ -85,7 +94,7 @@ def _load():
         _build(path)
     if not (path.exists() and _private(path.parent) and _private(path)):
         return None
-    spec = importlib.util.spec_from_file_location("repro.fm._pass", path)
+    spec = importlib.util.spec_from_file_location("repro.fm._kernels", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

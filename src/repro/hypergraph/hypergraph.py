@@ -14,23 +14,32 @@ The representation is a static bidirectional incidence structure:
 
 The hypergraph is immutable, which lets partitioning state share it
 safely and lets everything derived from the incidence be built once, on
-first access, and cached.  It is also the one object the hot kernels
-(Match, Induce, FM/CLIP state, gains and move loop) read: the kernel
-layout ``net_pins`` / ``module_nets`` / ``weights_list`` /
-``areas_list`` / ``sizes_list``, and the per-threshold caches the
-refinement engines share, among them the flat buffers the compiled
-FM pass reads (:meth:`Hypergraph.active_csr`).
+first access, and cached.
+
+Two layouts hold it, and the one it was built from defines it (what
+pickling sends).  The flat layout ``flat == (xpins, pins, weights,
+areas)`` (``array`` 'i', 'i', 'q', 'd'; net ``e``'s pins are
+``pins[xpins[e]:xpins[e + 1]]``) is what the compiled level kernels
+(:mod:`repro.fm.native`) read and the compiled Induce writes.  The list
+layout ``net_pins`` / ``weights_list`` / ``areas_list`` is what the
+Python kernels bind into locals, because list indexing returns existing
+objects where an ``array`` read re-boxes (DESIGN.md §8).  Each layout
+is derived from the other on first access.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, chain
+from itertools import accumulate, chain, pairwise
+from operator import sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import HypergraphError
 
 __all__ = ["Hypergraph"]
+
+#: Net weights are held as 64-bit integers (``array('q')``).
+WEIGHT_LIMIT = 1 << 63
 
 
 class Hypergraph:
@@ -49,14 +58,18 @@ class Hypergraph:
     areas:
         Per-module areas.  Defaults to unit area for every module.
     net_weights:
-        Per-net integer weights.  Defaults to 1 for every net.
+        Per-net integer weights in ``[1, 2**63)``.  Defaults to 1 for
+        every net.
     name:
         Optional circuit name used in reports.
     """
 
-    __slots__ = ("name", "areas_list", "weights_list", "net_pins",
-                 "_module_nets_s", "_sizes_s", "_num_pins",
-                 "_total_area", "_max_area", "_active_cache",
+    # No ``__getattr__`` here: it would slow every attribute read of a
+    # netlist the Python engines walk.  A flat-born netlist's unset
+    # list slots are filled by :class:`_FlatBorn`.
+    __slots__ = ("name", "areas_list", "weights_list", "net_pins", "_flat",
+                 "_from_tuples", "_largest", "_module_nets_s", "_sizes_s",
+                 "_num_pins", "_total_area", "_max_area", "_active_cache",
                  "_incidence_cache", "_csr_cache", "_maxdeg_cache")
 
     def __init__(self,
@@ -112,28 +125,32 @@ class Hypergraph:
                     f"net_weights has length {len(weight_list)}, expected "
                     f"{len(net_pins)}")
             for e, w in enumerate(weight_list):
-                if w <= 0:
+                if not 0 < w < WEIGHT_LIMIT:
                     raise HypergraphError(
-                        f"net {e} has non-positive weight {w}")
+                        f"net {e} has non-positive weight {w}" if w <= 0
+                        else f"net {e} has weight {w}, not below 2**63")
 
         self._assemble(net_pins, area_list, weight_list, name)
 
     def _assemble(self, net_pins: List[Tuple[int, ...]],
                   areas: List[float], net_weights: List[int],
                   name: str) -> None:
-        """The one constructor body, shared by every construction path.
-
-        Everything derived from the incidence — the per-module net
-        tuples, the pin counts and the per-threshold caches — is built
-        on first access.
-        """
-        self.name = name
+        """The constructor body of a netlist defined by its lists."""
         self.net_pins = net_pins
-        self._module_nets_s = None
-        self._sizes_s = None
         self.areas_list = areas
         self.weights_list = net_weights
+        self._from_tuples = True
+        self._flat = None
+        self._largest = None
         self._num_pins = sum(map(len, net_pins))
+        self._init_derived(name, areas)
+
+    def _init_derived(self, name: str, areas: Sequence[float]) -> None:
+        """The name, the area totals and empty caches of every derived
+        view: built on first access."""
+        self.name = name
+        self._module_nets_s = None
+        self._sizes_s = None
         self._total_area = sum(areas)
         self._max_area = max(areas) if areas else 0.0
         self._active_cache: Dict[Optional[int], Tuple[int, ...]] = {}
@@ -145,23 +162,65 @@ class Hypergraph:
     def _trusted(cls, net_pins: List[Tuple[int, ...]],
                  areas: List[float], net_weights: List[int],
                  name: str = "") -> "Hypergraph":
-        """Construct from pre-validated internals, skipping checks.
+        """Construct from pre-validated lists, skipping checks.
 
-        Internal fast path for :func:`repro.clustering.induce`, whose
-        output satisfies every constructor invariant by construction
-        (deduplicated sorted pin tuples, >= 2 pins per net, positive
-        areas and weights).  Revalidating each coarse netlist of a
-        multilevel hierarchy would otherwise show up in profiles.
+        Internal fast path for the Python :func:`repro.clustering.induce`,
+        whose output satisfies every constructor invariant by
+        construction (deduplicated sorted pin tuples, >= 2 pins per net,
+        positive areas and weights).  Revalidating each coarse netlist
+        of a multilevel hierarchy would otherwise show up in profiles.
         """
         self = cls.__new__(cls)
         self._assemble(net_pins, areas, net_weights, name)
         return self
 
+    @classmethod
+    def _from_flat(cls, flat: tuple, name: str = "",
+                   largest: Optional[int] = None) -> "Hypergraph":
+        """Construct from a pre-validated flat layout, skipping checks:
+        the compiled Induce's path.  ``largest`` is the largest net's
+        pin count, when known."""
+        self = cls.__new__(cls)
+        self._adopt(flat, name)
+        self._largest = largest
+        return self
+
+    def _adopt(self, flat: tuple, name: str) -> None:
+        """The constructor body of a netlist defined by its flat
+        layout."""
+        self.__class__ = _FlatBorn
+        self._flat = flat
+        self._from_tuples = False
+        self._largest = None
+        self._num_pins = len(flat[1])
+        self._init_derived(name, flat[3])
+
+    @property
+    def flat(self) -> tuple:
+        """The flat layout ``(xpins, pins, weights, areas)``."""
+        flat = self._flat
+        if flat is None:
+            net_pins = self.net_pins
+            flat = self._flat = (
+                array("i", accumulate(map(len, net_pins), initial=0)),
+                array("i", chain.from_iterable(net_pins)),
+                array("q", self.weights_list), array("d", self.areas_list))
+        return flat
+
+    def _largest_net(self) -> int:
+        """The largest net's pin count."""
+        largest = self._largest
+        if largest is None:
+            if self._from_tuples:
+                largest = max(map(len, self.net_pins), default=0)
+            else:
+                xpins = self._flat[0]
+                largest = max(map(sub, xpins[1:], xpins), default=0)
+            self._largest = largest
+        return largest
+
     # ------------------------------------------------------------------
-    # Kernel layout.  The hot kernels bind these lists into locals:
-    # list indexing returns existing objects, where an ``array`` read
-    # re-boxes every integer (~1.6x slower, DESIGN.md §8).  ``net_pins``
-    # (per-net pin tuples) is a plain attribute.
+    # The list layout's derived views.
     # ------------------------------------------------------------------
 
     @property
@@ -182,7 +241,11 @@ class Hypergraph:
         """Per-net pin counts."""
         sizes = self._sizes_s
         if sizes is None:
-            sizes = self._sizes_s = [len(p) for p in self.net_pins]
+            if self._from_tuples:
+                sizes = [len(p) for p in self.net_pins]
+            else:
+                sizes = [b - a for a, b in pairwise(self._flat[0])]
+            self._sizes_s = sizes
         return sizes
 
     # ------------------------------------------------------------------
@@ -201,7 +264,7 @@ class Hypergraph:
         """
         cached = self._active_cache.get(max_net_size)
         if cached is None:
-            if max_net_size is None:
+            if max_net_size is None or self._largest_net() <= max_net_size:
                 cached = tuple(range(self.num_nets))
             else:
                 sizes = self.sizes_list
@@ -234,24 +297,38 @@ class Hypergraph:
         return cached
 
     def active_csr(self, max_net_size: Optional[int]) -> tuple:
-        """:meth:`active_incidence` and the pin lists as flat buffers.
+        """The flat layout with :meth:`active_incidence` beside it.
 
-        ``(xpins, pins, xinc, inc, weights, areas)``: net ``e``'s pins
-        are ``pins[xpins[e]:xpins[e + 1]]``, module ``v``'s active nets
-        ``inc[xinc[v]:xinc[v + 1]]``, all ``array('i')``, and ``areas``
-        is an ``array('d')``.  This is the layout the compiled FM pass
-        reads (:mod:`repro.fm.native`).
+        ``(xpins, pins, xinc, inc, weights, areas)``: module ``v``'s
+        active nets are ``inc[xinc[v]:xinc[v + 1]]`` (``array('i')``);
+        the other four are :attr:`flat`.  This is what the compiled FM
+        pass reads.  The incidence is built once per threshold — by the
+        compiled ``incidence`` kernel when it loads — and a threshold
+        that excludes no net shares the unfiltered one.
         """
         cached = self._csr_cache.get(max_net_size)
         if cached is None:
-            net_pins = self.net_pins
-            incidence = self.active_incidence(max_net_size)
-            cached = (array("i", accumulate(map(len, net_pins), initial=0)),
-                      array("i", chain.from_iterable(net_pins)),
-                      array("i", accumulate(map(len, incidence), initial=0)),
-                      array("i", chain.from_iterable(incidence)),
-                      array("i", self.weights_list),
-                      array("d", self.areas_list))
+            if (max_net_size is not None
+                    and self._largest_net() <= max_net_size):
+                cached = self.active_csr(None)
+            else:
+                from ..fm.native import load
+                kernel = load()
+                xpins, pins, weights, areas = self.flat
+                if kernel is not None:
+                    xinc = array("i", [0]) * (self.num_modules + 1)
+                    inc = array("i", [0]) * len(pins)
+                    kernel.incidence(
+                        xpins, pins, weights, areas,
+                        -1 if max_net_size is None else max_net_size,
+                        xinc, inc)
+                    del inc[xinc[-1]:]
+                else:
+                    incidence = self.active_incidence(max_net_size)
+                    xinc = array("i", accumulate(map(len, incidence),
+                                                 initial=0))
+                    inc = array("i", chain.from_iterable(incidence))
+                cached = (xpins, pins, xinc, inc, weights, areas)
             self._csr_cache[max_net_size] = cached
         return cached
 
@@ -376,25 +453,69 @@ class Hypergraph:
         return (f"Hypergraph({label} modules={self.num_modules} "
                 f"nets={self.num_nets} pins={self.num_pins})")
 
+    def __reduce_ex__(self, protocol):
+        if self._from_tuples:
+            return super().__reduce_ex__(protocol)
+        # One constructor whatever the class, so that a flat-born
+        # netlist pickles to the same bytes before and after it turns
+        # into a plain one.
+        return _from_state, (self.__getstate__(),)
+
     def __getstate__(self):
-        """Pickle only what defines the netlist: its pin tuples, areas,
-        weights and name.  Every derived list and cache is rebuilt on
+        """Pickle only what defines the netlist: its name and the layout
+        it was built from.  Every derived layout and cache is rebuilt on
         demand, so a netlist pickles to the same bytes before and after
         use."""
-        return (self.name, self.net_pins, self.areas_list,
-                self.weights_list)
+        if self._from_tuples:
+            return (self.name, self.net_pins, self.areas_list,
+                    self.weights_list)
+        return (self.name, *self._flat)
 
     def __setstate__(self, state) -> None:
-        name, pins, areas, weights = state
-        self._assemble(pins, areas, weights, name)
+        if len(state) == 4:
+            name, pins, areas, weights = state
+            self._assemble(pins, areas, weights, name)
+        else:
+            self._adopt(tuple(state[1:]), state[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.net_pins == other.net_pins
-                and self.areas_list == other.areas_list
-                and self.weights_list == other.weights_list)
+        return self.flat == other.flat
 
     def __hash__(self) -> int:
-        return hash((tuple(self.net_pins), tuple(self.areas_list),
-                     tuple(self.weights_list)))
+        return hash(tuple(map(tuple, self.flat)))
+
+
+def _from_state(state: tuple) -> Hypergraph:
+    """Unpickle a flat-born netlist."""
+    hg = Hypergraph.__new__(Hypergraph)
+    hg.__setstate__(state)
+    return hg
+
+
+class _FlatBorn(Hypergraph):
+    """A netlist built from its flat layout (by the compiled Induce),
+    whose list layout is derived on first access: ``areas_list`` and
+    ``weights_list`` alone, ``net_pins`` with both.  Once ``net_pins``
+    exists every slot is set, and the netlist becomes a plain
+    :class:`Hypergraph`, whose attribute reads skip this hook."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in ("areas_list", "weights_list", "net_pins"):
+            raise AttributeError(name)
+        xpins, pins, weights, areas = self._flat
+        if name == "areas_list":
+            value = areas.tolist()
+        elif name == "weights_list":
+            value = weights.tolist()
+        else:
+            self.areas_list = areas.tolist()
+            self.weights_list = weights.tolist()
+            pins = pins.tolist()
+            value = [tuple(pins[a:b]) for a, b in pairwise(xpins)]
+            self.__class__ = Hypergraph
+        setattr(self, name, value)
+        return value

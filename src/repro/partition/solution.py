@@ -37,6 +37,15 @@ class Partition:
         self.assignment = assignment
         self.k = k
 
+    @classmethod
+    def _trusted(cls, assignment: List[int], k: int) -> "Partition":
+        """Wrap an assignment list already known to lie in ``[0, k)``
+        (a projection or a refinement state's), skipping the checks."""
+        self = cls.__new__(cls)
+        self.assignment = assignment
+        self.k = k
+        return self
+
     # ------------------------------------------------------------------
 
     @property
@@ -68,8 +77,9 @@ class Partition:
                 f"partition covers {len(self.assignment)} modules but "
                 f"hypergraph has {hg.num_modules}")
         areas = [0.0] * self.k
+        module_areas = hg.areas_list
         for v, p in enumerate(self.assignment):
-            areas[p] += hg.area(v)
+            areas[p] += module_areas[v]
         return areas
 
     def copy(self) -> "Partition":

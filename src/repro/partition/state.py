@@ -17,10 +17,14 @@ LSMC descents) share.  A state may be restricted to a subset of
 The O(pins) construction sweep and every move bind the hypergraph's
 kernel lists (``net_pins``, ``module_nets``, ``weights_list``,
 ``areas_list``) locally and perform only index operations per pin.
+:meth:`PartitionState.compiled` is the compiled sweep (``init_state``
+in :mod:`repro.fm.native`): the same values, ``part_area``'s float bits
+included, in ``array`` buffers.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import PartitionError
@@ -41,6 +45,16 @@ def _as_sorted_tuple(active_nets: Sequence[int]) -> Tuple[int, ...]:
     if all(nets[i] < nets[i + 1] for i in range(len(nets) - 1)):
         return nets
     return tuple(sorted(set(nets)))
+
+
+def _flags(hg: Hypergraph, active_nets: Tuple[int, ...]) -> List[bool]:
+    """Per-net ``active`` flags of a sorted, duplicate-free net tuple."""
+    if len(active_nets) == hg.num_nets:
+        return [True] * hg.num_nets
+    flags = [False] * hg.num_nets
+    for e in active_nets:
+        flags[e] = True
+    return flags
 
 
 class PartitionState:
@@ -65,13 +79,14 @@ class PartitionState:
             self.part_area[p] += areas[v]
 
         if active_nets is None:
-            self.active = [True] * hg.num_nets
-            self._active_nets = hg.active_nets(None)
-        else:
-            self.active = [False] * hg.num_nets
-            for e in active_nets:
-                self.active[e] = True
-            self._active_nets = _as_sorted_tuple(active_nets)
+            active_nets = hg.active_nets(None)
+        # The engines pass the netlist's own cached active-net tuple,
+        # sorted by construction: no O(nets) scan for it.
+        elif not any(active_nets is cached
+                     for cached in hg._active_cache.values()):
+            active_nets = _as_sorted_tuple(active_nets)
+        self._active_nets = active_nets
+        self.active = _flags(hg, active_nets)
 
         self.counts: List[List[int]] = [[0] * hg.num_nets
                                         for _ in range(self.k)]
@@ -80,8 +95,38 @@ class PartitionState:
         self.soed_weight = 0
         self._init_counts()
 
+    @classmethod
+    def compiled(cls, kernel, hg: Hypergraph, partition: Partition,
+                 max_net_size: Optional[int]
+                 ) -> Tuple["PartitionState", int]:
+        """A bipartition state over ``hg.active_nets(max_net_size)``
+        from the compiled sweep, in the ``array`` buffers the compiled
+        pass writes in place, and the gain bound
+        (:meth:`Hypergraph.max_weighted_degree`) from the same sweep."""
+        if partition.num_modules != hg.num_modules:
+            raise PartitionError(
+                f"partition covers {partition.num_modules} modules but "
+                f"hypergraph has {hg.num_modules}")
+        self = cls.__new__(cls)
+        self.hg = hg
+        self.k = 2
+        m = hg.num_nets
+        self.part_of = array("i", partition.assignment)
+        self.counts = [array("i", [0]) * m, array("i", [0]) * m]
+        self.spans = array("i", [0]) * m
+        self.part_area = array("d", [0.0, 0.0])
+        self._active_nets = hg.active_nets(max_net_size)
+        self.active = _flags(hg, self._active_nets)
+        threshold = -1 if max_net_size is None else \
+            min(max_net_size, hg.num_pins)
+        self.cut_weight, self.soed_weight, bound = kernel.init_state(
+            *hg.flat, self.part_of, *self.counts, self.spans,
+            self.part_area, threshold)
+        return self, bound
+
     def _init_counts(self) -> None:
-        """Construction sweep over the kernel lists."""
+        """Construction sweep over the kernel lists (the compiled
+        ``init_state`` is the bipartition fast path)."""
         hg = self.hg
         net_pins = hg.net_pins
         net_weights = hg.weights_list
@@ -90,40 +135,18 @@ class PartitionState:
         spans = self.spans
         cut_w = 0
         soed_w = 0
-        if len(counts) == 2:
-            # Bipartition specialisation: tally both sides in plain
-            # locals and store each net's counts once, instead of a
-            # row lookup + read-modify-write per pin.
-            c0, c1 = counts
-            for e in self._active_nets:
-                a = 0
-                b = 0
-                for v in net_pins[e]:
-                    if part_of[v]:
-                        b += 1
-                    else:
-                        a += 1
-                c0[e] = a
-                c1[e] = b
-                present = (a > 0) + (b > 0)
-                spans[e] = present
-                if present > 1:
-                    w = net_weights[e]
-                    cut_w += w
-                    soed_w += w * present
-        else:
-            for e in self._active_nets:
-                present = 0
-                for v in net_pins[e]:
-                    row = counts[part_of[v]]
-                    if row[e] == 0:
-                        present += 1
-                    row[e] += 1
-                spans[e] = present
-                if present > 1:
-                    w = net_weights[e]
-                    cut_w += w
-                    soed_w += w * present
+        for e in self._active_nets:
+            present = 0
+            for v in net_pins[e]:
+                row = counts[part_of[v]]
+                if row[e] == 0:
+                    present += 1
+                row[e] += 1
+            spans[e] = present
+            if present > 1:
+                w = net_weights[e]
+                cut_w += w
+                soed_w += w * present
         self.cut_weight = cut_w
         self.soed_weight = soed_w
 
@@ -186,7 +209,7 @@ class PartitionState:
 
     def to_partition(self) -> Partition:
         """Snapshot the current assignment."""
-        return Partition(list(self.part_of), self.k)
+        return Partition._trusted(list(self.part_of), self.k)
 
     def verify(self) -> None:
         """Recompute every cached quantity and raise on any mismatch.

@@ -93,6 +93,12 @@ DEFAULT_COLLECT_TIMEOUT = 3600.0
 #: the parent checks the start-notice channel for dead workers.
 _POLL_INTERVAL = 0.05
 
+#: How long the collector waits for the result of a start whose worker
+#: is gone before charging the death to it: a start finished just before
+#: its worker died may still be on its way through the pool's result
+#: handler.
+_LAST_LOOK = 0.5
+
 OnRecord = Optional[Callable[[RunRecord], None]]
 Completed = Optional[Dict[int, RunRecord]]
 
@@ -582,12 +588,14 @@ class ProcessExecutor:
         in-flight workers — on the timeout flag.  While waiting, the
         collector polls the start-notice channel: a task whose
         announced worker pid has vanished is recorded ``failed``
-        (worker died — retryable) immediately, instead of masquerading
-        as a timeout after the full deadline.
+        (worker died — retryable) after one last wait of at most
+        :data:`_LAST_LOOK` for a result the worker sent before it died,
+        instead of masquerading as a timeout after the full deadline.
         """
         budget = portfolio.budget_seconds
         deadline = budget if budget is not None else DEFAULT_COLLECT_TIMEOUT
         waited = 0.0
+        last_look = False
         while True:
             cls._drain_notices(started)
             if deadline_at is not None and \
@@ -597,7 +605,8 @@ class ProcessExecutor:
                              index, seed, attempt)
                 return _deadline_record(portfolio, index, seed, attempt,
                                         worker="pool")
-            step = min(_POLL_INTERVAL, max(deadline - waited, 0.001))
+            step = min(_LAST_LOOK if last_look else _POLL_INTERVAL,
+                       max(deadline - waited, 0.001))
             if deadline_at is not None:
                 step = min(step,
                            max(deadline_at - time.perf_counter(), 0.001))
@@ -608,6 +617,11 @@ class ProcessExecutor:
                 cls._drain_notices(started)
                 pid = started.get((index, attempt))
                 if pid is not None and not _pid_alive(pid):
+                    if not last_look:
+                        # One last bounded wait for a result the
+                        # worker may have sent before it died.
+                        last_look = True
+                        continue
                     _log.warning("worker pid %d died before returning "
                                  "start %d (seed %d, attempt %d)",
                                  pid, index, seed, attempt)

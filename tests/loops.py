@@ -1,11 +1,13 @@
-"""Run FM under each pass loop, and watch every pass of either one.
+"""Run a block on the compiled kernels and on Python, and watch every
+FM pass of either one.
 
-The common FM configuration runs the compiled pass when it loads
-(:mod:`repro.fm.native`) and the Python loop otherwise; the two must
-give the same answers.  :func:`each_loop` runs a block under both,
-switching to the Python loop by patching the loader's handle, and
-:func:`watch_passes` sees the moves (with their gains), best prefix
-and post-rollback state of every pass, whichever loop ran it.
+Match, Induce, the state sweep and the common FM configuration's pass
+run compiled when the kernel module loads (:mod:`repro.fm.native`) and
+in Python otherwise; the two must give the same answers.
+:func:`each_loop` runs a block under both, switching every one of them
+to Python by patching the loader's handle, and :func:`watch_passes`
+sees the moves (with their gains), best prefix and post-rollback state
+of every pass, whichever loop ran it.
 """
 
 import pytest
@@ -18,9 +20,10 @@ def compiled_available() -> bool:
 
 
 def each_loop():
-    """Yield ``"c"`` (when the compiled pass loads), then ``"py"``
-    with the loader handle patched to ``None`` for as long as the
-    caller's block runs."""
+    """Yield ``"c"`` (when the compiled kernels load), then ``"py"``
+    with the loader handle patched to ``None`` — Python Match, Induce,
+    state sweep and pass loop — for as long as the caller's block
+    runs."""
     if compiled_available():
         yield "c"
     with pytest.MonkeyPatch.context() as patch:

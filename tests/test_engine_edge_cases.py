@@ -155,8 +155,8 @@ class TestExactPassDegenerate:
         # of the net) give both modules gain +3 at the top of the
         # range; the first move's two-pin relink by +6 then leaves it.
         hg = Hypergraph([[0, 1]], num_modules=2, net_weights=[3])
-        state = PartitionState(hg, Partition([0, 0], 2))
-        engine._to_buffers(state)
+        state, _ = PartitionState.compiled(engine._compiled_pass(), hg,
+                                           Partition([0, 0], 2), None)
         state.counts[0][0] = state.counts[1][0] = 1
         with pytest.raises(PartitionError, match="outside bucket range"):
             engine._c_pass(engine._compiled_pass(), state,

@@ -90,7 +90,7 @@ def test_entry_points_import_no_numeric_or_offline_module(module, tmp_path):
             "numeric": loaded(*{_NUMERIC!r}),
             "offline": loaded(*{_OFFLINE!r}),
             "service": loaded("repro.service"),
-            "native": loaded("repro.fm.native", "repro.fm._pass")}}))
+            "native": loaded("repro.fm.native", "repro.fm._kernels")}}))
     """, tmp_path, XDG_CACHE_HOME=str(cache))
     assert got["numeric"] == []
     assert got["offline"] == []

@@ -1,8 +1,9 @@
-"""The compiled FM pass's loader (:mod:`repro.fm.native`).
+"""The compiled level kernels' loader (:mod:`repro.fm.native`).
 
-The first :func:`~repro.fm.native.load` in a process builds ``_pass.c``
-into a per-user cache, later ones import the cached module, and any
-failure leaves the engine on its Python loop with the same answers.
+The first :func:`~repro.fm.native.load` in a process builds
+``_kernels.c`` into a per-user cache, later ones import the cached
+module, and any failure leaves every caller on its Python function with
+the same answers.
 Every build here runs in a fresh interpreter against an empty cache
 directory of its own (``XDG_CACHE_HOME``), so the user's cache is never
 touched.
@@ -141,6 +142,13 @@ def test_load_is_memoised():
     assert native.load() is native.load()
 
 
+@needs_cc
+def test_module_holds_the_level_pipeline():
+    module = native.load()
+    for name in ("match", "induce", "init_state", "incidence", "fm_pass"):
+        assert callable(getattr(module, name)), name
+
+
 @pytest.mark.parallel
 def test_pool_loads_the_pass_before_it_forks(monkeypatch):
     # The parent resolves the loader before forking its workers, so
@@ -190,3 +198,38 @@ def test_pass_rejects_mismatched_buffers():
         call(pins=pins[:-1])
     with pytest.raises(TypeError):
         call(part_of=[0] * n)
+
+
+@needs_cc
+def test_level_kernels_reject_malformed_buffers():
+    from array import array
+    module = native.load()
+    hg = hierarchical_circuit(40, 50, seed=1)
+    xpins, pins, weights, areas = hg.flat
+    n, m = hg.num_modules, hg.num_nets
+
+    def state(netlist=(xpins, pins, weights, areas), part_of=None):
+        return module.init_state(
+            *netlist, part_of or array("i", [0]) * n,
+            array("i", [0]) * m, array("i", [0]) * m, array("i", [0]) * m,
+            array("d", [0.0, 0.0]), -1)
+
+    assert state()[0] == 0  # well formed: nothing cut
+    bad_pin = array("i", pins)
+    bad_pin[3] = n
+    with pytest.raises(ValueError, match="not a module"):
+        state((xpins, bad_pin, weights, areas))
+    with pytest.raises(ValueError, match="xpins"):
+        state((xpins, pins[:-1], weights, areas))
+    with pytest.raises(ValueError, match="weights"):
+        state((xpins, pins, array("i", weights), areas))
+    with pytest.raises(ValueError, match="not a side"):
+        state(part_of=array("i", [2]) * n)
+    with pytest.raises(ValueError, match="perm"):
+        module.match(xpins, pins, weights, areas, array("i", [n]) * n,
+                     None, 0, 1.0, 10, array("i", [0]) * n,
+                     array("i", [0]) * (2 * n))
+    with pytest.raises(ValueError, match="cluster_of"):
+        module.induce(xpins, pins, weights, areas, array("i", [5]) * n,
+                      array("i", [0]) * (m + 1), array("i", [0]) * len(pins),
+                      array("q", [0]) * m, array("d", [0.0]) * 5)

@@ -2,9 +2,11 @@
 
 import copy
 import multiprocessing
+import multiprocessing.pool
 import os
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -189,6 +191,61 @@ class TestExecutorFaultPaths:
             jobs=2)
         assert all(r.ok for r in outcome.records)
         assert max(r.attempts for r in outcome.records) == 2
+
+    @pytest.mark.parallel
+    def test_finished_start_is_not_charged_to_its_dead_worker(
+            self, medium_hg, monkeypatch):
+        """A worker that returns one start and dies on its next task
+        keeps the start it finished.  The pool's result handler is held
+        until the collector has seen that worker's pid gone, so the
+        death is visible before the result; the collector must still
+        take the result."""
+        owner = multiprocessing.get_context("fork").Value("i", 0)
+        pid_alive = executor_module._pid_alive
+        seen_dead = threading.Event()
+
+        def gone(pid):
+            return pid != 0 and not pid_alive(pid)
+
+        def watched(pid):
+            alive = pid_alive(pid)
+            if not alive and pid == owner.value:
+                seen_dead.set()
+            return alive
+
+        def finish_then_die(hg, s):
+            if s == first_seed:
+                owner.value = os.getpid()
+                return fm_bipartition(hg, seed=s)
+            if os.getpid() == owner.value:
+                os._exit(3)
+            # Busy until the owner has died, so the owner is the worker
+            # that takes the next task.
+            deadline = time.monotonic() + 30
+            while not gone(owner.value) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            return fm_bipartition(hg, seed=s)
+
+        portfolio = Portfolio(Algorithm("DIE2", finish_then_die), medium_hg,
+                              runs=3, seed=0)
+        first_seed = portfolio.jobs()[0].seed
+        set_result = multiprocessing.pool.ApplyResult._set
+
+        def held(self, i, obj):
+            success, value = obj
+            if success and getattr(value, "seed", None) == first_seed:
+                seen_dead.wait(30)
+            set_result(self, i, obj)
+
+        monkeypatch.setattr(executor_module, "_pid_alive", watched)
+        monkeypatch.setattr(multiprocessing.pool.ApplyResult, "_set", held)
+        outcome = execute(portfolio, jobs=2)
+        assert seen_dead.is_set()
+        first, *rest = outcome.records
+        assert first.ok and first.seed == first_seed
+        dead = [r for r in rest if r.status == STATUS_FAILED]
+        assert len(dead) == 1 and "died before returning" in dead[0].error
+        assert all(r.ok for r in rest if r not in dead)
 
     @pytest.mark.parallel
     def test_hung_worker_not_retried_even_with_retries(self, medium_hg):
