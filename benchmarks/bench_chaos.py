@@ -14,8 +14,9 @@ retryable, each faulted start recovers on retry with its original seed
 — so the chaos sweep must finish with *byte-identical cut statistics*
 to the clean sweep.  That is the assertion: injected faults cost wall
 clock, never results.  ``BENCH_chaos.json`` (written at the repo root,
-like ``BENCH_kernels.json``) records the per-cell cuts plus how many
-faults were scheduled and survived.
+in the ``meta``/``results``/``summary`` schema every ``BENCH_*.json``
+shares) records the configuration, one row of cuts per circuit, and
+how many faults were scheduled and survived.
 
 Run directly (``python benchmarks/bench_chaos.py``) or via pytest
 (marker ``chaos``).  ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_RUNS`` /
@@ -25,6 +26,7 @@ Run directly (``python benchmarks/bench_chaos.py``) or via pytest
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -81,12 +83,7 @@ def test_chaos_sweep():
     scheduled = sum(1 for hg in circuits for i in range(RUNS)
                     if PLAN.decide(i, 1) is not None)
     assert scheduled >= 1, "vacuous chaos run: the plan never fired"
-    report = {"scale": SCALE, "runs": RUNS, "seed": SEED, "jobs": JOBS,
-              "fault_rate": FAULT_RATE, "scheduled_faults": scheduled,
-              "clean_wall_seconds": round(clean_wall, 3),
-              "chaos_wall_seconds": round(chaos_wall, 3),
-              "cells": {}}
-
+    results = []
     for hg in circuits:
         clean_cell = clean[hg.name]["FM"]
         chaos_cell = chaos[hg.name]["FM"]
@@ -95,12 +92,32 @@ def test_chaos_sweep():
         # clean sweep's statistics, exactly.
         assert chaos_cell.cuts == clean_cell.cuts, hg.name
         assert chaos_cell.failures == 0, hg.name
-        report["cells"][hg.name] = {
+        results.append({
+            "circuit": hg.name,
             "cuts": chaos_cell.cuts,
             "min_cut": chaos_cell.min_cut,
             "avg_cut": round(chaos_cell.avg_cut, 2),
             "failures": chaos_cell.failures,
-        }
+        })
+    report = {
+        "meta": {
+            "scale": SCALE, "runs": RUNS, "seed": SEED, "jobs": JOBS,
+            "fault_rate": FAULT_RATE,
+            "python": platform.python_version(),
+            "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
+            "contract": ("every injected fault is retried with its "
+                         "start's seed, so each circuit's chaos cuts equal "
+                         "its clean cuts and no start fails (asserted)"),
+        },
+        "results": results,
+        "summary": {
+            "scheduled_faults": scheduled,
+            "starts": RUNS * len(circuits),
+            "failures": sum(r["failures"] for r in results),
+            "clean_wall_s": round(clean_wall, 3),
+            "chaos_wall_s": round(chaos_wall, 3),
+        },
+    }
 
     # The checkpoint streamed every finished start of the chaos sweep.
     lines = checkpoint.read_text().splitlines()

@@ -14,9 +14,16 @@ that owns each one:
 * ``pass`` — the C ``fm_pass`` calls, or the Python ``_py_pass`` calls;
 * ``fm_other`` — the rest of ``fm_bipartition``: start, state sweep and
   gain bound, the flat incidence, final cut;
-* ``coarsen`` — ``coarsen_step`` (Match and Induce), compiled on the
-  ``c`` side and Python on the ``py`` side;
-* ``residual`` — wall minus the three: projection and the ML driver.
+* ``permute`` — Match's ``random_permutation``: the compiled
+  ``shuffle`` on the ``c`` side, ``random.shuffle`` on the ``py`` side;
+* ``coarsen`` — the rest of ``coarsen_step`` (Match and Induce),
+  compiled on the ``c`` side and Python on the ``py`` side;
+* ``residual`` — wall minus the four: projection and the ML driver.
+
+Each circuit also gets a ``parse`` row: ``read_hmetis`` of the
+circuit's ``.hgr``, through the compiled reader and through the Python
+one (median of interleaved reads in one process), with equal netlists
+asserted.
 
 Repeats of a row run its sides interleaved, and the report keeps each
 side's median.  Script runs (``python benchmarks/bench_kernels.py``)
@@ -38,15 +45,18 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 
 from repro import MLConfig, ml_bipartition
+from repro.clustering import matching
 from repro.core import ml
 from repro.fm import engine, native
-from repro.hypergraph import load_circuit, mini_suite_names
+from repro.hypergraph import (load_circuit, mini_suite_names, read_hmetis,
+                              write_hmetis)
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "1"))
@@ -54,7 +64,9 @@ REPEATS = int(os.environ.get("REPRO_BENCH_KERNEL_REPEATS", "1"))
 SEEDS = 3
 ALGORITHMS = {"mlc": "clip", "mlf": "fm"}
 LOOPS = ("c", "py")
-LAYERS = ("pass", "fm_other", "coarsen", "residual")
+LAYERS = ("pass", "fm_other", "permute", "coarsen", "residual")
+#: Interleaved reads per side of a parse row.
+PARSE_READS = 7
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 
@@ -83,7 +95,7 @@ def run_cell(algorithm: str, loop: str, circuit: str, scale: float) -> dict:
     """One measurement, in this process (the child's body)."""
     hg = load_circuit(circuit, scale=scale, seed=0)
     config = MLConfig(engine=ALGORITHMS[algorithm])
-    totals = dict.fromkeys(("pass", "fm", "coarsen"), 0.0)
+    totals = dict.fromkeys(("pass", "fm", "permute", "coarsen"), 0.0)
     kernel = native.load()
     if loop == "c":
         if kernel is None:
@@ -94,6 +106,7 @@ def run_cell(algorithm: str, loop: str, circuit: str, scale: float) -> dict:
         _timed(engine, "_py_pass", totals, "pass")
     _timed(ml, "fm_bipartition", totals, "fm")
     _timed(ml, "coarsen_step", totals, "coarsen")
+    _timed(matching, "random_permutation", totals, "permute")
     answers = []
     start = time.perf_counter()
     for seed in range(SEEDS):
@@ -103,7 +116,8 @@ def run_cell(algorithm: str, loop: str, circuit: str, scale: float) -> dict:
     wall = time.perf_counter() - start
     layers = {"pass": totals["pass"],
               "fm_other": totals["fm"] - totals["pass"],
-              "coarsen": totals["coarsen"]}
+              "permute": totals["permute"],
+              "coarsen": totals["coarsen"] - totals["permute"]}
     layers["residual"] = wall - totals["fm"] - totals["coarsen"]
     out = {"wall_s": wall / SEEDS, "peak_rss_mb": _peak_rss_mb(),
            "answers": answers}
@@ -131,6 +145,39 @@ def _summarise(runs: list) -> dict:
     return row
 
 
+def parse_row(name: str, hg) -> dict:
+    """``read_hmetis`` of ``hg`` written as ``.hgr``, through the
+    compiled reader and through the Python one, interleaved."""
+    kernel = native.load()
+    if kernel is None:
+        raise SystemExit("the compiled kernels did not build")
+    times = {loop: [] for loop in LOOPS}
+    read = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{name}.hgr"
+        write_hmetis(hg, path)
+        assert kernel.read_hmetis(path.read_bytes()) is not None, (
+            f"{name}: the compiled reader declined the written file")
+        try:
+            for _ in range(PARSE_READS):
+                for loop in LOOPS:
+                    native._module = kernel if loop == "c" else None
+                    start = time.perf_counter()
+                    read[loop] = read_hmetis(path, name=name)
+                    times[loop].append(time.perf_counter() - start)
+        finally:
+            native._module = kernel
+    c, py = read["c"], read["py"]
+    assert c == py == hg and c.net_pins == py.net_pins, (
+        f"{name}: the two readers' netlists differ")
+    assert (c.name, c.num_modules) == (py.name, py.num_modules)
+    row = {"circuit": name, "algorithm": "parse"}
+    for loop in LOOPS:
+        row[f"{loop}_wall_s"] = round(statistics.median(times[loop]), 6)
+    row["speedup"] = round(row["py_wall_s"] / row["c_wall_s"], 1)
+    return row
+
+
 def run_bench() -> dict:
     rows = []
     circuits = {}
@@ -138,6 +185,7 @@ def run_bench() -> dict:
         hg = load_circuit(name, scale=SCALE, seed=0)
         circuits[name] = {"modules": hg.num_modules, "nets": hg.num_nets,
                           "pins": hg.num_pins}
+        rows.append(parse_row(name, hg))
         for algorithm in ALGORITHMS:
             runs = {loop: [] for loop in LOOPS}
             for _ in range(REPEATS):
@@ -158,6 +206,8 @@ def run_bench() -> dict:
             row["speedup"] = round(row["py_wall_s"] / row["c_wall_s"], 2)
             row["pass_speedup"] = round(row["py_pass_s"] / row["c_pass_s"],
                                         1)
+            row["permute_speedup"] = round(
+                row["py_permute_s"] / row["c_permute_s"], 1)
             row["coarsen_speedup"] = round(
                 row["py_coarsen_s"] / row["c_coarsen_s"], 1)
             rows.append(row)
@@ -175,8 +225,11 @@ def run_bench() -> dict:
             "note": ("Both sides return identical cuts and assignments "
                      "(asserted per cell), so speedup is like for like. "
                      "Times are per run (mean over the seeds), median "
-                     "over repeats; residual is wall minus the three "
-                     "measured layers."),
+                     "over repeats; residual is wall minus the four "
+                     "measured layers.  A parse row times read_hmetis "
+                     "of the circuit's .hgr per read (median of "
+                     f"{PARSE_READS} interleaved reads a side), with "
+                     "equal netlists asserted."),
         },
         "circuits": circuits,
         "results": rows,
@@ -188,8 +241,12 @@ def run_bench() -> dict:
                for alg in ALGORITHMS},
             **{f"{alg}_pass_speedup": on_largest[alg]["pass_speedup"]
                for alg in ALGORITHMS},
+            **{f"{alg}_permute_speedup": on_largest[alg]["permute_speedup"]
+               for alg in ALGORITHMS},
             **{f"{alg}_coarsen_speedup": on_largest[alg]["coarsen_speedup"]
                for alg in ALGORITHMS},
+            "parse_c_wall_s": on_largest["parse"]["c_wall_s"],
+            "parse_speedup": on_largest["parse"]["speedup"],
         },
     }
 
@@ -201,7 +258,8 @@ def print_report(report: dict) -> None:
           f"seconds per run)")
     print(f"{'circuit':>10} {'alg':>4} {'cut':>7} {'loop':>4} {'wall':>8} "
           + " ".join(f"{layer:>10}" for layer in LAYERS))
-    for r in report["results"]:
+    runs = [r for r in report["results"] if r["algorithm"] != "parse"]
+    for r in runs:
         for loop in LOOPS:
             print(f"{r['circuit']:>10} {r['algorithm']:>4} "
                   f"{r['mean_cut']:7.1f} {loop:>4} "
@@ -210,7 +268,13 @@ def print_report(report: dict) -> None:
                              for layer in LAYERS))
         print(f"{'':>10} {'':>4} {'':>7} {'':>4} {r['speedup']:7.2f}x "
               f"(pass {r['pass_speedup']:.1f}x, "
+              f"permute {r['permute_speedup']:.1f}x, "
               f"coarsen {r['coarsen_speedup']:.1f}x)")
+    print("\nread_hmetis, compiled vs Python (seconds per read)")
+    for r in report["results"]:
+        if r["algorithm"] == "parse":
+            print(f"{r['circuit']:>10} {r['c_wall_s']:10.5f} "
+                  f"{r['py_wall_s']:10.5f} {r['speedup']:7.1f}x")
 
 
 def write_report(report: dict) -> None:

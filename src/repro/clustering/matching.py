@@ -23,11 +23,11 @@ matching without the area preference (Metis-style heavy-edge [27]).
 The ``conn`` and ``heavy`` schemes run compiled (``match`` in
 :mod:`repro.fm.native`) when the kernel module loads; the Python loop
 below is its reference and fallback, and runs ``random``.  Both visit
-modules in the order :func:`repro.rng.random_permutation` draws here,
-so the seed stream is the same, and both pick the same partner: scores
-add up in ``module_nets[v]``-then-``net_pins[e]`` order, and the
-partner is the lowest id among the best scores above 0.0 (DESIGN.md
-§8).
+modules in the order :func:`repro.rng.random_permutation` draws here
+(an ``array('i')`` the kernel reads as it is), so the seed stream is
+the same, and both pick the same partner: scores add up in
+``module_nets[v]``-then-``net_pins[e]`` order, and the partner is the
+lowest id among the best scores above 0.0 (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -137,7 +137,8 @@ def match(hg: Hypergraph,
         cluster_of = array("i", [0]) * n
         pairs = array("i", [0]) * (2 * n)
         clusters, opened = kernel.match(
-            *hg.flat, array("i", perm), labels, scheme == "heavy", ratio,
+            *hg.flat, perm if type(perm) is array else array("i", perm),
+            labels, scheme == "heavy", ratio,
             max(min(max_conn_net_size, n), 1), cluster_of, pairs)
         _record(pairs[:2 * opened])
         return Clustering._trusted(cluster_of.tolist(), clusters)

@@ -1,10 +1,15 @@
-/* One ML level in C: Match, Induce, the state sweep and the exact
- * FM/CLIP pass with LIFO gain buckets.
+/* One ML invocation's hot spots in C: the hMETIS reader, the random
+ * module order, Match, Induce, the state sweep and the exact FM/CLIP
+ * pass with LIFO gain buckets.
  *
  * Every entry point ports a Python function that stays in the tree as
  * its reference and its fallback, over the flat layout a Hypergraph
  * keeps (xpins/pins int, weights int64, areas double):
  *
+ *   read_hmetis repro.hypergraph.io's Python reader, on a plain subset
+ *               of the format (it declines the rest)
+ *   shuffle     random.Random.shuffle of range(n), for
+ *               repro.rng.random_permutation
  *   match       repro.clustering.matching.match, schemes conn and heavy
  *   induce      repro.clustering.induce.induce with merge_parallel
  *   init_state  PartitionState's k = 2 construction sweep and
@@ -13,7 +18,11 @@
  *   fm_pass     _initial_gains, one LinkedListBuckets.insert per free
  *               module, _move_loop_csr and _rollback_csr
  *
- * Each returns what its reference returns, bit for bit: Match's scores
+ * Each returns what its reference returns, bit for bit: the reader
+ * builds the netlist the Python reader builds (pins deduplicated in
+ * first-seen order, areas converted by float()'s own routine); the
+ * shuffle consumes the Mersenne Twister's 32-bit outputs by
+ * _randbelow's rejection rule; Match's scores
  * add up in the reference's order and its candidate choice is the
  * reference's ascending strict-> scan; Induce sums cluster areas in
  * module order and keeps coarse nets in first-appearance order; the
@@ -36,6 +45,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
+#include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -1235,19 +1246,388 @@ done:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* read_hmetis: the plain subset of hMETIS, straight into the flat     */
+/* layout.                                                             */
+/* ------------------------------------------------------------------ */
+
+/* Lines as repro.hypergraph.io reads them once the input is known to
+ * hold only printable ASCII, tab, LF and CR: a line ends at LF, CR or
+ * CRLF (read_text's newline translation, then splitlines), blanks are
+ * space and tab (str.strip and str.split), and a line that is blank or
+ * whose first non-blank byte is '%' is skipped. */
+typedef struct {
+    const char *next, *end;    /* the unread input */
+    const char *tok, *eol;     /* the current line's cursor and end */
+} lines_t;
+
+static inline int
+is_blank(char c)
+{
+    return c == ' ' || c == '\t';
+}
+
+/* Advance to the next content line; 0 at the end of the input. */
+static int
+next_line(lines_t *r)
+{
+    while (r->next < r->end) {
+        const char *s = r->next, *e = s;
+        while (e < r->end && *e != '\n' && *e != '\r')
+            e++;
+        r->next = e;
+        if (e < r->end) {
+            r->next = e + 1;
+            if (*e == '\r' && r->next < r->end && *r->next == '\n')
+                r->next++;
+        }
+        while (s < e && is_blank(*s))
+            s++;
+        if (s < e && *s != '%') {
+            r->tok = s;
+            r->eol = e;
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* The current line's next token as [*start, returned end); NULL at the
+ * end of the line. */
+static const char *
+next_token(lines_t *r, const char **start)
+{
+    const char *s = r->tok;
+    while (s < r->eol && is_blank(*s))
+        s++;
+    if (s == r->eol)
+        return NULL;
+    const char *e = s;
+    while (e < r->eol && !is_blank(*e))
+        e++;
+    r->tok = e;
+    *start = s;
+    return e;
+}
+
+static inline int
+is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* A token of plain digits (what int() reads as the same number) no
+ * greater than limit; -1 for anything else. */
+static long long
+plain_int(const char *s, const char *e, long long limit)
+{
+    long long v = 0;
+    if (s == e)
+        return -1;
+    for (; s < e; s++) {
+        if (!is_digit(*s))
+            return -1;
+        int d = *s - '0';
+        if (d > limit || v > (limit - d) / 10)
+            return -1;
+        v = v * 10 + d;
+    }
+    return v;
+}
+
+/* A plain decimal token of fewer than 64 bytes -- digits with at most
+ * one point, then an optional exponent -- converted as float() converts
+ * it, when the value is finite and positive; -1 for anything else. */
+static double
+plain_area(const char *s, const char *e)
+{
+    const char *q = s;
+    int digits = 0;
+    while (q < e && is_digit(*q)) {
+        q++;
+        digits++;
+    }
+    if (q < e && *q == '.')
+        for (q++; q < e && is_digit(*q); q++)
+            digits++;
+    if (!digits)
+        return -1;
+    if (q < e && (*q == 'e' || *q == 'E')) {
+        q++;
+        if (q < e && (*q == '+' || *q == '-'))
+            q++;
+        const char *x = q;
+        while (q < e && is_digit(*q))
+            q++;
+        if (q == x)
+            return -1;
+    }
+    if (q != e)
+        return -1;
+    /* float() reads longer tokens too; the Python reader takes them. */
+    size_t len = (size_t)(e - s);
+    char text[64];
+    if (len >= sizeof text)
+        return -1;
+    memcpy(text, s, len);
+    text[len] = '\0';
+    char *stop;
+    double x = PyOS_string_to_double(text, &stop, NULL);
+    int parsed = stop == text + len;
+    if (x == -1.0 && PyErr_Occurred()) {
+        PyErr_Clear();
+        parsed = 0;
+    }
+    return parsed && isfinite(x) && x > 0 ? x : -1;
+}
+
+/* array(code, the count items at buf). */
+static PyObject *
+new_array(PyObject *array_type, const char *code, const void *buf,
+          Py_ssize_t count, Py_ssize_t size)
+{
+    return PyObject_CallFunction(array_type, "sy#", code, (const char *)buf,
+                                 count * size);
+}
+
+PyDoc_STRVAR(read_hmetis_doc,
+"read_hmetis(data)\n"
+"--\n\n"
+"Parse the bytes of an hMETIS file into ((xpins, pins, weights, areas),\n"
+"largest net), pins deduplicated in first-seen order, or return None\n"
+"when the file is outside the plain subset this reader takes: only\n"
+"printable ASCII, tab, LF and CR; plain-digit integers and plain\n"
+"decimal areas; counts the file holds; a weight in [1, 2**63), an area\n"
+"finite and above 0, at least two distinct pins a net.  A None sends\n"
+"the caller to the Python reader, which gives every error.");
+
+static PyObject *
+read_hmetis(PyObject *self, PyObject *args)
+{
+    Py_buffer view;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "y*", &view))
+        return NULL;
+    const char *data = (const char *)view.buf;
+    Py_ssize_t len = view.len;
+    int *xpins = NULL, *pins = NULL, *seen = NULL;
+    long long *weights = NULL;
+    double *areas = NULL;
+    PyObject *result = NULL, *array_module = NULL, *array_type = NULL;
+    PyObject *flat[4] = {NULL, NULL, NULL, NULL};
+
+    for (Py_ssize_t i = 0; i < len; i++) {
+        unsigned char c = (unsigned char)data[i];
+        if ((c < 0x20 || c > 0x7e) && c != '\t' && c != '\n' && c != '\r')
+            goto decline;
+    }
+    /* Every pin token takes a byte and a separator, so a file this size
+     * holds at most len / 2 + 1 of them. */
+    if (len / 2 >= INT_MAX)
+        goto decline;
+    lines_t r = {data, data + len, NULL, NULL};
+    const char *s, *e;
+    long long field[3];
+    int fields = 0;
+    if (!next_line(&r))
+        goto decline;
+    while ((e = next_token(&r, &s)) != NULL) {
+        if (fields == 3)
+            goto decline;
+        field[fields] = plain_int(s, e, fields == 0 ? INT_MAX - 1 : INT_MAX);
+        if (field[fields++] < 0)
+            goto decline;
+    }
+    if (fields < 2)
+        goto decline;
+    int m = (int)field[0], n = (int)field[1];
+    long long fmt = fields == 3 ? field[2] : 0;
+    if (fmt != 0 && fmt != 1 && fmt != 10 && fmt != 11)
+        goto decline;
+    int weighted_nets = fmt == 1 || fmt == 11;
+    int weighted_modules = fmt == 10 || fmt == 11;
+    /* Each declared line takes at least a byte: more is a short file. */
+    if (m > len || (weighted_modules && n > len))
+        goto decline;
+
+    xpins = (int *)malloc(((size_t)m + 1) * sizeof(int));
+    weights = (long long *)malloc(((size_t)m + 1) * sizeof(long long));
+    pins = (int *)malloc(((size_t)len / 2 + 1) * sizeof(int));
+    seen = (int *)calloc((size_t)n + 1, sizeof(int));
+    areas = (double *)malloc(((size_t)n + 1) * sizeof(double));
+    if (!xpins || !weights || !pins || !seen || !areas) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    int np = 0, largest = 0;
+    xpins[0] = 0;
+    for (int net = 0; net < m; net++) {
+        if (!next_line(&r))
+            goto decline;
+        weights[net] = 1;
+        if (weighted_nets) {
+            e = next_token(&r, &s);
+            weights[net] = plain_int(s, e, LLONG_MAX);
+            if (weights[net] < 1)
+                goto decline;
+        }
+        /* seen[v] == net + 1 marks a pin already on this net. */
+        while ((e = next_token(&r, &s)) != NULL) {
+            long long v = plain_int(s, e, n);
+            if (v < 1)
+                goto decline;
+            if (seen[v - 1] != net + 1) {
+                seen[v - 1] = net + 1;
+                pins[np++] = (int)v - 1;
+            }
+        }
+        int size = np - xpins[net];
+        if (size < 2)
+            goto decline;
+        if (size > largest)
+            largest = size;
+        xpins[net + 1] = np;
+    }
+    for (int v = 0; v < n; v++) {
+        if (!weighted_modules) {
+            areas[v] = 1.0;
+            continue;
+        }
+        /* the first token; the rest of the line is ignored. */
+        if (!next_line(&r))
+            goto decline;
+        e = next_token(&r, &s);
+        areas[v] = plain_area(s, e);
+        if (areas[v] < 0)
+            goto decline;
+    }
+
+    array_module = PyImport_ImportModule("array");
+    if (array_module == NULL)
+        goto done;
+    array_type = PyObject_GetAttrString(array_module, "array");
+    if (array_type == NULL
+            || !(flat[0] = new_array(array_type, "i", xpins,
+                                     (Py_ssize_t)m + 1, sizeof(int)))
+            || !(flat[1] = new_array(array_type, "i", pins, np, sizeof(int)))
+            || !(flat[2] = new_array(array_type, "q", weights, m,
+                                     sizeof(long long)))
+            || !(flat[3] = new_array(array_type, "d", areas, n,
+                                     sizeof(double))))
+        goto done;
+    result = Py_BuildValue("(OOOO)i", flat[0], flat[1], flat[2], flat[3],
+                           largest);
+    goto done;
+
+decline:
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    for (int i = 0; i < 4; i++)
+        Py_XDECREF(flat[i]);
+    Py_XDECREF(array_type);
+    Py_XDECREF(array_module);
+    free(xpins);
+    free(weights);
+    free(pins);
+    free(seen);
+    free(areas);
+    PyBuffer_Release(&view);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* shuffle: random.Random.shuffle of range(n), bit for bit.            */
+/* ------------------------------------------------------------------ */
+
+PyDoc_STRVAR(shuffle_doc,
+"shuffle(perm, getrandbits)\n"
+"--\n\n"
+"Write what random.Random.shuffle makes of range(len(perm)) to perm\n"
+"(an int buffer), drawing from getrandbits (a random.Random's bound\n"
+"method) as shuffle's _randbelow does: index i takes the top\n"
+"bit_length(i + 1) bits of one 32-bit output, drawn again while they\n"
+"are above i.  The outputs come in bulk, getrandbits(32 * i) for the i\n"
+"indices left, which every index takes at least one of, so the\n"
+"generator ends where shuffle leaves it.");
+
+static PyObject *
+shuffle(PyObject *self, PyObject *args)
+{
+    PyObject *perm_o, *getrandbits;
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OO", &perm_o, &getrandbits))
+        return NULL;
+    Py_buffer view;
+    if (get_buffer(perm_o, &view, 1, 'i', -1, "perm") < 0)
+        return NULL;
+    int *perm = (int *)view.buf;
+    Py_ssize_t n = view.len / view.itemsize;
+    PyObject *result = NULL;
+    if (n > INT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "perm: more than INT_MAX items");
+        goto done;
+    }
+    for (Py_ssize_t v = 0; v < n; v++)
+        perm[v] = (int)v;
+    Py_ssize_t i = n - 1;
+    int k = 0;  /* bit_length(i + 1) */
+    while (((uint64_t)i + 1) >> k)
+        k++;
+    while (i > 0) {
+        PyObject *bits = PyObject_CallFunction(getrandbits, "n", 32 * i);
+        if (bits == NULL)
+            goto done;
+        PyObject *raw = PyObject_CallMethod(bits, "to_bytes", "ns", 4 * i,
+                                            "little");
+        Py_DECREF(bits);
+        if (raw == NULL)
+            goto done;
+        const unsigned char *word = (const unsigned char *)
+                                    PyBytes_AsString(raw);
+        if (word == NULL) {
+            Py_DECREF(raw);
+            goto done;
+        }
+        const unsigned char *last = word + 4 * i;
+        for (; word < last && i > 0; word += 4) {
+            uint32_t r = (uint32_t)word[0] | (uint32_t)word[1] << 8
+                         | (uint32_t)word[2] << 16 | (uint32_t)word[3] << 24;
+            r >>= 32 - k;
+            if (r <= (uint64_t)i) {
+                int t = perm[i];
+                perm[i] = perm[r];
+                perm[r] = t;
+                i--;
+                if ((uint64_t)i + 1 < (uint64_t)1 << (k - 1))
+                    k--;
+            }
+        }
+        Py_DECREF(raw);
+    }
+    Py_INCREF(Py_None);
+    result = Py_None;
+done:
+    PyBuffer_Release(&view);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"fm_pass", fm_pass, METH_VARARGS, fm_pass_doc},
     {"match", match, METH_VARARGS, match_doc},
     {"induce", induce, METH_VARARGS, induce_doc},
     {"init_state", init_state, METH_VARARGS, init_state_doc},
     {"incidence", incidence, METH_VARARGS, incidence_doc},
+    {"read_hmetis", read_hmetis, METH_VARARGS, read_hmetis_doc},
+    {"shuffle", shuffle, METH_VARARGS, shuffle_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "One ML level: Match, Induce, the state sweep and the exact FM/CLIP "
-    "pass (see repro.fm.native).",
+    "One ML invocation's hot spots: the hMETIS reader, the random module "
+    "order, Match, Induce, the state sweep and the exact FM/CLIP pass "
+    "(see repro.fm.native).",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

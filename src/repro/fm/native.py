@@ -1,16 +1,20 @@
 """Build-on-first-use loader for the compiled level kernels
 (``_kernels.c``).
 
-:func:`load` returns the extension module that runs one ML level in C —
-Match (``match``), Induce (``induce``), the partition state's
-construction sweep with the gain bound (``init_state``), the flat
-incidence (``incidence``) and one exact LIFO FM/CLIP pass
-(``fm_pass``) — or ``None`` when it cannot be had.  Each entry point
-ports a Python function that stays in the tree as its reference and
-fallback and gives the same answers: ``clustering.match``,
-``clustering.induce``, ``PartitionState`` and the engine's Python pass
-loop choose the compiled kernel from their own arguments and the
-loaded module, never from an option.
+:func:`load` returns the extension module that runs an ML invocation's
+hot spots in C — the hMETIS reader (``read_hmetis``), the random module
+order (``shuffle``), Match (``match``), Induce (``induce``), the
+partition state's construction sweep with the gain bound
+(``init_state``), the flat incidence (``incidence``) and one exact LIFO
+FM/CLIP pass (``fm_pass``) — or ``None`` when it cannot be had.  Each
+entry point ports a Python function that stays in the tree as its
+reference and fallback and gives the same answers.  The callers —
+``hypergraph.read_hmetis`` (whose compiled reader declines any file
+outside a plain subset, which the Python reader then parses),
+``rng.random_permutation`` (compiled for a plain ``random.Random``
+only), ``clustering.match``, ``clustering.induce``, ``PartitionState``
+and the engine's Python pass loop — choose the compiled kernel from
+their own arguments and the loaded module, never from an option.
 
 Nothing here runs at import: the first :func:`load` compiles
 ``_kernels.c`` with ``$CC`` (else the compiler Python was built with)

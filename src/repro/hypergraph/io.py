@@ -21,6 +21,7 @@ Three formats are supported:
 
 from __future__ import annotations
 
+import io
 import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -44,9 +45,43 @@ def _tokenized_lines(text: str):
         yield lineno, line.split()
 
 
+def _decode(data: bytes) -> str:
+    """A file's bytes as ``Path.read_text`` would have read them;
+    undecodable bytes are a :class:`ParseError`."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(data)).read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not {exc.encoding} text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+
+
 def read_hmetis(path: PathLike, name: str = "") -> Hypergraph:
-    """Read a hypergraph in hMETIS format."""
-    text = Path(path).read_text()
+    """Read a hypergraph in hMETIS format.
+
+    The file's bytes go first to the compiled reader
+    (:mod:`repro.fm.native`), which builds the netlist's flat layout
+    directly when the file lies in a plain subset of the format: only
+    printable ASCII, tab, LF and CR; integers of plain digits; areas of
+    plain decimals; counts the file holds; net weights in ``[1,
+    2**63)``, areas finite and positive, at least two distinct pins a
+    net.  It declines anything else, and the Python reader below parses
+    the same bytes, so every error and its message comes from Python
+    (DESIGN.md §8).
+    """
+    from ..fm.native import load
+    data = Path(path).read_bytes()
+    name = name or Path(path).stem
+    kernel = load()
+    parsed = kernel.read_hmetis(data) if kernel is not None else None
+    if parsed is None:
+        return _parse_hmetis(_decode(data), name)
+    flat, largest = parsed
+    return Hypergraph._from_flat(flat, name, largest)
+
+
+def _parse_hmetis(text: str, name: str) -> Hypergraph:
+    """The Python hMETIS reader: the compiled reader's reference, and
+    the one that names every error."""
     lines = _tokenized_lines(text)
 
     try:
@@ -106,7 +141,7 @@ def read_hmetis(path: PathLike, name: str = "") -> Hypergraph:
 
     return Hypergraph(nets, num_modules=num_modules, areas=areas,
                       net_weights=net_weights if weighted_nets else None,
-                      name=name or Path(path).stem)
+                      name=name)
 
 
 def write_hmetis(hg: Hypergraph, path: PathLike) -> None:
@@ -136,7 +171,8 @@ def write_hmetis(hg: Hypergraph, path: PathLike) -> None:
 def read_are(path: PathLike) -> Dict[str, float]:
     """Read an ACM/SIGDA ``.are`` file: module name -> area."""
     areas: Dict[str, float] = {}
-    for lineno, tokens in _tokenized_lines(Path(path).read_text()):
+    text = _decode(Path(path).read_bytes())
+    for lineno, tokens in _tokenized_lines(text):
         if len(tokens) != 2:
             raise ParseError("expected '<name> <area>'", lineno)
         try:
@@ -158,7 +194,7 @@ def read_netd(path: PathLike, are_path: Optional[PathLike] = None,
     default to 1 unless ``are_path`` provides them, matching the
     paper's unit-area experimental setting.
     """
-    lines = list(_tokenized_lines(Path(path).read_text()))
+    lines = list(_tokenized_lines(_decode(Path(path).read_bytes())))
     if len(lines) < 5:
         raise ParseError("netD file needs 5 header lines")
     header_values = []
@@ -260,10 +296,12 @@ def read_json(path: PathLike) -> Hypergraph:
     for this format exactly as it does for hMETIS and netD.
     """
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(_decode(Path(path).read_bytes()))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}",
                          line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(
             f"top-level JSON value must be an object, got "
@@ -279,8 +317,8 @@ def read_json(path: PathLike) -> Hypergraph:
                           name=data.get("name", ""))
     except ParseError:
         raise
-    except (ReproError, TypeError, ValueError, KeyError,
-            IndexError) as exc:
+    except (ReproError, TypeError, ValueError, KeyError, IndexError,
+            OverflowError) as exc:
         raise ParseError(f"malformed netlist JSON: {exc}") from None
 
 

@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from ..errors import BalanceError
 from ..hypergraph import Hypergraph
-from ..rng import SeedLike, make_rng
+from ..rng import SeedLike, make_rng, random_permutation
 from .balance import BalanceConstraint
 from .solution import Partition
 
@@ -50,7 +50,8 @@ def rebalance_random(hg: Hypergraph, partition: Partition,
         if movable is None or movable[v]:
             by_part[p].append(v)
     for members in by_part:
-        rng.shuffle(members)
+        members[:] = [members[i]
+                      for i in random_permutation(len(members), rng)]
 
     # Each iteration moves one module out of the worst offender; bounded
     # by the number of modules times parts, with a hard guard against

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 
 from ..errors import PartitionError
 from ..hypergraph import Hypergraph
-from ..rng import SeedLike, make_rng
+from ..rng import SeedLike, make_rng, random_permutation
 
 __all__ = ["Partition", "random_partition"]
 
@@ -124,8 +124,7 @@ def random_partition(hg: Hypergraph, k: int = 2,
     while guaranteeing the balance preconditions FM needs to start.
     """
     rng = rng if rng is not None else make_rng(seed)
-    order = list(hg.modules())
-    rng.shuffle(order)
+    order = random_permutation(hg.num_modules, rng)
     assignment = [0] * hg.num_modules
     areas = [0.0] * k
     for v in order:

@@ -9,12 +9,16 @@ conventions:
 * :func:`child_seeds` derives independent per-run seeds for multistart
   experiments, so run *i* of an algorithm is the same regardless of how
   many total runs were requested.
+* :func:`random_permutation` is the one random order every module visit
+  takes (Match, the random initial partition, random rebalancing); it
+  runs compiled and gives ``shuffle``'s answer.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from typing import Iterable, List, Optional, Union
 
 SeedLike = Union[int, random.Random, None]
@@ -60,10 +64,28 @@ def stable_seed(*parts: object) -> int:
     return int.from_bytes(digest, "big") % _SEED_BOUND
 
 
-def random_permutation(n: int, rng: random.Random) -> List[int]:
-    """Return a uniformly random permutation of ``range(n)``."""
-    perm = list(range(n))
-    rng.shuffle(perm)
+def random_permutation(n: int, rng: random.Random) -> array:
+    """Return a uniformly random permutation of ``range(n)``: what
+    ``rng.shuffle(list(range(n)))`` makes of it, as an ``array('i')``,
+    with ``rng`` left in the state ``shuffle`` leaves it in.
+
+    For a plain :class:`random.Random` the compiled ``shuffle`` kernel
+    (:mod:`repro.fm.native`) draws it when the kernel module loads: it
+    takes the generator's 32-bit outputs in bulk and applies
+    ``shuffle``'s rejection rule to them, so the order and the
+    generator's next draw are the same bit for bit (DESIGN.md §8).  A
+    subclass may draw differently, so it runs ``shuffle`` itself.
+    """
+    kernel = None
+    if type(rng) is random.Random:
+        from .fm.native import load
+        kernel = load()
+    if kernel is None:
+        order = list(range(n))
+        rng.shuffle(order)
+        return array("i", order)
+    perm = array("i", [0]) * n
+    kernel.shuffle(perm, rng.getrandbits)
     return perm
 
 

@@ -145,7 +145,8 @@ def test_load_is_memoised():
 @needs_cc
 def test_module_holds_the_level_pipeline():
     module = native.load()
-    for name in ("match", "induce", "init_state", "incidence", "fm_pass"):
+    for name in ("match", "induce", "init_state", "incidence", "fm_pass",
+                 "read_hmetis", "shuffle"):
         assert callable(getattr(module, name)), name
 
 

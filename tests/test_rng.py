@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.fm import native
 from repro.rng import (child_seeds, choice_weighted, make_rng,
                        random_permutation, spawn, stable_seed)
 
@@ -41,6 +42,19 @@ class TestChildSeeds:
             child_seeds(1, -1)
 
 
+#: Sizes the compiled permutation is held to ``shuffle`` at: the
+#: smallest, each power of two up to 2**17 and its neighbours (where
+#: the draw's bit length changes), and the golem3 stand-in at 0.1.
+SIZES = sorted({0, 1, 2, 3, 10305}
+               | {m for k in range(1, 18) for m in (2**k - 1, 2**k, 2**k + 1)})
+
+
+def _shuffled(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    return order
+
+
 class TestPermutation:
     def test_is_permutation(self):
         perm = random_permutation(50, make_rng(3))
@@ -49,6 +63,48 @@ class TestPermutation:
     def test_deterministic(self):
         assert random_permutation(20, make_rng(4)) == \
             random_permutation(20, make_rng(4))
+
+    @pytest.mark.parametrize("loop", ["c", "py"])
+    def test_is_shuffle_bit_for_bit(self, loop, monkeypatch):
+        """Both paths give ``shuffle``'s order, as an ``array('i')``,
+        and leave the generator where ``shuffle`` leaves it: the
+        compiled one for 50 seeds at every size, the Python one (which
+        is ``shuffle``) for a few."""
+        sizes = SIZES
+        if loop == "py":
+            monkeypatch.setattr(native, "_module", None)
+            sizes = [n for n in SIZES if n <= 1025]
+        elif native.load() is None:
+            pytest.skip("no C compiler for the level kernels")
+        for seed in range(50 if loop == "c" else 5):
+            ours, reference = random.Random(seed), random.Random(seed)
+            for n in sizes:
+                perm = random_permutation(n, ours)
+                assert perm.typecode == "i"
+                assert perm.tolist() == _shuffled(n, reference), (seed, n)
+                assert ours.getstate() == reference.getstate(), (seed, n)
+            assert ours.random() == reference.random()
+
+    def test_a_subclass_draws_its_own_way(self, monkeypatch):
+        """A subclass may replace the draws ``shuffle`` makes, so it
+        takes ``shuffle`` itself, never the compiled rule."""
+
+        class Floats(random.Random):
+            # With random() replaced and getrandbits() not, shuffle
+            # draws indices from random(), not from 32-bit outputs.
+            def random(self):
+                return super().random()
+
+        class Refuses:
+            def shuffle(self, perm, getrandbits):
+                raise AssertionError("the compiled shuffle ran")
+
+        monkeypatch.setattr(native, "_module", Refuses())
+        for n in (2, 17, 1000):
+            assert random_permutation(n, Floats(n)).tolist() == \
+                _shuffled(n, Floats(n))
+        assert random_permutation(1000, Floats(1)).tolist() != \
+            _shuffled(1000, random.Random(1))
 
 
 class TestSpawn:
