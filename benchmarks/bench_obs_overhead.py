@@ -21,6 +21,11 @@ circuits in three configurations:
   recording, and ``record_bytes`` is the size of one run's recording;
   the *disabled* cell doubles as its dormancy check
   (``recorder().enabled`` must read off, so no event is built).
+* ``replayed``  — ``replay_recording(..., verify_states=True)`` on the
+  file the ``recorded`` cell just wrote: the price of auditing one
+  run's recording against a fresh ``PartitionState``
+  (``repro replay --verify-states``), reported as ``replay_s``.  It is
+  not an instrumentation cost, so no overhead percentage is derived.
 * ``profiled``  — everything on at once: tracing, metrics, the
   sampling wall profiler, and tracemalloc peak-memory capture — the
   ``repro serve --profile-dir`` configuration.  This cell is
@@ -65,7 +70,7 @@ from repro.hypergraph import load_circuit
 from repro.obs import (SamplingProfiler, collecting_metrics,
                        enable_memory_profiling, memory_peak,
                        memory_profiling_enabled, read_record, recorder,
-                       recording, tracing)
+                       recording, replay_recording, tracing)
 
 SCALE = 0.05
 SEED = 7
@@ -167,6 +172,12 @@ def run_bench():
                 with recording(record_path):
                     return mlc()
 
+            def replayed():
+                report = replay_recording(record_path, hg,
+                                          verify_states=True)
+                assert report.ok, report.render()
+                return report.moves
+
             def profiled():
                 profiler = SamplingProfiler(interval_seconds=0.005)
                 enable_memory_profiling(True)
@@ -184,10 +195,12 @@ def run_bench():
             timed = _time_interleaved([("disabled", dormant),
                                        ("enabled", traced),
                                        ("recorded", recorded),
+                                       ("replayed", replayed),
                                        ("profiled", profiled)])
             t_off, v_off = timed["disabled"]
             t_on, v_on = timed["enabled"]
             t_rec, v_rec = timed["recorded"]
+            t_replay, _ = timed["replayed"]
             t_prof, v_prof = timed["profiled"]
             from repro.obs import read_trace
             events = list(read_trace(trace_path))
@@ -206,6 +219,7 @@ def run_bench():
             "disabled_s": round(t_off, 6),
             "enabled_s": round(t_on, 6),
             "recorded_s": round(t_rec, 6),
+            "replay_s": round(t_replay, 6),
             "profiled_s": round(t_prof, 6),
             "enabled_overhead_pct":
                 round(100.0 * (t_on - t_off) / t_off, 2),
@@ -254,7 +268,8 @@ def print_report(report):
     print(f"\nobservability overhead (MLc, scale={report['meta']['scale']}, "
           f"best of {report['meta']['repeats']})")
     print(f"{'circuit':>10} {'baseline':>9} {'disabled':>9} "
-          f"{'enabled':>9} {'recorded':>9} {'profiled':>9} {'off %':>7} "
+          f"{'enabled':>9} {'recorded':>9} {'replay':>9} {'profiled':>9} "
+          f"{'off %':>7} "
           f"{'on %':>7} {'rec %':>7} {'prof %':>7} {'events':>7} "
           f"{'decs':>7} {'rec KiB':>8}")
     for r in report["results"]:
@@ -263,7 +278,7 @@ def print_report(report):
                 if "disabled_overhead_pct" in r else "    n/a")
         print(f"{r['circuit']:>10} {base} {r['disabled_s']:9.4f} "
               f"{r['enabled_s']:9.4f} {r['recorded_s']:9.4f} "
-              f"{r['profiled_s']:9.4f} {offp} "
+              f"{r['replay_s']:9.4f} {r['profiled_s']:9.4f} {offp} "
               f"{r['enabled_overhead_pct']:+7.1f} "
               f"{r['recorded_overhead_pct']:+7.1f} "
               f"{r['profiled_overhead_pct']:+7.1f} "

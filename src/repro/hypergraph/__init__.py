@@ -5,8 +5,9 @@ from .builder import HypergraphBuilder
 from .generators import (grid_circuit, hierarchical_circuit,
                          random_hypergraph)
 from .hypergraph import Hypergraph
-from .io import (read_are, read_hmetis, read_json, read_netd,
-                 write_are, write_hmetis, write_json, write_netd)
+from .io import (netlist_from_dict, read_are, read_hmetis, read_json,
+                 read_netd, write_are, write_hmetis, write_json,
+                 write_netd)
 from .stats import (HypergraphStats, compute_stats, degree_histogram,
                     net_size_histogram)
 from .suite import (MINI_SCALE, TABLE_I, BenchmarkSpec, benchmark_names,
@@ -23,6 +24,7 @@ __all__ = [
     "read_hmetis",
     "write_hmetis",
     "read_json",
+    "netlist_from_dict",
     "read_netd",
     "read_are",
     "write_netd",

@@ -31,7 +31,8 @@ from .builder import HypergraphBuilder
 from .hypergraph import Hypergraph
 
 __all__ = ["read_hmetis", "write_hmetis", "read_netd", "write_netd",
-           "read_are", "write_are", "read_json", "write_json"]
+           "read_are", "write_are", "read_json", "write_json",
+           "netlist_from_dict"]
 
 PathLike = Union[str, Path]
 
@@ -306,6 +307,20 @@ def read_json(path: PathLike) -> Hypergraph:
         raise ParseError(
             f"top-level JSON value must be an object, got "
             f"{type(data).__name__}")
+    return netlist_from_dict(data)
+
+
+def netlist_from_dict(data: Dict[str, object],
+                      name: str = "") -> Hypergraph:
+    """Build a hypergraph from the keys of this library's JSON
+    container: ``nets`` and ``num_modules``, optional ``areas``,
+    ``net_weights`` and ``name`` (``name`` when absent).
+
+    Every way those keys can be wrong — a missing one, or a value the
+    :class:`Hypergraph` constructor rejects (non-list nets, pins out of
+    range or not integers, weights that do not fit, ...) — is a
+    :class:`~repro.errors.ParseError`.
+    """
     for key in ("num_modules", "nets"):
         if key not in data:
             raise ParseError(f"missing key {key!r}")
@@ -314,7 +329,7 @@ def read_json(path: PathLike) -> Hypergraph:
                           num_modules=data["num_modules"],
                           areas=data.get("areas"),
                           net_weights=data.get("net_weights"),
-                          name=data.get("name", ""))
+                          name=data.get("name", name))
     except ParseError:
         raise
     except (ReproError, TypeError, ValueError, KeyError, IndexError,

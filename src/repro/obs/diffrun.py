@@ -11,23 +11,23 @@ Alignment rules (DESIGN.md §16 is normative):
    a headerless library recording is one anonymous start) and aligned
    start-by-start on the start index — a parallel executor may write
    blocks in completion order, so file order is never compared.
-2. Within a start, only *decision* events participate in alignment:
-   ``merge``, ``mv``, ``batch``, ``polish`` (a new recording's
-   ``match`` and ``pass`` lists are read as the ``merge`` and ``mv``
-   events they stand for, see :func:`repro.obs.group_starts`).  Structural markers
-   (``level``, ``fm``, ``pass``…) provide context but cannot diverge
-   on their own — a differing structure always follows a differing
-   decision (or a differing event *count*, reported as exhaustion).
-3. Two decision events at the same ordinal match when their type and
-   decision key agree: ``(v, w)`` for a merge, ``(m, s, c)`` for a
-   move, ``(mods, c)`` for a batch/polish commit.  Consequence fields
-   with float arithmetic (``a0``) are excluded — reassociated sums may
-   differ harmlessly across refinement engines.
+2. Within a start, only *decisions* participate in alignment: each
+   pair of a ``match`` event (a merge) and each move of a ``pass``
+   event, in order.  Structural markers (``level``, ``fm``, the
+   ``pass`` itself…) provide context but cannot diverge on their own —
+   a differing structure always follows a differing decision (or a
+   differing decision *count*, reported as exhaustion).
+3. Two decisions at the same ordinal match when their keys agree:
+   ``(v, w)`` for a merge, ``(m, s, c)`` for a move — the module, the
+   side it left and the internal cut after it, both derived from the
+   block's ``init`` and ``c`` and the pass's gains.  The side-0 area
+   ``a0`` is not compared.
 4. The first mismatching ordinal is *the* divergence; everything after
    it is cascade.  Its report carries the local context of both
-   streams: the enclosing level / refinement block / pass, and a
-   window of surrounding raw events (where tie handling, the balance
-   clip, or the plateau rule can be read off directly).
+   streams: the enclosing refinement block and a window of the
+   surrounding events, each decision shown as one ``merge`` or ``mv``
+   event (where tie handling, the balance clip, or the plateau rule
+   can be read off directly).
 
 Both streams are walked by :class:`repro.obs.summary.StartWalk`, the
 walk ``repro report --record`` reads too, so the **cut-vs-decision
@@ -52,17 +52,6 @@ __all__ = ["Divergence", "DiffReport", "diff_events", "diff_recordings"]
 
 #: Raw events shown on each side of a divergence.
 _CONTEXT_WINDOW = 3
-
-
-def _decision_key(ev: Dict[str, object]):
-    t = ev.get("t")
-    if t == "merge":
-        return ("merge", ev.get("v"), ev.get("w"))
-    if t == "mv":
-        return ("mv", ev.get("m"), ev.get("s"), ev.get("c"))
-    if t in ("batch", "polish"):
-        return (t, tuple(ev.get("mods") or ()), ev.get("c"))
-    return (t,)
 
 
 def _strip_init(ev: Optional[Dict[str, object]]):
@@ -96,8 +85,7 @@ class Divergence:
         ta, tb = self.a.get("t"), self.b.get("t")
         if ta != tb:
             return (f"start {self.start}, decision {self.ordinal}: "
-                    f"event kind diverges — A has {ta!r}, B has {tb!r} "
-                    f"(sequential vs batched refinement fork)")
+                    f"event kind diverges — A has {ta!r}, B has {tb!r}")
         return (f"start {self.start}, decision {self.ordinal}: "
                 f"{ta} decisions differ — A {self.a} vs B {self.b}")
 
@@ -160,11 +148,6 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _window(walk, pos: int) -> List[Dict[str, object]]:
-    return walk.events[max(0, pos - _CONTEXT_WINDOW):
-                       pos + _CONTEXT_WINDOW + 1]
-
-
 def diff_events(events_a, events_b) -> DiffReport:
     """Align two recordings' events (see module docstring for rules)."""
     walks_a = decision_from_events(events_a).starts
@@ -176,28 +159,29 @@ def diff_events(events_a, events_b) -> DiffReport:
         report.starts_compared += 1
         a, b = walks_a[index], walks_b[index]
         n = min(len(a.decisions), len(b.decisions))
-        divergence = None
-        for k in range(n):
-            (pos_a, ev_a), (pos_b, ev_b) = a.decisions[k], b.decisions[k]
-            report.decisions_compared += 1
-            if _decision_key(ev_a) != _decision_key(ev_b):
-                divergence = Divergence(
-                    start=index, ordinal=k, a=ev_a, b=ev_b,
-                    block_a=a.context[k], block_b=b.context[k],
-                    window_a=_window(a, pos_a), window_b=_window(b, pos_b))
-                break
-        if divergence is None and len(a.decisions) != len(b.decisions):
+        k = next((k for k, (key_a, key_b)
+                  in enumerate(zip(a.decisions, b.decisions))
+                  if key_a != key_b), None)
+        report.decisions_compared += n if k is None else k + 1
+        if k is not None:
+            divergence = Divergence(
+                start=index, ordinal=k, a=a.render(k), b=b.render(k),
+                block_a=a.context(k), block_b=b.context(k),
+                window_a=a.window(k, _CONTEXT_WINDOW),
+                window_b=b.window(k, _CONTEXT_WINDOW))
+        elif len(a.decisions) != len(b.decisions):
             longer = a if len(a.decisions) > n else b
-            ev = longer.decisions[n][1]
+            ev = longer.render(n)
             divergence = Divergence(
                 start=index, ordinal=n,
                 a=ev if longer is a else None,
                 b=ev if longer is b else None,
-                block_a=a.context[n] if longer is a else None,
-                block_b=b.context[n] if longer is b else None)
-        if divergence is not None:
-            report.divergences.append(divergence)
-            report.curves[index] = {"a": a.curve, "b": b.curve}
+                block_a=a.context(n) if longer is a else None,
+                block_b=b.context(n) if longer is b else None)
+        else:
+            continue
+        report.divergences.append(divergence)
+        report.curves[index] = {"a": a.curve, "b": b.curve}
     return report
 
 

@@ -36,8 +36,6 @@ Written today:
 
 ``{"t":"start","i":..,"seed":..,"alg":..}``
     Header of one portfolio start; ``alg`` names the algorithm.
-    Recordings written while a process-global kernel mode existed also
-    carry a ``mode`` field, which readers ignore.
 ``{"t":"match","p":[v0,w0,v1,w1,..]}``
     One Match call: the ``k``-th pair opened cluster ``k``, seeded by
     module ``v`` with module ``w`` merged into it (``w = -1``: ``v``
@@ -72,25 +70,14 @@ Written today:
     k-way result adds ``"k"``; its ``assign`` is one digit per module
     for ``k <= 10`` and a list of part ids beyond.
 
-Read only (older recordings; :func:`group_starts` also derives
-``merge`` and ``mv`` from the list events above):
-
-``{"t":"merge","v":..,"w":..}``
-    One pair of a ``match`` event, in pair order.
-``{"t":"mv","i":..,"m":..,"s":..,"g":..,"c":..}``
-    Move ``i`` of the current pass moved module ``m`` off side ``s``,
-    lowering the internal cut by ``g`` to ``c``.  Recordings written
-    before the ``pass`` lists carry these, with ``a0`` (side-0 area
-    after the move) and, older still, ``bg`` (the bucket gain), which
-    readers ignore; their ``pass`` events carry no ``m``, ``g`` or
-    ``a0``.
-``{"t":"repair","n":..}``, ``{"t":"batch","r":..,"mods":[..],"c":..}``,
-``{"t":"polish","mods":[..],"c":..}``
-    The batch engine of the since-removed ``mlb`` algorithm: its
-    balance repair moved ``n`` modules before refinement; in round
-    ``r`` a batch of modules flipped sides together, or its scalar
-    polish walk kept exactly these flips, leaving internal cut ``c``.
-    Its ``pass`` events carry ``"np":1`` and ``k == mv``.
+Older recordings wrote each merge (``{"t":"merge","v":..,"w":..}``)
+and each move (``{"t":"mv","i":..,"m":..,"s":..,"g":..,"c":..}``: module
+``m`` left side ``s``, lowering the internal cut by ``g`` to ``c``) out
+as its own event.  :func:`group_starts` folds them into the events
+above as it reads them (``_upgrade`` states the rule).  What does not
+fold stays as it is, for replay to name, and so do the ``repair``,
+``batch`` and ``polish`` events of the removed ``mlb`` algorithm's
+batch engine.
 
 Recordings are the decision channel of the shared event pipeline
 (:mod:`repro.obs.events`): the same sinks, the same execution-scoped
@@ -102,18 +89,15 @@ raised.
 
 from __future__ import annotations
 
+from itertools import groupby
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .events import Channel, Event, read_jsonl
 
 __all__ = ["DECISIONS", "recorder", "set_recorder", "recording",
-           "read_record", "group_starts", "match_error", "pass_error"]
-
-#: Event types that *are* decisions (the diff alignment set), as
-#: :func:`group_starts` hands them out; the rest are structural markers
-#: and verification anchors.
-DECISION_EVENTS = ("merge", "mv", "batch", "polish")
+           "read_record", "group_starts", "match_error", "pass_error",
+           "BlockCursor"]
 
 #: The decision channel.
 DECISIONS = Channel("record")
@@ -137,8 +121,7 @@ def read_record(path: Union[str, Path]) -> Iterator[Event]:
 
 def group_starts(events) -> Dict[int, List[Event]]:
     """Group a recording's events into per-start blocks keyed by start
-    index, each block with its ``match`` and ``pass`` lists expanded
-    into the ``merge`` and ``mv`` events they stand for.
+    index, each block upgraded to the written vocabulary.
 
     A parallel executor absorbs start blocks in completion order, so
     file order is not seed-stable — but block *contents* are.  Events
@@ -155,7 +138,7 @@ def group_starts(events) -> Dict[int, List[Event]]:
             idx = event.get("i")
             current = idx if _is_int(idx) else -1
         blocks.setdefault(current, []).append(event)
-    return {index: _expand(block) for index, block in blocks.items()}
+    return {index: _upgrade(block) for index, block in blocks.items()}
 
 
 def _is_int(value) -> bool:
@@ -167,8 +150,8 @@ def _int_list(value) -> bool:
 
 
 def match_error(ev: Event) -> Optional[str]:
-    """Why the ``match`` event ``ev`` cannot be expanded into ``merge``
-    events, or ``None`` if it can."""
+    """Why the ``match`` event ``ev`` holds no list of pairs, or
+    ``None`` if it does."""
     pairs = ev.get("p")
     if not _int_list(pairs) or len(pairs) % 2:
         return "p is not a flat list of (v, w) integer pairs"
@@ -176,9 +159,8 @@ def match_error(ev: Event) -> Optional[str]:
 
 
 def pass_error(ev: Event, n: int) -> Optional[str]:
-    """Why the list-carrying ``pass`` event ``ev`` cannot be expanded
-    into ``mv`` events in a refinement block of ``n`` modules, or
-    ``None`` if it can."""
+    """Why the ``pass`` event ``ev`` holds no valid move list for a
+    refinement block of ``n`` modules, or ``None`` if it does."""
     modules, gains = ev.get("m"), ev.get("g")
     mv, k = ev.get("mv"), ev.get("k")
     if not (_int_list(modules) and _int_list(gains)):
@@ -194,46 +176,95 @@ def pass_error(ev: Event, n: int) -> Optional[str]:
     return None
 
 
-def _expand(block: List[Event]) -> List[Event]:
-    """``block`` with each well-formed ``match`` event replaced by its
-    ``merge`` events and each well-formed list-carrying ``pass`` event
-    preceded by its ``mv`` events (and stripped of its lists).
+class BlockCursor:
+    """One refinement block's assignment and internal cut, carried from
+    pass to pass: what each move's side and running cut derive from."""
 
-    A move's side comes from the block's ``init`` and the moves and
-    rollbacks before it; its cut is the block's starting cut minus the
-    gains of every move since, rolled-back ones excluded.  Malformed
-    list events, and ``pass`` lists in a block whose ``fm`` event has
-    no string ``init`` and integer ``c``, pass through unexpanded, for
-    replay to name.
-    """
+    def __init__(self, sides: List[int], cut: int):
+        self.sides, self.cut = sides, cut
+
+    @classmethod
+    def open(cls, fm: Event) -> Optional["BlockCursor"]:
+        """The cursor at the start of the block ``fm`` opens, or
+        ``None`` if ``fm`` has no string ``init`` and integer ``c``."""
+        init, cut = fm.get("init"), fm.get("c")
+        if not (isinstance(init, str) and _is_int(cut)):
+            return None
+        return cls([1 if ch == "1" else 0 for ch in init], cut)
+
+    def moves(self, ev: Event) -> Optional[List[Tuple[int, int, int]]]:
+        """``(module, side it left, internal cut after)`` of each move
+        of the ``pass`` event ``ev``, leaving the cursor at the pass's
+        best prefix; ``None`` (the cursor unmoved) if ``ev`` has no
+        valid move list."""
+        if pass_error(ev, len(self.sides)) is not None:
+            return None
+        sides, cut, out = self.sides, self.cut, []
+        for v, g in zip(ev["m"], ev["g"]):
+            side = sides[v]
+            sides[v] = 1 - side
+            cut -= g
+            out.append((v, side, cut))
+        k = ev["k"]
+        for v in ev["m"][k:]:
+            sides[v] ^= 1
+        if k:
+            self.cut = out[k - 1][2]
+        return out
+
+
+def _upgrade(block: List[Event]) -> List[Event]:
+    """``block`` in the written vocabulary: the one reader of the old
+    ``merge`` and ``mv`` events.  A run of ``merge`` events becomes one
+    ``match``; the ``mv`` run before a list-less ``pass`` becomes its
+    ``m`` and ``g`` lists if every move is well formed and its ``s`` and
+    ``c`` are the side and running cut derived from the block's
+    ``init`` and ``c`` and the gains before it.  The moves' ``bg`` and
+    ``a0`` and the start's ``mode`` are dropped; a block written today
+    comes back unchanged."""
     out: List[Event] = []
-    sides: Optional[List[int]] = None   # the open block's assignment
-    cut = 0                             # its internal cut, pass start
-    for ev in block:
-        t = ev.get("t")
-        if t == "match" and match_error(ev) is None:
-            pairs = ev["p"]
-            out.extend({"t": "merge", "v": pairs[j], "w": pairs[j + 1]}
-                       for j in range(0, len(pairs), 2))
+    moves: List[Event] = []           # an mv run waiting for its pass
+    cursor: Optional[BlockCursor] = None
+    for kind, run in groupby(block, key=lambda ev: ev.get("t")):
+        run = list(run)
+        if kind == "mv":
+            moves = run
             continue
-        if t == "fm":
-            init, cut = ev.get("init"), ev.get("c")
-            sides = ([1 if ch == "1" else 0 for ch in init]
-                     if isinstance(init, str) and _is_int(cut) else None)
-        elif (t == "pass" and "m" in ev and sides is not None
-              and pass_error(ev, len(sides)) is None):
-            running = cut
-            for i, (v, g) in enumerate(zip(ev["m"], ev["g"])):
-                side = sides[v]
-                sides[v] = 1 - side
-                running -= g
-                out.append({"t": "mv", "i": i, "m": v, "s": side, "g": g,
-                            "c": running})
-            k = ev["k"]
-            for v in ev["m"][k:]:
-                sides[v] ^= 1
-            cut -= sum(ev["g"][:k])
-            ev = {key: value for key, value in ev.items()
-                  if key not in ("m", "g")}
-        out.append(ev)
+        if kind == "merge":
+            pairs = [u for ev in run for u in (ev.get("v"), ev.get("w"))]
+            if _int_list(pairs):
+                run = [{"t": "match", "p": pairs}]
+        for ev in run:
+            if kind == "start" and "mode" in ev:
+                ev = {key: value for key, value in ev.items()
+                      if key != "mode"}
+            elif kind == "fm":
+                cursor = BlockCursor.open(ev)
+            elif kind == "pass" and "m" not in ev and cursor is not None:
+                folded = _fold_moves(moves, ev, cursor)
+                if folded is not None:
+                    ev, moves = folded, []
+            out.extend(moves)
+            moves = []
+            out.append(ev)
+    out.extend(moves)
     return out
+
+
+def _fold_moves(moves: List[Event], ev: Event,
+                cursor: BlockCursor) -> Optional[Event]:
+    """The list-less ``pass`` event ``ev`` carrying the ``mv`` events
+    before it as its lists, or ``None`` if they do not fold.  A pass
+    whose own fields are malformed folds as it is, for replay to name
+    (and to end the block's audit at)."""
+    if not all(mv.get("i") == i and all(_is_int(mv.get(key))
+                                        for key in "imsgc")
+               for i, mv in enumerate(moves)):
+        return None
+    folded = dict(ev, m=[mv["m"] for mv in moves],
+                  g=[mv["g"] for mv in moves])
+    derived = cursor.moves(folded)
+    if derived is None or derived == [(mv["m"], mv["s"], mv["c"])
+                                      for mv in moves]:
+        return folded
+    return None

@@ -3,46 +3,40 @@
 A recording (see :mod:`repro.obs.recorder`) is a complete decision
 transcript — Match's pairs, refinement starting assignments, every
 pass's moves with the gain the engine claimed for each.  This module
-re-applies that transcript, as :func:`~repro.obs.recorder.group_starts`
-expands it into ``merge`` and ``mv`` events, against fresh structures
-built from the *finest netlist only*:
+re-applies that transcript, as
+:func:`~repro.obs.recorder.group_starts` hands it out (an old
+recording upgraded to the ``match`` and ``pass`` lists), against fresh
+structures built from the *finest netlist only*:
 
-* coarse netlists are **rebuilt**, not trusted: the ``merge`` events of
-  each confirmed ``level`` reconstruct the clustering (clusters are
-  numbered in event order, then unmatched modules take the remaining
-  ids ascending) and :func:`repro.clustering.induce` — deterministic
-  given a clustering — produces the coarse netlist;
+* coarse netlists are **rebuilt**, not trusted: the pairs of the
+  ``match`` event each ``level`` confirms reconstruct the clustering
+  (clusters are numbered in pair order, then unmatched modules take
+  the remaining ids ascending) and :func:`repro.clustering.induce` —
+  deterministic given a clustering — produces the coarse netlist;
 * each ``fm`` block builds a fresh
   :class:`~repro.partition.PartitionState` from the recorded ``init``
-  assignment and replays the move stream, checking the gain the FM
-  pass (compiled or Python) computed for each move, and the cut those
-  gains add up to, against the state's independent implementation;
-* ``pass`` boundaries roll back to the recorded best prefix and check
-  the post-rollback cut and side-0 area; ``batch``/``polish`` events
-  (written by the
-  batch engine of the since-removed ``mlb`` algorithm) apply its flips
-  and check its cut reductions;
+  assignment; each ``pass`` applies its move list, checking the gain
+  the FM pass (compiled or Python) computed for each move against the
+  state's independent implementation, then rolls back to the recorded
+  best prefix and checks the post-rollback cut and side-0 area;
 * the ``result`` footer is the bit-identity target: its assignment
   must reproduce the recorded full-netlist cut when re-measured from
   scratch, and must equal one of the root-level blocks' final
   assignments (the portfolio keeps the best candidate, so *which*
   block is not recorded — membership is the contract).
 
-Because both refinement engines wrote the same vocabulary, replaying
-an old ``mlb`` recording audits the batch engine's cuts with the
-scalar state arithmetic, and replaying an exact-engine recording
-audits its incremental bookkeeping the same way.
-
 A malformed recording is reported, never raised: an event missing a
-key or carrying one of the wrong type, a module id out of range, or a
-list event whose lists disagree each become one named mismatch.
+key or carrying one of the wrong type, a module id out of range, a
+list event whose lists disagree, or an event kind replay does not
+read (an old event the upgrade could not fold, or the batch-engine
+events of the removed ``mlb`` algorithm) each become one named
+mismatch.
 
 Netlist registry: rebuilt coarse netlists are keyed by module count
 (coarsening strictly shrinks the count, and v-cycle chains re-register
 their own levels before referencing them), latest registration wins.
-Area comparisons are exact for sequential moves and passes (identical
-arithmetic order) and tolerance-based for batched events (cumulative
-sums reassociate).
+Area comparisons are exact: replay moves modules in the recorded
+order, so its sums are the engine's.
 """
 
 from __future__ import annotations
@@ -58,27 +52,19 @@ from .recorder import group_starts, match_error, pass_error, read_record
 __all__ = ["ReplayError", "ReplayReport", "clustering_from_merges",
            "replay_events", "replay_recording"]
 
-#: Absolute tolerance for area checks on batched (reassociated) sums.
-_AREA_EPS = 1e-6
-
 #: The keys each replayed event kind must carry, with their types
 #: (``None`` allowed where listed; a bool is not an int).
 _FIELDS = {
     "match": (("p", list),),
-    "merge": (("v", int), ("w", int)),
     "level": (("n", int), ("c", int)),
     "fm": (("n", int), ("mns", (int, None)), ("c", int), ("init", str)),
-    "mv": (("i", int), ("m", int), ("s", int), ("g", int), ("c", int)),
     "pass": (("p", int), ("k", int), ("c", int)),
-    "batch": (("mods", list), ("c", int)),
-    "polish": (("mods", list), ("c", int)),
     "result": (("cut", int),),
 }
 
-
 #: Event kinds inside a refinement block: a malformed one ends the
 #: block's audit.
-_BLOCK_EVENTS = ("fm", "mv", "pass", "batch", "polish")
+_BLOCK_EVENTS = ("fm", "pass")
 
 
 def _field_error(ev) -> Optional[str]:
@@ -107,7 +93,6 @@ class ReplayReport:
     starts: int = 0
     fm_blocks: int = 0
     moves: int = 0
-    batches: int = 0
     merges: int = 0
     levels: int = 0
     results_verified: int = 0
@@ -120,8 +105,7 @@ class ReplayReport:
     def render(self) -> str:
         lines = [
             f"replayed {self.starts} start(s): {self.fm_blocks} "
-            f"refinement block(s), {self.moves} move(s), "
-            f"{self.batches} batch/polish commit(s), {self.levels} "
+            f"refinement block(s), {self.moves} move(s), {self.levels} "
             f"coarsening level(s) rebuilt from {self.merges} merge(s)",
             f"final partitions verified bit-identical: "
             f"{self.results_verified}/{self.starts}",
@@ -140,9 +124,9 @@ class ReplayReport:
 def clustering_from_merges(n: int, merges: List[Tuple[int, int]]):
     """Rebuild the matcher's clustering from its merge decisions.
 
-    Clusters take ids in event order (``v`` and, when ``w >= 0``,
-    ``w`` join cluster ``k`` for the ``k``-th event); the modules no
-    event touched become singleton clusters in ascending module order
+    Clusters take ids in pair order (``v`` and, when ``w >= 0``,
+    ``w`` join cluster ``k`` for the ``k``-th pair); the modules no
+    pair names become singleton clusters in ascending module order
     — exactly the numbering discipline of
     :func:`repro.clustering.match`.
     """
@@ -174,9 +158,7 @@ class _StartReplay:
         self.netlists: Dict[int, Hypergraph] = {root.num_modules: root}
         self.pending: List[Tuple[int, int]] = []
         self.state = None          # live PartitionState of the fm block
-        self.block_moves: List[Tuple[int, int]] = []   # (module, src)
         self.root_finals: List[List[int]] = []
-        self.block_n = 0
         #: The open block could not be replayed; skip its events.
         self.abandoned = False
 
@@ -188,32 +170,27 @@ class _StartReplay:
         skip the rest of it quietly until the next ``fm`` event."""
         self._fail(msg)
         self.state = None
-        self.block_moves = []
         self.abandoned = True
-
-    def _outside(self, ev) -> None:
-        if not self.abandoned:
-            self._fail(f"{ev['t']} event outside any fm block")
 
     def _close_block(self) -> None:
         if self.state is None:
             return
         if self.verify_states:
             self.state.verify()
-        if self.block_n == self.root.num_modules:
+        if self.state.hg is self.root:
             self.root_finals.append(list(self.state.part_of))
         self.state = None
-        self.block_moves = []
 
     # -- event handlers --------------------------------------------------
 
     def on_match(self, ev) -> None:
-        # group_starts expands every well-formed match event.
-        self._fail(f"match event: {match_error(ev)}")
-
-    def on_merge(self, ev) -> None:
-        self.pending.append((ev["v"], ev["w"]))
-        self.report.merges += 1
+        problem = match_error(ev)
+        if problem is not None:
+            self._fail(f"match event: {problem}")
+            return
+        pairs = ev["p"]
+        self.pending.extend(zip(pairs[::2], pairs[1::2]))
+        self.report.merges += len(pairs) // 2
 
     def on_level(self, ev) -> None:
         from ..clustering import induce
@@ -263,93 +240,41 @@ class _StartReplay:
         assignment = [1 if ch == "1" else 0 for ch in init]
         self.state = PartitionState(hg, Partition(assignment, 2),
                                     active_nets=hg.active_nets(ev["mns"]))
-        self.block_n = ev["n"]
-        self.block_moves = []
         self.report.fm_blocks += 1
         if self.state.cut_weight != ev["c"]:
             self._fail(f"fm block ({ev['n']} modules): initial internal "
                        f"cut {self.state.cut_weight} != recorded "
                        f"{ev['c']}")
 
-    def on_mv(self, ev) -> None:
-        state = self.state
-        if state is None:
-            self._outside(ev)
-            return
-        m, src = ev["m"], ev["s"]
-        n = state.hg.num_modules
-        if not 0 <= m < n:
-            self._abandon(f"mv {ev['i']}: module {m} out of range for "
-                          f"{n} modules")
-            return
-        if state.part_of[m] != src:
-            self._fail(f"mv {ev['i']}: module {m} is on side "
-                       f"{state.part_of[m]}, recording says {src}")
-            return
-        before = state.cut_weight
-        state.move(m, 1 - src)
-        self.block_moves.append((m, src))
-        self.report.moves += 1
-        if state.cut_weight != ev["c"]:
-            self._fail(f"mv {ev['i']} (module {m}): cut "
-                       f"{state.cut_weight} != recorded {ev['c']}")
-        if before - state.cut_weight != ev["g"]:
-            self._fail(f"mv {ev['i']} (module {m}): gain "
-                       f"{before - state.cut_weight} != recorded "
-                       f"{ev['g']}")
-        if "a0" in ev and state.part_area[0] != ev["a0"]:
-            self._fail(f"mv {ev['i']} (module {m}): side-0 area "
-                       f"{state.part_area[0]} != recorded {ev['a0']}")
-
     def on_pass(self, ev) -> None:
         state = self.state
         if state is None:
-            self._outside(ev)
+            if not self.abandoned:
+                self._fail("pass event outside any fm block")
             return
-        if "m" in ev:
-            # group_starts expands every well-formed list event; this
-            # pass's moves are lost, so the block's audit stops here.
-            self._abandon(f"pass {ev['p']}: "
-                          f"{pass_error(ev, state.hg.num_modules)}")
+        problem = pass_error(ev, state.hg.num_modules)
+        if problem is not None:
+            # This pass's moves are lost, so the block's audit stops.
+            self._abandon(f"pass {ev['p']}: {problem}")
             return
-        if not ev.get("np"):
-            # Sequential pass: roll back to the recorded best prefix.
-            k = ev["k"]
-            if not 0 <= k <= len(self.block_moves):
-                self._fail(f"pass {ev['p']}: best prefix {k} of "
-                           f"{len(self.block_moves)} moves")
-                k = len(self.block_moves)
-            for m, original in reversed(self.block_moves[k:]):
-                state.move(m, original)
+        modules = ev["m"]
+        part_of = state.part_of
+        for i, (m, gain) in enumerate(zip(modules, ev["g"])):
+            before = state.cut_weight
+            state.move(m, 1 - part_of[m])
+            if before - state.cut_weight != gain:
+                self._fail(f"pass {ev['p']}, move {i} (module {m}): gain "
+                           f"{before - state.cut_weight} != recorded "
+                           f"{gain}")
+        for m in reversed(modules[ev["k"]:]):
+            state.move(m, 1 - part_of[m])
+        self.report.moves += len(modules)
         if state.cut_weight != ev["c"]:
             self._fail(f"pass {ev['p']}: post-rollback cut "
                        f"{state.cut_weight} != recorded {ev['c']}")
         if "a0" in ev and state.part_area[0] != ev["a0"]:
             self._fail(f"pass {ev['p']}: side-0 area "
                        f"{state.part_area[0]} != recorded {ev['a0']}")
-        self.block_moves = []
-
-    def on_batch(self, ev) -> None:
-        state = self.state
-        if state is None:
-            self._outside(ev)
-            return
-        n = state.hg.num_modules
-        bad = next((m for m in ev["mods"]
-                    if type(m) is not int or not 0 <= m < n), None)
-        if bad is not None:
-            self._abandon(f"{ev['t']}: module {bad!r} out of range for "
-                          f"{n} modules")
-            return
-        for m in ev["mods"]:
-            state.move(m, 1 - state.part_of[m])
-        self.report.batches += 1
-        if state.cut_weight != ev["c"]:
-            self._fail(f"{ev['t']} ({len(ev['mods'])} modules): cut "
-                       f"{state.cut_weight} != recorded {ev['c']}")
-        if "a0" in ev and abs(state.part_area[0] - ev["a0"]) > _AREA_EPS:
-            self._fail(f"{ev['t']}: side-0 area {state.part_area[0]} "
-                       f"!= recorded {ev['a0']}")
 
     def on_result(self, ev) -> None:
         from ..partition import Partition, cut
@@ -400,16 +325,16 @@ def replay_events(events: Iterable[Dict[str, object]], hg: Hypergraph,
         machine = _StartReplay(hg, report, f"start {index}",
                                verify_states=verify_states)
         handlers = {
-            "match": machine.on_match, "merge": machine.on_merge,
-            "level": machine.on_level, "fm": machine.on_fm,
-            "mv": machine.on_mv, "pass": machine.on_pass,
-            "batch": machine.on_batch, "polish": machine.on_batch,
+            "match": machine.on_match, "level": machine.on_level,
+            "fm": machine.on_fm, "pass": machine.on_pass,
             "result": machine.on_result,
         }
         for ev in blocks[index]:
             t = ev.get("t")
             handler = handlers.get(t)
             if handler is None:
+                if t not in ("start", "cycle") and not machine.abandoned:
+                    machine._abandon(f"unsupported event kind {t!r}")
                 continue
             problem = _field_error(ev)
             if problem is None:

@@ -146,11 +146,12 @@ def build_report(ledger: Union[str, Path, None] = None,
         decisions = decision_report(record)
         dec_tables = decisions.tables()
         if dec_tables:
-            kinds = decisions.kinds
+            walks = decisions.starts.values()
+            moves = sum(len(walk.curve) for walk in walks)  # a point each
+            merges = sum(len(walk.decisions) for walk in walks) - moves
             notes.append(f"decision analytics from `{record}`: "
                          f"{len(decisions.starts)} start(s), "
-                         f"{kinds['mv']} move(s), "
-                         f"{kinds['merge']} merge(s).")
+                         f"{moves} move(s), {merges} merge(s).")
             tables.extend(dec_tables)
         else:
             notes.append(f"no decision events in `{record}`.")

@@ -31,9 +31,9 @@ All counters are pure functions of the move sequence, so everything
 but the timings is stable for a fixed seed.
 
 **Recordings** (:func:`decision_report`).  One walk per start of a
-:mod:`repro.obs.recorder` stream, as ``group_starts`` expands it,
-yields its decisions (the events in ``DECISION_EVENTS``, merges
-included) with their enclosing ``fm``
+:mod:`repro.obs.recorder` stream, as ``group_starts`` hands it out,
+yields its decisions — each pair of a ``match`` event and each move of
+a ``pass`` event, held as its diff key — with their enclosing ``fm``
 event, the cut-vs-decision-ordinal curve and the per-pass gain
 histograms.  ``repro report --record`` shows the histograms and the
 curve; ``repro diff-run`` aligns two recordings' walks and overlays
@@ -43,13 +43,13 @@ the same curves.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from statistics import mean
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .metrics import Histogram
-from .recorder import DECISION_EVENTS, group_starts, read_record
+from .recorder import BlockCursor, group_starts, match_error, read_record
 from .trace import read_trace
 
 __all__ = ["PhaseStats", "LevelStats", "PassStats", "ServiceRequest",
@@ -486,19 +486,30 @@ def _attribute_moves(containers, fm_passes) -> None:
 
 # -- decision recordings -------------------------------------------------
 
-@dataclass
 class StartWalk:
-    """One start's block of a recording, walked once."""
+    """One start's block of a recording, walked once.
 
-    events: List[Dict[str, object]]
-    #: ``(raw position in events, event)`` of every decision, in order;
-    #: a decision's ordinal is its index here.
-    decisions: List[Tuple[int, Dict[str, object]]] = \
-        field(default_factory=list)
-    #: The ``fm`` event enclosing each decision (``None`` outside one).
-    context: List[Optional[Dict[str, object]]] = field(default_factory=list)
-    #: ``(decision ordinal, internal cut)`` after every decision with one.
-    curve: List[Tuple[int, int]] = field(default_factory=list)
+    A decision is held as its key: ``(v, w)`` for a pair of a ``match``
+    event, ``(m, s, c)`` for a move of a ``pass`` event — the module,
+    the side it left and the internal cut after it
+    (:class:`~repro.obs.recorder.BlockCursor`).  Only what ``diff-run``
+    shows of a divergence is rendered, one ``merge`` or ``mv`` event
+    dict per decision.
+    """
+
+    def __init__(self, events: List[Dict[str, object]]):
+        self.events = events
+        #: Every decision's key, in order; its ordinal is its index.
+        self.decisions: List[Tuple[int, ...]] = []
+        #: Index in ``events`` -> first decision ordinal, for each
+        #: ``match`` and ``pass`` event whose list was read.
+        self.anchors: Dict[int, int] = {}
+
+    @cached_property
+    def curve(self) -> List[Tuple[int, int]]:
+        """``(decision ordinal, internal cut)`` after every move."""
+        return [(ordinal, key[2]) for ordinal, key
+                in enumerate(self.decisions) if len(key) == 3]
 
     @classmethod
     def scan(cls, events: List[Dict[str, object]],
@@ -507,33 +518,83 @@ class StartWalk:
         kept (its ``pass`` event's committed prefix ``k``) into
         ``gain_hists`` under its FM pass number."""
         walk = cls(events)
-        fm: Optional[Dict[str, object]] = None
+        decisions = walk.decisions
+        cursor: Optional[BlockCursor] = None
         current_pass = 1
-        gains: List[float] = []  # the current pass's move gains so far
         for pos, ev in enumerate(events):
             t = ev.get("t")
             if t == "fm":
-                fm, current_pass = ev, 1
-                gains.clear()
+                cursor, current_pass = BlockCursor.open(ev), 1
+            elif t == "match" and match_error(ev) is None:
+                pairs = ev["p"]
+                walk.anchors[pos] = len(decisions)
+                decisions.extend(zip(pairs[::2], pairs[1::2]))
             elif t == "pass":
-                k = ev.get("k")
                 hist = gain_hists.get(current_pass)
                 if hist is None:
                     hist = gain_hists[current_pass] = Histogram(GAIN_BUCKETS)
-                for gain in (gains[:k] if isinstance(k, int) else gains):
-                    hist.observe(gain)
-                gains.clear()
+                moves = cursor.moves(ev) if cursor is not None else None
+                if moves is not None:
+                    walk.anchors[pos] = len(decisions)
+                    decisions.extend(moves)
+                    for gain in ev["g"][:ev["k"]]:
+                        hist.observe(gain)
                 p = ev.get("p")
                 current_pass = (p + 1 if isinstance(p, int)
                                 else current_pass + 1)
-            elif t in DECISION_EVENTS:
-                if t == "mv" and _is_number(ev.get("g")):
-                    gains.append(ev["g"])
-                if isinstance(ev.get("c"), int):
-                    walk.curve.append((len(walk.decisions), ev["c"]))
-                walk.decisions.append((pos, ev))
-                walk.context.append(fm)
         return walk
+
+    # -- rendering a divergence --------------------------------------------
+
+    def _locate(self, ordinal: int) -> Tuple[int, int]:
+        """``(index in events, offset in its list)`` of a decision."""
+        pos = max(pos for pos, first in self.anchors.items()
+                  if first <= ordinal)
+        return pos, ordinal - self.anchors[pos]
+
+    def _span(self, pos: int) -> int:
+        """How many events ``events[pos]`` stands for when each
+        decision is one event: a ``pass`` its moves and itself."""
+        ev = self.events[pos]
+        if pos not in self.anchors:
+            return 1
+        return len(ev["p"]) // 2 if ev["t"] == "match" else len(ev["m"]) + 1
+
+    def _render(self, pos: int, offset: int) -> Dict[str, object]:
+        ev = self.events[pos]
+        first = self.anchors.get(pos)
+        if first is None:
+            return ev
+        if ev["t"] == "match":
+            v, w = self.decisions[first + offset]
+            return {"t": "merge", "v": v, "w": w}
+        if offset == len(ev["m"]):
+            return {key: value for key, value in ev.items()
+                    if key not in ("m", "g", "a0")}
+        m, s, c = self.decisions[first + offset]
+        return {"t": "mv", "i": offset, "m": m, "s": s,
+                "g": ev["g"][offset], "c": c}
+
+    def render(self, ordinal: int) -> Dict[str, object]:
+        """Decision ``ordinal`` as an event dict."""
+        return self._render(*self._locate(ordinal))
+
+    def context(self, ordinal: int) -> Optional[Dict[str, object]]:
+        """The last ``fm`` event before decision ``ordinal``."""
+        pos, _ = self._locate(ordinal)
+        return next((ev for ev in reversed(self.events[:pos])
+                     if ev.get("t") == "fm"), None)
+
+    def window(self, ordinal: int, width: int) -> List[Dict[str, object]]:
+        """The ``width`` events on each side of decision ``ordinal``,
+        counting each decision as one event."""
+        pos, offset = self._locate(ordinal)
+        items = [(e, i) for e in range(max(0, pos - width),
+                                       min(len(self.events), pos + width + 1))
+                 for i in range(self._span(e))]
+        at = items.index((pos, offset))
+        return [self._render(*item)
+                for item in items[max(0, at - width):at + width + 1]]
 
 
 def _bucket_labels(buckets: Sequence[float]) -> List[str]:
@@ -555,12 +616,6 @@ class DecisionReport:
     #: FM pass number -> histogram of the gains of the moves that pass
     #: committed (its best prefix), all starts.
     gain_hists: Dict[int, Histogram] = field(default_factory=dict)
-
-    @property
-    def kinds(self) -> Counter:
-        """Decision type -> how many the recording holds."""
-        return Counter(ev.get("t") for walk in self.starts.values()
-                       for _, ev in walk.decisions)
 
     def gain_table(self) -> Table:
         rows: List[Row] = []

@@ -28,7 +28,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from ..errors import ReproError
-from ..hypergraph import Hypergraph, load_circuit, read_hmetis, read_json
+from ..hypergraph import (Hypergraph, load_circuit, netlist_from_dict,
+                          read_hmetis, read_json)
 from ..solvers import ALGORITHMS, ML_ENGINE_OF
 
 __all__ = ["SCHEMA_VERSION", "MAX_DEADLINE_MS", "HEADER_REQUEST_ID",
@@ -210,11 +211,7 @@ class NetlistSpec:
         cache)."""
         if self.kind == "inline":
             try:
-                return Hypergraph(self.inline["nets"],
-                                  num_modules=self.inline["num_modules"],
-                                  areas=self.inline.get("areas"),
-                                  net_weights=self.inline.get("net_weights"),
-                                  name=self.inline.get("name", "inline"))
+                return netlist_from_dict(self.inline, name="inline")
             except ReproError as exc:
                 raise ProtocolError(f"invalid inline netlist: {exc}")
         if self.kind == "generate":

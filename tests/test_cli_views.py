@@ -16,7 +16,8 @@ diff-run mlc.record.jsonl mlf.record.jsonl > expected/diff-run.txt``.
 The two recordings predate the ``match`` and ``pass`` lists: they
 write every merge and move out as its own event.  They stay as the
 old-vocabulary coverage, and the same runs recorded today must read
-the same through :func:`repro.obs.group_starts`.
+the same through :func:`repro.obs.group_starts` and print the same
+``diff-run``.
 """
 
 import json
@@ -97,6 +98,19 @@ def test_new_recording_reads_as_the_fixture(algorithm, tmp_path, capsys):
         assert _grouped(path) == _grouped(fixture)
         # Both loops write the same bytes.
         assert path.read_bytes() == recordings[0].read_bytes()
+
+
+def test_diff_run_on_new_recordings_is_pinned(tmp_path, monkeypatch,
+                                              capsys):
+    # Both vocabularies print the same divergence: the fixtures' pinned
+    # diff-run is the diff-run of the same runs recorded today.
+    for algorithm in ("mlc", "mlf"):
+        _record_again(algorithm, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(VIEWS["diff-run.txt"]) == 1
+    assert capsys.readouterr().out == \
+        (DATA / "expected" / "diff-run.txt").read_text(encoding="utf-8")
 
 
 def test_report_on_new_recording_is_pinned(tmp_path, monkeypatch, capsys):

@@ -356,6 +356,12 @@ def _has_moves(ev):
     return bool(ev["m"])
 
 
+def _insert_after_first_fm(events, event):
+    """Put ``event`` inside the first refinement block, as the batch
+    engine of the removed ``mlb`` algorithm wrote its events."""
+    events.insert(events.index(_first(events, "fm")) + 1, event)
+
+
 #: Damage done to one event of a recording of ``net.hgr``: the committed
 #: fixture for the old vocabulary (``merge`` and ``mv`` events written
 #: out), a fresh recording for the new one (``match`` and ``pass``
@@ -371,6 +377,14 @@ MALFORMED = {
     "old-fm-init-is-int": ("old", lambda evs: _first(evs, "fm").update(
         init=101)),
     "old-pass-lacks-k": ("old", lambda evs: _first(evs, "pass").pop("k")),
+    "old-mv-side-disagrees": ("old", lambda evs: _first(evs, "mv").update(
+        s=1 - _first(evs, "mv")["s"])),
+    "old-mv-cut-disagrees": ("old", lambda evs: _first(evs, "mv").update(
+        c=_first(evs, "mv")["c"] + 1)),
+    "old-batch-event": ("old", lambda evs: _insert_after_first_fm(
+        evs, {"t": "batch", "r": 0, "mods": [0, 1], "c": 0})),
+    "old-polish-event": ("old", lambda evs: _insert_after_first_fm(
+        evs, {"t": "polish", "mods": [0], "c": 0})),
     "new-pass-g-short": ("new", lambda evs: _first(
         evs, "pass", _has_moves)["g"].pop()),
     "new-pass-mv-disagrees": ("new", lambda evs: _first(
@@ -423,10 +437,14 @@ class TestMalformedRecording:
 
 class TestDiffRun:
     def test_exhaustion_divergence(self):
-        a = [{"t": "start", "i": 0},
-             {"t": "mv", "i": 0, "m": 1, "s": 1, "g": 1, "c": 4},
-             {"t": "mv", "i": 0, "m": 2, "s": 0, "g": 0, "c": 4}]
-        report = diff_events(a, a[:2])
+        fm = {"t": "fm", "n": 3, "mns": None, "c": 5, "init": "010"}
+        a = [{"t": "start", "i": 0}, fm,
+             {"t": "pass", "p": 1, "k": 2, "mv": 2, "c": 4,
+              "m": [1, 2], "g": [1, 0]}]
+        b = [{"t": "start", "i": 0}, fm,
+             {"t": "pass", "p": 1, "k": 1, "mv": 1, "c": 4,
+              "m": [1], "g": [1]}]
+        report = diff_events(a, b)
         assert not report.identical
         first = report.first()
         assert first.b is None and first.a["m"] == 2
@@ -534,7 +552,7 @@ class TestServiceRecording:
         events = [e for block in group_starts(read_record(path)).values()
                   for e in block]
         kinds = {e["t"] for e in events}
-        assert {"start", "mv", "result"} <= kinds
+        assert {"start", "pass", "result"} <= kinds
         results = [e for e in events if e["t"] == "result"]
         assert sorted(e["cut"] for e in results) == sorted(payload["cuts"])
 

@@ -174,7 +174,7 @@ class TestEndpoints:
         copy.write_bytes(raw)
         events = [e for block in group_starts(read_record(str(copy)))
                   .values() for e in block]
-        assert {e["t"] for e in events} >= {"start", "mv", "result"}
+        assert {e["t"] for e in events} >= {"start", "pass", "result"}
         # The downloaded stream is a full flight recording: it replays
         # clean against the same netlist, final partitions included.
         report = replay_recording(str(copy), tiny_hg)
@@ -200,6 +200,21 @@ class TestEndpoints:
             assert exc.value.status == 404
             # The connection survives all of the above.
             assert client.healthz()["status"] == "ok"
+
+    @pytest.mark.parametrize("inline", [
+        {"num_modules": 2 ** 63, "nets": [[0, 1]]},
+        {"num_modules": 2, "nets": [[0, 1]], "net_weights": [1e999]},
+        {"num_modules": 2, "nets": [[0, "x"]]},
+        {"num_modules": 2, "nets": 5},
+    ], ids=["huge-module-count", "infinite-weight", "str-pin",
+            "nets-not-a-list"])
+    def test_malformed_inline_netlist_is_a_client_error(self, inline):
+        with _ServerThread() as srv, srv.client() as client:
+            with pytest.raises(ServiceError) as exc:
+                client.partition({"netlist": {"inline": inline},
+                                  "algorithm": "fm", "runs": 1})
+            assert exc.value.status == 400
+            assert "invalid inline netlist" in str(exc.value)
 
 
 class TestGracefulShutdown:
