@@ -6,8 +6,9 @@ expanded into a weighted graph with the standard clique model — each
 net of size ``s`` and weight ``w`` contributes an edge of weight
 ``w / (s - 1)`` between every pin pair — and the Fiedler vector of its
 Laplacian induces a module ordering that is split at the best
-area-feasible point.  An optional FM refinement polishes the split
-(the usual "spectral + FM" configuration).
+area-feasible point; a disconnected netlist is ordered component by
+component.  An optional FM refinement polishes the split (the usual
+"spectral + FM" configuration).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from ..errors import PartitionError
@@ -47,18 +49,26 @@ def clique_laplacian(hg: Hypergraph) -> sp.csr_matrix:
 
 
 def fiedler_vector(hg: Hypergraph, seed: SeedLike = None) -> np.ndarray:
-    """Eigenvector of the second-smallest Laplacian eigenvalue.
+    """Eigenvector of the second-smallest Laplacian eigenvalue."""
+    return _fiedler(clique_laplacian(hg), _np_rng(seed))
+
+
+def _np_rng(seed: SeedLike) -> np.random.Generator:
+    return np.random.default_rng(make_rng(seed).randrange(2**32))
+
+
+def _fiedler(laplacian: sp.csr_matrix,
+             rng: np.random.Generator) -> np.ndarray:
+    """The Fiedler vector of ``laplacian``.
 
     Uses shift-invert at a small negative shift (the Laplacian is
     singular at 0, so the shift keeps the factorisation nonsingular).
     Falls back to a dense solve for tiny or numerically stubborn
     instances.
     """
-    laplacian = clique_laplacian(hg)
-    n = hg.num_modules
+    n = laplacian.shape[0]
     if n < 3:
         return np.arange(n, dtype=float)
-    rng = np.random.default_rng(make_rng(seed).randrange(2**32))
     if n <= 64:
         values, vectors = np.linalg.eigh(laplacian.toarray())
         return vectors[:, 1]
@@ -70,6 +80,26 @@ def fiedler_vector(hg: Hypergraph, seed: SeedLike = None) -> np.ndarray:
     except Exception:
         values, vectors = np.linalg.eigh(laplacian.toarray())
         return vectors[:, 1]
+
+
+def _spectral_order(hg: Hypergraph, seed: SeedLike = None) -> np.ndarray:
+    """The modules component by component, largest first (ties by
+    smallest module id), each ordered by its own Fiedler vector.  On a
+    disconnected netlist eigenvalue 0 repeats, so the whole Laplacian's
+    second eigenvector is arbitrary and its order need not repeat from
+    one process to the next."""
+    laplacian = clique_laplacian(hg)
+    rng = _np_rng(seed)
+    count, labels = csgraph.connected_components(laplacian)
+    if count == 1:
+        return np.argsort(_fiedler(laplacian, rng), kind="stable")
+    members = np.argsort(labels, kind="stable")
+    components = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    components.sort(key=lambda nodes: (-len(nodes), nodes[0]))
+    return np.concatenate([
+        nodes[np.argsort(_fiedler(laplacian[nodes][:, nodes], rng),
+                         kind="stable")]
+        for nodes in components])
 
 
 def spectral_bipartition(hg: Hypergraph,
@@ -87,8 +117,7 @@ def spectral_bipartition(hg: Hypergraph,
         raise PartitionError("cannot bipartition fewer than two modules")
     config = config or FMConfig()
     rng = rng if rng is not None else make_rng(seed)
-    fiedler = fiedler_vector(hg, seed=rng.randrange(2**32))
-    order = np.argsort(fiedler, kind="stable")
+    order = _spectral_order(hg, seed=rng.randrange(2**32))
 
     half = hg.total_area / 2
     assignment = [1] * hg.num_modules

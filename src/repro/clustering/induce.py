@@ -17,8 +17,9 @@ kernel module loads (``induce`` in :mod:`repro.fm.native`), straight
 into the flat layout the next level's kernels read, with no Python
 object per pin.  The Python loop below is its reference and fallback:
 the same cluster areas, summed in module order, and the same coarse
-nets, in first-appearance order with sorted pins and summed weights
-(DESIGN.md §8).
+nets, in first-appearance order with sorted pins and summed weights,
+in the same four arrays (DESIGN.md §8).  On both, a merged weight of
+``2**63`` or more is a :class:`~repro.errors.PartitionError`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Dict, List, Tuple
 
 from ..errors import ClusteringError, PartitionError
 from ..hypergraph import Hypergraph
+from ..hypergraph.hypergraph import flat_layout
 from .clustering import Clustering
 
 __all__ = ["induce"]
@@ -77,7 +79,14 @@ def induce(hg: Hypergraph, clustering: Clustering,
         else:
             nets.append(key)
             weights.append(w)
-    return Hypergraph._trusted(nets, areas, weights, name=hg.name)
+    try:
+        flat = flat_layout(nets, weights, areas)
+    except OverflowError:
+        # The compiled Induce's error, for the same weight.
+        raise PartitionError("a merged net weight exceeds int64") from None
+    return Hypergraph._from_flat(flat, hg.name,
+                                 max(map(len, nets), default=0),
+                                 (nets, areas, weights))
 
 
 def _compiled(kernel, hg: Hypergraph, cluster_of: List[int],

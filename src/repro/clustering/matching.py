@@ -61,21 +61,21 @@ def connectivity(hg: Hypergraph, v: int, w: int,
     return shared / (hg.area(v) * hg.area(w))
 
 
-def _neighbour_scores(hg: Hypergraph, v: int, matched: List[bool],
+def _neighbour_scores(views: tuple, v: int, matched: List[bool],
                       max_net_size: int) -> Dict[int, float]:
     """Net-connectivity score of each unmatched neighbour of ``v``.
 
     This is the ``Conn`` array + neighbour set ``S`` of Section III-A,
-    realised as a dict so reinitialisation is free.
+    realised as a dict so reinitialisation is free.  ``views`` is the
+    netlist's ``(module_nets, net_pins, sizes_list, weights_list)``,
+    bound once per Match: the netlist's views are properties.
     """
     # The scan is the coarsening hot path (one call per matched
     # module), so bind the kernel lists locally and use dict.get directly.
     scores: Dict[int, float] = {}
-    net_sizes = hg.sizes_list
-    net_weights = hg.weights_list
-    net_pins = hg.net_pins
+    module_nets, net_pins, net_sizes, net_weights = views
     get = scores.get
-    for e in hg.module_nets[v]:
+    for e in module_nets[v]:
         size = net_sizes[e]
         if size > max_net_size:
             continue
@@ -144,6 +144,7 @@ def match(hg: Hypergraph,
         return Clustering._trusted(cluster_of.tolist(), clusters)
 
     areas = hg.areas_list
+    views = (hg.module_nets, hg.net_pins, hg.sizes_list, hg.weights_list)
     matched = [False] * n
     cluster_of = [-1] * n
     num_clusters = 0
@@ -164,7 +165,7 @@ def match(hg: Hypergraph,
 
         # Step 5: best unmatched partner under the chosen scheme.
         best = -1
-        scores = _neighbour_scores(hg, v, matched, max_conn_net_size)
+        scores = _neighbour_scores(views, v, matched, max_conn_net_size)
         if restrict is not None:
             scores = {w: s for w, s in scores.items()
                       if restrict[w] == restrict[v]}

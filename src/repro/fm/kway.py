@@ -53,15 +53,16 @@ def _move_gain(state: PartitionState, module: int, dst: int,
                objective: str) -> int:
     """Gain (objective decrease) of moving ``module`` to ``dst``."""
     hg = state.hg
+    weights = hg.weights_list
     src = state.part_of[module]
     counts = state.counts
     active = state.active
     spans = state.spans
     gain = 0
-    for e in hg.nets(module):
+    for e in hg.module_nets[module]:
         if not active[e]:
             continue
-        w = hg.net_weight(e)
+        w = weights[e]
         s = spans[e]
         s_after = s - (1 if counts[src][e] == 1 else 0) \
             + (1 if counts[dst][e] == 0 else 0)

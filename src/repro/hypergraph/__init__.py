@@ -5,8 +5,8 @@ from .builder import HypergraphBuilder
 from .generators import (grid_circuit, hierarchical_circuit,
                          random_hypergraph)
 from .hypergraph import Hypergraph
-from .io import (netlist_from_dict, read_are, read_hmetis, read_json,
-                 read_netd, write_are, write_hmetis, write_json,
+from .io import (netlist_from_dict, netlist_to_dict, read_are, read_hmetis,
+                 read_json, read_netd, write_are, write_hmetis, write_json,
                  write_netd)
 from .stats import (HypergraphStats, compute_stats, degree_histogram,
                     net_size_histogram)
@@ -25,6 +25,7 @@ __all__ = [
     "write_hmetis",
     "read_json",
     "netlist_from_dict",
+    "netlist_to_dict",
     "read_netd",
     "read_are",
     "write_netd",

@@ -16,15 +16,15 @@ The hypergraph is immutable, which lets partitioning state share it
 safely and lets everything derived from the incidence be built once, on
 first access, and cached.
 
-Two layouts hold it, and the one it was built from defines it (what
-pickling sends).  The flat layout ``flat == (xpins, pins, weights,
-areas)`` (``array`` 'i', 'i', 'q', 'd'; net ``e``'s pins are
-``pins[xpins[e]:xpins[e + 1]]``) is what the compiled level kernels
-(:mod:`repro.fm.native`) read and the compiled Induce writes.  The list
-layout ``net_pins`` / ``weights_list`` / ``areas_list`` is what the
-Python kernels bind into locals, because list indexing returns existing
-objects where an ``array`` read re-boxes (DESIGN.md §8).  Each layout
-is derived from the other on first access.
+One layout defines it, and pickling sends it: ``flat == (xpins, pins,
+weights, areas)`` (``array`` 'i', 'i', 'q', 'd'; net ``e``'s pins are
+``pins[xpins[e]:xpins[e + 1]]``), which every compiled kernel
+(:mod:`repro.fm.native`) reads and the compiled reader and Induce
+write.  The lists ``net_pins``, ``areas_list`` and ``weights_list``
+are views of it, each derived on its first read like ``module_nets``:
+the Python kernels bind them into locals, because list indexing returns
+existing objects where an ``array`` read re-boxes (DESIGN.md §8).  The
+constructor and the Python Induce seed them with the lists they built.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ __all__ = ["Hypergraph"]
 
 #: Net weights are held as 64-bit integers (``array('q')``).
 WEIGHT_LIMIT = 1 << 63
+
+
+def flat_layout(net_pins: List[Tuple[int, ...]], weights: List[int],
+                areas: List[float]) -> tuple:
+    """The flat layout of per-net pin tuples, weights and areas.
+    Raises :class:`OverflowError` for a weight outside int64."""
+    # array() fills from a list faster than from an iterator.
+    return (array("i", list(accumulate(map(len, net_pins), initial=0))),
+            array("i", list(chain.from_iterable(net_pins))),
+            array("q", weights), array("d", areas))
 
 
 class Hypergraph:
@@ -64,13 +74,13 @@ class Hypergraph:
         Optional circuit name used in reports.
     """
 
-    # No ``__getattr__`` here: it would slow every attribute read of a
-    # netlist the Python engines walk.  A flat-born netlist's unset
-    # list slots are filled by :class:`_FlatBorn`.
-    __slots__ = ("name", "areas_list", "weights_list", "net_pins", "_flat",
-                 "_from_tuples", "_largest", "_module_nets_s", "_sizes_s",
-                 "_num_pins", "_total_area", "_max_area", "_active_cache",
-                 "_incidence_cache", "_csr_cache", "_maxdeg_cache")
+    # No ``__getattr__`` here: a class-wide hook would slow every
+    # attribute read of a netlist the Python engines walk.  The list
+    # views are properties over private slots.
+    __slots__ = ("name", "flat", "_largest", "_net_pins_s", "_areas_s",
+                 "_weights_s", "_module_nets_s", "_sizes_s", "_total_area",
+                 "_max_area", "_active_cache", "_incidence_cache",
+                 "_csr_cache", "_maxdeg_cache")
 
     def __init__(self,
                  nets: Iterable[Iterable[int]],
@@ -130,27 +140,33 @@ class Hypergraph:
                         f"net {e} has non-positive weight {w}" if w <= 0
                         else f"net {e} has weight {w}, not below 2**63")
 
-        self._assemble(net_pins, area_list, weight_list, name)
+        # The lists validation built seed their views.
+        self._init(flat_layout(net_pins, weight_list, area_list), name,
+                   views=(net_pins, area_list, weight_list))
 
-    def _assemble(self, net_pins: List[Tuple[int, ...]],
-                  areas: List[float], net_weights: List[int],
-                  name: str) -> None:
-        """The constructor body of a netlist defined by its lists."""
-        self.net_pins = net_pins
-        self.areas_list = areas
-        self.weights_list = net_weights
-        self._from_tuples = True
-        self._flat = None
-        self._largest = None
-        self._num_pins = sum(map(len, net_pins))
-        self._init_derived(name, areas)
+    @classmethod
+    def _from_flat(cls, flat: tuple, name: str = "",
+                   largest: Optional[int] = None,
+                   views: Optional[tuple] = None) -> "Hypergraph":
+        """Construct from a flat layout that satisfies every constructor
+        invariant (the reader's and both Induce paths'), unchecked.
+        ``largest`` (the largest net's pin count) and ``views``
+        (``(net_pins, areas_list, weights_list)``) when known."""
+        self = cls.__new__(cls)
+        self._init(flat, name, largest, views)
+        return self
 
-    def _init_derived(self, name: str, areas: Sequence[float]) -> None:
-        """The name, the area totals and empty caches of every derived
-        view: built on first access."""
+    def _init(self, flat: tuple, name: str, largest: Optional[int] = None,
+              views: Optional[tuple] = None) -> None:
+        """The one constructor body: the layout, the name, the area
+        totals, the views given and empty caches of the rest."""
+        self.flat = flat
         self.name = name
-        self._module_nets_s = None
-        self._sizes_s = None
+        self._largest = largest
+        self._net_pins_s, self._areas_s, self._weights_s = \
+            views or (None, None, None)
+        self._module_nets_s = self._sizes_s = None
+        areas = flat[3]
         self._total_area = sum(areas)
         self._max_area = max(areas) if areas else 0.0
         self._active_cache: Dict[Optional[int], Tuple[int, ...]] = {}
@@ -158,77 +174,52 @@ class Hypergraph:
         self._csr_cache: Dict[Optional[int], tuple] = {}
         self._maxdeg_cache: Dict[Optional[int], int] = {}
 
-    @classmethod
-    def _trusted(cls, net_pins: List[Tuple[int, ...]],
-                 areas: List[float], net_weights: List[int],
-                 name: str = "") -> "Hypergraph":
-        """Construct from pre-validated lists, skipping checks.
-
-        Internal fast path for the Python :func:`repro.clustering.induce`,
-        whose output satisfies every constructor invariant by
-        construction (deduplicated sorted pin tuples, >= 2 pins per net,
-        positive areas and weights).  Revalidating each coarse netlist
-        of a multilevel hierarchy would otherwise show up in profiles.
-        """
-        self = cls.__new__(cls)
-        self._assemble(net_pins, areas, net_weights, name)
-        return self
-
-    @classmethod
-    def _from_flat(cls, flat: tuple, name: str = "",
-                   largest: Optional[int] = None) -> "Hypergraph":
-        """Construct from a pre-validated flat layout, skipping checks:
-        the compiled Induce's path.  ``largest`` is the largest net's
-        pin count, when known."""
-        self = cls.__new__(cls)
-        self._adopt(flat, name)
-        self._largest = largest
-        return self
-
-    def _adopt(self, flat: tuple, name: str) -> None:
-        """The constructor body of a netlist defined by its flat
-        layout."""
-        self.__class__ = _FlatBorn
-        self._flat = flat
-        self._from_tuples = False
-        self._largest = None
-        self._num_pins = len(flat[1])
-        self._init_derived(name, flat[3])
-
-    @property
-    def flat(self) -> tuple:
-        """The flat layout ``(xpins, pins, weights, areas)``."""
-        flat = self._flat
-        if flat is None:
-            net_pins = self.net_pins
-            flat = self._flat = (
-                array("i", accumulate(map(len, net_pins), initial=0)),
-                array("i", chain.from_iterable(net_pins)),
-                array("q", self.weights_list), array("d", self.areas_list))
-        return flat
-
     def _largest_net(self) -> int:
         """The largest net's pin count."""
         largest = self._largest
         if largest is None:
-            if self._from_tuples:
-                largest = max(map(len, self.net_pins), default=0)
-            else:
-                xpins = self._flat[0]
-                largest = max(map(sub, xpins[1:], xpins), default=0)
-            self._largest = largest
+            xpins = self.flat[0]
+            largest = self._largest = max(map(sub, xpins[1:], xpins),
+                                          default=0)
         return largest
 
     # ------------------------------------------------------------------
-    # The list layout's derived views.
+    # Views derived from the flat layout, each on its first read.
     # ------------------------------------------------------------------
+
+    @property
+    def net_pins(self) -> List[Tuple[int, ...]]:
+        """Per-net pin tuples."""
+        net_pins = self._net_pins_s
+        if net_pins is None:
+            xpins, pins = self.flat[0], self.flat[1].tolist()
+            net_pins = self._net_pins_s = [tuple(pins[a:b])
+                                           for a, b in pairwise(xpins)]
+        return net_pins
+
+    @property
+    def areas_list(self) -> List[float]:
+        """Per-module areas."""
+        areas = self._areas_s
+        if areas is None:
+            areas = self._areas_s = self.flat[3].tolist()
+        return areas
+
+    @property
+    def weights_list(self) -> List[int]:
+        """Per-net weights."""
+        weights = self._weights_s
+        if weights is None:
+            weights = self._weights_s = self.flat[2].tolist()
+        return weights
 
     @property
     def module_nets(self) -> List[Tuple[int, ...]]:
         """Per-module incident-net tuples, ascending by net."""
         nets = self._module_nets_s
         if nets is None:
-            module_nets: List[List[int]] = [[] for _ in self.areas_list]
+            module_nets: List[List[int]] = [
+                [] for _ in range(self.num_modules)]
             for e, pins in enumerate(self.net_pins):
                 for v in pins:
                     module_nets[v].append(e)
@@ -241,11 +232,8 @@ class Hypergraph:
         """Per-net pin counts."""
         sizes = self._sizes_s
         if sizes is None:
-            if self._from_tuples:
-                sizes = [len(p) for p in self.net_pins]
-            else:
-                sizes = [b - a for a, b in pairwise(self._flat[0])]
-            self._sizes_s = sizes
+            sizes = self._sizes_s = [b - a for a, b
+                                     in pairwise(self.flat[0])]
         return sizes
 
     # ------------------------------------------------------------------
@@ -355,17 +343,17 @@ class Hypergraph:
     @property
     def num_modules(self) -> int:
         """Number of modules ``|V|``."""
-        return len(self.areas_list)
+        return len(self.flat[3])
 
     @property
     def num_nets(self) -> int:
         """Number of nets ``|E|``."""
-        return len(self.weights_list)
+        return len(self.flat[2])
 
     @property
     def num_pins(self) -> int:
         """Total pin count (sum of net sizes)."""
-        return self._num_pins
+        return len(self.flat[1])
 
     @property
     def total_area(self) -> float:
@@ -453,30 +441,14 @@ class Hypergraph:
         return (f"Hypergraph({label} modules={self.num_modules} "
                 f"nets={self.num_nets} pins={self.num_pins})")
 
-    def __reduce_ex__(self, protocol):
-        if self._from_tuples:
-            return super().__reduce_ex__(protocol)
-        # One constructor whatever the class, so that a flat-born
-        # netlist pickles to the same bytes before and after it turns
-        # into a plain one.
-        return _from_state, (self.__getstate__(),)
-
     def __getstate__(self):
-        """Pickle only what defines the netlist: its name and the layout
-        it was built from.  Every derived layout and cache is rebuilt on
-        demand, so a netlist pickles to the same bytes before and after
-        use."""
-        if self._from_tuples:
-            return (self.name, self.net_pins, self.areas_list,
-                    self.weights_list)
-        return (self.name, *self._flat)
+        """Pickle only what defines the netlist: its name and its flat
+        layout.  Every view and cache is rebuilt on demand, so a
+        netlist pickles to the same bytes before and after use."""
+        return (self.name, *self.flat)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 4:
-            name, pins, areas, weights = state
-            self._assemble(pins, areas, weights, name)
-        else:
-            self._adopt(tuple(state[1:]), state[0])
+        self._init(tuple(state[1:]), state[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
@@ -486,36 +458,3 @@ class Hypergraph:
     def __hash__(self) -> int:
         return hash(tuple(map(tuple, self.flat)))
 
-
-def _from_state(state: tuple) -> Hypergraph:
-    """Unpickle a flat-born netlist."""
-    hg = Hypergraph.__new__(Hypergraph)
-    hg.__setstate__(state)
-    return hg
-
-
-class _FlatBorn(Hypergraph):
-    """A netlist built from its flat layout (by the compiled Induce),
-    whose list layout is derived on first access: ``areas_list`` and
-    ``weights_list`` alone, ``net_pins`` with both.  Once ``net_pins``
-    exists every slot is set, and the netlist becomes a plain
-    :class:`Hypergraph`, whose attribute reads skip this hook."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name not in ("areas_list", "weights_list", "net_pins"):
-            raise AttributeError(name)
-        xpins, pins, weights, areas = self._flat
-        if name == "areas_list":
-            value = areas.tolist()
-        elif name == "weights_list":
-            value = weights.tolist()
-        else:
-            self.areas_list = areas.tolist()
-            self.weights_list = weights.tolist()
-            pins = pins.tolist()
-            value = [tuple(pins[a:b]) for a, b in pairwise(xpins)]
-            self.__class__ = Hypergraph
-        setattr(self, name, value)
-        return value

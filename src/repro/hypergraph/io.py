@@ -32,7 +32,7 @@ from .hypergraph import Hypergraph
 
 __all__ = ["read_hmetis", "write_hmetis", "read_netd", "write_netd",
            "read_are", "write_are", "read_json", "write_json",
-           "netlist_from_dict"]
+           "netlist_from_dict", "netlist_to_dict"]
 
 PathLike = Union[str, Path]
 
@@ -337,13 +337,18 @@ def netlist_from_dict(data: Dict[str, object],
         raise ParseError(f"malformed netlist JSON: {exc}") from None
 
 
-def write_json(hg: Hypergraph, path: PathLike) -> None:
-    """Write ``hg`` to this library's JSON container."""
-    data = {
+def netlist_to_dict(hg: Hypergraph) -> Dict[str, object]:
+    """``hg`` as the keys of this library's JSON container: the inverse
+    of :func:`netlist_from_dict`."""
+    return {
         "name": hg.name,
         "num_modules": hg.num_modules,
-        "nets": [list(hg.pins(e)) for e in hg.all_nets()],
+        "nets": [list(pins) for pins in hg.net_pins],
         "areas": hg.areas(),
         "net_weights": hg.net_weights(),
     }
-    Path(path).write_text(json.dumps(data))
+
+
+def write_json(hg: Hypergraph, path: PathLike) -> None:
+    """Write ``hg`` to this library's JSON container."""
+    Path(path).write_text(json.dumps(netlist_to_dict(hg)))

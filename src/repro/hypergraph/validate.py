@@ -2,8 +2,8 @@
 
 :class:`~repro.hypergraph.Hypergraph` already rejects malformed input at
 construction; the checks here verify the *internal* cross-references
-(pins vs nets directions, the kernel lists, cached totals) and are used
-by the test suite.
+(the flat layout, every view derived from it, pins vs nets directions,
+cached totals) and are used by the test suite.
 """
 
 from __future__ import annotations
@@ -17,20 +17,31 @@ __all__ = ["check_consistency", "assert_same_structure"]
 
 
 def check_consistency(hg: Hypergraph) -> None:
-    """Raise :class:`HypergraphError` if ``hg`` violates any invariant."""
-    if len(hg.net_pins) != hg.num_nets:
+    """Raise :class:`HypergraphError` if ``hg`` violates any invariant:
+    the flat layout is a valid netlist, and every view and cached total
+    derived from it agrees with it."""
+    xpins, flat_pins, flat_weights, flat_areas = hg.flat
+    net_pins = hg.net_pins
+    if len(net_pins) != hg.num_nets:
         raise HypergraphError(
-            f"{len(hg.net_pins)} nets but {hg.num_nets} net weights")
+            f"{len(net_pins)} nets but {hg.num_nets} net weights")
+    pin_count = sum(map(len, net_pins))
+    if pin_count != hg.num_pins:
+        raise HypergraphError(
+            f"num_pins {hg.num_pins} != {pin_count} pins in net_pins")
     sizes = hg.sizes_list
     if len(sizes) != hg.num_nets:
         raise HypergraphError(
             f"{len(sizes)} net sizes but {hg.num_nets} nets")
-    pin_count = 0
-    for e in hg.all_nets():
-        pins = hg.pins(e)
-        if sizes[e] != len(pins):
+    for e, pins in enumerate(net_pins):
+        flat_net = flat_pins[xpins[e]:xpins[e + 1]].tolist()
+        if sizes[e] != len(flat_net):
             raise HypergraphError(
-                f"cached size {sizes[e]} of net {e} != actual {len(pins)}")
+                f"cached size {sizes[e]} of net {e} != actual "
+                f"{len(flat_net)}")
+        if list(pins) != flat_net:
+            raise HypergraphError(f"net {e} pins differ from the flat "
+                                  "layout")
         if len(set(pins)) != len(pins):
             raise HypergraphError(f"net {e} has duplicate pins")
         if len(pins) < 2:
@@ -38,7 +49,12 @@ def check_consistency(hg: Hypergraph) -> None:
         for v in pins:
             if not 0 <= v < hg.num_modules:
                 raise HypergraphError(f"net {e} pin {v} out of range")
-        pin_count += len(pins)
+    if hg.weights_list != flat_weights.tolist():
+        raise HypergraphError(f"{len(hg.weights_list)} net weights in "
+                              "weights_list differ from the flat layout")
+    if hg.areas_list != flat_areas.tolist():
+        raise HypergraphError(f"{len(hg.areas_list)} module areas in "
+                              "areas_list differ from the flat layout")
 
     # Every pin is in range, so the module side can be built and
     # cross-checked.
@@ -59,15 +75,12 @@ def check_consistency(hg: Hypergraph) -> None:
                     f"module {v} lists net {e} but net {e} does not "
                     f"contain module {v}")
 
-    if pin_count != hg.num_pins:
-        raise HypergraphError(
-            f"cached num_pins {hg.num_pins} != actual {pin_count}")
-    actual_area = sum(hg.area(v) for v in hg.modules())
+    actual_area = sum(flat_areas)
     if abs(actual_area - hg.total_area) > 1e-9 * max(1.0, actual_area):
         raise HypergraphError(
             f"cached total_area {hg.total_area} != actual {actual_area}")
     # A(v*) enters every balance bound (partition/balance.py).
-    max_area = max(hg.areas_list, default=0.0)
+    max_area = max(flat_areas, default=0.0)
     if hg.max_area != max_area:
         raise HypergraphError(
             f"cached max_area {hg.max_area} != actual {max_area}")

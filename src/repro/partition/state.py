@@ -60,8 +60,12 @@ def _flags(hg: Hypergraph, active_nets: Tuple[int, ...]) -> List[bool]:
 class PartitionState:
     """Mutable k-way partition with O(pins(v)) single-module moves."""
 
+    # The netlist views :meth:`move` reads, bound once (views are
+    # properties); a compiled state binds the flat arrays and no
+    # incidence, since the compiled pass makes its moves.
     __slots__ = ("hg", "k", "part_of", "part_area", "counts", "spans",
-                 "cut_weight", "soed_weight", "active", "_active_nets")
+                 "cut_weight", "soed_weight", "active", "_active_nets",
+                 "_areas", "_weights", "_module_nets")
 
     def __init__(self, hg: Hypergraph, partition: Partition,
                  active_nets: Optional[Sequence[int]] = None):
@@ -74,7 +78,9 @@ class PartitionState:
         self.part_of: List[int] = list(partition.assignment)
 
         self.part_area = [0.0] * self.k
-        areas = hg.areas_list
+        areas = self._areas = hg.areas_list
+        self._weights = hg.weights_list
+        self._module_nets = hg.module_nets
         for v, p in enumerate(self.part_of):
             self.part_area[p] += areas[v]
 
@@ -115,6 +121,8 @@ class PartitionState:
         self.counts = [array("i", [0]) * m, array("i", [0]) * m]
         self.spans = array("i", [0]) * m
         self.part_area = array("d", [0.0, 0.0])
+        self._weights, self._areas = hg.flat[2:]
+        self._module_nets = None
         self._active_nets = hg.active_nets(max_net_size)
         self.active = _flags(hg, self._active_nets)
         threshold = -1 if max_net_size is None else \
@@ -127,9 +135,8 @@ class PartitionState:
     def _init_counts(self) -> None:
         """Construction sweep over the kernel lists (the compiled
         ``init_state`` is the bipartition fast path)."""
-        hg = self.hg
-        net_pins = hg.net_pins
-        net_weights = hg.weights_list
+        net_pins = self.hg.net_pins
+        net_weights = self._weights
         part_of = self.part_of
         counts = self.counts
         spans = self.spans
@@ -169,8 +176,7 @@ class PartitionState:
         src = self.part_of[module]
         if src == dst:
             return
-        hg = self.hg
-        area = hg.areas_list[module]
+        area = self._areas[module]
         self.part_of[module] = dst
         self.part_area[src] -= area
         self.part_area[dst] += area
@@ -179,10 +185,10 @@ class PartitionState:
         counts_dst = self.counts[dst]
         active = self.active
         spans = self.spans
-        net_weights = hg.weights_list
+        net_weights = self._weights
         cut_w = self.cut_weight
         soed_w = self.soed_weight
-        for e in hg.module_nets[module]:
+        for e in (self._module_nets or self.hg.module_nets)[module]:
             if not active[e]:
                 continue
             w = net_weights[e]

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 from ..errors import ReproError
 from ..hypergraph import (Hypergraph, load_circuit, netlist_from_dict,
-                          read_hmetis, read_json)
+                          netlist_to_dict, read_hmetis, read_json)
 from ..solvers import ALGORITHMS, ML_ENGINE_OF
 
 __all__ = ["SCHEMA_VERSION", "MAX_DEADLINE_MS", "HEADER_REQUEST_ID",
@@ -96,26 +96,12 @@ def _digest(obj) -> str:
 def netlist_digest(hg: Hypergraph) -> str:
     """Digest of a parsed netlist's full structure (nets, areas,
     weights, name) — the submission-independent circuit identity."""
-    payload = {
-        "name": hg.name,
-        "num_modules": hg.num_modules,
-        "nets": [list(hg.pins(e)) for e in hg.all_nets()],
-        "areas": hg.areas(),
-        "net_weights": hg.net_weights(),
-    }
-    return _digest(payload)
+    return _digest(netlist_to_dict(hg))
 
 
-def inline_netlist(hg: Hypergraph) -> Dict[str, object]:
-    """``hg`` as the inline-container dict a request embeds — the same
-    shape :func:`repro.hypergraph.write_json` writes."""
-    return {
-        "name": hg.name,
-        "num_modules": hg.num_modules,
-        "nets": [list(hg.pins(e)) for e in hg.all_nets()],
-        "areas": hg.areas(),
-        "net_weights": hg.net_weights(),
-    }
+#: ``hg`` as the inline-container dict a request embeds: the dict
+#: :func:`repro.hypergraph.write_json` writes.
+inline_netlist = netlist_to_dict
 
 
 def _require(condition: bool, message: str) -> None:

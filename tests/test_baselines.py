@@ -1,8 +1,14 @@
 """Tests for the comparator algorithms (LSMC, two-phase, spectral,
 GORDIAN-sim, PROP)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.baselines import (gordian_bipartition, gordian_quadrisection,
                              kick, lsmc_bipartition, lsmc_kway,
                              perimeter_positions, prop_bipartition,
@@ -11,7 +17,7 @@ from repro.baselines import (gordian_bipartition, gordian_quadrisection,
 from repro.baselines.spectral import clique_laplacian, fiedler_vector
 from repro.errors import ConfigError, PartitionError
 from repro.fm import FMConfig, fm_bipartition
-from repro.hypergraph import Hypergraph, hierarchical_circuit
+from repro.hypergraph import Hypergraph, hierarchical_circuit, load_circuit
 from repro.partition import BalanceConstraint, Partition, cut
 from repro.rng import child_seeds, make_rng
 
@@ -137,6 +143,35 @@ class TestSpectral:
         hg = Hypergraph([[0, 1]], num_modules=2)
         result = spectral_bipartition(hg, refine=False, seed=0)
         assert result.partition.part_sizes() == [1, 1]
+
+    def test_disconnected_netlist_reproducible_across_processes(self):
+        # avqsmall@0.05's clique graph has 5 components, so eigenvalue 0
+        # has multiplicity 5: the whole Laplacian's second eigenvector
+        # is arbitrary, and its cuts changed from process to process.
+        script = ("from repro.hypergraph import load_circuit\n"
+                  "from repro.solvers import single_run\n"
+                  "hg = load_circuit('avqsmall', scale=0.05, seed=0)\n"
+                  "print([single_run('spectral', hg, seed=s).cut "
+                  "for s in range(4)])\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        outputs = {subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  check=True, timeout=120).stdout
+                   for _ in range(3)}
+        assert len(outputs) == 1, outputs
+
+    @pytest.mark.parametrize("name, scale, cuts", [
+        ("primary1", 0.5, [32, 32, 32, 32]),
+        ("avqsmall", 0.02, [35, 35, 35, 35]),
+        ("biomed", 0.1, [47, 47, 47, 47]),
+    ])
+    def test_connected_netlist_cuts_unchanged(self, name, scale, cuts):
+        # One component: the component-wise order is the Fiedler order.
+        from repro.solvers import single_run
+        hg = load_circuit(name, scale=scale, seed=0)
+        assert [single_run("spectral", hg, seed=s).cut
+                for s in range(4)] == cuts
 
 
 class TestGordian:

@@ -4,9 +4,11 @@ import pytest
 
 from repro.errors import ParseError
 from repro.hypergraph import (Hypergraph, assert_same_structure,
-                              hierarchical_circuit, read_are, read_hmetis,
+                              hierarchical_circuit, netlist_from_dict,
+                              netlist_to_dict, read_are, read_hmetis,
                               read_json, read_netd, write_hmetis,
                               write_json)
+from repro.service import PartitionRequest, inline_netlist, netlist_digest
 
 
 class TestHmetisRead:
@@ -111,6 +113,35 @@ class TestRoundtrips:
         loaded = read_json(path)
         assert_same_structure(weighted_hg, loaded)
         assert loaded.name == "weighted"
+
+    @pytest.mark.parametrize("fixture, text, digest, request_key", [
+        ("tiny_hg",
+         '{"name": "tiny", "num_modules": 6, "nets": [[0, 1], [1, 2], '
+         '[0, 2], [3, 4], [4, 5], [3, 5], [2, 3]], "areas": [1.0, 1.0, '
+         '1.0, 1.0, 1.0, 1.0], "net_weights": [1, 1, 1, 1, 1, 1, 1]}',
+         "fc5af839c36d75f0183573ae1a8ed55f",
+         "aef6e0a64a1844fe380401b924128632"),
+        ("weighted_hg",
+         '{"name": "weighted", "num_modules": 4, "nets": [[0, 1], '
+         '[1, 2, 3], [0, 3]], "areas": [1.0, 2.0, 3.0, 4.0], '
+         '"net_weights": [2, 1, 3]}',
+         "5175dbba4c6748c11e3a623e9e6937e6",
+         "ce216a21a6731465c95180b707824e6d"),
+    ], ids=["tiny", "weighted"])
+    def test_netlist_dict_is_pinned(self, tmp_path, request, fixture, text,
+                                    digest, request_key):
+        # write_json, the netlist digest and the inline request key all
+        # come from netlist_to_dict; their bytes are pinned.
+        hg = request.getfixturevalue(fixture)
+        path = tmp_path / "n.json"
+        write_json(hg, path)
+        assert path.read_text() == text
+        assert netlist_digest(hg) == digest
+        assert inline_netlist(hg) == netlist_to_dict(hg)
+        body = {"netlist": {"inline": inline_netlist(hg)},
+                "algorithm": "mlc", "runs": 2, "seed": 3}
+        assert PartitionRequest.from_json(body).request_key() == request_key
+        assert netlist_from_dict(netlist_to_dict(hg)) == hg
 
     def test_json_missing_key(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro import MLConfig, build_hierarchy, ml_bipartition
 from repro.cli import main
-from repro.clustering import induce, match
+from repro.clustering import Clustering, induce, match
 from repro.errors import HypergraphError, PartitionError
 from repro.fm import FMConfig, engine, fm_bipartition, kway_partition
 from repro.hypergraph import Hypergraph, hierarchical_circuit, load_circuit
@@ -51,16 +51,16 @@ def _dressed(hg, seed):
 
 
 def _level(hg):
-    """Everything a coarse netlist is, with areas as float bits."""
-    return (hg.net_pins, hg.weights_list, [a.hex() for a in hg.areas_list],
-            hg.num_pins, hg.total_area.hex(), hg.max_area.hex())
+    """Everything a coarse netlist is: its flat arrays byte for byte,
+    and its cached area totals as float bits."""
+    return ([(a.typecode, a.tobytes()) for a in hg.flat],
+            hg.total_area.hex(), hg.max_area.hex())
 
 
 def _hierarchy(hg, config, seed):
     hierarchy = build_hierarchy(hg, config, seed=seed)
     return ([c.cluster_of for c in hierarchy.clusterings],
-            [_level(level) for level in hierarchy.netlists],
-            [level._from_tuples for level in hierarchy.netlists[1:]])
+            [_level(level) for level in hierarchy.netlists])
 
 
 def _both(run):
@@ -78,13 +78,11 @@ def test_hierarchy_identical_on_both_paths(scheme, ratio):
                       matching_ratio=ratio)
     for hg in netlists:
         got = _both(lambda: _hierarchy(hg, config, seed=7))
-        c_clusters, c_levels, c_born = got["c"]
-        py_clusters, py_levels, py_born = got["py"]
+        c_clusters, c_levels = got["c"]
+        py_clusters, py_levels = got["py"]
         assert len(c_clusters) > 2, hg.name  # really coarsened
         assert c_clusters == py_clusters, hg.name
         assert c_levels == py_levels, hg.name
-        # The compiled Induce built the coarse levels from arrays.
-        assert not any(c_born) and all(py_born)
 
 
 @needs_cc
@@ -129,7 +127,7 @@ def test_flat_netlist_pickles_its_arrays():
             assert copy == level and hash(copy) == hash(level)
             assert _level(copy) == _level(level)
             level.module_nets, level.active_csr(200)
-            # Its tuples exist: a plain netlist, with no attribute hook.
+            # Its views and caches exist, and pickle to nothing.
             assert type(level) is Hypergraph
             assert pickle.dumps(level) == fresh, loop
     if "c" in levels:
@@ -198,6 +196,7 @@ def test_induce_matches_python(hg, seed, ratio):
     clustering = match(hg, ratio=ratio, seed=seed)
     got = _both(lambda: induce(hg, clustering))
     assert _level(got["c"]) == _level(got["py"])
+    assert got["c"].net_pins == got["py"].net_pins
     assert got["c"].sizes_list == got["py"].sizes_list
     assert got["c"].active_nets(10) == got["py"].active_nets(10)
 
@@ -213,14 +212,20 @@ def test_state_sweep_matches_python(hg, seed, threshold):
     state, bound = PartitionState.compiled(engine._compiled_pass(), hg,
                                            part, threshold)
     assert bound == hg.max_weighted_degree(threshold)
-    assert [list(c) for c in state.counts] == reference.counts
-    assert list(state.spans) == reference.spans
-    assert [a.hex() for a in state.part_area] == \
-        [a.hex() for a in reference.part_area]
-    assert (state.cut_weight, state.soed_weight) == \
-        (reference.cut_weight, reference.soed_weight)
     assert state.active == reference.active
     assert state.active_nets() == reference.active_nets()
+    # The compiled state moves against the netlist's flat arrays, the
+    # Python one against its list views.
+    for v in [None] + list(range(0, hg.num_modules, 7)):
+        if v is not None:
+            for each in (state, reference):
+                each.move(v, 1 - each.part_of[v])
+        assert [list(c) for c in state.counts] == reference.counts
+        assert list(state.spans) == reference.spans
+        assert [a.hex() for a in state.part_area] == \
+            [a.hex() for a in reference.part_area]
+        assert (state.cut_weight, state.soed_weight) == \
+            (reference.cut_weight, reference.soed_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +280,26 @@ def test_merged_weight_beyond_int_is_named(monkeypatch):
             with pytest.raises(PartitionError, match="gain bound"):
                 ml_bipartition(hg, config, seed=2)
     assert len(set(map(str, weights.values()))) == 1
+
+
+@pytest.mark.parametrize("heavy", [2 ** 62 - 1, 2 ** 62],
+                         ids=["fits", "overflows"])
+def test_merged_weight_beyond_int64_is_named(heavy):
+    # Two nets of weight 2**62 merge into one coarse net of 2**63,
+    # which no 64-bit weight holds; one less still fits.
+    hg = Hypergraph([[0, 2], [1, 3], [0, 1]], num_modules=4,
+                    net_weights=[heavy, 2 ** 62, 1])
+    clustering = Clustering([0, 0, 1, 1])
+    coarse = {}
+    for loop in each_loop():
+        if heavy < 2 ** 62:
+            coarse[loop] = _level(induce(hg, clustering))
+            continue
+        with pytest.raises(PartitionError,
+                           match="merged net weight exceeds int64"):
+            induce(hg, clustering)
+    if heavy < 2 ** 62:
+        assert len(set(map(str, coarse.values()))) == 1
 
 
 def test_cli_names_the_gain_bound(tmp_path, capsys):

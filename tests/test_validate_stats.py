@@ -19,7 +19,8 @@ class TestCheckConsistency:
         check_consistency(hierarchical_circuit(120, 150, seed=1))
 
     def test_tampered_pin_count_detected(self, tiny_hg):
-        tiny_hg._num_pins += 1
+        tiny_hg._net_pins_s = list(tiny_hg.net_pins)
+        tiny_hg._net_pins_s[0] += (5,)
         with pytest.raises(HypergraphError, match="num_pins"):
             check_consistency(tiny_hg)
 
@@ -40,14 +41,23 @@ class TestCheckConsistency:
             check_consistency(tiny_hg)
 
     def test_short_weight_list_detected(self, tiny_hg):
-        tiny_hg.weights_list = tiny_hg.weights_list[:-1]
+        tiny_hg._weights_s = tiny_hg.weights_list[:-1]
         with pytest.raises(HypergraphError, match="net weights"):
             check_consistency(tiny_hg)
 
     def test_long_area_list_detected(self, tiny_hg):
-        tiny_hg.module_nets  # cache the incidence before the tamper
-        tiny_hg.areas_list = tiny_hg.areas_list + [1.0]
+        tiny_hg._areas_s = tiny_hg.areas_list + [1.0]
         with pytest.raises(HypergraphError, match="module areas"):
+            check_consistency(tiny_hg)
+
+    @pytest.mark.parametrize("slot, tampered", [
+        ("_net_pins_s", lambda hg: [(1, 0)] + hg.net_pins[1:]),
+        ("_weights_s", lambda hg: [2] + hg.weights_list[1:]),
+        ("_areas_s", lambda hg: [2.0] + hg.areas_list[1:]),
+    ], ids=["pins", "weights", "areas"])
+    def test_tampered_view_values_detected(self, tiny_hg, slot, tampered):
+        setattr(tiny_hg, slot, tampered(tiny_hg))
+        with pytest.raises(HypergraphError, match="differ"):
             check_consistency(tiny_hg)
 
     def test_every_ml_level_passes(self):
