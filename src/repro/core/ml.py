@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..clustering import Clustering, induce, match
 from ..errors import ClusteringError
@@ -22,7 +22,6 @@ from ..hypergraph import Hypergraph
 from ..obs import metrics, recorder, tracer
 from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng, spawn
-from ..fm.clip import clip_bipartition  # noqa: F401  (re-export convenience)
 from ..fm.engine import fm_bipartition
 from ..clustering.project import project
 from .config import MLConfig
@@ -86,6 +85,73 @@ def coarsen_step(current: Hypergraph, config: MLConfig,
     return clustering, induce(current, clustering)
 
 
+def _observe_phase(phase: str, began: float) -> None:
+    metrics().histogram("repro_ml_phase_seconds",
+                        "Wall time of the multilevel phases, by phase.",
+                        phase=phase).observe(time.perf_counter() - began)
+
+
+def _coarsen(hg: Hypergraph, config: MLConfig, rng: random.Random,
+             labels: Optional[List[int]] = None
+             ) -> Tuple[Hierarchy, Optional[List[int]]]:
+    """Steps 1-5 of Figure 2, drawing from ``rng`` itself.
+
+    ``labels`` restricts the matching to modules with equal labels (the
+    V-cycle's side labels); every cluster is then pure, so the labels
+    are carried up one level at a time and returned for the coarsest
+    netlist beside the hierarchy.
+    """
+    tr = tracer()
+    mx = metrics()
+    rec = recorder()
+    t_all = tr.begin() if tr.enabled else 0
+    m_phase = time.perf_counter() if mx.enabled else 0.0
+    netlists = [hg]
+    clusterings: List[Clustering] = []
+    while (netlists[-1].num_modules > config.coarsening_threshold
+           and len(clusterings) < config.max_levels):
+        current = netlists[-1]
+        t_level = tr.now() if tr.enabled else 0
+        clustering, coarse = coarsen_step(current, config, rng,
+                                          restrict=labels)
+        if coarse is None:
+            break  # no progress: all modules became singletons
+        netlists.append(coarse)
+        clusterings.append(clustering)
+        if labels is not None:
+            coarse_labels = [0] * clustering.num_clusters
+            for v, c in enumerate(clustering.cluster_of):
+                coarse_labels[c] = labels[v]
+            labels = coarse_labels
+        if rec.enabled:
+            # Confirms the preceding run of merge events as a kept
+            # level (merges of a no-progress matching get no
+            # confirmation and are discarded by readers).
+            rec.emit({"t": "level", "l": len(clusterings) - 1,
+                      "n": current.num_modules,
+                      "c": coarse.num_modules,
+                      "cn": coarse.num_nets})
+        if tr.enabled:
+            tr.complete("coarsen.level", t_level, {
+                "level": len(clusterings),
+                "modules": current.num_modules,
+                "coarse_modules": coarse.num_modules,
+                "nets": coarse.num_nets,
+                "pins": coarse.num_pins,
+                "achieved_ratio": round(clustering.matched_fraction(), 4),
+            })
+    if tr.enabled:
+        tr.end("ml.coarsen", t_all, {
+            "levels": len(clusterings),
+            "modules": hg.num_modules,
+            "coarsest_modules": netlists[-1].num_modules,
+            "target_ratio": config.matching_ratio,
+        })
+    if mx.enabled:
+        _observe_phase("coarsen", m_phase)
+    return Hierarchy(netlists=netlists, clusterings=clusterings), labels
+
+
 def build_hierarchy(hg: Hypergraph, config: Optional[MLConfig] = None,
                     seed: SeedLike = None,
                     rng: Optional[random.Random] = None) -> Hierarchy:
@@ -104,56 +170,66 @@ def build_hierarchy(hg: Hypergraph, config: Optional[MLConfig] = None,
     identical results (the contract the parallel runtime's hierarchy
     cache relies on).
     """
-    config = config or MLConfig()
     base = rng if rng is not None else make_rng(seed)
-    rng = spawn(base)
+    return _coarsen(hg, config or MLConfig(), spawn(base))[0]
+
+
+def _uncoarsen(hierarchy: Hierarchy, refine: Callable, starts: int = 1,
+               initial: Optional[Partition] = None,
+               score: str = "cut") -> Tuple[Any, List[int], int]:
+    """Steps 6-9 of Figure 2.
+
+    ``refine(i, start)`` runs the engine on ``hierarchy.netlists[i]``
+    from ``start`` and returns its result, which carries ``partition``,
+    ``cut`` and ``passes``.  The coarsest level keeps the best (lowest
+    ``score`` attribute) of ``starts`` calls from ``initial``; every
+    finer level refines its coarser solution's projection.  Returns the
+    finest result, the cut per level (coarsest first) and the total
+    pass count.
+    """
     tr = tracer()
     mx = metrics()
     rec = recorder()
-    t_all = tr.begin() if tr.enabled else 0
+    t_phase = tr.begin() if tr.enabled else 0
     m_phase = time.perf_counter() if mx.enabled else 0.0
-    netlists = [hg]
-    clusterings: List[Clustering] = []
-    while (netlists[-1].num_modules > config.coarsening_threshold
-           and len(clusterings) < config.max_levels):
-        current = netlists[-1]
-        t_level = tr.now() if tr.enabled else 0
-        clustering, coarse = coarsen_step(current, config, rng)
-        if coarse is None:
-            break  # no progress: all modules became singletons
-        netlists.append(coarse)
-        clusterings.append(clustering)
-        if rec.enabled:
-            # Confirms the preceding run of merge events as a kept
-            # level (merges of a no-progress matching get no
-            # confirmation and are discarded by readers).
-            rec.emit({"t": "level", "l": len(clusterings) - 1,
-                      "n": current.num_modules,
-                      "c": netlists[-1].num_modules,
-                      "cn": netlists[-1].num_nets})
-        if tr.enabled:
-            coarse = netlists[-1]
-            tr.complete("coarsen.level", t_level, {
-                "level": len(clusterings),
-                "modules": current.num_modules,
-                "coarse_modules": coarse.num_modules,
-                "nets": coarse.num_nets,
-                "pins": coarse.num_pins,
-                "achieved_ratio": round(clustering.matched_fraction(), 4),
-            })
+    if rec.enabled:
+        rec.level = hierarchy.levels
+    result = refine(hierarchy.levels, initial)
+    total_passes = result.passes
+    for _ in range(starts - 1):
+        attempt = refine(hierarchy.levels, initial)
+        total_passes += attempt.passes
+        if getattr(attempt, score) < getattr(result, score):
+            result = attempt
+    level_cuts = [result.cut]
     if tr.enabled:
-        tr.end("ml.coarsen", t_all, {
-            "levels": len(clusterings),
-            "modules": hg.num_modules,
-            "coarsest_modules": netlists[-1].num_modules,
-            "target_ratio": config.matching_ratio,
+        tr.end("ml.initial", t_phase, {
+            "modules": hierarchy.coarsest.num_modules,
+            "starts": starts, "cut": result.cut,
         })
     if mx.enabled:
-        mx.histogram("repro_ml_phase_seconds",
-                     "Wall time of the multilevel phases, by phase.",
-                     phase="coarsen"
-                     ).observe(time.perf_counter() - m_phase)
-    return Hierarchy(netlists=netlists, clusterings=clusterings)
+        _observe_phase("initial", m_phase)
+        m_phase = time.perf_counter()
+
+    for i in range(hierarchy.levels - 1, -1, -1):
+        t_phase = tr.begin() if tr.enabled else 0
+        projected = project(result.partition, hierarchy.clusterings[i])
+        if rec.enabled:
+            rec.level = i
+        result = refine(i, projected)
+        level_cuts.append(result.cut)
+        total_passes += result.passes
+        if tr.enabled:
+            tr.end("ml.refine.level", t_phase, {
+                "level": i,
+                "modules": hierarchy.netlists[i].num_modules,
+                "cut": result.cut, "passes": result.passes,
+            })
+    if mx.enabled:
+        _observe_phase("refine", m_phase)
+    if rec.enabled:
+        rec.level = -1
+    return result, level_cuts, total_passes
 
 
 def ml_bipartition(hg: Hypergraph,
@@ -181,8 +257,6 @@ def ml_bipartition(hg: Hypergraph,
         raise ClusteringError("cannot bipartition fewer than two modules")
     fm_config = config.engine_config()
     tr = tracer()
-    mx = metrics()
-    rec = recorder()
     t_run = tr.begin() if tr.enabled else 0
 
     if hierarchy is None:
@@ -195,62 +269,16 @@ def ml_bipartition(hg: Hypergraph,
                 "prebuilt hierarchy was not built over this netlist")
         spawn(rng)  # discard the coarsening draw to keep streams aligned
 
-    # Step 6: initial partitioning of the coarsest netlist — optionally
-    # several independent starts, keeping the best (Section V).
-    t_phase = tr.begin() if tr.enabled else 0
-    m_phase = time.perf_counter() if mx.enabled else 0.0
-    if rec.enabled:
-        rec.level = hierarchy.levels
-    result = fm_bipartition(hierarchy.coarsest, initial=None,
-                            config=fm_config, rng=rng)
-    total_passes = result.passes
-    for _ in range(config.coarsest_starts - 1):
-        attempt = fm_bipartition(hierarchy.coarsest, initial=None,
-                                 config=fm_config, rng=rng)
-        total_passes += attempt.passes
-        if attempt.cut < result.cut:
-            result = attempt
-    level_cuts = [result.cut]
-    if tr.enabled:
-        tr.end("ml.initial", t_phase, {
-            "modules": hierarchy.coarsest.num_modules,
-            "starts": config.coarsest_starts, "cut": result.cut,
-        })
-    if mx.enabled:
-        mx.histogram("repro_ml_phase_seconds",
-                     "Wall time of the multilevel phases, by phase.",
-                     phase="initial"
-                     ).observe(time.perf_counter() - m_phase)
+    def refine(i: int, start: Optional[Partition]):
+        return fm_bipartition(hierarchy.netlists[i], initial=start,
+                              config=fm_config, rng=rng)
 
-    # Steps 7-9: project and refine, coarsest-to-finest.
+    # Step 6 optionally takes several independent starts on the
+    # coarsest netlist, keeping the best (Section V).
+    result, level_cuts, total_passes = _uncoarsen(
+        hierarchy, refine, starts=config.coarsest_starts)
     solution = result.partition
-    m_phase = time.perf_counter() if mx.enabled else 0.0
-    for i in range(hierarchy.levels - 1, -1, -1):
-        t_phase = tr.begin() if tr.enabled else 0
-        projected = project(solution, hierarchy.clusterings[i])
-        if rec.enabled:
-            rec.level = i
-        result = fm_bipartition(hierarchy.netlists[i], initial=projected,
-                                config=fm_config, rng=rng)
-        solution = result.partition
-        level_cuts.append(result.cut)
-        total_passes += result.passes
-        if tr.enabled:
-            tr.end("ml.refine.level", t_phase, {
-                "level": i,
-                "modules": hierarchy.netlists[i].num_modules,
-                "cut": result.cut, "passes": result.passes,
-            })
-
-    if mx.enabled:
-        mx.histogram("repro_ml_phase_seconds",
-                     "Wall time of the multilevel phases, by phase.",
-                     phase="refine"
-                     ).observe(time.perf_counter() - m_phase)
-
     final_cut = cut(hg, solution)
-    if rec.enabled:
-        rec.level = -1
     if tr.enabled:
         tr.end("ml.bipartition", t_run, {
             "modules": hg.num_modules, "nets": hg.num_nets,

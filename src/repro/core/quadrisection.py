@@ -13,14 +13,13 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..clustering.project import project
 from ..errors import ClusteringError, PartitionError
 from ..hypergraph import Hypergraph
-from ..partition import Partition, cut, soed
+from ..partition import Partition, random_partition
 from ..rng import SeedLike, make_rng
 from ..fm.kway import kway_partition
 from .config import DEFAULT_QUAD_THRESHOLD, MLConfig
-from .ml import build_hierarchy
+from .ml import _uncoarsen, build_hierarchy
 
 __all__ = ["MLKWayResult", "ml_kway", "ml_quadrisection",
            "default_quad_config"]
@@ -57,61 +56,47 @@ def ml_kway(hg: Hypergraph,
     ``fixed`` optionally maps module -> pre-assigned part (or ``-1`` for
     free modules); fixed modules are kept out of the matching by being
     pinned through the hierarchy only at the finest level — coarser
-    levels refine freely and the pre-assignment is re-imposed before
-    the final refinement.
+    levels refine freely and the pre-assignment is imposed on the
+    finest refinement's start (a random one when ``hg`` has at most
+    ``T`` modules and is not coarsened at all).
     """
     config = config or default_quad_config()
     rng = rng if rng is not None else make_rng(seed)
     if hg.num_modules < k:
         raise ClusteringError(
             f"cannot {k}-way partition {hg.num_modules} modules")
-    if fixed is not None and len(fixed) != hg.num_modules:
-        raise PartitionError(
-            f"fixed has length {len(fixed)}, expected {hg.num_modules}")
+    lock = None
+    if fixed is not None:
+        if len(fixed) != hg.num_modules:
+            raise PartitionError(
+                f"fixed has length {len(fixed)}, expected {hg.num_modules}")
+        for v, part in enumerate(fixed):
+            if not -1 <= part < k:
+                raise PartitionError(
+                    f"module {v} pre-assigned to part {part}, but k={k}")
+        lock = [part >= 0 for part in fixed]
     fm_config = config.engine_config()
 
     hierarchy = build_hierarchy(hg, config, rng=rng)
 
-    def score(r):
-        return r.soed if objective == "soed" else r.cut
-
-    result = kway_partition(hierarchy.coarsest, k=k, initial=None,
-                            config=fm_config, objective=objective, rng=rng)
-    for _ in range(config.coarsest_starts - 1):
-        attempt = kway_partition(hierarchy.coarsest, k=k, initial=None,
-                                 config=fm_config, objective=objective,
-                                 rng=rng)
-        if score(attempt) < score(result):
-            result = attempt
-    level_cuts = [result.cut]
-
-    solution = result.partition
-    for i in range(hierarchy.levels - 1, -1, -1):
-        projected = project(solution, hierarchy.clusterings[i])
-        finest = i == 0
-        lock = None
-        if finest and fixed is not None:
-            assignment = list(projected.assignment)
-            lock = [False] * hg.num_modules
+    def refine(i: int, start: Optional[Partition]):
+        if i == 0 and lock is not None:
+            if start is None:
+                start = random_partition(hg, k=k, rng=rng)
+            assignment = list(start.assignment)
             for v, part in enumerate(fixed):
                 if part >= 0:
-                    if part >= k:
-                        raise PartitionError(
-                            f"module {v} pre-assigned to part {part}, "
-                            f"but k={k}")
                     assignment[v] = part
-                    lock[v] = True
-            projected = Partition(assignment, k)
-        result = kway_partition(hierarchy.netlists[i], k=k,
-                                initial=projected, config=fm_config,
-                                objective=objective, rng=rng,
-                                fixed=lock)
-        solution = result.partition
-        level_cuts.append(result.cut)
+            start = Partition(assignment, k)
+        return kway_partition(hierarchy.netlists[i], k=k, initial=start,
+                              config=fm_config, objective=objective,
+                              rng=rng, fixed=lock if i == 0 else None)
 
-    return MLKWayResult(partition=solution,
-                        cut=cut(hg, solution),
-                        soed=soed(hg, solution),
+    result, level_cuts, _ = _uncoarsen(
+        hierarchy, refine, starts=config.coarsest_starts, score=objective)
+    return MLKWayResult(partition=result.partition,
+                        cut=result.cut,
+                        soed=result.soed,
                         k=k,
                         levels=hierarchy.levels,
                         level_sizes=hierarchy.module_counts(),

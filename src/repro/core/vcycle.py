@@ -14,16 +14,14 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..clustering import Clustering
-from ..clustering.project import project
 from ..errors import ClusteringError, ConfigError
 from ..hypergraph import Hypergraph
 from ..obs import recorder, tracer
 from ..partition import Partition, cut
 from ..rng import SeedLike, make_rng
 from .config import MLConfig
-from ..fm.engine import fm_bipartition
-from .ml import coarsen_step, ml_bipartition
+from ..fm.engine import FMResult, fm_bipartition
+from .ml import _coarsen, _uncoarsen, ml_bipartition
 
 __all__ = ["VCycleResult", "ml_vcycle"]
 
@@ -39,50 +37,18 @@ class VCycleResult:
 
 
 def _restricted_cycle(hg: Hypergraph, solution: Partition,
-                      config: MLConfig, rng: random.Random) -> Partition:
+                      config: MLConfig, rng: random.Random) -> FMResult:
     """One V-cycle: restricted coarsening, seeded uncoarsening."""
     fm_config = config.engine_config()
-    rec = recorder()
+    hierarchy, labels = _coarsen(hg, config, rng,
+                                 labels=list(solution.assignment))
 
-    netlists = [hg]
-    clusterings: List[Clustering] = []
-    labels = list(solution.assignment)
-    while (netlists[-1].num_modules > config.coarsening_threshold
-           and len(clusterings) < config.max_levels):
-        current = netlists[-1]
-        clustering, coarse = coarsen_step(current, config, rng,
-                                          restrict=labels)
-        if coarse is None:
-            break
-        netlists.append(coarse)
-        # Every cluster is pure by construction; carry the labels up.
-        new_labels = [0] * clustering.num_clusters
-        for v, c in enumerate(clustering.cluster_of):
-            new_labels[c] = labels[v]
-        clusterings.append(clustering)
-        labels = new_labels
-        if rec.enabled:
-            rec.emit({"t": "level", "l": len(clusterings) - 1,
-                      "n": current.num_modules,
-                      "c": netlists[-1].num_modules,
-                      "cn": netlists[-1].num_nets})
+    def refine(i: int, start: Optional[Partition]) -> FMResult:
+        return fm_bipartition(hierarchy.netlists[i], initial=start,
+                              config=fm_config, rng=rng)
 
-    if rec.enabled:
-        rec.level = len(clusterings)
-    refined = fm_bipartition(netlists[-1],
-                             initial=Partition(labels, solution.k),
-                             config=fm_config, rng=rng)
-    current_solution = refined.partition
-    for i in range(len(clusterings) - 1, -1, -1):
-        projected = project(current_solution, clusterings[i])
-        if rec.enabled:
-            rec.level = i
-        refined = fm_bipartition(netlists[i], initial=projected,
-                                 config=fm_config, rng=rng)
-        current_solution = refined.partition
-    if rec.enabled:
-        rec.level = -1
-    return current_solution
+    return _uncoarsen(hierarchy, refine,
+                      initial=Partition(labels, solution.k))[0]
 
 
 def ml_vcycle(hg: Hypergraph,
@@ -120,11 +86,11 @@ def ml_vcycle(hg: Hypergraph,
         if rec.enabled:
             rec.emit({"t": "cycle", "c": i + 1})
         candidate = _restricted_cycle(hg, best_partition, config, rng)
-        candidate_cut = cut(hg, candidate)
+        candidate_cut = candidate.cut
         cycle_cuts.append(candidate_cut)
         if candidate_cut < best_cut:
             best_cut = candidate_cut
-            best_partition = candidate
+            best_partition = candidate.partition
         if tr.enabled:
             tr.end("vcycle.cycle", t_cycle, {
                 "cycle": i + 1, "cut": candidate_cut,

@@ -213,6 +213,10 @@ EXACT_PINS = {
                2024: (20, "be36542f4e4a27c1")},
     "kway4": {0: (60, "8d717d07826317a8"), 1: (44, "9d765da061bfb34f"),
               2024: (51, "252dc756be151ab4")},
+    # Pinned before ml_kway ran through ml.py's shared level loops.
+    "kway4/fixed": {0: (82, "fdb048ecf11b2633"),
+                    1: (75, "b8e387fb51c8e64a"),
+                    2024: (79, "25639e27cb0f4d7b")},
     "kwayflat4": {0: (69, "bdff9af8f2c107f9"),
                   1: (78, "b5d3b3320d3e997f"),
                   2024: (80, "d2128247673a61f1")},
@@ -253,6 +257,11 @@ def _exact_runs():
         hg, cycles=2, config=MLConfig(engine="clip"), seed=s)
     runs["kway4"] = lambda hg, s: ml_kway(
         hg, k=4, config=MLConfig(engine="fm", coarsening_threshold=100),
+        seed=s)
+    # Modules 0-19 pre-assigned to part ``v % 4``.
+    runs["kway4/fixed"] = lambda hg, s: ml_kway(
+        hg, k=4, config=MLConfig(engine="fm", coarsening_threshold=100),
+        fixed=[v % 4 if v < 20 else -1 for v in range(hg.num_modules)],
         seed=s)
     runs["kwayflat4"] = lambda hg, s: kway_partition(hg, k=4, seed=s)
     for alg in ("mlc", "mlf", "lsmc", "spectral"):
@@ -305,8 +314,8 @@ class TestGoldenCuts:
 
     def test_extensions_pinned(self, medium):
         _check_pins(medium, EXACT_PINS, _exact_runs(),
-                    ["vcycle", "kway4", "kwayflat4", "solver/lsmc",
-                     "solver/spectral", "solver/mlc-v2"])
+                    ["vcycle", "kway4", "kway4/fixed", "kwayflat4",
+                     "solver/lsmc", "solver/spectral", "solver/mlc-v2"])
 
     def test_golden_cuts_pinned(self, medium):
         # Absolute regression pins for the canonical 300-module circuit.

@@ -18,7 +18,7 @@ import threading
 
 import pytest
 
-from repro.core import ml_bipartition
+from repro.core import ml_bipartition, ml_kway, ml_vcycle
 from repro.fm import fm_bipartition
 from repro.harness import Algorithm, run_cell
 from repro.hypergraph import hierarchical_circuit
@@ -97,55 +97,152 @@ class TestTracerBasics:
         assert traced.partition.assignment == baseline.partition.assignment
 
 
+#: The multilevel drivers; each runs Figure 2 through ``core/ml.py``'s
+#: shared coarsening and uncoarsening loops.
+ML_DRIVERS = {
+    "ml_bipartition": lambda hg: ml_bipartition(hg, seed=3),
+    "ml_vcycle": lambda hg: ml_vcycle(hg, cycles=1, seed=3),
+    "ml_kway": lambda hg: ml_kway(hg, seed=3),
+}
+
+#: Hierarchies per driver run: the V-cycle's first ML run, then its cycle.
+HIERARCHIES = {"ml_bipartition": 1, "ml_vcycle": 2, "ml_kway": 1}
+
+#: Depth of each hierarchy's ``ml.coarsen`` span: under ``ml.bipartition``
+#: or ``vcycle.cycle``, or at the top for k-way.
+ML_DEPTH = {"ml_bipartition": 1, "ml_vcycle": 1, "ml_kway": 0}
+
+
+def _ml_spans(levels, depth):
+    """Names, depths and argument keys of one hierarchy's ML spans, in
+    emission order."""
+    return ([("coarsen.level", depth + 1,
+              ("achieved_ratio", "coarse_modules", "level", "modules",
+               "nets", "pins"))] * levels
+            + [("ml.coarsen", depth,
+                ("coarsest_modules", "levels", "modules", "target_ratio")),
+               ("ml.initial", depth, ("cut", "modules", "starts"))]
+            + [("ml.refine.level", depth,
+                ("cut", "level", "modules", "passes"))] * levels)
+
+
+_BIPARTITION = ("ml.bipartition", 0, ("cut", "engine", "levels", "modules",
+                                      "nets", "passes", "ratio"))
+
+#: Every span but the engines' ``fm.*`` ones, on the medium circuit at
+#: seed 3.  The ``ml_bipartition`` sequence is the one it emitted before
+#: the three drivers shared their level loops.
+ML_SPANS = {
+    "ml_bipartition": _ml_spans(4, 1) + [_BIPARTITION],
+    "ml_vcycle": _ml_spans(4, 1) + [_BIPARTITION] + _ml_spans(4, 1) + [
+        ("vcycle.cycle", 0, ("best_cut", "cut", "cycle", "modules"))],
+    "ml_kway": _ml_spans(2, 0),
+}
+
+
+def _hierarchies(events):
+    """One dict of ML spans per hierarchy, in the order they ran."""
+    runs, levels = [], []
+    for event in events:
+        name = event.get("name")
+        if name == "coarsen.level":
+            levels.append(event)
+        elif name == "ml.coarsen":
+            runs.append({"coarsen": event, "levels": levels,
+                         "initial": [], "refine": []})
+            levels = []
+        elif name == "ml.initial":
+            runs[-1]["initial"].append(event)
+        elif name == "ml.refine.level":
+            runs[-1]["refine"].append(event)
+    return runs
+
+
 class TestSpanNesting:
-    """Span structure of one traced ML run mirrors the hierarchy."""
+    """Span structure of each traced ML driver mirrors its hierarchies.
+
+    Every test checks all of :data:`ML_DRIVERS`, each run once per test
+    by the ``runs`` fixture.
+    """
 
     @pytest.fixture
-    def run(self, medium_hg):
-        buffer = BufferSink()
-        with tracing(buffer):
-            result = ml_bipartition(medium_hg, seed=3)
-        return result, buffer.events
+    def runs(self, medium_hg):
+        out = {}
+        for driver, fn in ML_DRIVERS.items():
+            buffer = BufferSink()
+            with collecting_metrics() as registry:
+                with tracing(buffer):
+                    result = fn(medium_hg)
+            out[driver] = result, buffer.events, registry
+        return out
 
-    def test_one_span_per_level(self, run):
-        result, events = run
-        assert len(_events_named(events, "coarsen.level")) == result.levels
-        assert len(_events_named(events, "ml.refine.level")) == result.levels
-        assert len(_events_named(events, "ml.coarsen")) == 1
-        assert len(_events_named(events, "ml.initial")) == 1
-        assert len(_events_named(events, "ml.bipartition")) == 1
+    def test_one_span_per_level(self, runs):
+        for driver, (result, events, _) in runs.items():
+            hierarchies = _hierarchies(events)
+            assert len(hierarchies) == HIERARCHIES[driver], driver
+            for h in hierarchies:
+                levels = h["coarsen"]["args"]["levels"]
+                assert len(h["levels"]) == len(h["refine"]) == levels, driver
+                assert len(h["initial"]) == 1, driver
+            if driver != "ml_vcycle":
+                assert hierarchies[0]["coarsen"]["args"]["levels"] == \
+                    result.levels, driver
+            assert len(_events_named(events, "ml.bipartition")) == \
+                (driver != "ml_kway"), driver
 
-    def test_depths_match_hierarchy(self, run):
-        _, events = run
-        expected = {"ml.bipartition": 0, "ml.coarsen": 1, "ml.initial": 1,
-                    "ml.refine.level": 1, "coarsen.level": 2, "fm.pass": 3}
-        for name, depth in expected.items():
-            for event in _events_named(events, name):
-                assert event["args"]["depth"] == depth, name
+    def test_depths_match_hierarchy(self, runs):
+        for driver, (_, events, _) in runs.items():
+            depth = ML_DEPTH[driver]
+            expected = {"ml.bipartition": 0, "ml.coarsen": depth,
+                        "ml.initial": depth, "ml.refine.level": depth,
+                        "coarsen.level": depth + 1, "fm.pass": depth + 2}
+            for name, want in expected.items():
+                for event in _events_named(events, name):
+                    assert event["args"]["depth"] == want, (driver, name)
 
-    def test_level_spans_carry_structure(self, run):
-        result, events = run
-        levels = _events_named(events, "coarsen.level")
-        assert [e["args"]["level"] for e in levels] == \
-            list(range(1, result.levels + 1))
-        for event in levels:
-            args = event["args"]
-            assert args["coarse_modules"] < args["modules"]
-            assert 0.0 < args["achieved_ratio"] <= 1.0
-        refine = _events_named(events, "ml.refine.level")
-        # Refinement walks coarsest-to-finest.
-        assert [e["args"]["level"] for e in refine] == \
-            list(range(result.levels - 1, -1, -1))
-        assert refine[-1]["args"]["modules"] == 300
+    def test_span_sequence(self, runs):
+        for driver, (_, events, _) in runs.items():
+            seen = [(e["name"], e["args"]["depth"],
+                     tuple(sorted(k for k in e["args"] if k != "depth")))
+                    for e in events
+                    if e.get("ph") == "X" and not e["name"].startswith("fm.")]
+            assert seen == ML_SPANS[driver], driver
 
-    def test_spans_nest_by_interval(self, run):
-        _, events = run
-        top = _events_named(events, "ml.bipartition")[0]
-        lo, hi = top["ts"], top["ts"] + top["dur"]
-        for event in events:
-            if event.get("ph") == "X":
-                assert lo <= event["ts"]
-                assert event["ts"] + event["dur"] <= hi
+    def test_level_spans_carry_structure(self, runs):
+        for driver, (_, events, _) in runs.items():
+            for h in _hierarchies(events):
+                levels = h["coarsen"]["args"]["levels"]
+                assert [e["args"]["level"] for e in h["levels"]] == \
+                    list(range(1, levels + 1)), driver
+                for event in h["levels"]:
+                    args = event["args"]
+                    assert args["coarse_modules"] < args["modules"]
+                    assert 0.0 < args["achieved_ratio"] <= 1.0
+                # Refinement walks coarsest-to-finest.
+                assert [e["args"]["level"] for e in h["refine"]] == \
+                    list(range(levels - 1, -1, -1)), driver
+                assert h["refine"][-1]["args"]["modules"] == 300, driver
+
+    def test_spans_nest_by_interval(self, runs):
+        for driver, (_, events, _) in runs.items():
+            spans = [e for e in events if e.get("ph") == "X"]
+            for event in spans:
+                depth = event["args"]["depth"]
+                if depth == 0:
+                    continue
+                assert any(
+                    parent["args"]["depth"] == depth - 1
+                    and parent["ts"] <= event["ts"]
+                    and event["ts"] + event["dur"]
+                    <= parent["ts"] + parent["dur"]
+                    for parent in spans), (driver, event["name"])
+
+    def test_phase_samples(self, runs):
+        for driver, (_, _, registry) in runs.items():
+            rows = registry.histogram_summaries("repro_ml_phase_seconds")
+            assert {row["labels"]["phase"]: row["count"] for row in rows} \
+                == dict.fromkeys(("coarsen", "initial", "refine"),
+                                 HIERARCHIES[driver]), driver
 
 
 class TestCrossModeTelemetry:

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import (MLConfig, default_quad_config, ml_kway,
                         ml_quadrisection)
+from repro.core import ml as ml_module
 from repro.errors import ClusteringError, PartitionError
-from repro.hypergraph import hierarchical_circuit
+from repro.hypergraph import hierarchical_circuit, load_circuit
 from repro.partition import BalanceConstraint, cut, soed
 from repro.rng import child_seeds
 
@@ -73,6 +74,40 @@ class TestFixedModules:
         fixed[0] = 7
         with pytest.raises(PartitionError):
             ml_quadrisection(medium_hg, fixed=fixed, seed=0)
+
+    def test_preassignment_respected_without_coarsening(self):
+        # 42 modules, below T = 100: no level is built, so the
+        # pre-assignment is imposed on the random start.
+        hg = load_circuit("primary1", scale=0.05)
+        fixed = [v % 4 if v < 20 else -1 for v in range(hg.num_modules)]
+        result = ml_kway(hg, k=4, fixed=fixed, seed=1)
+        assert result.levels == 0
+        assert [result.partition.part_of(v) for v in range(20)] == \
+            fixed[:20]
+        assert (result.cut, result.soed) == \
+            (cut(hg, result.partition), soed(hg, result.partition))
+
+    @pytest.mark.parametrize("bad", [[0, 1], 4, 7, -2])
+    def test_bad_fixed_rejected_before_coarsening(self, medium_hg,
+                                                  monkeypatch, bad):
+        calls = []
+        real = ml_module.coarsen_step
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].num_modules)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ml_module, "coarsen_step", spy)
+        fixed = [-1] * medium_hg.num_modules
+        ml_kway(medium_hg, fixed=fixed, seed=0)
+        assert calls  # the spy sees a valid run coarsen
+        calls.clear()
+        if isinstance(bad, list):
+            fixed = bad
+        else:
+            fixed[5] = bad
+        with pytest.raises(PartitionError):
+            ml_kway(medium_hg, fixed=fixed, seed=0)
+        assert calls == []
 
 
 class TestQuality:
