@@ -3,7 +3,6 @@
 The paper's conclusions list several planned improvements; this example
 exercises the ones built here, on one circuit, side by side:
 
-* boundary FM refinement (cheaper passes on good starting solutions),
 * multiple coarsest-level starts,
 * V-cycle iteration with restricted matching (hMETIS-style),
 * Krishnamurthy lookahead, including the CL-LA3 configuration
@@ -52,9 +51,6 @@ def main() -> None:
     print("\nmultilevel:")
     base = timed("ML_F baseline", lambda: ml_bipartition(
         netlist, config=MLConfig(engine="fm"), seed=7))
-    timed("ML_F + boundary FM", lambda: ml_bipartition(
-        netlist, config=MLConfig(engine="fm", fm=FMConfig(boundary=True)),
-        seed=7))
     timed("ML_F + 8 coarsest starts", lambda: ml_bipartition(
         netlist, config=MLConfig(engine="fm", coarsest_starts=8), seed=7))
     vc = timed("ML_F + 2 V-cycles", lambda: ml_vcycle(

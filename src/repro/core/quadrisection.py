@@ -17,7 +17,7 @@ from ..errors import ClusteringError, PartitionError
 from ..hypergraph import Hypergraph
 from ..partition import Partition, random_partition
 from ..rng import SeedLike, make_rng
-from ..fm.kway import kway_partition
+from ..fm.kway import check_kway_args, kway_partition
 from .config import DEFAULT_QUAD_THRESHOLD, MLConfig
 from .ml import _uncoarsen, build_hierarchy
 
@@ -60,6 +60,7 @@ def ml_kway(hg: Hypergraph,
     finest refinement's start (a random one when ``hg`` has at most
     ``T`` modules and is not coarsened at all).
     """
+    check_kway_args(k, objective)
     config = config or default_quad_config()
     rng = rng if rng is not None else make_rng(seed)
     if hg.num_modules < k:

@@ -261,12 +261,12 @@ fill_buckets(pass_t *p, int clip)
     return size;
 }
 
-/* _move_loop_csr with LIFO buckets, no boundary mode, no lookahead.
+/* _move_loop_csr with LIFO buckets and no lookahead.
  * Writes the move list as (module, side, gain) triples and returns its
  * length, or -1 with an exception set. */
 static Py_ssize_t
 move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
-          int early_stall, long long *cut, long long *soed,
+          long long *cut, long long *soed,
           long long *best_cut, long long *best_soed, Py_ssize_t *best_index)
 {
     int *head = p->head, *nxt = p->nxt;
@@ -279,7 +279,6 @@ move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
     const double *areas = p->areas;
     long long cut_w = *cut, soed_w = *soed;
     Py_ssize_t n_moves = 0;
-    int stall = 0;
 
     *best_cut = cut_w;
     *best_soed = soed_w;
@@ -458,12 +457,6 @@ move_loop(pass_t *p, Py_ssize_t size, double lower, double upper,
             *best_cut = cut_w;
             *best_soed = soed_w;
             *best_index = n_moves;
-            stall = 0;
-        }
-        else {
-            stall++;
-            if (early_stall >= 0 && stall >= early_stall)
-                break;
         }
     }
     *cut = cut_w;
@@ -524,29 +517,29 @@ rollback(pass_t *p, Py_ssize_t n_moves, Py_ssize_t best_index,
 PyDoc_STRVAR(fm_pass_doc,
 "fm_pass(part_of, c0, c1, spans, part_area, xpins, pins, xinc, inc,\n"
 "        weights, areas, fixed, moves, clip, max_gain, lower, upper,\n"
-"        early_stall, cut, soed)\n"
+"        cut, soed)\n"
 "--\n\n"
 "Run one FM (clip=0) or CLIP (clip=1) pass with LIFO buckets and roll\n"
 "it back to its best prefix.  The state buffers (array 'i', part_area\n"
 "array 'd') are updated in place; fixed is one byte per module; moves\n"
 "receives the pass's (module, side, gain) triples, gain being the drop\n"
-"in internal cut.  early_stall < 0 means no early exit.  Returns\n"
-"(moves, best_index, cut, soed, inserted): the objectives are those at\n"
-"the best prefix.  weights is array 'q'; every active net's weight must\n"
-"fit the bucket range.  Raises OverflowError when a gain leaves it.");
+"in internal cut.  Returns (moves, best_index, cut, soed, inserted):\n"
+"the objectives are those at the best prefix.  weights is array 'q';\n"
+"every active net's weight must fit the bucket range.  Raises\n"
+"OverflowError when a gain leaves it.");
 
 static PyObject *
 fm_pass(PyObject *self, PyObject *args)
 {
     PyObject *o[13];
-    int clip, max_g, early_stall;
+    int clip, max_g;
     (void)self;
     double lower, upper;
     long long cut, soed;
-    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOiiddiLL", &o[0], &o[1],
+    if (!PyArg_ParseTuple(args, "OOOOOOOOOOOOOiiddLL", &o[0], &o[1],
                           &o[2], &o[3], &o[4], &o[5], &o[6], &o[7], &o[8],
                           &o[9], &o[10], &o[11], &o[12], &clip, &max_g,
-                          &lower, &upper, &early_stall, &cut, &soed))
+                          &lower, &upper, &cut, &soed))
         return NULL;
     if (max_g < 0) {
         PyErr_SetString(PyExc_ValueError, "max_gain must be >= 0");
@@ -646,9 +639,8 @@ fm_pass(PyObject *self, PyObject *args)
         goto done;
     long long best_cut, best_soed;
     Py_ssize_t best_index;
-    Py_ssize_t n_moves = move_loop(&p, inserted, lower, upper, early_stall,
-                                   &cut, &soed, &best_cut, &best_soed,
-                                   &best_index);
+    Py_ssize_t n_moves = move_loop(&p, inserted, lower, upper, &cut, &soed,
+                                   &best_cut, &best_soed, &best_index);
     if (n_moves < 0)
         goto done;
     rollback(&p, n_moves, best_index, saved);

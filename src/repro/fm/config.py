@@ -38,19 +38,6 @@ class FMConfig:
     max_passes:
         Upper bound on passes; ``None`` means run until a pass fails to
         improve (the classic FM stopping rule).
-    early_exit_stall:
-        If set, a pass aborts after this many consecutive moves without
-        improving the pass-best cut — the Chaco/Metis-style early pass
-        termination the paper lists as future work (Section V).
-        ``None`` (default) reproduces the paper's full passes.
-    boundary:
-        Boundary refinement (Section V future work, after Chaco [22]):
-        only modules incident to cut nets are initially inserted into
-        the gain buckets; other modules' gains are computed on demand
-        when a move pulls them onto the boundary.  Cuts CPU sharply on
-        good starting solutions (exactly the multilevel refinement
-        case).  Incompatible with ``clip``, whose bucket concatenation
-        needs every module's initial gain.
     lookahead:
         Krishnamurthy-style lookahead depth ``r`` [31].  ``1`` (default)
         is plain FM selection.  For ``r > 1``, ties in the top gain
@@ -72,8 +59,6 @@ class FMConfig:
     tolerance: float = 0.1
     max_net_size: int = DEFAULT_MAX_NET_SIZE
     max_passes: Optional[int] = None
-    early_exit_stall: Optional[int] = None
-    boundary: bool = False
     lookahead: int = 1
 
     def __post_init__(self):
@@ -90,14 +75,6 @@ class FMConfig:
         if self.max_passes is not None and self.max_passes < 1:
             raise ConfigError(
                 f"max_passes must be >= 1, got {self.max_passes}")
-        if self.early_exit_stall is not None and self.early_exit_stall < 1:
-            raise ConfigError(
-                f"early_exit_stall must be >= 1, got "
-                f"{self.early_exit_stall}")
-        if self.boundary and self.clip:
-            raise ConfigError(
-                "boundary refinement cannot be combined with CLIP: the "
-                "CLIP concatenation requires every module's initial gain")
         if not 1 <= self.lookahead <= 8:
             raise ConfigError(
                 f"lookahead must be in [1, 8], got {self.lookahead}")

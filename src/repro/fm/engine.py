@@ -15,23 +15,23 @@ the highest-gain balance-feasible module, and finally rolls the solution
 back to the best prefix of the pass.  Passes repeat until one fails to
 improve the cut.
 
-Every hot kernel — initial gains, boundary scan, the two-phase gain
-update loop of a pass — binds the hypergraph's kernel lists
-(``net_pins``, ``module_nets``, ``weights_list``, ``areas_list``) into
-locals and inlines the per-pin gain bumps.  One Python loop,
+Every hot kernel — initial gains, the two-phase gain update loop of a
+pass — binds the hypergraph's kernel lists (``net_pins``,
+``module_nets``, ``weights_list``, ``areas_list``) into locals and
+inlines the per-pin gain bumps.  One Python loop,
 :func:`_move_loop_csr`, runs every configuration's pass, and
 :func:`_rollback_csr` undoes the discarded tail move by move.
 
 When the C compiler is at hand, the common configuration (LIFO
-buckets, no boundary mode, no lookahead) runs compiled instead
-(``_kernels.c``, built on first use by :mod:`repro.fm.native`): the
-state and the gain bound come from one compiled sweep
-(:meth:`PartitionState.compiled`) into the ``array`` buffers the pass
-writes in place, and each pass — initial gains, bucket fill, the move
-loop with a two-pin fast path, and a rollback from the shorter side of
-the best prefix — is one compiled call (:func:`_c_pass`).  It makes the
-same moves, picks the same best prefix and leaves the same state; the
-Python loop is its reference and its fallback.
+buckets, no lookahead) runs compiled instead (``_kernels.c``, built on
+first use by :mod:`repro.fm.native`): the state and the gain bound
+come from one compiled sweep (:meth:`PartitionState.compiled`) into
+the ``array`` buffers the pass writes in place, and each pass —
+initial gains, bucket fill, the move loop with a two-pin fast path,
+and a rollback from the shorter side of the best prefix — is one
+compiled call (:func:`_c_pass`).  It makes the same moves, picks the
+same best prefix and leaves the same state; the Python loop is its
+reference and its fallback.
 
 Both loops hand back each move as a ``(module, side, gain)`` triple,
 ``gain`` being the drop in internal cut, so a recorded run takes the
@@ -77,25 +77,6 @@ class FMResult:
     pass_cuts: List[int] = field(default_factory=list)
 
 
-def _module_gain(state: PartitionState, v: int) -> int:
-    """Weighted FM gain of moving module ``v`` to the other side."""
-    hg = state.hg
-    net_weights = hg.weights_list
-    src = state.part_of[v]
-    counts_src = state.counts[src]
-    counts_dst = state.counts[1 - src]
-    active = state.active
-    g = 0
-    for e in hg.module_nets[v]:
-        if active[e]:
-            w = net_weights[e]
-            if counts_src[e] == 1:
-                g += w
-            if counts_dst[e] == 0:
-                g -= w
-    return g
-
-
 def _initial_gains(state: PartitionState) -> List[int]:
     """Weighted FM gain of moving each module to the other side."""
     # Single flat sweep: no per-module function call, no per-pin
@@ -122,20 +103,6 @@ def _initial_gains(state: PartitionState) -> List[int]:
                     g -= w
         gains[v] = g
     return gains
-
-
-def _boundary_modules(state: PartitionState) -> List[int]:
-    """Modules incident to at least one cut active net."""
-    module_nets = state.hg.module_nets
-    spans = state.spans
-    active = state.active
-    out = []
-    for v, nets_v in enumerate(module_nets):
-        for e in nets_v:
-            if active[e] and spans[e] > 1:
-                out.append(v)
-                break
-    return out
 
 
 def _lookahead_vector(state: PartitionState, locked_counts, v: int,
@@ -187,12 +154,12 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     prefix.  A gain pushed outside the bucket range (gains that
     disagree with the state) raises :class:`PartitionError`.
 
-    This is the only Python pass loop: every bucket discipline,
-    boundary mode and lookahead run here.  It is also the reference of
-    the compiled pass (``_kernels.c``), which :func:`fm_bipartition` runs
-    instead in the common configuration — LIFO buckets, no boundary
-    mode, no lookahead — when it loads: that pass makes exactly this
-    loop's moves in this loop's bucket order.
+    This is the only Python pass loop: every bucket discipline and
+    lookahead run here.  It is also the reference of the compiled pass
+    (``_kernels.c``), which :func:`fm_bipartition` runs instead in the
+    common configuration — LIFO buckets, no lookahead — when it loads:
+    that pass makes exactly this loop's moves in this loop's bucket
+    order.
     """
     cut_prev = state.cut_weight
     hg = state.hg
@@ -203,31 +170,12 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
     counts = state.counts
     active = state.active
     part_area = state.part_area
-    boundary = config.boundary
-    early_stall = config.early_exit_stall
     update = buckets.update
     iter_desc = buckets.iter_desc
 
     moves: List[Tuple[int, int, int]] = []
     best_cut = state.cut_weight
     best_index = 0
-    stall = 0
-
-    pending: set = set()
-    if boundary:
-        contains = buckets.contains
-
-        def bump(u, delta):
-            if contains(u):
-                gains[u] += delta
-                update(u, gains[u])
-            else:
-                # Newly on the boundary.  Its full gain is computed
-                # once, from the post-move counts, after both update
-                # phases finish — applying per-net deltas here would
-                # double-count nets the fresh computation already
-                # sees.
-                pending.add(u)
 
     try:
         while len(buckets):
@@ -273,30 +221,19 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                 cd = counts_dst[e]
                 if cd == 0:
                     w = net_weights[e]
-                    if boundary:
-                        for u in net_pins[e]:
-                            if not locked[u]:
-                                bump(u, w)
-                    else:
-                        for u in net_pins[e]:
-                            if not locked[u]:
-                                g = gains[u] + w
-                                gains[u] = g
-                                update(u, g)
+                    for u in net_pins[e]:
+                        if not locked[u]:
+                            g = gains[u] + w
+                            gains[u] = g
+                            update(u, g)
                 elif cd == 1:
                     w = net_weights[e]
-                    if boundary:
-                        for u in net_pins[e]:
-                            if not locked[u] and part_of[u] == dst:
-                                bump(u, -w)
-                                break
-                    else:
-                        for u in net_pins[e]:
-                            if not locked[u] and part_of[u] == dst:
-                                g = gains[u] - w
-                                gains[u] = g
-                                update(u, g)
-                                break
+                    for u in net_pins[e]:
+                        if not locked[u] and part_of[u] == dst:
+                            g = gains[u] - w
+                            gains[u] = g
+                            update(u, g)
+                            break
 
             state.move(chosen, dst)
             cut_now = state.cut_weight
@@ -316,45 +253,23 @@ def _move_loop_csr(state: PartitionState, buckets, gains: List[int],
                 cs = counts_src[e]
                 if cs == 0:
                     w = net_weights[e]
-                    if boundary:
-                        for u in net_pins[e]:
-                            if not locked[u]:
-                                bump(u, -w)
-                    else:
-                        for u in net_pins[e]:
-                            if not locked[u]:
-                                g = gains[u] - w
-                                gains[u] = g
-                                update(u, g)
+                    for u in net_pins[e]:
+                        if not locked[u]:
+                            g = gains[u] - w
+                            gains[u] = g
+                            update(u, g)
                 elif cs == 1:
                     w = net_weights[e]
-                    if boundary:
-                        for u in net_pins[e]:
-                            if not locked[u] and part_of[u] == src:
-                                bump(u, w)
-                                break
-                    else:
-                        for u in net_pins[e]:
-                            if not locked[u] and part_of[u] == src:
-                                g = gains[u] + w
-                                gains[u] = g
-                                update(u, g)
-                                break
-
-            if pending:
-                for u in pending:
-                    gains[u] = _module_gain(state, u)
-                    buckets.insert(u, gains[u])
-                pending.clear()
+                    for u in net_pins[e]:
+                        if not locked[u] and part_of[u] == src:
+                            g = gains[u] + w
+                            gains[u] = g
+                            update(u, g)
+                            break
 
             if cut_now < best_cut:
                 best_cut = cut_now
                 best_index = len(moves)
-                stall = 0
-            else:
-                stall += 1
-                if early_stall is not None and stall >= early_stall:
-                    break
     except ConfigError as exc:
         # A bucket operation refused a gain (one outside the bucket
         # range): the gains disagree with the state.  Named as the
@@ -383,8 +298,8 @@ def _compiled_pass():
 
 
 def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
-            clip: bool, max_gain: int, lower: float, upper: float,
-            early_stall: Optional[int]) -> Tuple[int, int, int]:
+            clip: bool, max_gain: int, lower: float, upper: float
+            ) -> Tuple[int, int, int]:
     """One compiled pass over a :meth:`PartitionState.compiled` state:
     initial gains, bucket fill, :func:`_move_loop_csr`'s moves and the
     rollback to its best prefix.  ``moves`` receives the pass's
@@ -396,7 +311,6 @@ def _c_pass(kernel, state: PartitionState, csr, fixed: bytes, moves,
         n_moves, best_index, cut_w, soed_w, inserted = kernel.fm_pass(
             state.part_of, c0, c1, state.spans, state.part_area, *csr,
             fixed, moves, clip, max_gain, lower, upper,
-            -1 if early_stall is None else early_stall,
             state.cut_weight, state.soed_weight)
     except OverflowError as exc:
         raise PartitionError(str(exc)) from None
@@ -466,16 +380,6 @@ def _py_pass(state: PartitionState, config: FMConfig,
         for v in order:
             buckets.insert(v, 0)
         gains = [0] * hg.num_modules
-    elif config.boundary:
-        # Boundary refinement (Section V / Chaco [22]): only
-        # cut-incident modules enter the structure; the rest are
-        # inserted on demand when a move pulls them onto the
-        # boundary.
-        gains = [0] * hg.num_modules
-        for v in _boundary_modules(state):
-            if fixed is None or not fixed[v]:
-                gains[v] = _module_gain(state, v)
-                buckets.insert(v, gains[v])
     else:
         gains = _initial_gains(state)
         for v in candidates:
@@ -543,8 +447,7 @@ def fm_bipartition(hg: Hypergraph,
 
     # The common configuration runs compiled when the kernels load.
     kernel = None
-    if (config.lookahead <= 1 and not config.boundary
-            and config.bucket_policy == "lifo"):
+    if config.lookahead <= 1 and config.bucket_policy == "lifo":
         kernel = _compiled_pass()
     active_list = hg.active_nets(config.max_net_size)
     state, max_gain = _start_state(kernel, hg, initial, config, active_list)
@@ -592,7 +495,7 @@ def fm_bipartition(hg: Hypergraph,
         if kernel is not None:
             n_moves, best_index, bucket_inserts = _c_pass(
                 kernel, state, csr, fixed_bytes, move_buf, config.clip,
-                bucket_range, lower, upper, config.early_exit_stall)
+                bucket_range, lower, upper)
             if rec_on:
                 modules = move_buf[0:3 * n_moves:3].tolist()
                 gains = move_buf[2:3 * n_moves:3].tolist()

@@ -80,6 +80,15 @@ def _gain_bound(hg: Hypergraph, max_net_size: int, objective: str) -> int:
     return 2 * best if objective == "soed" else best
 
 
+def check_kway_args(k: int, objective: str) -> None:
+    """Refuse a ``k`` below 2 or an unknown ``objective``."""
+    if k < 2:
+        raise PartitionError(f"k must be >= 2, got {k}")
+    if objective not in KWAY_OBJECTIVES:
+        raise ConfigError(
+            f"objective must be one of {KWAY_OBJECTIVES}, got {objective!r}")
+
+
 def kway_partition(hg: Hypergraph,
                    k: int = 4,
                    initial: Optional[Partition] = None,
@@ -94,11 +103,7 @@ def kway_partition(hg: Hypergraph,
     ``fixed`` optionally marks modules that may never move — the paper's
     placement use-case pre-assigns I/O pads to clusters (Section III-C).
     """
-    if k < 2:
-        raise PartitionError(f"k must be >= 2, got {k}")
-    if objective not in KWAY_OBJECTIVES:
-        raise ConfigError(
-            f"objective must be one of {KWAY_OBJECTIVES}, got {objective!r}")
+    check_kway_args(k, objective)
     config = config or FMConfig()
     rng = rng if rng is not None else make_rng(seed)
     if balance is None:
@@ -169,7 +174,6 @@ def kway_partition(hg: Hypergraph,
         moves: List[Tuple[int, int]] = []
         best_value = objective_value()
         best_index = 0
-        stall = 0
 
         while len(buckets):
             chosen = -1
@@ -228,12 +232,6 @@ def kway_partition(hg: Hypergraph,
             if value < best_value:
                 best_value = value
                 best_index = len(moves)
-                stall = 0
-            else:
-                stall += 1
-                if (config.early_exit_stall is not None
-                        and stall >= config.early_exit_stall):
-                    break
 
         for v, original in reversed(moves[best_index:]):
             state.move(v, original)

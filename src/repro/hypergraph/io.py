@@ -320,13 +320,31 @@ def netlist_from_dict(data: Dict[str, object],
     :class:`Hypergraph` constructor rejects (non-list nets, pins out of
     range or not integers, weights that do not fit, ...) — is a
     :class:`~repro.errors.ParseError`.
+
+    Without ``areas`` the constructor allocates one area per module
+    before it checks anything, so ``num_modules`` must then be an
+    integer no larger than the number of pins the nets list: the
+    allocation stays bounded by the input's size.
     """
     for key in ("num_modules", "nets"):
         if key not in data:
             raise ParseError(f"missing key {key!r}")
+    num_modules = data["num_modules"]
+    if not isinstance(num_modules, int) or isinstance(num_modules, bool):
+        raise ParseError(f"malformed netlist JSON: num_modules must be an "
+                         f"integer, got {type(num_modules).__name__}")
+    if data.get("areas") is None:
+        try:
+            listed = sum(len(net) for net in data["nets"])
+        except TypeError:
+            listed = None  # malformed nets: the constructor names them
+        if listed is not None and num_modules > listed:
+            raise ParseError(
+                f"malformed netlist JSON: num_modules {num_modules} "
+                f"exceeds the {listed} pins the nets list; a netlist with "
+                f"modules on no net must give their areas")
     try:
-        return Hypergraph(data["nets"],
-                          num_modules=data["num_modules"],
+        return Hypergraph(data["nets"], num_modules=num_modules,
                           areas=data.get("areas"),
                           net_weights=data.get("net_weights"),
                           name=data.get("name", name))

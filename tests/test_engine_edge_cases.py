@@ -33,6 +33,16 @@ class TestDegenerateInstances:
         assert result.cut == 0
         assert sorted(result.partition.part_sizes()) == [3, 3]
 
+    def test_zero_cut_start_terminates(self):
+        """A start that already cuts nothing: the first pass cannot
+        improve it, so the run ends there with the start intact."""
+        hg = Hypergraph([[0, 1], [2, 3]], num_modules=4)
+        perfect = Partition([0, 0, 1, 1], 2)
+        for loop in each_loop():
+            result = fm_bipartition(hg, initial=perfect, seed=0)
+            assert (result.cut, result.passes) == (0, 1), loop
+            assert result.partition.assignment == perfect.assignment, loop
+
     def test_single_giant_net(self):
         hg = Hypergraph([list(range(12))], num_modules=12)
         result = fm_bipartition(hg, seed=0)
@@ -161,8 +171,7 @@ class TestExactPassDegenerate:
         with pytest.raises(PartitionError, match="outside bucket range"):
             engine._c_pass(engine._compiled_pass(), state,
                            hg.active_csr(None), bytes(2),
-                           array("i", [0] * 6), False, 3, 0.0, 2.0,
-                           None)
+                           array("i", [0] * 6), False, 3, 0.0, 2.0)
 
 
 class TestExtremeBalance:

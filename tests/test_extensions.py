@@ -1,66 +1,13 @@
-"""Tests for the Section V future-work extensions: boundary FM,
-multiple coarsest-level starts, and recursive bisection."""
+"""Tests for the Section V future-work extensions: multiple
+coarsest-level starts and recursive bisection."""
 
 import pytest
 
 from repro.core import MLConfig, ml_bipartition, recursive_bisection
 from repro.errors import ConfigError, PartitionError
-from repro.fm import FMConfig, fm_bipartition
-from repro.hypergraph import Hypergraph, hierarchical_circuit
-from repro.partition import BalanceConstraint, cut, random_partition
+from repro.hypergraph import Hypergraph
+from repro.partition import cut
 from repro.rng import child_seeds
-
-
-class TestBoundaryFM:
-    def test_incompatible_with_clip(self):
-        with pytest.raises(ConfigError, match="boundary"):
-            FMConfig(boundary=True, clip=True)
-
-    def test_valid_solutions(self, medium_hg):
-        config = FMConfig(boundary=True)
-        for seed in child_seeds(0, 4):
-            result = fm_bipartition(medium_hg, config=config, seed=seed)
-            assert result.cut == cut(medium_hg, result.partition)
-            constraint = BalanceConstraint.from_tolerance(medium_hg, 0.1)
-            assert constraint.is_feasible(
-                result.partition.part_areas(medium_hg))
-
-    def test_never_worsens_initial(self, medium_hg):
-        initial = random_partition(medium_hg, seed=5)
-        before = cut(medium_hg, initial)
-        result = fm_bipartition(medium_hg, initial=initial,
-                                config=FMConfig(boundary=True), seed=5)
-        assert result.cut <= before
-
-    def test_fewer_moves_than_full_fm(self, large_hg):
-        """Boundary mode should touch far fewer modules per pass when
-        refining an already-good solution."""
-        good = fm_bipartition(large_hg, seed=1).partition
-        full = fm_bipartition(large_hg, initial=good, seed=2)
-        boundary = fm_bipartition(large_hg, initial=good,
-                                  config=FMConfig(boundary=True), seed=2)
-        assert boundary.total_moves < full.total_moves
-
-    def test_quality_close_to_full_fm(self, medium_hg):
-        seeds = child_seeds(7, 6)
-        full = [fm_bipartition(medium_hg, seed=s).cut for s in seeds]
-        bound = [fm_bipartition(medium_hg, config=FMConfig(boundary=True),
-                                seed=s).cut for s in seeds]
-        assert sum(bound) / len(bound) <= 1.35 * sum(full) / len(full)
-
-    def test_zero_cut_start_terminates(self):
-        """No boundary modules at all: the pass must simply end."""
-        hg = Hypergraph([[0, 1], [2, 3]], num_modules=4)
-        from repro.partition import Partition
-        perfect = Partition([0, 0, 1, 1], 2)
-        result = fm_bipartition(hg, initial=perfect,
-                                config=FMConfig(boundary=True), seed=0)
-        assert result.cut == 0
-
-    def test_inside_ml(self, large_hg):
-        config = MLConfig(engine="fm", fm=FMConfig(boundary=True))
-        result = ml_bipartition(large_hg, config=config, seed=3)
-        assert result.cut == cut(large_hg, result.partition)
 
 
 class TestCoarsestStarts:

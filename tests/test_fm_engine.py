@@ -33,10 +33,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FMConfig(max_passes=0)
 
-    def test_invalid_stall(self):
-        with pytest.raises(ConfigError):
-            FMConfig(early_exit_stall=0)
-
 
 class TestCorrectness:
     def test_reported_cut_matches_reference(self, medium_hg):
@@ -133,19 +129,6 @@ class TestPolicies:
         fifo = [fm_bipartition(hg, config=FMConfig(bucket_policy="fifo"),
                                seed=s).cut for s in seeds]
         assert sum(lifo) / len(lifo) < sum(fifo) / len(fifo)
-
-
-class TestStallExit:
-    def test_early_exit_limits_moves(self, medium_hg):
-        full = fm_bipartition(medium_hg, seed=3)
-        quick = fm_bipartition(medium_hg, seed=3,
-                               config=FMConfig(early_exit_stall=10))
-        assert quick.total_moves <= full.total_moves
-
-    def test_early_exit_still_valid(self, medium_hg):
-        result = fm_bipartition(medium_hg, seed=3,
-                                config=FMConfig(early_exit_stall=5))
-        assert result.cut == cut(medium_hg, result.partition)
 
 
 class TestMaxPasses:

@@ -8,6 +8,7 @@ from repro.hypergraph import (Hypergraph, assert_same_structure,
                               netlist_to_dict, read_are, read_hmetis,
                               read_json, read_netd, write_hmetis,
                               write_json)
+from repro.hypergraph import io as netlist_io
 from repro.service import PartitionRequest, inline_netlist, netlist_digest
 
 
@@ -267,6 +268,31 @@ class TestJsonNegative:
         path = self._write(tmp_path, '{"num_modules": 2, "nets": 5}')
         with pytest.raises(ParseError, match="malformed netlist JSON"):
             read_json(path)
+
+    @pytest.mark.parametrize("data", [
+        {"nets": [[0, 1]], "num_modules": 10 ** 9},
+        {"nets": [[0, 1], [1, 2]], "num_modules": 5},
+        {"nets": [[0, 1]], "num_modules": "2"},
+        {"nets": [[0, 1]], "num_modules": True},
+        {"nets": [[0, 1]], "num_modules": 2.0},
+    ], ids=["huge", "beyond-pins", "string", "bool", "float"])
+    def test_module_count_refused_before_construction(self, monkeypatch,
+                                                      data):
+        # The constructor allocates per-module lists before it checks
+        # anything; a spy in its place shows the refusal comes first.
+        def constructor(*args, **kwargs):
+            raise AssertionError("the Hypergraph constructor was reached")
+        monkeypatch.setattr(netlist_io, "Hypergraph", constructor)
+        with pytest.raises(ParseError, match="num_modules"):
+            netlist_from_dict(data)
+
+    def test_modules_on_no_net_need_areas(self):
+        hg = netlist_from_dict({"nets": [[0, 1]], "num_modules": 3,
+                                "areas": [1.0, 2.0, 3.0]})
+        assert (hg.num_modules, hg.num_nets) == (3, 1)
+        # Up to one module per listed pin needs no areas.
+        assert netlist_from_dict({"nets": [[0, 1]],
+                                  "num_modules": 2}).num_modules == 2
 
     def test_pin_out_of_range(self, tmp_path):
         path = self._write(tmp_path,

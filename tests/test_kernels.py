@@ -7,11 +7,10 @@ Four contracts from DESIGN.md's kernel-layer section (§8):
    describe exactly the same incidence as the tuple accessors
    ``pins(e)`` / ``nets(v)``.
 2. **Pinned answers** — every exact engine configuration (FM and CLIP
-   under each bucket policy, boundary mode, lookahead, ML_F, ML_C,
-   V-cycles, k-way) returns the partition whose assignment digest was
-   pinned while an in-tree reference kernel family still cross-checked
-   the CSR kernels bit for bit, on the compiled pass and on the Python
-   loop alike.
+   under each bucket policy, lookahead, ML_F, ML_C, V-cycles, k-way)
+   returns the partition whose assignment digest was pinned while an
+   in-tree reference kernel family still cross-checked the CSR kernels
+   bit for bit, on the compiled pass and on the Python loop alike.
 3. **Definitional oracle** — state init, incremental moves and the
    initial gain vector agree elementwise with :mod:`tests.oracle`,
    which recomputes side counts, spans, cut and FM gain straight from
@@ -199,9 +198,6 @@ EXACT_PINS = {
     "clip/random": {0: (20, "d8945a347f2e828c"),
                     1: (21, "a833af06e63dd003"),
                     2024: (39, "6e5012a033152ddf")},
-    "fm/boundary": {0: (45, "808c1f4d28079519"),
-                    1: (22, "1c15c138e7bd1e84"),
-                    2024: (28, "2beab702a099e1fd")},
     "fm/lookahead2": {0: (35, "d5904387bf734c75"),
                       1: (28, "1b884c8987803e5b"),
                       2024: (44, "a0c3424ec9c89605")},
@@ -245,8 +241,6 @@ def _exact_runs():
             hg, config=FMConfig(bucket_policy=p), seed=s))
         runs[f"clip/{policy}"] = (lambda hg, s, p=policy: fm_bipartition(
             hg, config=FMConfig(clip=True, bucket_policy=p), seed=s))
-    runs["fm/boundary"] = lambda hg, s: fm_bipartition(
-        hg, config=FMConfig(boundary=True), seed=s)
     runs["fm/lookahead2"] = lambda hg, s: fm_bipartition(
         hg, config=FMConfig(lookahead=2), seed=s)
     runs["mlf"] = lambda hg, s: ml_bipartition(
@@ -306,11 +300,11 @@ class TestGoldenCuts:
                     ["mlf", "mlc", "solver/mlc", "solver/mlf"])
 
     def test_fm_policies_identical_across_modes(self, medium):
-        # FIFO and random bucket policies, boundary mode and lookahead
-        # always run through the Python loop, never the compiled pass.
+        # FIFO and random bucket policies and lookahead always run
+        # through the Python loop, never the compiled pass.
         _check_pins(medium, EXACT_PINS, _exact_runs(),
                     ["fm/fifo", "fm/random", "clip/fifo", "clip/random",
-                     "fm/boundary", "fm/lookahead2"])
+                     "fm/lookahead2"])
 
     def test_extensions_pinned(self, medium):
         _check_pins(medium, EXACT_PINS, _exact_runs(),

@@ -87,12 +87,6 @@ class TestLookaheadEngine:
                                 seed=s).cut for s in seeds]
         assert plain != ahead
 
-    def test_boundary_plus_lookahead(self, medium_hg):
-        """Boundary mode and lookahead compose."""
-        config = FMConfig(boundary=True, lookahead=2)
-        result = fm_bipartition(medium_hg, config=config, seed=9)
-        assert result.cut == cut(medium_hg, result.partition)
-
     def test_cl_la3_helps_clip(self):
         """The Dutt-Deng phenomenon the paper cites: lookahead's impact
         'increases dramatically when using CLIP'."""

@@ -186,8 +186,7 @@ def test_pass_rejects_mismatched_buffers():
                     areas=areas, fixed=bytes(n),
                     moves=array("i", [0] * (3 * n)))
         args.update(override)
-        return native.load().fm_pass(*args.values(), 0, 4, 0.0, 40.0, -1,
-                                     0, 0)
+        return native.load().fm_pass(*args.values(), 0, 4, 0.0, 40.0, 0, 0)
 
     with pytest.raises(ValueError, match="c1"):
         call(c1=array("i", [0] * (m + 1)))

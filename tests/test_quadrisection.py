@@ -5,7 +5,7 @@ import pytest
 from repro.core import (MLConfig, default_quad_config, ml_kway,
                         ml_quadrisection)
 from repro.core import ml as ml_module
-from repro.errors import ClusteringError, PartitionError
+from repro.errors import ClusteringError, ConfigError, PartitionError
 from repro.hypergraph import hierarchical_circuit, load_circuit
 from repro.partition import BalanceConstraint, cut, soed
 from repro.rng import child_seeds
@@ -87,9 +87,9 @@ class TestFixedModules:
         assert (result.cut, result.soed) == \
             (cut(hg, result.partition), soed(hg, result.partition))
 
-    @pytest.mark.parametrize("bad", [[0, 1], 4, 7, -2])
-    def test_bad_fixed_rejected_before_coarsening(self, medium_hg,
-                                                  monkeypatch, bad):
+    @pytest.fixture
+    def coarsenings(self, monkeypatch):
+        """The module counts of the netlists ``coarsen_step`` coarsens."""
         calls = []
         real = ml_module.coarsen_step
 
@@ -97,17 +97,34 @@ class TestFixedModules:
             calls.append(args[0].num_modules)
             return real(*args, **kwargs)
         monkeypatch.setattr(ml_module, "coarsen_step", spy)
+        return calls
+
+    @pytest.mark.parametrize("bad", [[0, 1], 4, 7, -2])
+    def test_bad_fixed_rejected_before_coarsening(self, medium_hg,
+                                                  coarsenings, bad):
         fixed = [-1] * medium_hg.num_modules
         ml_kway(medium_hg, fixed=fixed, seed=0)
-        assert calls  # the spy sees a valid run coarsen
-        calls.clear()
+        assert coarsenings  # the spy sees a valid run coarsen
+        coarsenings.clear()
         if isinstance(bad, list):
             fixed = bad
         else:
             fixed[5] = bad
         with pytest.raises(PartitionError):
             ml_kway(medium_hg, fixed=fixed, seed=0)
-        assert calls == []
+        assert coarsenings == []
+
+    @pytest.mark.parametrize("bad,error", [({"objective": "bogus"},
+                                            ConfigError),
+                                           ({"k": 1}, PartitionError)])
+    def test_bad_k_or_objective_rejected_before_coarsening(
+            self, medium_hg, coarsenings, bad, error):
+        ml_kway(medium_hg, seed=0)
+        assert coarsenings  # the spy sees a valid run coarsen
+        coarsenings.clear()
+        with pytest.raises(error):
+            ml_kway(medium_hg, seed=0, **bad)
+        assert coarsenings == []
 
 
 class TestQuality:

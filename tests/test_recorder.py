@@ -90,8 +90,6 @@ AUDITED = {
         h, config=FMConfig(clip=True, bucket_policy="fifo"), seed=s),
     "clip-random": lambda h, s: fm_bipartition(
         h, config=FMConfig(clip=True, bucket_policy="random"), seed=s),
-    "fm-boundary": lambda h, s: fm_bipartition(
-        h, config=FMConfig(boundary=True), seed=s),
     "fm-lookahead2": lambda h, s: fm_bipartition(
         h, config=FMConfig(lookahead=2), seed=s),
     "mlf": lambda h, s: ml_bipartition(h, MLConfig(engine="fm"), seed=s),

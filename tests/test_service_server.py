@@ -203,11 +203,12 @@ class TestEndpoints:
 
     @pytest.mark.parametrize("inline", [
         {"num_modules": 2 ** 63, "nets": [[0, 1]]},
+        {"num_modules": 10 ** 9, "nets": [[0, 1]]},
         {"num_modules": 2, "nets": [[0, 1]], "net_weights": [1e999]},
         {"num_modules": 2, "nets": [[0, "x"]]},
         {"num_modules": 2, "nets": 5},
-    ], ids=["huge-module-count", "infinite-weight", "str-pin",
-            "nets-not-a-list"])
+    ], ids=["huge-module-count", "module-count-beyond-pins",
+            "infinite-weight", "str-pin", "nets-not-a-list"])
     def test_malformed_inline_netlist_is_a_client_error(self, inline):
         with _ServerThread() as srv, srv.client() as client:
             with pytest.raises(ServiceError) as exc:
