@@ -100,7 +100,7 @@ def run_cell(algorithm: Algorithm, hg: Hypergraph, runs: int,
              backoff_seconds: float = 0.0,
              completed=None,
              on_record=None,
-             trace: Union[None, bool, str] = None,
+             trace: Optional[str] = None,
              metrics_out: Optional[str] = None) -> CellStats:
     """Run one algorithm ``runs`` times on one circuit.
 
@@ -119,11 +119,10 @@ def run_cell(algorithm: Algorithm, hg: Hypergraph, runs: int,
     semantics, except that a raising run is recorded as a failure
     instead of aborting the sweep.
 
-    ``trace`` writes the cell's Chrome trace-event stream to a path
-    (or, with ``True``, emits into the ambient tracer); ``metrics_out``
-    writes the cell's metrics in the Prometheus text format after the
-    run.  Neither touches the RNG streams, so the cut statistics are
-    unchanged by either.  ``runs < 1`` raises
+    ``trace`` writes the cell's Chrome trace-event stream to a path;
+    ``metrics_out`` writes the cell's metrics in the Prometheus text
+    format after the run.  Neither touches the RNG streams, so the cut
+    statistics are unchanged by either.  ``runs < 1`` raises
     :class:`~repro.errors.ConfigError` from
     :class:`~repro.runtime.Portfolio`.
     """
@@ -155,7 +154,7 @@ def run_matrix(algorithms: Sequence[Algorithm],
                min_ok_fraction: Optional[float] = None,
                backoff_seconds: float = 0.0,
                checkpoint=None,
-               trace: Union[None, bool, str] = None,
+               trace: Optional[str] = None,
                metrics_out: Optional[str] = None
                ) -> Dict[str, Dict[str, CellStats]]:
     """Sweep ``algorithms x circuits``; result[circuit][algorithm].
@@ -179,7 +178,7 @@ def run_matrix(algorithms: Sequence[Algorithm],
     threaded through to every cell (see :func:`run_cell`).
 
     ``trace`` writes one merged Chrome trace-event stream covering the
-    *whole* sweep (a path, or ``True`` for the ambient tracer);
+    *whole* sweep to a path;
     ``metrics_out`` writes the sweep's metrics in the Prometheus text
     format after the last cell.
     """
@@ -193,10 +192,10 @@ def run_matrix(algorithms: Sequence[Algorithm],
     try:
         with ExitStack() as stack:
             registry = None
-            if isinstance(trace, str):
+            if trace is not None:
+                # Cells emit into the now-ambient writer.
                 from ..obs import tracing
                 stack.enter_context(tracing(trace))
-                trace = True  # cells emit into the now-ambient writer
             if metrics_out is not None:
                 from ..obs import collecting_metrics
                 registry = stack.enter_context(collecting_metrics())
@@ -220,8 +219,7 @@ def run_matrix(algorithms: Sequence[Algorithm],
                         faults=faults, verify=verify,
                         min_ok_fraction=min_ok_fraction,
                         backoff_seconds=backoff_seconds,
-                        completed=completed, on_record=on_record,
-                        trace=trace)
+                        completed=completed, on_record=on_record)
                 table[hg.name] = row
         if registry is not None:
             from ..obs import write_prometheus

@@ -719,11 +719,8 @@ def execute(portfolio: Portfolio, jobs: int = 1, executor=None,
     file was written, its per-phase rollup rides along in the entry.
     """
     runner = get_executor(jobs, executor)
-    trace_path = portfolio.trace if isinstance(portfolio.trace, str) else None
-    record_path = (portfolio.record
-                   if isinstance(portfolio.record, str) else None)
     try:
-        with tracing(trace_path), recording(record_path):
+        with tracing(portfolio.trace), recording(portfolio.record):
             result = runner.run(portfolio, completed=completed,
                                 on_record=on_record)
     finally:
@@ -732,5 +729,5 @@ def execute(portfolio: Portfolio, jobs: int = 1, executor=None,
     # After the tracing context closes, so phase rollups read a
     # flushed, complete file.
     record_result(result, portfolio, jobs=runner.jobs,
-                  trace_path=trace_path)
+                  trace_path=portfolio.trace)
     return result

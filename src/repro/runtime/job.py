@@ -86,13 +86,12 @@ class Portfolio:
     ``backoff_seconds`` (base) and ``backoff_cap`` shape the bounded
     exponential backoff slept before each retry.
 
-    ``trace`` controls observability for this portfolio: ``None``/
-    ``False`` leaves the ambient tracer alone (no events unless the
-    caller already enabled one), ``True`` emits into whatever tracer is
-    ambient, and a path string writes the whole run — including events
-    shipped back from worker processes — to that file as a Chrome
-    trace-event stream.  Tracing never touches the RNG streams, so the
-    outcome fingerprint is identical with it on or off.
+    ``trace`` is a path: :func:`~repro.runtime.execute` writes the
+    whole run — including events shipped back from worker processes —
+    to that file as a Chrome trace-event stream.  ``None`` leaves the
+    ambient tracer alone (no events unless the caller already enabled
+    one).  Tracing never touches the RNG streams, so the outcome
+    fingerprint is identical with it on or off.
     """
 
     algorithm: object
@@ -116,15 +115,14 @@ class Portfolio:
     verify: Union[bool, float] = False
     backoff_seconds: float = 0.0
     backoff_cap: float = 30.0
-    trace: Union[None, bool, str] = None
+    trace: Optional[str] = None
     #: Decision recording for this portfolio, with the same shape as
-    #: ``trace``: ``None``/``False`` leaves the ambient recorder alone,
-    #: ``True`` emits into whatever recorder is ambient, and a path
-    #: string writes the run's decision stream — per-start blocks
-    #: shipped back from worker processes included — to that file (see
-    #: :mod:`repro.obs.recorder`).  Like tracing, recording never
-    #: touches the RNG streams: same seed, same cuts, on or off.
-    record: Union[None, bool, str] = None
+    #: ``trace``: a path string receives the run's decision stream —
+    #: per-start blocks shipped back from worker processes included
+    #: (see :mod:`repro.obs.recorder`); ``None`` leaves the ambient
+    #: recorder alone.  Like tracing, recording never touches the RNG
+    #: streams: same seed, same cuts, on or off.
+    record: Optional[str] = None
     #: Correlation ID for request-scoped tracing.  When set, every span
     #: and instant this portfolio's execution emits — in the parent or
     #: shipped back from forked workers — carries ``trace_id`` in its
@@ -162,19 +160,11 @@ class Portfolio:
         if self.backoff_cap <= 0:
             raise ConfigError(
                 f"backoff_cap must be > 0, got {self.backoff_cap}")
-        if self.trace is not None and not isinstance(self.trace, (bool, str)):
-            raise ConfigError(
-                f"trace must be None, a bool, or a path string, "
-                f"got {type(self.trace).__name__}")
-        if self.record is not None and \
-                not isinstance(self.record, (bool, str)):
-            raise ConfigError(
-                f"record must be None, a bool, or a path string, "
-                f"got {type(self.record).__name__}")
-        if self.trace_id is not None and not isinstance(self.trace_id, str):
-            raise ConfigError(
-                f"trace_id must be None or a string, "
-                f"got {type(self.trace_id).__name__}")
+        for name in ("trace", "record", "trace_id"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{name} must be None or a string, "
+                                  f"got {type(value).__name__}")
 
     @property
     def name(self) -> str:

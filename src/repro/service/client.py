@@ -24,6 +24,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ReproError
+from ..obs.metrics import Histogram
 from ..runtime import backoff_delay
 from .protocol import HEADER_REQUEST_ID, HEADER_TRACE_ID
 
@@ -193,8 +194,6 @@ class ServiceClient:
         client-side cross-check (bench_service.py) compares like with
         like.  ``nan`` when the series is absent or empty.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
         wanted = {f'{k}="{v}"' for k, v in labels.items()}
         buckets: List[Tuple[float, float]] = []
         prefix = f"{name}_bucket{{"
@@ -211,24 +210,15 @@ class ServiceClient:
                 continue
             upper = math.inf if le == "+Inf" else float(le)
             buckets.append((upper, float(line.rsplit(" ", 1)[1])))
+        # Fold the cumulative samples into a registry histogram, so
+        # the estimate is the server's own.
         buckets.sort()
-        if not buckets or buckets[-1][1] <= 0:
-            return math.nan
-        total = buckets[-1][1]
-        rank = q * total
-        cumulative = 0.0
-        lower = 0.0
-        for upper, cum_count in buckets:
-            count = cum_count - cumulative
-            if count > 0 and cum_count >= rank:
-                if math.isinf(upper):
-                    return lower
-                return lower + (upper - lower) * \
-                    (rank - cumulative) / count
-            cumulative = cum_count
-            if not math.isinf(upper):
-                lower = upper
-        return lower
+        cumulative = [count for _, count in buckets]
+        hist = Histogram(tuple(u for u, _ in buckets if not math.isinf(u)))
+        hist.counts = [b - a for a, b in zip([0.0] + cumulative, cumulative)]
+        hist.counts += [0.0] * (len(hist.buckets) + 1 - len(hist.counts))
+        hist.count = cumulative[-1] if cumulative else 0
+        return hist.quantile(q)
 
     def status(self) -> dict:
         return self._json("GET", "/status")

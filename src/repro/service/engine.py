@@ -27,11 +27,15 @@ serving pipeline::
   pool so the next request forks a clean one.
 * **Batching**: when the consumer pops a request, it also takes every
   queued request with the same (netlist, config) — different seeds
-  welcome — and merges their child-seed streams into one
-  :class:`~repro.runtime.BatchPortfolio`.  Records are split back per
-  request afterwards, re-indexed from zero, so each request's result —
-  and its ledger entry — is byte-identical to a standalone CLI run of
-  the same (netlist, config, seed).
+  welcome.  Every batch, a lone request included, runs one way
+  (:meth:`ServiceEngine._execute`): the members' child-seed streams
+  merge into one :class:`~repro.runtime.BatchPortfolio`, and the
+  records are split back per request, re-indexed from zero, so each
+  request's result — and its ledger entry — is byte-identical to a
+  standalone CLI run of the same (netlist, config, seed).  With the
+  netlist's circuit breaker open, the same path runs degraded: one
+  start of each member's own seed, on a serial executor, with no
+  retries and no faults.
 * Same-netlist requests share one parsed :class:`Hypergraph` via the
   netlist cache, which is also what lets ``ml-reuse`` requests share a
   single :class:`~repro.runtime.HierarchyCache` entry (the hierarchy
@@ -55,12 +59,13 @@ from pathlib import Path
 from statistics import median
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs import get_logger, metrics, record_result, trace_scope, tracer
+from ..obs import (get_logger, metrics, record_result, recording,
+                   trace_scope, tracer, tracing)
 from ..obs.metrics import SERVICE_BUCKETS
 from ..partition import BalanceConstraint
 from ..rng import child_seeds
 from ..runtime import (BatchPortfolio, Job, Portfolio, PortfolioResult,
-                       HierarchyCache, STATUS_TIMEOUT, execute,
+                       HierarchyCache, STATUS_TIMEOUT, SerialExecutor,
                        get_executor, ml_reuse_algorithm)
 from ..solvers import build_algorithm, ml_config_for
 from .breaker import CircuitBreaker, PLAN_DEGRADED
@@ -547,73 +552,47 @@ class ServiceEngine:
 
     def _run_batch_inner(self, batch: List[PendingRun]) -> List[object]:
         """The uninstrumented batch body: breaker plan, netlist
-        resolution, single/degraded/merged execution.  Returns one
-        payload *or exception* per batch member; a whole-batch failure
-        is fanned out as one exception per member.  Consults the
-        per-netlist circuit breaker first and records the execution's
-        health after, so a netlist that keeps crashing or timing out
-        stops occupying the lane with full portfolios.
+        resolution, :meth:`_execute`.  Returns one payload *or
+        exception* per batch member; a whole-batch failure is fanned
+        out as one exception per member.  Consults the per-netlist
+        circuit breaker first and records the execution's health after,
+        so a netlist that keeps crashing or timing out stops occupying
+        the lane with full portfolios.  A degraded execution is not
+        recorded: only a full probe may close the breaker.
         """
         request0 = batch[0].request
         netlist_key = canonical_json(request0.netlist.key)
-        plan = self.breaker.plan(netlist_key)
+        degraded = self.breaker.plan(netlist_key) == PLAN_DEGRADED
         try:
             hg = self.netlists.resolve(netlist_key, request0.netlist.load)
-            if plan == PLAN_DEGRADED:
-                return [self._guarded(self._run_degraded, run, hg)
-                        for run in batch]
-            algorithm = self._algorithm_for(request0, hg)
-            if len(batch) == 1:
-                payloads = [self._guarded(self._run_single, batch[0], hg,
-                                          algorithm)]
-            else:
-                payloads = self._run_merged(batch, hg, algorithm)
+            payloads = self._execute(batch, hg, degraded)
         except Exception as exc:
             self._count("errors")
-            self.breaker.record(netlist_key, healthy=False, error=str(exc))
+            if not degraded:
+                self.breaker.record(netlist_key, healthy=False,
+                                    error=str(exc))
             if isinstance(exc, ProtocolError):
                 raise
             raise ProtocolError(f"execution failed: {exc}",
                                 status=500) from exc
-        self.breaker.record(netlist_key,
-                            healthy=self._batch_healthy(payloads),
-                            error=self._batch_error(payloads))
+        if not degraded:
+            error = self._batch_error(payloads)
+            self.breaker.record(netlist_key, healthy=error is None,
+                                error=error or "")
         return payloads
 
-    def _guarded(self, runner, *args) -> object:
-        """Run one request's executor call, converting its failure into
-        a per-member exception instead of poisoning batch mates."""
-        try:
-            return runner(*args)
-        except ProtocolError as exc:
-            self._count("errors")
-            return exc
-        except Exception as exc:
-            self._count("errors")
-            return ProtocolError(f"execution failed: {exc}", status=500)
-
     @staticmethod
-    def _batch_healthy(payloads: List[object]) -> bool:
-        """An execution is healthy only when every member produced a
-        payload whose starts all finished ``ok`` — crashes *and*
-        timeouts count against the breaker."""
-        for payload in payloads:
-            if isinstance(payload, Exception):
-                return False
-            statuses = payload.get("statuses", {})
-            if any(status != "ok" for status in statuses):
-                return False
-        return True
-
-    @staticmethod
-    def _batch_error(payloads: List[object]) -> str:
+    def _batch_error(payloads: List[object]) -> Optional[str]:
+        """Why an execution counts against the breaker, or ``None`` when
+        every member produced a payload whose starts all finished
+        ``ok`` — crashes *and* timeouts are unhealthy."""
         for payload in payloads:
             if isinstance(payload, Exception):
                 return str(payload)
-            bad = [s for s in payload.get("statuses", {}) if s != "ok"]
+            bad = sorted(s for s in payload["statuses"] if s != "ok")
             if bad:
-                return f"starts finished {','.join(sorted(bad))}"
-        return ""
+                return f"starts finished {','.join(bad)}"
+        return None
 
     def _deadline_seconds(self, batch: List[PendingRun]) -> Optional[float]:
         """Remaining wall budget for this executor invocation: the
@@ -640,102 +619,98 @@ class ServiceEngine:
                                descents=request.descents,
                                vcycles=request.vcycles)
 
-    def _run_single(self, run: PendingRun, hg, algorithm) -> dict:
-        request = run.request
-        portfolio = Portfolio(algorithm=algorithm, hg=hg,
-                              runs=request.runs, seed=request.seed,
-                              keep_results=True,
-                              trace=run.spool.get("trace"),
-                              record=run.spool.get("record"),
-                              retries=self.retries, faults=self.faults,
-                              deadline_seconds=self._deadline_seconds([run]),
-                              trace_id=run.effective_trace_id)
-        result = execute(portfolio, executor=self.executor)
-        self._count("executed_portfolios")
-        self._count("executed_starts", result.runs)
-        self._keep_spooled(run)
-        return self._payload(run, result, hg)
+    def _execute(self, batch: List[PendingRun], hg,
+                 degraded: bool) -> List[object]:
+        """Run a lane batch as one :class:`BatchPortfolio` and answer
+        every member from its own slice of the records.
 
-    def _run_degraded(self, run: PendingRun, hg) -> dict:
-        """Breaker-open fallback: one start of the request's own
-        algorithm and seed instead of its full portfolio, run inline
-        on the lane thread."""
-        request = run.request
-        algorithm = self._algorithm_for(request, hg)
-        portfolio = Portfolio(algorithm=algorithm, hg=hg,
-                              runs=1, seed=request.seed,
-                              keep_results=True,
-                              trace=run.spool.get("trace"),
-                              record=run.spool.get("record"),
-                              deadline_seconds=self._deadline_seconds([run]),
-                              trace_id=run.effective_trace_id)
-        result = execute(portfolio, jobs=1)
-        self._count("executed_portfolios")
-        self._count("executed_starts", result.runs)
-        self._count("degraded_served")
-        self._keep_spooled(run)
-        payload = self._payload(run, result, hg)
-        payload["degraded"] = True
-        payload["degraded_reason"] = "breaker_open"
-        payload["runs"] = 1
-        _log.warning("breaker open for %s: served degraded single-start "
-                     "answer to %s", hg.name, run.id)
-        return payload
-
-    def _run_merged(self, batch: List[PendingRun], hg,
-                    algorithm) -> List[dict]:
-        """One executor invocation covering every request's seed
-        stream; records split back per request afterwards."""
+        The members' child-seed streams are concatenated, so a member's
+        records, re-indexed from zero, are those of its request run
+        alone; each member gets its own ledger entry, recorded as the
+        portfolio it would have been on its own.  A batch of one is the
+        one-member case: its answer carries the execution's wall, and a
+        traced or recorded request (always alone — it has no batch key)
+        runs inside its spool files' tracer and recorder.  With the
+        breaker open (``degraded``) each member gets one start of its
+        own seed, run inline on a :class:`SerialExecutor` with no
+        retries and no faults.
+        """
+        algorithm = self._algorithm_for(batch[0].request, hg)
+        executor, retries, faults = ((SerialExecutor(), 0, None) if degraded
+                                     else (self.executor, self.retries,
+                                           self.faults))
+        merged = len(batch) > 1 and not degraded
         job_list: List[Job] = []
-        offsets: List[int] = []
+        slices: List[Tuple[PendingRun, int, int]] = []
         for run in batch:
-            offsets.append(len(job_list))
-            seeds = child_seeds(run.request.seed, run.request.runs)
+            runs = 1 if degraded else run.request.runs
             base = len(job_list)
-            job_list.extend(Job(index=base + i, seed=s)
-                            for i, s in enumerate(seeds))
-        merged = BatchPortfolio(algorithm=algorithm, hg=hg,
-                                runs=len(job_list),
-                                seed=batch[0].request.seed,
-                                keep_results=True, job_list=job_list,
-                                retries=self.retries, faults=self.faults,
-                                deadline_seconds=self._deadline_seconds(batch),
-                                trace_id=batch[0].effective_trace_id)
+            slices.append((run, base, runs))
+            job_list.extend(
+                Job(index=base + i, seed=s)
+                for i, s in enumerate(child_seeds(run.request.seed, runs)))
+        portfolio = BatchPortfolio(
+            algorithm=algorithm, hg=hg, runs=len(job_list),
+            seed=batch[0].request.seed, keep_results=True,
+            job_list=job_list, retries=retries, faults=faults,
+            deadline_seconds=self._deadline_seconds(batch),
+            trace_id=batch[0].effective_trace_id)
         tr = tracer()
-        if tr.enabled:
+        if merged and tr.enabled:
             # One child marker per batched member, inside the
             # ``service.execute`` scope: ties each rider's IDs and seed
             # range to the shared execution tree.
-            for run, offset in zip(batch, offsets):
+            for run, offset, runs in slices:
                 tr.instant("service.batch_member", {
                     "exec_id": batch[0].id, "member_id": run.id,
                     "member_trace_id": run.effective_trace_id,
                     "request_id": run.request_id,
-                    "offset": offset, "runs": run.request.runs})
-        result = self.executor.run(merged)
-        self._count("executed_portfolios")
+                    "offset": offset, "runs": runs})
+        spool = batch[0].spool
+        with tracing(spool.get("trace")), recording(spool.get("record")):
+            result = executor.run(portfolio)
+        self._count("executed_portfolios", len(batch) if degraded else 1)
         self._count("executed_starts", len(job_list))
-        self._count("batched_requests", len(batch))
-        _log.info("batched %d requests (%d starts) on %s",
-                  len(batch), len(job_list), hg.name)
+        if degraded:
+            self._count("degraded_served", len(batch))
+        elif merged:
+            self._count("batched_requests", len(batch))
+            _log.info("batched %d requests (%d starts) on %s",
+                      len(batch), len(job_list), hg.name)
         payloads: List[object] = []
-        for run, offset in zip(batch, offsets):
-            n = run.request.runs
-            records = [replace(result.records[offset + i], index=i)
-                       for i in range(n)]
-            sub = PortfolioResult(
-                algorithm=merged.name, circuit=hg.name, records=records,
-                wall_seconds=sum(r.wall_seconds for r in records),
-                jobs=self.executor.jobs)
-            # Each request is ledger-recorded as its own portfolio —
-            # same entry (and config hash) as the request run alone.
-            portfolio = Portfolio(algorithm=algorithm, hg=hg, runs=n,
-                                  seed=run.request.seed, keep_results=True,
-                                  retries=merged.retries,
-                                  faults=merged.faults,
-                                  trace_id=run.effective_trace_id)
-            record_result(sub, portfolio, jobs=self.executor.jobs)
-            payloads.append(self._guarded(self._payload, run, sub, hg))
+        for run, offset, runs in slices:
+            sub = result
+            if len(batch) > 1:
+                records = [replace(r, index=i) for i, r in
+                           enumerate(result.records[offset:offset + runs])]
+                sub = PortfolioResult(
+                    algorithm=portfolio.name, circuit=hg.name,
+                    records=records,
+                    wall_seconds=sum(r.wall_seconds for r in records),
+                    jobs=executor.jobs)
+            # After the tracing context closed, so the phase rollup
+            # reads a flushed file.
+            record_result(sub, Portfolio(
+                algorithm=algorithm, hg=hg, runs=runs,
+                seed=run.request.seed, keep_results=True, retries=retries,
+                faults=faults, trace_id=run.effective_trace_id),
+                jobs=executor.jobs, trace_path=run.spool.get("trace"))
+            self._keep_spooled(run)
+            try:
+                payload = self._payload(run, sub, hg)
+            except Exception as exc:
+                # This member's failure never poisons its batch mates.
+                self._count("errors")
+                payloads.append(exc if isinstance(exc, ProtocolError) else
+                                ProtocolError(f"execution failed: {exc}",
+                                              status=500))
+                continue
+            if degraded:
+                payload.update(degraded=True,
+                               degraded_reason="breaker_open", runs=1)
+                _log.warning("breaker open for %s: served degraded "
+                             "single-start answer to %s", hg.name, run.id)
+            payloads.append(payload)
         return payloads
 
     def _payload(self, run: PendingRun, result: PortfolioResult,

@@ -47,7 +47,6 @@ class ServiceJob:
     result: Optional[object] = None
     error: Optional[str] = None
     task: Optional[asyncio.Task] = None
-    trace_path: Optional[str] = None
 
     def describe(self) -> Dict[str, object]:
         """The ``GET /jobs/<id>`` body."""
@@ -61,8 +60,6 @@ class ServiceJob:
             body["result"] = self.result
         if self.error is not None:
             body["error"] = self.error
-        if self.trace_path is not None:
-            body["trace"] = f"/trace/{self.id}"
         return body
 
 

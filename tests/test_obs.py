@@ -348,7 +348,7 @@ class TestRetryTelemetry:
     def test_failed_attempts_traced_with_backoff(self, medium_hg):
         buffer = BufferSink()
         portfolio = Portfolio(_always_failing(), medium_hg, runs=1, seed=0,
-                              retries=1, backoff_seconds=0.001, trace=True)
+                              retries=1, backoff_seconds=0.001)
         with tracing(buffer):
             outcome = execute(portfolio, jobs=1)
         assert outcome.records[0].status == "failed"

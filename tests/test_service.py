@@ -357,6 +357,128 @@ class TestEngineServing:
         assert not engine.coalescer.inflight(bad.request_key())
 
 
+class TestLanePaths:
+    """Every way the lane executes a batch, pinned against the
+    standalone runtime: a lone request, a traced and recorded one, and
+    a breaker-degraded batch of two."""
+
+    @staticmethod
+    def _inline(hg, **overrides) -> PartitionRequest:
+        body = {"netlist": {"inline": inline_netlist(hg)},
+                "algorithm": "fm", "runs": 2, "seed": 5}
+        body.update(overrides)
+        return PartitionRequest.from_json(body)
+
+    @staticmethod
+    def _standalone_entry(monkeypatch, path, portfolio):
+        monkeypatch.setenv("REPRO_LEDGER", str(path))
+        result = execute(portfolio, jobs=1)
+        return result, next(read_ledger(path))
+
+    def test_single_request_matches_standalone_execute(
+            self, tiny_hg, tmp_path, monkeypatch):
+        served_ledger = tmp_path / "served.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(served_ledger))
+        engine = ServiceEngine(jobs=1, retries=1)
+
+        async def main():
+            engine.start()
+            try:
+                return await engine.serve(self._inline(tiny_hg))
+            finally:
+                await engine.drain(10)
+
+        payload = asyncio.run(main())
+        [served] = list(read_ledger(served_ledger))
+        alone, entry = self._standalone_entry(
+            monkeypatch, tmp_path / "alone.jsonl",
+            Portfolio(algorithm=build_algorithm("fm"), hg=tiny_hg, runs=2,
+                      seed=5, retries=1))
+        assert payload["fingerprint"] == alone.fingerprint_digest()
+        assert payload["cuts"] == alone.cuts
+        assert stable_view(served) == stable_view(entry)
+        counters = engine.counters()
+        assert counters["executed_portfolios"] == 1
+        assert counters["executed_starts"] == 2
+        assert counters["batched_requests"] == 0
+
+    def test_traced_request_ledger_has_phases_and_files_download(
+            self, tiny_hg, tmp_path, monkeypatch):
+        from repro.obs import read_trace
+        from .test_service_server import _ServerThread, _body
+        ledger = tmp_path / "ledger.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        with _ServerThread() as srv, srv.client() as client:
+            payload = client.partition(
+                _body(tiny_hg, trace=True, record=True))
+            trace_raw = client.trace(payload["id"])
+            record_raw = client.record(payload["id"])
+        [entry] = list(read_ledger(ledger))
+        assert entry["fingerprint"] == payload["fingerprint"]
+        assert entry["trace_id"] == payload["trace_id"]
+        assert entry["phases"]["portfolio.start"]["count"] == 2
+        copy = tmp_path / "downloaded.trace.jsonl"
+        copy.write_bytes(trace_raw)
+        assert any(e.get("ph") == "X" for e in read_trace(str(copy)))
+        assert record_raw.count(b'"t":"start"') == 2
+
+    def test_breaker_open_batch_serves_each_member_one_start(
+            self, tiny_hg, tmp_path, monkeypatch, caplog):
+        from repro.faults import FaultPlan
+        from repro.service import canonical_json
+        ledger = tmp_path / "served.jsonl"
+        monkeypatch.setenv("REPRO_LEDGER", str(ledger))
+        # Every full-portfolio start raises, so two requests trip the
+        # breaker; its degraded answers run without retries or faults.
+        engine = ServiceEngine(
+            jobs=1, retries=1, breaker_failures=2, breaker_cooldown=600,
+            faults=FaultPlan(rate=1.0, kinds=("raise",), attempts=99))
+        key = canonical_json(self._inline(tiny_hg).netlist.key)
+        batches = []
+        runner = engine.lane._runner
+        engine.lane._runner = lambda batch: (
+            batches.append(len(batch)) or runner(batch))
+
+        async def main():
+            engine.start()
+            try:
+                for seed in (1, 2):
+                    with pytest.raises(ProtocolError):
+                        await engine.serve(self._inline(tiny_hg, seed=seed))
+                before = engine.breaker._states[key].consecutive_failures
+                payloads = await asyncio.gather(
+                    *(engine.serve(self._inline(tiny_hg, seed=seed))
+                      for seed in (3, 4)))
+                return before, payloads
+            finally:
+                await engine.drain(10)
+
+        before, payloads = asyncio.run(main())
+        assert batches == [1, 1, 2]
+        assert engine.breaker._states[key].consecutive_failures == before
+        assert engine.breaker.stats()["trips"] == 1
+        served = {e["seed"]: e for e in read_ledger(ledger)}
+        for seed, payload in zip((3, 4), payloads):
+            assert payload["degraded"] is True
+            assert payload["degraded_reason"] == "breaker_open"
+            assert payload["runs"] == 1 and len(payload["cuts"]) == 1
+            alone, entry = self._standalone_entry(
+                monkeypatch, tmp_path / f"alone{seed}.jsonl",
+                Portfolio(algorithm=build_algorithm("fm"), hg=tiny_hg,
+                          runs=1, seed=seed))
+            assert payload["fingerprint"] == alone.fingerprint_digest()
+            assert served[str(seed)]["config_hash"] == entry["config_hash"]
+            assert stable_view(served[str(seed)]) == stable_view(entry)
+        counters = engine.counters()
+        assert counters["degraded_served"] == 2
+        assert counters["executed_portfolios"] == 2 + 2
+        assert counters["executed_starts"] == 2 * 2 + 2
+        assert counters["batched_requests"] == 0
+        warned = [r for r in caplog.records
+                  if "served degraded single-start" in r.getMessage()]
+        assert len(warned) == 2
+
+
 class TestCoalescer:
     def test_followers_share_leader_result(self):
         coalescer = Coalescer()

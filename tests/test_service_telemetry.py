@@ -316,3 +316,33 @@ class TestLatencyHistogramAgreement:
         # hits quantise to the 1-2.5-5 grid, so allow a bucket of slack
         # rather than the bench's 20% (which has 1000 samples).
         assert p50 == pytest.approx(client_p50, rel=1.5, abs=0.002)
+
+
+class TestClientQuantile:
+    def test_scraped_estimate_is_the_registry_estimate(self):
+        import math
+        from repro.obs.metrics import MetricsRegistry
+        from repro.service import ServiceClient
+        registry = MetricsRegistry()
+        bounds = (0.001, 0.01, 0.1, 1.0)
+        series = registry.histogram("h_seconds", "h", buckets=bounds,
+                                    endpoint="partition")
+        # The last sample lies past the last finite bucket.
+        for value in (0.0005, 0.004, 0.004, 0.02, 0.3, 0.7, 4.0):
+            series.observe(value)
+        registry.histogram("h_seconds", "h", buckets=bounds,
+                           endpoint="other").observe(0.05)
+        empty = registry.histogram("h_seconds", "h", buckets=bounds,
+                                   endpoint="idle")
+        client = ServiceClient("127.0.0.1", 1)
+        client.metrics = registry.render_prometheus  # no server needed
+        for q in (0.0, 0.5, 0.9, 0.99, 1.0):
+            scraped = client.histogram_quantile("h_seconds", q,
+                                                endpoint="partition")
+            assert scraped == pytest.approx(series.quantile(q), abs=1e-12)
+            assert math.isnan(client.histogram_quantile(
+                "h_seconds", q, endpoint="idle"))
+            assert math.isnan(empty.quantile(q))
+        assert client.histogram_quantile(
+            "h_seconds", 1.0, endpoint="partition") == 1.0  # clamped
+        assert math.isnan(client.histogram_quantile("absent_seconds", 0.5))
